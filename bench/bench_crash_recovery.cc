@@ -20,8 +20,8 @@
 #include "common/table.h"
 #include "core/engine_config.h"
 #include "core/example_generator.h"
+#include "core/run_api.h"
 #include "corpus/fault_injector.h"
-#include "durability/durable_annotate.h"
 #include "durability/journal.h"
 #include "modules/registry_io.h"
 
@@ -85,20 +85,21 @@ CrashCell RunCell(const bench_env::Environment& env, CrashPoint point,
     if (modules.size() <= kCrashModuleIndex) {
       Die("module index", Status::Internal("corpus smaller than expected"));
     }
-    DurableAnnotateOptions options;
-    options.crash.point = point;
-    options.crash.key = modules[kCrashModuleIndex]->spec().id;
+    CrashPlan crash;
+    crash.point = point;
+    crash.key = modules[kCrashModuleIndex]->spec().id;
+    RunRequest request = MakeDurableAnnotateRun(
+        generator, *registry, *env.corpus.ontology, *journal);
+    request.crash = &crash;
 
     auto start = std::chrono::steady_clock::now();
-    auto report = AnnotateRegistryDurable(generator, *registry,
-                                          *env.corpus.ontology, *journal,
-                                          options);
+    auto result = SubmitRun(request);
     auto end = std::chrono::steady_clock::now();
-    if (!report.ok()) Die("AnnotateRegistryDurable", report.status());
-    if (!report->run_status.IsCancelled()) {
+    if (!result.ok()) Die("crashing SubmitRun", result.status());
+    if (!result->run_status.IsCancelled()) {
       Die("crash injection",
           Status::Internal("run was not killed: " +
-                           report->run_status.ToString()));
+                           result->run_status.ToString()));
     }
     cell.crashed_run_ms =
         std::chrono::duration<double, std::milli>(end - start).count();
@@ -123,12 +124,14 @@ CrashCell RunCell(const bench_env::Environment& env, CrashPoint point,
   auto journal = RunJournal::Resume(dir, *recovery, {}, &engine->metrics());
   if (!journal.ok()) Die("RunJournal::Resume", journal.status());
 
+  RunRequest request = MakeDurableAnnotateRun(generator, *registry,
+                                              *env.corpus.ontology, *journal);
+  request.resume = &*recovery;
   auto resume_start = std::chrono::steady_clock::now();
-  auto report = AnnotateRegistry(generator, *registry, *env.corpus.ontology,
-                                 *journal, ResumeFrom(*recovery));
+  auto result = SubmitRun(request);
   auto resume_end = std::chrono::steady_clock::now();
-  if (!report.ok()) Die("resume AnnotateRegistry", report.status());
-  if (!report->complete()) Die("resume aborted", report->run_status);
+  if (!result.ok()) Die("resume SubmitRun", result.status());
+  if (!result->complete()) Die("resume aborted", result->run_status);
   cell.resume_ms = std::chrono::duration<double, std::milli>(
                        resume_end - resume_start)
                        .count();
@@ -157,11 +160,11 @@ int RunBench() {
         RunJournal::Create(FreshDir("baseline"), {}, &engine->metrics());
     if (!journal.ok()) Die("RunJournal::Create", journal.status());
     auto start = std::chrono::steady_clock::now();
-    auto report = AnnotateRegistryDurable(generator, *registry,
-                                          *env.corpus.ontology, *journal);
+    auto result = SubmitRun(MakeDurableAnnotateRun(
+        generator, *registry, *env.corpus.ontology, *journal));
     auto end = std::chrono::steady_clock::now();
-    if (!report.ok()) Die("baseline AnnotateRegistryDurable", report.status());
-    if (!report->complete()) Die("baseline aborted", report->run_status);
+    if (!result.ok()) Die("baseline SubmitRun", result.status());
+    if (!result->complete()) Die("baseline aborted", result->run_status);
     baseline_ms =
         std::chrono::duration<double, std::milli>(end - start).count();
     baseline = SaveAnnotations(*registry, *env.corpus.ontology);

@@ -4,6 +4,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace dexa {
 
@@ -136,6 +137,21 @@ bool ParseInt64(std::string_view s, int64_t* out) {
   long long v = std::strtoll(buf.c_str(), &end, 10);
   if (errno != 0 || end != buf.c_str() + buf.size()) return false;
   *out = static_cast<int64_t>(v);
+  return true;
+}
+
+bool ParseU64(std::string_view s, uint64_t* out) {
+  if (s.empty()) return false;
+  uint64_t value = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
+      return false;  // overflow
+    }
+    value = value * 10 + digit;
+  }
+  *out = value;
   return true;
 }
 

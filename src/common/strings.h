@@ -48,6 +48,10 @@ std::vector<std::string> WrapFixed(std::string_view s, size_t width);
 /// Parses a signed integer; returns false if `s` is not a valid integer.
 bool ParseInt64(std::string_view s, int64_t* out);
 
+/// Strict unsigned decimal parse: digits only, no sign or whitespace.
+/// Returns false if `s` is empty, holds a non-digit, or exceeds 2^64-1.
+bool ParseU64(std::string_view s, uint64_t* out);
+
 /// Parses a double; returns false on failure.
 bool ParseDouble(std::string_view s, double* out);
 

@@ -21,39 +21,33 @@ class RunJournal;
 struct JournalRecovery;
 struct CrashPlan;
 
-/// Which of the four run families a RunRequest describes. The facade
-/// subsumes the historical entry points one-to-one:
-///   kAnnotate        — AnnotateRegistry
-///   kAnnotateDurable — AnnotateRegistryDurable
-///   kEnact           — EnactResilient
-///   kEnactDurable    — EnactResilientDurable
+/// Which of the two run families a RunRequest describes. Either family
+/// is durable exactly when the request carries a journal.
 enum class RunKind {
-  kAnnotate = 0,
-  kAnnotateDurable = 1,
-  kEnact = 2,
-  kEnactDurable = 3,
+  kAnnotate = 0,  ///< Generate data examples over a module registry.
+  kEnact = 1,     ///< Enact a workflow, capturing provenance.
 };
 
 const char* RunKindName(RunKind kind);
 
 /// One run, fully described: the single struct the CLI, the serve daemon's
-/// RunManager, and tests hand to SubmitRun() instead of picking among four
-/// entry points with options scattered across DurableAnnotateOptions,
-/// DurableEnactOptions and EnactHooks. All pointers are non-owning and must
-/// outlive the SubmitRun call; which fields are required depends on `kind`
-/// (SubmitRun validates and fails with kInvalidArgument on a mismatch).
+/// RunManager, the shard runner and tests hand to SubmitRun(). All pointers
+/// are non-owning and must outlive the SubmitRun call; which fields are
+/// required depends on `kind` and on whether `journal` is set (SubmitRun
+/// validates and fails with kInvalidArgument on a mismatch).
 struct RunRequest {
   RunKind kind = RunKind::kAnnotate;
 
-  // -- Annotate family (kAnnotate, kAnnotateDurable) ---------------------
+  // -- Annotate family ---------------------------------------------------
   /// Generator to run over every available module of `registry`; the run
   /// executes on the generator's engine.
   const ExampleGenerator* generator = nullptr;
   ModuleRegistry* registry = nullptr;
-  /// Required for kAnnotateDurable (journal codec needs it for concepts).
+  /// Required for durable annotate runs (the journal codec needs it for
+  /// concepts).
   const Ontology* ontology = nullptr;
 
-  // -- Enact family (kEnact, kEnactDurable) ------------------------------
+  // -- Enact family ------------------------------------------------------
   const Workflow* workflow = nullptr;
   /// One value per workflow input.
   std::vector<Value> inputs;
@@ -61,20 +55,28 @@ struct RunRequest {
   /// registry via `registry` as well (const access only).
   InvocationEngine* engine = nullptr;
 
-  // -- Durability (the two durable kinds) --------------------------------
+  // -- Durability (set `journal` to make the run durable) -----------------
+  /// Write-ahead journal: every committed unit (module or workflow step) is
+  /// appended here before it takes effect, so a killed run can resume.
   RunJournal* journal = nullptr;
-  /// Resume from a crashed run's recovered journal; null starts fresh.
+  /// Resume from a crashed run's recovered journal; null starts fresh. The
+  /// recovery must come from a journal of the same run configuration,
+  /// which the run-header fingerprint checks.
   const JournalRecovery* resume = nullptr;
-  /// In-process crash injection; null means no crash plan.
+  /// In-process crash injection; null is an unarmed plan. Annotate runs
+  /// stop with run_status kCancelled at the chosen commit, enact runs fail
+  /// with kCancelled; the torn variant also damages the journal tail.
   const CrashPlan* crash = nullptr;
-  /// Compiled-KB seal pinned into durable annotate run headers (0 = the
-  /// in-memory backend).
+  /// Seal of the compiled KB image (CompiledKb checksum) pinned into durable
+  /// annotate run headers, 0 for the in-memory backend. A resume against a
+  /// different KB is refused.
   uint64_t kb_checksum = 0;
 
   // -- Observability (all kinds) -----------------------------------------
   /// Where the run's span tree and metrics go. When `obs.metrics` is set,
   /// SubmitRun imports the engine snapshot (and the trace, when `obs.tracer`
-  /// is also set) into it after the run finishes.
+  /// is also set) into it after the run finishes. Durable runs add a
+  /// "replay" phase whose spans are marked replayed.
   obs::RunObservability obs;
 };
 
@@ -84,31 +86,28 @@ struct RunRequest {
 struct RunResult {
   RunKind kind = RunKind::kAnnotate;
 
-  /// Payload of the annotate family (kAnnotate, kAnnotateDurable).
+  /// Payload of the annotate family.
   AnnotateReport annotate;
 
-  /// Payload of the enact family (kEnact, kEnactDurable).
+  /// Payload of the enact family.
   ResilientEnactmentResult enact;
 
   /// OK for runs that ran to completion; the abort cause otherwise
-  /// (kCancelled for an injected crash of a durable annotate run — crashed
-  /// annotate runs still return a partial report, exactly like the legacy
-  /// entry point did).
+  /// (kCancelled for an injected crash of a durable annotate run, which
+  /// still returns the partial report of its committed prefix).
   Status run_status;
 
   bool complete() const { return run_status.ok(); }
 };
 
 /// Runs one RunRequest to completion and returns what it produced. This is
-/// THE run entry point: the legacy signatures (AnnotateRegistryDurable,
-/// EnactResilientDurable) are thin shims over it, and new call sites —
-/// including the serve daemon's RunManager and every CLI command — must not
-/// call them directly (dexa-lint rule `legacy-run-entry`).
+/// the only run entry point: the CLI, the serve daemon's RunManager and the
+/// shard runner all describe their runs as RunRequests.
 ///
-/// Semantics are exactly those of the subsumed entry points, byte for byte
-/// (enforced by the facade-equivalence suite in run_api_test.cc):
-/// deterministic at any thread count, durable kinds journal through a
-/// per-run CommitStream, injected crashes surface as run_status=kCancelled
+/// Runs are deterministic at any thread count. Durable runs journal through
+/// a per-run CommitStream, and a resumed run (replaying the committed
+/// prefix, generating only the remainder) ends byte-identical to an
+/// uninterrupted one. Injected crashes surface as run_status=kCancelled
 /// (annotate) or an error Result (enact).
 ///
 /// Defined in the durability layer (durability/run_api.cc): the facade must

@@ -30,7 +30,7 @@ Result<std::vector<Value>> FaultInjector::InvokeWithContext(
   auto inject = [&](Status status) -> Result<std::vector<Value>> {
     context.charged_ns += profile_.fault_latency_ns;
     faults_injected_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_ != nullptr) metrics_->RecordInjectedFault();
+    if (metrics_ != nullptr) metrics_->Add(EngineCounter::injected_faults);
     return status;
   };
 

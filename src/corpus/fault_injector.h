@@ -104,9 +104,9 @@ const char* CrashPointName(CrashPoint point);
 /// to the wrapped module.
 class FaultInjector : public Module {
  public:
-  /// `metrics` (optional) receives RecordInjectedFault() for every fault
-  /// this injector manufactures; pass the consuming engine's metrics to
-  /// make injected faults observable in run reports.
+  /// `metrics` (optional) counts every fault this injector manufactures
+  /// (EngineCounter::injected_faults); pass the consuming engine's metrics
+  /// to make injected faults observable in run reports.
   FaultInjector(ModulePtr inner, FaultProfile profile,
                 EngineMetrics* metrics = nullptr);
 

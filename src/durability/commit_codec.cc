@@ -14,17 +14,11 @@ constexpr const char* kModuleCommitKind = "commit module";
 constexpr const char* kEnactHeaderKind = "run enact";
 constexpr const char* kStepCommitKind = "commit step";
 
-Result<uint64_t> ParseU64(const std::string& text, const char* what) {
+Result<uint64_t> ParseU64Field(const std::string& text, const char* what) {
   uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return Status::ParseError(std::string("malformed ") + what + " '" +
-                                text + "'");
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  if (text.empty()) {
-    return Status::ParseError(std::string("empty ") + what);
+  if (!ParseU64(text, &value)) {
+    return Status::ParseError(std::string("malformed ") + what + " '" +
+                              text + "'");
   }
   return value;
 }
@@ -74,16 +68,16 @@ Result<AnnotateRunHeader> DecodeAnnotateRunHeader(const std::string& payload) {
   AnnotateRunHeader header;
   auto modules = ExpectField(lines, 1, "modules");
   if (!modules.ok()) return modules.status();
-  auto count = ParseU64(*modules, "module count");
+  auto count = ParseU64Field(*modules, "module count");
   if (!count.ok()) return count.status();
   header.modules = *count;
   auto fingerprint = ExpectField(lines, 2, "fingerprint");
   if (!fingerprint.ok()) return fingerprint.status();
-  auto fp = ParseU64(*fingerprint, "fingerprint");
+  auto fp = ParseU64Field(*fingerprint, "fingerprint");
   if (!fp.ok()) return fp.status();
   header.fingerprint = *fp;
   if (lines.size() > 3 && StartsWith(lines[3], "kb_checksum ")) {
-    auto checksum = ParseU64(lines[3].substr(12), "kb checksum");
+    auto checksum = ParseU64Field(lines[3].substr(12), "kb checksum");
     if (!checksum.ok()) return checksum.status();
     header.kb_checksum = *checksum;
   }
@@ -130,7 +124,7 @@ Result<ModuleCommit> DecodeModuleCommit(const std::string& payload,
   commit.decayed = *decayed == "1";
   auto exhausted = ExpectField(lines, 3, "transient_exhausted");
   if (!exhausted.ok()) return exhausted.status();
-  auto count = ParseU64(*exhausted, "transient_exhausted");
+  auto count = ParseU64Field(*exhausted, "transient_exhausted");
   if (!count.ok()) return count.status();
   commit.transient_exhausted = *count;
 
@@ -210,12 +204,12 @@ Result<EnactRunHeader> DecodeEnactRunHeader(const std::string& payload) {
   header.workflow_id = *workflow;
   auto processors = ExpectField(lines, 2, "processors");
   if (!processors.ok()) return processors.status();
-  auto count = ParseU64(*processors, "processor count");
+  auto count = ParseU64Field(*processors, "processor count");
   if (!count.ok()) return count.status();
   header.processors = *count;
   auto fingerprint = ExpectField(lines, 3, "fingerprint");
   if (!fingerprint.ok()) return fingerprint.status();
-  auto fp = ParseU64(*fingerprint, "fingerprint");
+  auto fp = ParseU64Field(*fingerprint, "fingerprint");
   if (!fp.ok()) return fp.status();
   header.fingerprint = *fp;
   return header;
@@ -244,7 +238,7 @@ Result<StepCommit> DecodeStepCommit(const std::string& payload) {
   StepCommit commit;
   auto processor = ExpectField(lines, 1, "processor");
   if (!processor.ok()) return processor.status();
-  auto index = ParseU64(*processor, "processor index");
+  auto index = ParseU64Field(*processor, "processor index");
   if (!index.ok()) return index.status();
   commit.processor = static_cast<int>(*index);
   auto workflow = ExpectField(lines, 2, "workflow");

@@ -1,10 +1,10 @@
-#include "durability/durable_annotate.h"
-
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "corpus/fault_injector.h"
 #include "durability/commit_codec.h"
+#include "durability/journal.h"
 #include "durability/run_api_internal.h"
 #include "obs/trace.h"
 
@@ -69,23 +69,25 @@ Result<std::vector<ModuleCommit>> ValidateResume(
 }  // namespace
 
 Result<AnnotateReport> internal::AnnotateDurableImpl(
-    const ExampleGenerator& generator, ModuleRegistry& registry,
-    const Ontology& ontology, RunJournal& journal,
-    const DurableAnnotateOptions& options) {
+    const RunRequest& request) {
+  const ExampleGenerator& generator = *request.generator;
+  ModuleRegistry& registry = *request.registry;
+  const Ontology& ontology = *request.ontology;
+  RunJournal& journal = *request.journal;
   const std::vector<ModulePtr> modules = registry.AvailableModules();
   InvocationEngine& engine = generator.engine();
 
   std::vector<ModuleCommit> committed;
   bool fresh = true;
-  if (options.resume != nullptr) {
-    auto validated = ValidateResume(*options.resume, modules, registry,
+  if (request.resume != nullptr) {
+    auto validated = ValidateResume(*request.resume, modules, registry,
                                     generator.options(), ontology,
-                                    options.kb_checksum);
+                                    request.kb_checksum);
     if (!validated.ok()) return validated.status();
     committed = std::move(validated).value();
     // A recovered journal with any records already carries its header —
     // even when zero commits follow it (crash before the first commit).
-    fresh = options.resume->records.empty();
+    fresh = request.resume->records.empty();
   }
 
   // Route commits through this run's own ordered stream into the journal:
@@ -96,7 +98,7 @@ Result<AnnotateReport> internal::AnnotateDurableImpl(
                          return journal.Append(payload);
                        });
 
-  obs::Tracer* tracer = options.obs.tracer;
+  obs::Tracer* tracer = request.obs.tracer;
   obs::ScopedSpan run(tracer, obs::SpanKind::kRun,
                       "annotate_registry_durable");
   const EngineMetricsSnapshot run_before = engine.metrics().Snapshot();
@@ -107,7 +109,7 @@ Result<AnnotateReport> internal::AnnotateDurableImpl(
     header.modules = modules.size();
     header.fingerprint =
         AnnotateConfigFingerprint(registry, generator.options());
-    header.kb_checksum = options.kb_checksum;
+    header.kb_checksum = request.kb_checksum;
     Status appended = commits.Commit(EncodeAnnotateRunHeader(header));
     if (!appended.ok()) return appended;
   }
@@ -144,7 +146,7 @@ Result<AnnotateReport> internal::AnnotateDurableImpl(
         ++report.annotated;
       }
       ++report.replayed;
-      engine.metrics().RecordModuleReplayed();
+      engine.metrics().Add(EngineCounter::modules_replayed);
     }
   }
 
@@ -166,7 +168,8 @@ Result<AnnotateReport> internal::AnnotateDurableImpl(
   // Sequential commit phase, registration order: journal record first
   // (write-ahead), then the registry — with the crash plan consulted at
   // each unit the way a real crash would interleave with the appends.
-  const CrashPlan& crash = options.crash;
+  const CrashPlan crash =
+      request.crash != nullptr ? *request.crash : CrashPlan{};
   obs::ScopedSpan commit_phase(tracer, obs::SpanKind::kPhase, "commit",
                                run.id());
   for (size_t i = start; i < modules.size(); ++i) {
@@ -228,7 +231,7 @@ Result<AnnotateReport> internal::AnnotateDurableImpl(
     } else {
       ++report.annotated;
     }
-    engine.metrics().RecordModuleReinvoked();
+    engine.metrics().Add(EngineCounter::modules_reinvoked);
 
     if (crash.Matches(id)) {
       if (crash.point == CrashPoint::kCrashAfterCommit) {

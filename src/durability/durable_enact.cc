@@ -1,10 +1,10 @@
-#include "durability/durable_enact.h"
-
 #include <optional>
 #include <string>
 #include <utility>
 
+#include "corpus/fault_injector.h"
 #include "durability/commit_codec.h"
+#include "durability/journal.h"
 #include "durability/run_api_internal.h"
 
 namespace dexa {
@@ -54,20 +54,22 @@ Result<std::vector<std::optional<InvocationRecord>>> ValidateResume(
 }  // namespace
 
 Result<ResilientEnactmentResult> internal::EnactDurableImpl(
-    const Workflow& workflow, const ModuleRegistry& registry,
-    const std::vector<Value>& inputs, InvocationEngine& engine,
-    RunJournal& journal, const DurableEnactOptions& options) {
+    const RunRequest& request) {
+  const Workflow& workflow = *request.workflow;
+  const std::vector<Value>& inputs = request.inputs;
+  InvocationEngine& engine = *request.engine;
+  RunJournal& journal = *request.journal;
   std::vector<std::optional<InvocationRecord>> replayed(
       workflow.processors.size());
   bool fresh = true;
-  if (options.resume != nullptr) {
-    auto validated = ValidateResume(*options.resume, workflow, inputs);
+  if (request.resume != nullptr) {
+    auto validated = ValidateResume(*request.resume, workflow, inputs);
     if (!validated.ok()) return validated.status();
     replayed = std::move(validated).value();
-    fresh = options.resume->records.empty();
+    fresh = request.resume->records.empty();
   }
   for (const std::optional<InvocationRecord>& slot : replayed) {
-    if (slot.has_value()) engine.metrics().RecordModuleReplayed();
+    if (slot.has_value()) engine.metrics().Add(EngineCounter::modules_replayed);
   }
 
   // Per-run commit stream: see durable_annotate.cc — concurrent durable
@@ -85,10 +87,11 @@ Result<ResilientEnactmentResult> internal::EnactDurableImpl(
     DEXA_RETURN_IF_ERROR(commits.Commit(EncodeEnactRunHeader(header)));
   }
 
-  const CrashPlan& crash = options.crash;
+  const CrashPlan crash =
+      request.crash != nullptr ? *request.crash : CrashPlan{};
   EnactHooks hooks;
   hooks.replayed = &replayed;
-  hooks.obs = options.obs;
+  hooks.obs = request.obs;
   hooks.on_commit = [&](int processor,
                         const InvocationRecord& record) -> Status {
     if (crash.point == CrashPoint::kCrashBeforeCommit &&
@@ -100,7 +103,7 @@ Result<ResilientEnactmentResult> internal::EnactDurableImpl(
     commit.processor = processor;
     commit.record = record;
     DEXA_RETURN_IF_ERROR(commits.Commit(EncodeStepCommit(commit)));
-    engine.metrics().RecordModuleReinvoked();
+    engine.metrics().Add(EngineCounter::modules_reinvoked);
     if (crash.Matches(record.module_id)) {
       if (crash.point == CrashPoint::kCrashAfterCommit) {
         return Status::Cancelled("crash injected after commit of step '" +
@@ -118,7 +121,7 @@ Result<ResilientEnactmentResult> internal::EnactDurableImpl(
     return Status::OK();
   };
 
-  return EnactResilient(workflow, registry, inputs, engine, hooks);
+  return EnactResilient(workflow, *request.registry, inputs, engine, hooks);
 }
 
 }  // namespace dexa

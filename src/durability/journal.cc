@@ -170,7 +170,7 @@ Result<JournalRecovery> RecoverJournal(const std::string& dir,
       if (!ec) recovery.bytes_discarded += later_size;
       ++recovery.segments_scanned;
     }
-    if (metrics != nullptr) metrics->RecordTornTailDiscard();
+    if (metrics != nullptr) metrics->Add(EngineCounter::torn_tails_discarded);
     break;
   }
   return recovery;
@@ -315,7 +315,7 @@ Status RunJournal::Append(std::string_view payload) {
   }
   segment_payload_bytes_ += frame.size();
   ++records_appended_;
-  if (metrics_ != nullptr) metrics_->RecordJournalRecord();
+  if (metrics_ != nullptr) metrics_->Add(EngineCounter::journal_records);
   return Status::OK();
 }
 
@@ -345,7 +345,9 @@ Status RunJournal::Seal() {
     return closed;
   }
   ++segments_sealed_;
-  if (metrics_ != nullptr) metrics_->RecordSegmentSealed();
+  if (metrics_ != nullptr) {
+    metrics_->Add(EngineCounter::journal_segments_sealed);
+  }
   return Status::OK();
 }
 

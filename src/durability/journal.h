@@ -61,7 +61,7 @@ class RunJournal {
  public:
   /// Starts a fresh journal in `dir` (created if missing); any segments of
   /// a previous journal in the directory are removed. `metrics` (optional)
-  /// receives RecordJournalRecord/RecordSegmentSealed. `io` (optional)
+  /// counts journal_records and journal_segments_sealed. `io` (optional)
   /// carries every byte; nullptr means the real filesystem.
   [[nodiscard]] static Result<RunJournal> Create(const std::string& dir,
                                    JournalOptions options = {},

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "corpus/fault_injector.h"
-#include "durability/journal.h"
 #include "durability/run_api_internal.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -12,35 +10,32 @@ namespace dexa {
 
 namespace {
 
-/// Checks the fields `kind` requires. Pointer presence only — the run
-/// implementations validate semantics (arity, fingerprints, ...).
+/// Checks the fields `kind` requires, plus the ontology a journaled
+/// annotate run encodes with, and that resume/crash come with a journal.
+/// Pointer presence only — the run implementations validate semantics
+/// (arity, fingerprints, ...).
 Status ValidateRequest(const RunRequest& request) {
+  const bool durable = request.journal != nullptr;
   auto require = [&](const void* field, const char* name) -> Status {
     if (field != nullptr) return Status::OK();
-    return Status::InvalidArgument(std::string(RunKindName(request.kind)) +
+    return Status::InvalidArgument(std::string(durable ? "durable " : "") +
+                                   RunKindName(request.kind) +
                                    " run requires " + name);
   };
+  if (!durable && (request.resume != nullptr || request.crash != nullptr)) {
+    return Status::InvalidArgument(
+        "resume and crash apply to durable runs only; set journal");
+  }
   switch (request.kind) {
     case RunKind::kAnnotate:
       DEXA_RETURN_IF_ERROR(require(request.generator, "generator"));
       DEXA_RETURN_IF_ERROR(require(request.registry, "registry"));
-      return Status::OK();
-    case RunKind::kAnnotateDurable:
-      DEXA_RETURN_IF_ERROR(require(request.generator, "generator"));
-      DEXA_RETURN_IF_ERROR(require(request.registry, "registry"));
-      DEXA_RETURN_IF_ERROR(require(request.ontology, "ontology"));
-      DEXA_RETURN_IF_ERROR(require(request.journal, "journal"));
+      if (durable) DEXA_RETURN_IF_ERROR(require(request.ontology, "ontology"));
       return Status::OK();
     case RunKind::kEnact:
       DEXA_RETURN_IF_ERROR(require(request.workflow, "workflow"));
       DEXA_RETURN_IF_ERROR(require(request.registry, "registry"));
       DEXA_RETURN_IF_ERROR(require(request.engine, "engine"));
-      return Status::OK();
-    case RunKind::kEnactDurable:
-      DEXA_RETURN_IF_ERROR(require(request.workflow, "workflow"));
-      DEXA_RETURN_IF_ERROR(require(request.registry, "registry"));
-      DEXA_RETURN_IF_ERROR(require(request.engine, "engine"));
-      DEXA_RETURN_IF_ERROR(require(request.journal, "journal"));
       return Status::OK();
   }
   return Status::InvalidArgument("unknown run kind");
@@ -61,41 +56,25 @@ const char* RunKindName(RunKind kind) {
   switch (kind) {
     case RunKind::kAnnotate:
       return "annotate";
-    case RunKind::kAnnotateDurable:
-      return "annotate_durable";
     case RunKind::kEnact:
       return "enact";
-    case RunKind::kEnactDurable:
-      return "enact_durable";
   }
   return "unknown";
 }
 
 Result<RunResult> SubmitRun(const RunRequest& request) {
   DEXA_RETURN_IF_ERROR(ValidateRequest(request));
+  const bool durable = request.journal != nullptr;
 
   RunResult result;
   result.kind = request.kind;
 
   switch (request.kind) {
     case RunKind::kAnnotate: {
-      auto report = AnnotateRegistry(*request.generator, *request.registry,
-                                     request.obs.tracer);
-      if (!report.ok()) return report.status();
-      result.annotate = std::move(report).value();
-      result.run_status = result.annotate.run_status;
-      ExportObservability(request.obs, result.annotate.metrics);
-      return result;
-    }
-    case RunKind::kAnnotateDurable: {
-      DurableAnnotateOptions options;
-      options.resume = request.resume;
-      if (request.crash != nullptr) options.crash = *request.crash;
-      options.kb_checksum = request.kb_checksum;
-      options.obs = request.obs;
-      auto report = internal::AnnotateDurableImpl(
-          *request.generator, *request.registry, *request.ontology,
-          *request.journal, options);
+      auto report = durable ? internal::AnnotateDurableImpl(request)
+                            : AnnotateRegistry(*request.generator,
+                                               *request.registry,
+                                               request.obs.tracer);
       if (!report.ok()) return report.status();
       result.annotate = std::move(report).value();
       result.run_status = result.annotate.run_status;
@@ -105,21 +84,10 @@ Result<RunResult> SubmitRun(const RunRequest& request) {
     case RunKind::kEnact: {
       EnactHooks hooks;
       hooks.obs = request.obs;
-      auto enacted = EnactResilient(*request.workflow, *request.registry,
-                                    request.inputs, *request.engine, hooks);
-      if (!enacted.ok()) return enacted.status();
-      result.enact = std::move(enacted).value();
-      ExportObservability(request.obs, request.engine->metrics().Snapshot());
-      return result;
-    }
-    case RunKind::kEnactDurable: {
-      DurableEnactOptions options;
-      options.resume = request.resume;
-      if (request.crash != nullptr) options.crash = *request.crash;
-      options.obs = request.obs;
-      auto enacted = internal::EnactDurableImpl(
-          *request.workflow, *request.registry, request.inputs,
-          *request.engine, *request.journal, options);
+      auto enacted =
+          durable ? internal::EnactDurableImpl(request)
+                  : EnactResilient(*request.workflow, *request.registry,
+                                   request.inputs, *request.engine, hooks);
       if (!enacted.ok()) return enacted.status();
       result.enact = std::move(enacted).value();
       ExportObservability(request.obs, request.engine->metrics().Snapshot());
@@ -142,10 +110,7 @@ RunRequest MakeDurableAnnotateRun(const ExampleGenerator& generator,
                                   ModuleRegistry& registry,
                                   const Ontology& ontology,
                                   RunJournal& journal) {
-  RunRequest request;
-  request.kind = RunKind::kAnnotateDurable;
-  request.generator = &generator;
-  request.registry = &registry;
+  RunRequest request = MakeAnnotateRun(generator, registry);
   request.ontology = &ontology;
   request.journal = &journal;
   return request;
@@ -168,49 +133,8 @@ RunRequest MakeDurableEnactRun(const Workflow& workflow,
                                InvocationEngine& engine, RunJournal& journal) {
   RunRequest request = MakeEnactRun(workflow, registry, std::move(inputs),
                                     engine);
-  request.kind = RunKind::kEnactDurable;
   request.journal = &journal;
   return request;
-}
-
-// -- Legacy shims ----------------------------------------------------------
-// The deprecated signatures delegate through the facade, so there is
-// exactly one implementation path for every run family.
-
-Result<AnnotateReport> AnnotateRegistryDurable(
-    const ExampleGenerator& generator, ModuleRegistry& registry,
-    const Ontology& ontology, RunJournal& journal,
-    const DurableAnnotateOptions& options) {
-  RunRequest request =
-      MakeDurableAnnotateRun(generator, registry, ontology, journal);
-  request.resume = options.resume;
-  request.crash = &options.crash;
-  request.kb_checksum = options.kb_checksum;
-  request.obs = options.obs;
-  auto result = SubmitRun(request);
-  if (!result.ok()) return result.status();
-  return std::move(result->annotate);
-}
-
-Result<ResilientEnactmentResult> EnactResilientDurable(
-    const Workflow& workflow, const ModuleRegistry& registry,
-    const std::vector<Value>& inputs, InvocationEngine& engine,
-    RunJournal& journal, const DurableEnactOptions& options) {
-  RunRequest request;
-  request.kind = RunKind::kEnactDurable;
-  request.workflow = &workflow;
-  // The enact path only reads the registry; the const_cast keeps the legacy
-  // const-ref signature intact over the shared RunRequest field.
-  request.registry = const_cast<ModuleRegistry*>(&registry);
-  request.inputs = inputs;
-  request.engine = &engine;
-  request.journal = &journal;
-  request.resume = options.resume;
-  request.crash = &options.crash;
-  request.obs = options.obs;
-  auto result = SubmitRun(request);
-  if (!result.ok()) return result.status();
-  return std::move(result->enact);
 }
 
 }  // namespace dexa

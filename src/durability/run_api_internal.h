@@ -1,34 +1,25 @@
 #ifndef DEXA_DURABILITY_RUN_API_INTERNAL_H_
 #define DEXA_DURABILITY_RUN_API_INTERNAL_H_
 
-#include <vector>
-
 #include "common/result.h"
-#include "core/example_generator.h"
-#include "durability/durable_annotate.h"
-#include "durability/durable_enact.h"
-#include "durability/journal.h"
-#include "modules/registry.h"
-#include "ontology/ontology.h"
-#include "workflow/enactor.h"
-#include "workflow/workflow.h"
+#include "core/run_api.h"
 
 namespace dexa::internal {
 
-// The real bodies of the durable run families. Only the SubmitRun facade
-// (durability/run_api.cc) may call these; the public legacy signatures in
-// durable_annotate.h / durable_enact.h are shims that route through the
-// facade, and everything else goes through RunRequest.
+// The bodies of the durable run families, called only by the SubmitRun
+// facade (durability/run_api.cc) once it has validated the request: both
+// read a RunRequest with `journal` set.
 
+/// AnnotateRegistry with a write-ahead journal: every module's annotation
+/// is appended to the journal (through a per-run ordered CommitStream)
+/// before it is committed to the registry, in registration order.
 [[nodiscard]] Result<AnnotateReport> AnnotateDurableImpl(
-    const ExampleGenerator& generator, ModuleRegistry& registry,
-    const Ontology& ontology, RunJournal& journal,
-    const DurableAnnotateOptions& options);
+    const RunRequest& request);
 
+/// EnactResilient with a write-ahead journal: every completed step is
+/// appended before its outputs feed downstream processors.
 [[nodiscard]] Result<ResilientEnactmentResult> EnactDurableImpl(
-    const Workflow& workflow, const ModuleRegistry& registry,
-    const std::vector<Value>& inputs, InvocationEngine& engine,
-    RunJournal& journal, const DurableEnactOptions& options);
+    const RunRequest& request);
 
 }  // namespace dexa::internal
 

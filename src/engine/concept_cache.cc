@@ -18,21 +18,23 @@ uint64_t PairKey(ConceptId a, ConceptId b) {
 
 void ConceptCache::CountHit() const {
   hits_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) metrics_->RecordCacheHit();
+  if (metrics_ != nullptr) metrics_->Add(EngineCounter::cache_hits);
 }
 
 void ConceptCache::CountMiss() const {
   misses_.fetch_add(1, std::memory_order_relaxed);
   if (metrics_ == nullptr) return;
-  metrics_->RecordCacheMiss();
+  metrics_->Add(EngineCounter::cache_misses);
   // A miss against a compiled image is answered by a bitset word load /
   // precomputed-span copy rather than a DFS.
-  if (view_->backend() == KbBackend::kImage) metrics_->RecordBitsetQuery();
+  if (view_->backend() == KbBackend::kImage) {
+    metrics_->Add(EngineCounter::bitset_queries);
+  }
 }
 
 void ConceptCache::CountQuery() const {
   queries_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) metrics_->RecordCacheQuery();
+  if (metrics_ != nullptr) metrics_->Add(EngineCounter::cache_queries);
 }
 
 bool ConceptCache::IsSubsumedBy(ConceptId a, ConceptId b) const {

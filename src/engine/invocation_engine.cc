@@ -103,7 +103,7 @@ void InvocationEngine::WorkerLoop(const std::stop_token& stop) {
 void InvocationEngine::ForEach(size_t n,
                                const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  metrics_.RecordBatch();
+  metrics_.Add(EngineCounter::batches);
   if (threads_ <= 1 || n == 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
@@ -153,11 +153,14 @@ Result<std::vector<Value>> InvocationEngine::InvokeWithRetries(
     // (the result is discarded below, successful or not), so it must not be
     // counted as a successful invocation — the metrics would otherwise
     // claim more completed work than the run produced.
-    metrics_.RecordInvocation(outputs.ok() && !budget_blown);
+    metrics_.Add(EngineCounter::invocations);
+    if (!outputs.ok() || budget_blown) {
+      metrics_.Add(EngineCounter::invocation_errors);
+    }
     if (budget_blown) {
       // The attempt itself blew the budget: the caller has hung up, so even
       // a successful result is discarded.
-      metrics_.RecordDeadlineExhaustion();
+      metrics_.Add(EngineCounter::deadline_exhaustions);
       return Status::Timeout(
           "invocation of module '" + module.spec().name +
           "' exceeded its deadline budget after " +
@@ -170,7 +173,7 @@ Result<std::vector<Value>> InvocationEngine::InvokeWithRetries(
     uint64_t backoff = RetryBackoffNanos(policy, options_.seed, key, attempt);
     if (policy.deadline_ns != 0 &&
         budget_spent + backoff > policy.deadline_ns) {
-      metrics_.RecordDeadlineExhaustion();
+      metrics_.Add(EngineCounter::deadline_exhaustions);
       return Status::Timeout(
           "retry budget for module '" + module.spec().name +
           "' exhausted after " + std::to_string(attempt + 1) +
@@ -178,7 +181,7 @@ Result<std::vector<Value>> InvocationEngine::InvokeWithRetries(
     }
     budget_spent += backoff;
     clock_.Advance(backoff);
-    metrics_.RecordRetry();
+    metrics_.Add(EngineCounter::retries);
   }
 }
 
@@ -221,7 +224,7 @@ void InvocationEngine::BreakerObserve(const std::string& module_id,
     breaker.open = true;
     breaker.reopen_at = clock_.Now() + options_.retry.breaker_cooldown_ns;
     ++breaker.trips;
-    metrics_.RecordBreakerTrip();
+    metrics_.Add(EngineCounter::breaker_trips);
   }
 }
 
@@ -248,7 +251,7 @@ Result<std::vector<Value>> InvocationEngine::Invoke(
   PhaseTimer timer(&metrics_, phase);
   const std::string& module_id = module.spec().id;
   if (!BreakerAdmits(module_id)) {
-    metrics_.RecordBreakerShortCircuit();
+    metrics_.Add(EngineCounter::breaker_short_circuits);
     return Status::Decayed("circuit breaker open for module '" +
                            module.spec().name + "'");
   }
@@ -280,7 +283,7 @@ std::vector<Result<std::vector<Value>>> InvocationEngine::InvokeBatch(
     Status denied = Status::Decayed("circuit breaker open for module '" +
                                     module.spec().name + "'");
     for (size_t i = 0; i < results.size(); ++i) {
-      metrics_.RecordBreakerShortCircuit();
+      metrics_.Add(EngineCounter::breaker_short_circuits);
       results[i] = denied;
     }
     return results;

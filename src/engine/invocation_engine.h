@@ -299,7 +299,7 @@ class CommitStream {
   [[nodiscard]] Status Commit(const std::string& payload) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!hook_) return Status::OK();
-    engine_->metrics().RecordCommit();
+    engine_->metrics().Add(EngineCounter::commits);
     return hook_(sequence_++, payload);
   }
 

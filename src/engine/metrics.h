@@ -3,8 +3,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <iterator>
 
 namespace dexa {
 
@@ -23,36 +24,70 @@ inline constexpr size_t kNumEnginePhases = 5;
 
 const char* EnginePhaseName(EnginePhase phase);
 
+/// Whether a counter's run total is schedule-independent (identical at any
+/// thread count for the same seed), so that golden traces and the stable
+/// metrics section may carry it, or varies with the schedule or deployment.
+enum class CounterStability { kStable, kVolatile };
+
+/// Every engine counter, once: X(name, stability). The name is the
+/// EngineCounter enumerator, the EngineMetricsSnapshot field and the metric
+/// `engine.<name>`. Stable counters come first, in the order spans list
+/// their deltas (the golden traces depend on it). Cache hits/misses are
+/// volatile because concurrent misses of one key each count; image loads
+/// and bitset queries because they vary with the KB backend, not with the
+/// annotations.
+#define DEXA_ENGINE_COUNTERS(X)                                             \
+  X(invocations, kStable)             /* Module invocations routed.     */ \
+  X(invocation_errors, kStable)       /* Invocations that were non-OK.  */ \
+  X(batches, kStable)                 /* InvokeBatch / ForEach calls.   */ \
+  X(retries, kStable)                 /* Retries after transient faults. */ \
+  X(deadline_exhaustions, kStable)    /* Invocations cut off by budget. */ \
+  X(breaker_trips, kStable)           /* Circuit breakers tripped open. */ \
+  X(breaker_short_circuits, kStable)  /* Invocations denied by breaker. */ \
+  X(injected_faults, kStable)         /* Faults made by FaultInjectors. */ \
+  X(commits, kStable)                 /* Ordered commit-hook calls.     */ \
+  X(journal_records, kStable)         /* Records appended to a journal. */ \
+  X(journal_segments_sealed, kStable) /* Journal segments sealed/rolled. */ \
+  X(torn_tails_discarded, kStable)    /* Damaged journal tails dropped. */ \
+  X(modules_replayed, kStable)        /* Units served from the journal. */ \
+  X(modules_reinvoked, kStable)       /* Units run live by durable runs. */ \
+  X(cache_hits, kVolatile)            /* ConceptCache hits.             */ \
+  X(cache_misses, kVolatile)          /* ConceptCache misses.           */ \
+  X(cache_queries, kVolatile)         /* ConceptCache lookups.          */ \
+  X(kb_image_loads, kVolatile)        /* KB images mapped and verified. */ \
+  X(bitset_queries, kVolatile)        /* Misses answered by bitsets.    */
+
+enum class EngineCounter : size_t {
+#define DEXA_ENGINE_COUNTER_ENUM(name, stability) name,
+  DEXA_ENGINE_COUNTERS(DEXA_ENGINE_COUNTER_ENUM)
+#undef DEXA_ENGINE_COUNTER_ENUM
+};
+
 /// A plain, copyable snapshot of the engine's counters, safe to hand to
 /// reporting code without touching atomics.
 struct EngineMetricsSnapshot {
-  uint64_t invocations = 0;        ///< Module invocations routed through.
-  uint64_t invocation_errors = 0;  ///< Invocations that returned non-OK.
-  uint64_t batches = 0;            ///< InvokeBatch / ForEach dispatches.
-  uint64_t cache_hits = 0;         ///< ConceptCache hits.
-  uint64_t cache_misses = 0;       ///< ConceptCache misses (computed fresh).
-  uint64_t cache_queries = 0;      ///< ConceptCache lookups (hits + misses).
-  uint64_t kb_image_loads = 0;     ///< Compiled KB images mapped + verified.
-  uint64_t bitset_queries = 0;     ///< Cache misses answered by image bitsets.
-  uint64_t retries = 0;            ///< Retry attempts after transient faults.
-  uint64_t deadline_exhaustions = 0;  ///< Invocations cut off by a budget.
-  uint64_t breaker_trips = 0;      ///< Circuit breakers tripped open.
-  uint64_t breaker_short_circuits = 0;  ///< Invocations denied by a breaker.
-  uint64_t injected_faults = 0;    ///< Faults injected by FaultInjectors.
-
-  // -- Durability: write-ahead journal and recovery ----------------------
-  uint64_t commits = 0;            ///< Ordered commit-hook invocations.
-  uint64_t journal_records = 0;    ///< Records appended to a RunJournal.
-  uint64_t journal_segments_sealed = 0;  ///< Journal segments sealed/rolled.
-  uint64_t torn_tails_discarded = 0;  ///< Damaged journal tails discarded.
-  uint64_t modules_replayed = 0;   ///< Units served from the journal.
-  uint64_t modules_reinvoked = 0;  ///< Units re-run live on resume.
+#define DEXA_ENGINE_COUNTER_FIELD(name, stability) uint64_t name = 0;
+  DEXA_ENGINE_COUNTERS(DEXA_ENGINE_COUNTER_FIELD)
+#undef DEXA_ENGINE_COUNTER_FIELD
 
   uint64_t phase_nanos[kNumEnginePhases] = {0, 0, 0, 0, 0};
-
-  uint64_t TotalPhaseNanos() const;
-  std::string ToString() const;
 };
+
+/// One row of the counter table, for code that walks every counter.
+struct EngineCounterInfo {
+  const char* name;
+  CounterStability stability;
+  uint64_t EngineMetricsSnapshot::*field;
+};
+
+/// The counter table in declaration order, indexed by EngineCounter.
+inline constexpr EngineCounterInfo kEngineCounters[] = {
+#define DEXA_ENGINE_COUNTER_INFO(name, stability) \
+  {#name, CounterStability::stability, &EngineMetricsSnapshot::name},
+    DEXA_ENGINE_COUNTERS(DEXA_ENGINE_COUNTER_INFO)
+#undef DEXA_ENGINE_COUNTER_INFO
+};
+inline constexpr size_t kNumEngineCounters = std::size(kEngineCounters);
 
 /// Thread-safe run counters for the invocation engine: plain atomics bumped
 /// from worker threads, snapshotted into EngineMetricsSnapshot for
@@ -66,54 +101,9 @@ class EngineMetrics {
   EngineMetrics(const EngineMetrics&) = delete;
   EngineMetrics& operator=(const EngineMetrics&) = delete;
 
-  void RecordInvocation(bool ok) {
-    invocations_.fetch_add(1, std::memory_order_relaxed);
-    if (!ok) invocation_errors_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordBatch() { batches_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordRetry() { retries_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordDeadlineExhaustion() {
-    deadline_exhaustions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordBreakerTrip() {
-    breaker_trips_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordBreakerShortCircuit() {
-    breaker_short_circuits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordInjectedFault() {
-    injected_faults_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordCommit() { commits_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordJournalRecord() {
-    journal_records_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordSegmentSealed() {
-    journal_segments_sealed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordTornTailDiscard() {
-    torn_tails_discarded_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordModuleReplayed() {
-    modules_replayed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordModuleReinvoked() {
-    modules_reinvoked_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordCacheHit() {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordCacheMiss() {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordCacheQuery() {
-    cache_queries_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordKbImageLoad() {
-    kb_image_loads_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordBitsetQuery() {
-    bitset_queries_.fetch_add(1, std::memory_order_relaxed);
+  void Add(EngineCounter counter, uint64_t n = 1) {
+    counters_[static_cast<size_t>(counter)].fetch_add(
+        n, std::memory_order_relaxed);
   }
   void AddPhaseNanos(EnginePhase phase, uint64_t nanos) {
     phase_nanos_[static_cast<size_t>(phase)].fetch_add(
@@ -122,29 +112,8 @@ class EngineMetrics {
 
   EngineMetricsSnapshot Snapshot() const;
 
-  /// Zeroes every counter (between bench repetitions).
-  void Reset();
-
  private:
-  std::atomic<uint64_t> invocations_{0};
-  std::atomic<uint64_t> invocation_errors_{0};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_misses_{0};
-  std::atomic<uint64_t> cache_queries_{0};
-  std::atomic<uint64_t> kb_image_loads_{0};
-  std::atomic<uint64_t> bitset_queries_{0};
-  std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> deadline_exhaustions_{0};
-  std::atomic<uint64_t> breaker_trips_{0};
-  std::atomic<uint64_t> breaker_short_circuits_{0};
-  std::atomic<uint64_t> injected_faults_{0};
-  std::atomic<uint64_t> commits_{0};
-  std::atomic<uint64_t> journal_records_{0};
-  std::atomic<uint64_t> journal_segments_sealed_{0};
-  std::atomic<uint64_t> torn_tails_discarded_{0};
-  std::atomic<uint64_t> modules_replayed_{0};
-  std::atomic<uint64_t> modules_reinvoked_{0};
+  std::atomic<uint64_t> counters_[kNumEngineCounters] = {};
   std::atomic<uint64_t> phase_nanos_[kNumEnginePhases] = {};
 };
 
@@ -153,7 +122,7 @@ class EngineMetrics {
 /// can time unconditionally.
 ///
 /// This is the one sanctioned wall-clock in the deterministic layers: phase
-/// timings are *reporting-only* observability (BENCH_*.json, ToString) and
+/// timings are *reporting-only* observability (BENCH_*.json, metrics.json) and
 /// never feed an output-affecting decision — retry schedules, deadlines and
 /// breaker cooldowns all run on the VirtualClock instead.
 class PhaseTimer {

@@ -46,26 +46,11 @@ void MetricsRegistry::Observe(const std::string& name, uint64_t value) {
 
 void MetricsRegistry::ImportEngineSnapshot(
     const EngineMetricsSnapshot& snapshot) {
-  for (const auto& [name, value] : StableCounters(snapshot)) {
-    SetCounter("engine." + name, value, MetricStability::kStable);
+  for (const EngineCounterInfo& counter : kEngineCounters) {
+    SetCounter(std::string("engine.") + counter.name, snapshot.*counter.field,
+               counter.stability);
   }
-  // The hit/miss split between concurrently computed keys is
-  // schedule-dependent (both racers count a miss), and phase timings are
-  // wall-clock — volatile, reporting-only.
-  SetCounter("engine.cache_hits", snapshot.cache_hits,
-             MetricStability::kVolatile);
-  SetCounter("engine.cache_misses", snapshot.cache_misses,
-             MetricStability::kVolatile);
-  SetCounter("engine.cache_queries", snapshot.cache_queries,
-             MetricStability::kVolatile);
-  // Backend-shape counters: which store answered the reasoning (and how
-  // often an image was mapped) varies with deployment, not with the
-  // annotation semantics — volatile, so golden traces stay byte-identical
-  // across the memory and image backends.
-  SetCounter("engine.kb_image_loads", snapshot.kb_image_loads,
-             MetricStability::kVolatile);
-  SetCounter("engine.bitset_queries", snapshot.bitset_queries,
-             MetricStability::kVolatile);
+  // Phase timings are wall-clock: volatile, reporting-only.
   for (size_t i = 0; i < kNumEnginePhases; ++i) {
     SetCounter(std::string("engine.phase_ns.") +
                    EnginePhaseName(static_cast<EnginePhase>(i)),

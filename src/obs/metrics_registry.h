@@ -12,13 +12,11 @@
 namespace dexa::obs {
 
 /// Whether a metric's value is schedule-independent (byte-identical across
-/// thread counts for the same seed) or merely informative. Exports keep the
-/// two classes in separate sections so determinism tests can compare the
-/// stable section bytewise and ignore the volatile one.
-enum class MetricStability {
-  kStable,
-  kVolatile,
-};
+/// thread counts for the same seed) or merely informative: the engine
+/// counter table's tag, used for every metric. Exports keep the two classes
+/// in separate sections so determinism tests can compare the stable section
+/// bytewise and ignore the volatile one.
+using MetricStability = CounterStability;
 
 /// A fixed-bucket histogram: `counts[i]` holds observations <= bounds[i];
 /// the final slot counts overflows (> the last bound).

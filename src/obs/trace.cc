@@ -19,23 +19,14 @@ const char* SpanKindName(SpanKind kind) {
 }
 
 std::vector<std::pair<std::string, uint64_t>> StableCounters(
-    const EngineMetricsSnapshot& s) {
-  return {
-      {"invocations", s.invocations},
-      {"invocation_errors", s.invocation_errors},
-      {"batches", s.batches},
-      {"retries", s.retries},
-      {"deadline_exhaustions", s.deadline_exhaustions},
-      {"breaker_trips", s.breaker_trips},
-      {"breaker_short_circuits", s.breaker_short_circuits},
-      {"injected_faults", s.injected_faults},
-      {"commits", s.commits},
-      {"journal_records", s.journal_records},
-      {"journal_segments_sealed", s.journal_segments_sealed},
-      {"torn_tails_discarded", s.torn_tails_discarded},
-      {"modules_replayed", s.modules_replayed},
-      {"modules_reinvoked", s.modules_reinvoked},
-  };
+    const EngineMetricsSnapshot& snapshot) {
+  std::vector<std::pair<std::string, uint64_t>> out;
+  for (const EngineCounterInfo& counter : kEngineCounters) {
+    if (counter.stability == CounterStability::kStable) {
+      out.emplace_back(counter.name, snapshot.*counter.field);
+    }
+  }
+  return out;
 }
 
 std::vector<std::pair<std::string, uint64_t>> StableCounterDeltas(

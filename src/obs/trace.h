@@ -51,11 +51,10 @@ struct TraceSpan {
   std::vector<std::pair<std::string, uint64_t>> counters;
 };
 
-/// The engine counters whose run totals are schedule-independent (identical
-/// at any thread count for the same seed), as (name, value) pairs in a
-/// fixed order. Cache hits/misses are excluded — concurrent misses of one
-/// key are each counted, so their split is schedule-dependent — and so are
-/// the wall-clock phase timings.
+/// The engine counters tagged kStable in DEXA_ENGINE_COUNTERS
+/// (engine/metrics.h), as (name, value) pairs in table order: their run
+/// totals are identical at any thread count for the same seed. Volatile
+/// counters and the wall-clock phase timings are left out.
 std::vector<std::pair<std::string, uint64_t>> StableCounters(
     const EngineMetricsSnapshot& snapshot);
 

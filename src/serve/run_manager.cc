@@ -21,8 +21,8 @@ Status WriteDoneMarker(IoEnv& io, const std::string& journal_dir) {
 
 /// Executes one prepared run: sharded annotate runs go through the shard
 /// runner (which submits one RunRequest per shard internally); everything
-/// else is a single SubmitRun. The adapter shapes the sharded result like a
-/// durable annotate RunResult so status/result handling stays uniform.
+/// else is a single SubmitRun. The adapter shapes the sharded result like an
+/// annotate RunResult so status/result handling stays uniform.
 Result<RunResult> ExecutePrepared(PreparedRun& run) {
   if (run.sharded == nullptr) return SubmitRun(run.request);
   const ShardedRunSpec& spec = *run.sharded;
@@ -30,13 +30,17 @@ Result<RunResult> ExecutePrepared(PreparedRun& run) {
                                     spec.config, spec.options, run.io.get());
   if (!sharded.ok()) return sharded.status();
   RunResult result;
-  result.kind = RunKind::kAnnotateDurable;
+  result.kind = RunKind::kAnnotate;
   result.annotate = std::move(sharded->merged);
   result.run_status = result.annotate.run_status;
   return result;
 }
 
 }  // namespace
+
+std::string WireKindName(RunKind kind, bool durable) {
+  return std::string(RunKindName(kind)) + (durable ? "_durable" : "");
+}
 
 const char* RunStateName(RunState state) {
   switch (state) {
@@ -112,6 +116,7 @@ Result<RunStatusView> RunManager::StatusOf(uint64_t id) const {
   view.tenant = record.tenant;
   view.state = record.state;
   view.kind = record.run.request.kind;
+  view.durable = !record.run.journal_dir.empty();
   view.label = record.run.label;
   if (record.state == RunState::kDone || record.state == RunState::kFailed) {
     view.outcome = record.outcome.ToString();

@@ -41,6 +41,14 @@ enum class RunState {
 
 const char* RunStateName(RunState state);
 
+/// A run's kind as serve prints it in status and result responses and in
+/// RUN descriptors: the RunKindName, suffixed "_durable" when the run
+/// journals (a sharded run reports "annotate_durable").
+std::string WireKindName(RunKind kind, bool durable);
+
+/// The submit kind and RUN descriptor kind of a sharded annotate run.
+inline constexpr char kShardWireKind[] = "shard";
+
 /// One run, fully prepared: the RunRequest plus ownership of everything the
 /// request points at. The request's pointers target the owned members below
 /// (or longer-lived shared state such as the ServeEnv corpus), so a
@@ -63,8 +71,8 @@ struct PreparedRun {
 
   /// Set for sharded annotate runs: ExecuteBatch routes the run through
   /// RunShardedAnnotate (shard/sharded_annotate.h) instead of SubmitRun;
-  /// `request` then only carries the kind for status views. The spec's
-  /// registry is this PreparedRun's `registry`.
+  /// `request` is then left at its default kAnnotate kind, which status
+  /// views read. The spec's registry is this PreparedRun's `registry`.
   std::unique_ptr<ShardedRunSpec> sharded;
 
   /// The run's I/O environment when it carries an injected fault profile
@@ -72,9 +80,10 @@ struct PreparedRun {
   /// means the real filesystem. Owned here so the seam outlives execution.
   std::unique_ptr<IoEnv> io;
 
-  /// Journal directory of a durable run ("" otherwise). On successful
-  /// completion the manager drops a DONE marker here so the startup
-  /// crash-resume scan knows the run does not need resuming.
+  /// Journal directory of a durable run ("" otherwise); a run is reported
+  /// durable exactly when this is set. On successful completion the manager
+  /// drops a DONE marker here so the startup crash-resume scan knows the
+  /// run does not need resuming.
   std::string journal_dir;
 
   /// Virtual-clock deadline budget for this run in nanoseconds; 0 uses
@@ -125,6 +134,7 @@ struct RunStatusView {
   std::string tenant;
   RunState state = RunState::kQueued;
   RunKind kind = RunKind::kAnnotate;
+  bool durable = false;  ///< The run journals (PreparedRun::journal_dir).
   std::string label;
   /// ToString of the run's outcome status; "" while queued/running.
   std::string outcome;

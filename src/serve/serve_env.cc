@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "modules/registry_io.h"
 #include "serve/wire.h"
 
@@ -32,18 +33,9 @@ Result<std::string> ReadTextFile(const std::filesystem::path& path) {
 /// Parses the numeric suffix of a `run-<n>` directory name; returns false
 /// for anything else.
 bool ParseRunDirIndex(const std::string& name, uint64_t& index) {
-  const std::string prefix = kRunDirPrefix;
-  if (name.rfind(prefix, 0) != 0 || name.size() == prefix.size()) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (size_t i = prefix.size(); i < name.size(); ++i) {
-    char c = name[i];
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  index = value;
-  return true;
+  const std::string_view prefix = kRunDirPrefix;
+  return StartsWith(name, prefix) &&
+         ParseU64(std::string_view(name).substr(prefix.size()), &index);
 }
 
 }  // namespace
@@ -65,7 +57,7 @@ Result<std::unique_ptr<ServeEnv>> ServeEnv::Create(ServeEnvOptions options) {
     env->kb_image_ =
         std::shared_ptr<const kbimage::CompiledKb>(std::move(image).value());
     env->kb_checksum_ = env->kb_image_->checksum();
-    env->engine_->metrics().RecordKbImageLoad();
+    env->engine_->metrics().Add(EngineCounter::kb_image_loads);
     auto ontology = env->kb_image_->MaterializeOntology();
     if (!ontology.ok()) return ontology.status();
     corpus_options.prebuilt_ontology =
@@ -126,8 +118,11 @@ Result<std::unique_ptr<ModuleRegistry>> ServeEnv::SubsetRegistry(
                                    " past the " + std::to_string(ids.size()) +
                                    " available modules");
   }
-  size_t end = (count == 0) ? ids.size() : offset + count;
-  if (end > ids.size()) end = ids.size();
+  // count 0 means "to the end"; the comparison clamps without forming
+  // offset + count, which wraps for counts near 2^64.
+  const size_t end = (count == 0 || count >= ids.size() - offset)
+                         ? ids.size()
+                         : offset + count;
   auto registry = std::make_unique<ModuleRegistry>();
   for (size_t i = offset; i < end; ++i) {
     auto module = corpus_.registry->Find(ids[i]);
@@ -191,7 +186,7 @@ Result<PreparedRun> ServeEnv::PrepareDurableAnnotate(
   if (!journal.ok()) return journal.status();
   run.journal = std::make_unique<RunJournal>(std::move(*journal));
   WireMessage descriptor;
-  descriptor["kind"] = "annotate_durable";
+  descriptor["kind"] = WireKindName(RunKind::kAnnotate, /*durable=*/true);
   DEXA_RETURN_IF_ERROR(WriteTextFile(
       io, std::filesystem::path(run.journal_dir) / kRunDescriptor,
       EncodeWire(descriptor) + "\n"));
@@ -239,11 +234,9 @@ Result<PreparedRun> ServeEnv::PrepareShardedAnnotate(uint32_t shards,
   }
 
   // The request itself is never submitted (the shard runner submits one
-  // RunRequest per shard); it carries the kind for status views.
-  run.request.kind = RunKind::kAnnotateDurable;
-
+  // RunRequest per shard); its default kAnnotate kind feeds status views.
   WireMessage descriptor;
-  descriptor["kind"] = "shard";
+  descriptor["kind"] = kShardWireKind;
   descriptor["shards"] = std::to_string(shards);
   IoEnv& io = IoEnv::Real();
   DEXA_RETURN_IF_ERROR(io.CreateDirs(run.journal_dir));
@@ -288,7 +281,7 @@ Result<PreparedRun> ServeEnv::PrepareEnact(size_t workflow_index,
   if (!journal.ok()) return journal.status();
   run.journal = std::make_unique<RunJournal>(std::move(*journal));
   WireMessage descriptor;
-  descriptor["kind"] = "enact_durable";
+  descriptor["kind"] = WireKindName(RunKind::kEnact, /*durable=*/true);
   descriptor["workflow"] = std::to_string(workflow_index);
   DEXA_RETURN_IF_ERROR(WriteTextFile(
       io, std::filesystem::path(run.journal_dir) / kRunDescriptor,
@@ -312,7 +305,7 @@ Result<PreparedRun> ServeEnv::PrepareResume(const std::string& dir) {
   if (!descriptor.ok()) return descriptor.status();
   const std::string kind = WireGet(*descriptor, "kind");
 
-  if (kind == "shard") {
+  if (kind == kShardWireKind) {
     // The run root holds a MANIFEST and per-shard journal directories, not
     // wal segments — no root-level journal to recover. The shard runner
     // resumes each shard from its own journal prefix; shards that already
@@ -337,7 +330,6 @@ Result<PreparedRun> ServeEnv::PrepareResume(const std::string& dir) {
     run.sharded->config = config_;
     run.sharded->ontology = corpus_.ontology.get();
     run.sharded->pool = pool_.get();
-    run.request.kind = RunKind::kAnnotateDurable;
     run.label = "resume " + dir;
     return run;
   }
@@ -354,7 +346,7 @@ Result<PreparedRun> ServeEnv::PrepareResume(const std::string& dir) {
   run.journal_dir = dir;
   run.metrics = std::make_unique<obs::MetricsRegistry>();
 
-  if (kind == "annotate_durable") {
+  if (kind == WireKindName(RunKind::kAnnotate, /*durable=*/true)) {
     auto registry = FullRegistry();
     if (!registry.ok()) return registry.status();
     run.registry = std::move(*registry);
@@ -362,7 +354,7 @@ Result<PreparedRun> ServeEnv::PrepareResume(const std::string& dir) {
     run.request = MakeDurableAnnotateRun(*run.generator, *run.registry,
                                          *corpus_.ontology, *run.journal);
     run.request.kb_checksum = kb_checksum_;
-  } else if (kind == "enact_durable") {
+  } else if (kind == WireKindName(RunKind::kEnact, /*durable=*/true)) {
     auto workflow_index = WireUint(*descriptor, "workflow");
     if (!workflow_index.ok()) return workflow_index.status();
     if (*workflow_index >= workflows_.items.size()) {

@@ -61,6 +61,30 @@ Result<IoFaultProfile> ParseIoFault(const WireMessage& request) {
   return profile;
 }
 
+/// Parses the optional crash-injection fields of a submit request
+/// ("crash":"before|after|torn" plus "crash_key") into a plan, unarmed when
+/// "crash" is absent.
+Result<CrashPlan> ParseCrashPlan(const WireMessage& request) {
+  CrashPlan crash;
+  const std::string point = WireGet(request, "crash");
+  if (point.empty()) return crash;
+  if (point == "before") {
+    crash.point = CrashPoint::kCrashBeforeCommit;
+  } else if (point == "after") {
+    crash.point = CrashPoint::kCrashAfterCommit;
+  } else if (point == "torn") {
+    crash.point = CrashPoint::kTornWrite;
+  } else {
+    return Status::InvalidArgument("crash must be before|after|torn, got '" +
+                                   point + "'");
+  }
+  crash.key = WireGet(request, "crash_key");
+  if (crash.key.empty()) {
+    return Status::InvalidArgument("crash injection needs crash_key");
+  }
+  return crash;
+}
+
 }  // namespace
 
 Server::Server(ServeEnv& env, ServerOptions options)
@@ -183,27 +207,10 @@ WireMessage Server::HandleSubmit(const WireMessage& request) {
     run = env_.PrepareAnnotate(offset, count,
                                WireGet(request, "traced") == "1");
   } else if (kind == "annotate_durable") {
-    CrashPlan crash;
-    const std::string crash_point = WireGet(request, "crash");
-    if (!crash_point.empty()) {
-      if (crash_point == "before") {
-        crash.point = CrashPoint::kCrashBeforeCommit;
-      } else if (crash_point == "after") {
-        crash.point = CrashPoint::kCrashAfterCommit;
-      } else if (crash_point == "torn") {
-        crash.point = CrashPoint::kTornWrite;
-      } else {
-        return ErrorResponse(Status::InvalidArgument(
-            "crash must be before|after|torn, got '" + crash_point + "'"));
-      }
-      crash.key = WireGet(request, "crash_key");
-      if (crash.key.empty()) {
-        return ErrorResponse(
-            Status::InvalidArgument("crash injection needs crash_key"));
-      }
-    }
-    run = env_.PrepareDurableAnnotate(crash.armed() ? &crash : nullptr, fault);
-  } else if (kind == "shard") {
+    auto crash = ParseCrashPlan(request);
+    if (!crash.ok()) return ErrorResponse(crash.status());
+    run = env_.PrepareDurableAnnotate(&*crash, fault);
+  } else if (kind == kShardWireKind) {
     uint64_t shards = 1;
     if (request.count("shards") != 0) {
       auto parsed = WireUint(request, "shards");
@@ -214,27 +221,9 @@ WireMessage Server::HandleSubmit(const WireMessage& request) {
       return ErrorResponse(
           Status::InvalidArgument("shards must be in [1, 4096]"));
     }
-    CrashPlan crash;
-    const std::string crash_point = WireGet(request, "crash");
-    if (!crash_point.empty()) {
-      if (crash_point == "before") {
-        crash.point = CrashPoint::kCrashBeforeCommit;
-      } else if (crash_point == "after") {
-        crash.point = CrashPoint::kCrashAfterCommit;
-      } else if (crash_point == "torn") {
-        crash.point = CrashPoint::kTornWrite;
-      } else {
-        return ErrorResponse(Status::InvalidArgument(
-            "crash must be before|after|torn, got '" + crash_point + "'"));
-      }
-      crash.key = WireGet(request, "crash_key");
-      if (crash.key.empty()) {
-        return ErrorResponse(
-            Status::InvalidArgument("crash injection needs crash_key"));
-      }
-    }
-    run = env_.PrepareShardedAnnotate(static_cast<uint32_t>(shards),
-                                      crash.armed() ? &crash : nullptr);
+    auto crash = ParseCrashPlan(request);
+    if (!crash.ok()) return ErrorResponse(crash.status());
+    run = env_.PrepareShardedAnnotate(static_cast<uint32_t>(shards), &*crash);
   } else if (kind == "enact" || kind == "enact_durable") {
     auto workflow = WireUint(request, "workflow");
     if (!workflow.ok()) return ErrorResponse(workflow.status());
@@ -268,7 +257,7 @@ WireMessage Server::HandleStatus(const WireMessage& request) {
   response["id"] = std::to_string(view->id);
   response["tenant"] = view->tenant;
   response["state"] = RunStateName(view->state);
-  response["kind"] = RunKindName(view->kind);
+  response["kind"] = WireKindName(view->kind, view->durable);
   response["label"] = view->label;
   if (!view->outcome.empty()) response["outcome"] = view->outcome;
   return response;
@@ -285,10 +274,10 @@ WireMessage Server::HandleResult(const WireMessage& request) {
   WireMessage response;
   response["ok"] = "1";
   response["id"] = std::to_string(*id);
-  response["kind"] = RunKindName((*result)->kind);
+  response["kind"] =
+      WireKindName((*result)->kind, !(*run)->journal_dir.empty());
   switch ((*result)->kind) {
-    case RunKind::kAnnotate:
-    case RunKind::kAnnotateDurable: {
+    case RunKind::kAnnotate: {
       const AnnotateReport& report = (*result)->annotate;
       response["annotated"] = std::to_string(report.annotated);
       response["decayed"] = std::to_string(report.decayed);
@@ -300,8 +289,7 @@ WireMessage Server::HandleResult(const WireMessage& request) {
       }
       break;
     }
-    case RunKind::kEnact:
-    case RunKind::kEnactDurable: {
+    case RunKind::kEnact: {
       const ResilientEnactmentResult& enact = (*result)->enact;
       response["outputs"] = std::to_string(enact.outputs.size());
       response["missing"] = std::to_string(enact.missing_outputs);

@@ -2,6 +2,8 @@
 
 #include <cctype>
 
+#include "common/strings.h"
+
 namespace dexa::serve {
 
 namespace {
@@ -193,14 +195,10 @@ Result<uint64_t> WireUint(const WireMessage& message, const std::string& key) {
   if (it == message.end()) {
     return Status::InvalidArgument("missing field '" + key + "'");
   }
-  const std::string& text = it->second;
-  if (text.empty()) return Status::InvalidArgument("empty field '" + key + "'");
   uint64_t value = 0;
-  for (char ch : text) {
-    if (!std::isdigit(static_cast<unsigned char>(ch))) {
-      return Status::InvalidArgument("field '" + key + "' is not a number");
-    }
-    value = value * 10 + static_cast<uint64_t>(ch - '0');
+  if (!ParseU64(it->second, &value)) {
+    return Status::InvalidArgument("field '" + key +
+                                   "' is not a decimal number below 2^64");
   }
   return value;
 }

@@ -10,24 +10,6 @@ namespace {
 
 constexpr char kMagic[] = "DEXASHARD1";
 
-/// Strict unsigned parse: all digits, no sign, no leading '+', overflow
-/// checked. ParseInt64 is signed and would reject fingerprints above
-/// int64 max, so the manifest codec carries its own.
-bool ParseU64(std::string_view s, uint64_t& out) {
-  if (s.empty()) return false;
-  uint64_t value = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
-      return false;  // overflow
-    }
-    value = value * 10 + digit;
-  }
-  out = value;
-  return true;
-}
-
 Status Corrupt(const std::string& what) {
   return Status::Corrupted("shard manifest: " + what);
 }
@@ -51,7 +33,7 @@ bool KeyedU64(std::string_view line, std::string_view keyword, uint64_t& out) {
   if (line.size() <= keyword.size() + 1) return false;
   if (line.substr(0, keyword.size()) != keyword) return false;
   if (line[keyword.size()] != ' ') return false;
-  return ParseU64(line.substr(keyword.size() + 1), out);
+  return ParseU64(line.substr(keyword.size() + 1), &out);
 }
 
 }  // namespace
@@ -118,9 +100,9 @@ Result<ShardManifest> DecodeShardManifest(std::string_view text) {
     uint64_t index = 0;
     ShardManifestEntry entry;
     if (parts.size() != 4 || parts[0] != "entry" ||
-        !ParseU64(parts[1], index) || index != k ||
-        !ParseU64(parts[2], entry.modules) ||
-        !ParseU64(parts[3], entry.fingerprint)) {
+        !ParseU64(parts[1], &index) || index != k ||
+        !ParseU64(parts[2], &entry.modules) ||
+        !ParseU64(parts[3], &entry.fingerprint)) {
       return Corrupt("bad entry line for shard " + std::to_string(k));
     }
     sum += entry.modules;

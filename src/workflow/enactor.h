@@ -98,7 +98,7 @@ struct ResilientEnactmentResult {
                                                 InvocationEngine& engine);
 
 /// Durability seams of a resilient enactment. The durable enactment runner
-/// (durability/durable_enact.h) uses these to journal every step and to
+/// (durability/durable_enact.cc) uses these to journal every step and to
 /// serve already-committed steps from a recovered journal; the enactor
 /// itself stays storage-agnostic.
 struct EnactHooks {

@@ -462,11 +462,12 @@ TEST(ChaosTest, ConcurrentTenantsUnderRandomFaultsConverge) {
       auto run = server.manager().RunOf(id);
       auto result = server.manager().ResultOf(id);
       ASSERT_TRUE(run.ok() && result.ok());
-      if (view->kind == RunKind::kAnnotateDurable) {
+      ASSERT_TRUE(view->durable);
+      if (view->kind == RunKind::kAnnotate) {
         EXPECT_EQ(std::to_string(env->AnnotationsDigest(*(*run)->registry)),
                   annotate_baseline);
       } else {
-        ASSERT_EQ(view->kind, RunKind::kEnactDurable);
+        ASSERT_EQ(view->kind, RunKind::kEnact);
         EXPECT_EQ(std::to_string(ServeEnv::EnactDigest((*result)->enact)),
                   enact_baseline);
       }

@@ -186,6 +186,20 @@ TEST(StringsTest, ParseNumbers) {
   EXPECT_FALSE(ParseDouble("abc", &d));
 }
 
+TEST(StringsTest, ParseU64IsStrictAndOverflowChecked) {
+  uint64_t v = 0;
+  EXPECT_TRUE(ParseU64("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseU64("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  // Rejected inputs leave the output untouched.
+  for (const char* bad : {"18446744073709551616", "184467440737095516150", "",
+                          "-1", "+1", " 1", "1 ", "12x", "0x1"}) {
+    EXPECT_FALSE(ParseU64(bad, &v)) << "accepted '" << bad << "'";
+    EXPECT_EQ(v, UINT64_MAX);
+  }
+}
+
 TEST(TableTest, RendersAlignedTable) {
   TablePrinter table({"name", "count"});
   table.AddRow({"alpha", "1"});

@@ -12,10 +12,9 @@
 #include <gtest/gtest.h>
 
 #include "core/engine_config.h"
+#include "core/run_api.h"
 #include "corpus/fault_injector.h"
 #include "common/crc32.h"
-#include "durability/durable_annotate.h"
-#include "durability/durable_enact.h"
 #include "durability/journal.h"
 #include "durability/snapshot.h"
 #include "durability/trace_io.h"
@@ -45,6 +44,37 @@ std::unique_ptr<ModuleRegistry> FreshRegistry() {
   auto wrapped = WrapRegistryWithFaults(*env.corpus.registry, FaultProfile{});
   EXPECT_TRUE(wrapped.ok()) << wrapped.status();
   return std::move(wrapped).value();
+}
+
+/// Submits a durable annotate run of `registry` into `journal`, resuming
+/// from `resume` and armed with `crash` when they are set.
+Result<AnnotateReport> AnnotateDurable(const ExampleGenerator& generator,
+                                       ModuleRegistry& registry,
+                                       RunJournal& journal,
+                                       const JournalRecovery* resume = nullptr,
+                                       const CrashPlan* crash = nullptr) {
+  RunRequest request = MakeDurableAnnotateRun(
+      generator, registry, *GetEnvironment().corpus.ontology, journal);
+  request.resume = resume;
+  request.crash = crash;
+  auto result = SubmitRun(request);
+  if (!result.ok()) return result.status();
+  return std::move(result->annotate);
+}
+
+/// Submits a durable enactment of `item`'s workflow on its seeds.
+Result<ResilientEnactmentResult> EnactDurable(
+    const GeneratedWorkflow& item, InvocationEngine& engine,
+    RunJournal& journal, const JournalRecovery* resume = nullptr,
+    const CrashPlan* crash = nullptr) {
+  RunRequest request =
+      MakeDurableEnactRun(item.workflow, *GetEnvironment().corpus.registry,
+                          item.seeds, engine, journal);
+  request.resume = resume;
+  request.crash = crash;
+  auto result = SubmitRun(request);
+  if (!result.ok()) return result.status();
+  return std::move(result->enact);
 }
 
 TEST(Crc32Test, MatchesTheIeeeCheckVector) {
@@ -279,8 +309,7 @@ std::string UninterruptedRunState(size_t threads, const std::string& dir) {
   auto registry = FreshRegistry();
   auto journal = RunJournal::Create(dir, {}, &engine->metrics());
   EXPECT_TRUE(journal.ok()) << journal.status();
-  auto report = AnnotateRegistryDurable(generator, *registry,
-                                        *env.corpus.ontology, *journal);
+  auto report = AnnotateDurable(generator, *registry, *journal);
   EXPECT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE((*report).complete()) << (*report).run_status;
   EXPECT_GT((*report).metrics.commits, 0u);
@@ -322,12 +351,11 @@ TEST_P(CrashResumeTest, ResumedRunIsByteIdenticalToUninterrupted) {
     ASSERT_GT(modules.size(), crash_case.module_index);
     crash_module_id = modules[crash_case.module_index]->spec().id;
 
-    DurableAnnotateOptions options;
-    options.crash.point = crash_case.point;
-    options.crash.key = crash_module_id;
-    auto report =
-        AnnotateRegistryDurable(generator, *crashed_registry,
-                                *env.corpus.ontology, *journal, options);
+    CrashPlan crash;
+    crash.point = crash_case.point;
+    crash.key = crash_module_id;
+    auto report = AnnotateDurable(generator, *crashed_registry, *journal,
+                                  nullptr, &crash);
     ASSERT_TRUE(report.ok()) << report.status();
     EXPECT_FALSE(report->complete());
     EXPECT_TRUE(report->run_status.IsCancelled()) << report->run_status;
@@ -351,9 +379,8 @@ TEST_P(CrashResumeTest, ResumedRunIsByteIdenticalToUninterrupted) {
   }
   auto journal = RunJournal::Resume(dir, *recovery, {}, &engine->metrics());
   ASSERT_TRUE(journal.ok()) << journal.status();
-  auto report = AnnotateRegistry(generator, *resumed_registry,
-                                 *env.corpus.ontology, *journal,
-                                 ResumeFrom(*recovery));
+  auto report =
+      AnnotateDurable(generator, *resumed_registry, *journal, &*recovery);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->complete()) << report->run_status;
 
@@ -416,12 +443,11 @@ TEST(DurableAnnotateTest, CrashBeforeFirstCommitResumesWithoutSecondHeader) {
     auto registry = FreshRegistry();
     auto journal = RunJournal::Create(dir, {}, &engine->metrics());
     ASSERT_TRUE(journal.ok()) << journal.status();
-    DurableAnnotateOptions options;
-    options.crash.point = CrashPoint::kCrashBeforeCommit;
-    options.crash.key = registry->AvailableModules()[0]->spec().id;
-    auto report = AnnotateRegistryDurable(generator, *registry,
-                                          *env.corpus.ontology, *journal,
-                                          options);
+    CrashPlan crash;
+    crash.point = CrashPoint::kCrashBeforeCommit;
+    crash.key = registry->AvailableModules()[0]->spec().id;
+    auto report =
+        AnnotateDurable(generator, *registry, *journal, nullptr, &crash);
     ASSERT_TRUE(report.ok()) << report.status();
     EXPECT_TRUE(report->run_status.IsCancelled()) << report->run_status;
   }
@@ -439,13 +465,11 @@ TEST(DurableAnnotateTest, CrashBeforeFirstCommitResumesWithoutSecondHeader) {
     ASSERT_EQ(recovery->records.size(), 1u);  // Header only.
     auto journal = RunJournal::Resume(dir, *recovery, {}, &engine->metrics());
     ASSERT_TRUE(journal.ok()) << journal.status();
-    DurableAnnotateOptions options;
-    options.resume = &*recovery;
-    options.crash.point = CrashPoint::kCrashAfterCommit;
-    options.crash.key = registry->AvailableModules()[3]->spec().id;
-    auto report = AnnotateRegistryDurable(generator, *registry,
-                                          *env.corpus.ontology, *journal,
-                                          options);
+    CrashPlan crash;
+    crash.point = CrashPoint::kCrashAfterCommit;
+    crash.key = registry->AvailableModules()[3]->spec().id;
+    auto report =
+        AnnotateDurable(generator, *registry, *journal, &*recovery, &crash);
     ASSERT_TRUE(report.ok()) << report.status();
     EXPECT_TRUE(report->run_status.IsCancelled()) << report->run_status;
   }
@@ -460,8 +484,7 @@ TEST(DurableAnnotateTest, CrashBeforeFirstCommitResumesWithoutSecondHeader) {
   ASSERT_TRUE(recovery.ok()) << recovery.status();
   auto journal = RunJournal::Resume(dir, *recovery, {}, &engine->metrics());
   ASSERT_TRUE(journal.ok()) << journal.status();
-  auto report = AnnotateRegistry(generator, *registry, *env.corpus.ontology,
-                                 *journal, ResumeFrom(*recovery));
+  auto report = AnnotateDurable(generator, *registry, *journal, &*recovery);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->complete()) << report->run_status;
   EXPECT_EQ(report->replayed, 4u);
@@ -477,8 +500,7 @@ TEST(DurableAnnotateTest, ResumeRejectsForeignJournals) {
   auto registry = FreshRegistry();
   auto journal = RunJournal::Create(dir);
   ASSERT_TRUE(journal.ok()) << journal.status();
-  auto report = AnnotateRegistryDurable(generator, *registry,
-                                        *env.corpus.ontology, *journal);
+  auto report = AnnotateDurable(generator, *registry, *journal);
   ASSERT_TRUE(report.ok()) << report.status();
 
   // A generator with different options has a different fingerprint.
@@ -490,9 +512,8 @@ TEST(DurableAnnotateTest, ResumeRejectsForeignJournals) {
   auto resumed_registry = FreshRegistry();
   auto resumed_journal = RunJournal::Resume(dir, *recovery);
   ASSERT_TRUE(resumed_journal.ok()) << resumed_journal.status();
-  auto rejected = AnnotateRegistry(other_generator, *resumed_registry,
-                                   *env.corpus.ontology, *resumed_journal,
-                                   ResumeFrom(*recovery));
+  auto rejected = AnnotateDurable(other_generator, *resumed_registry,
+                                  *resumed_journal, &*recovery);
   ASSERT_FALSE(rejected.ok());
   EXPECT_TRUE(rejected.status().IsInvalidArgument()) << rejected.status();
 }
@@ -531,11 +552,10 @@ TEST(DurableEnactTest, CrashedEnactmentResumesToIdenticalResult) {
     InvocationEngine engine;
     auto journal = RunJournal::Create(dir, {}, &engine.metrics());
     ASSERT_TRUE(journal.ok()) << journal.status();
-    DurableEnactOptions options;
-    options.crash.point = CrashPoint::kCrashAfterCommit;
-    options.crash.key = crash_key;
-    auto crashed = EnactResilientDurable(workflow, *env.corpus.registry,
-                                         inputs, engine, *journal, options);
+    CrashPlan crash;
+    crash.point = CrashPoint::kCrashAfterCommit;
+    crash.key = crash_key;
+    auto crashed = EnactDurable(item, engine, *journal, nullptr, &crash);
     ASSERT_FALSE(crashed.ok());
     EXPECT_TRUE(crashed.status().IsCancelled()) << crashed.status();
   }
@@ -547,10 +567,7 @@ TEST(DurableEnactTest, CrashedEnactmentResumesToIdenticalResult) {
   EXPECT_GT(recovery->records.size(), 1u);  // Header + committed steps.
   auto journal = RunJournal::Resume(dir, *recovery, {}, &engine.metrics());
   ASSERT_TRUE(journal.ok()) << journal.status();
-  DurableEnactOptions options;
-  options.resume = &*recovery;
-  auto resumed = EnactResilientDurable(workflow, *env.corpus.registry,
-                                       inputs, engine, *journal, options);
+  auto resumed = EnactDurable(item, engine, *journal, &*recovery);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
 
   // Byte-identical outcome: outputs, provenance, and bookkeeping all match
@@ -591,11 +608,10 @@ TEST(DurableEnactTest, TornStepCommitIsReinvokedOnResume) {
     InvocationEngine engine;
     auto journal = RunJournal::Create(dir, {}, &engine.metrics());
     ASSERT_TRUE(journal.ok()) << journal.status();
-    DurableEnactOptions options;
-    options.crash.point = CrashPoint::kTornWrite;
-    options.crash.key = crash_key;
-    auto crashed = EnactResilientDurable(workflow, *env.corpus.registry,
-                                         inputs, engine, *journal, options);
+    CrashPlan crash;
+    crash.point = CrashPoint::kTornWrite;
+    crash.key = crash_key;
+    auto crashed = EnactDurable(item, engine, *journal, nullptr, &crash);
     ASSERT_FALSE(crashed.ok());
     EXPECT_TRUE(crashed.status().IsCancelled()) << crashed.status();
   }
@@ -606,10 +622,7 @@ TEST(DurableEnactTest, TornStepCommitIsReinvokedOnResume) {
   EXPECT_TRUE(recovery->tail_discarded());
   auto journal = RunJournal::Resume(dir, *recovery, {}, &engine.metrics());
   ASSERT_TRUE(journal.ok()) << journal.status();
-  DurableEnactOptions options;
-  options.resume = &*recovery;
-  auto resumed = EnactResilientDurable(workflow, *env.corpus.registry,
-                                       inputs, engine, *journal, options);
+  auto resumed = EnactDurable(item, engine, *journal, &*recovery);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   ASSERT_EQ(resumed->outputs.size(), baseline->outputs.size());
   for (size_t i = 0; i < baseline->outputs.size(); ++i) {

@@ -557,53 +557,7 @@ TEST(UncachedReasoningRuleTest, CacheItselfOtherLayersAndCacheCallsSilent) {
 }
 
 // ---------------------------------------------------------------------------
-// Family 8: run-entry discipline
-// ---------------------------------------------------------------------------
-
-TEST(LegacyRunEntryRuleTest, FiresOnLegacyCallsOutsideDurability) {
-  LintReport report = Lint(
-      {{"src/serve/s.cc",
-        "void F(ExampleGenerator& g, ModuleRegistry& r, const Ontology& o,\n"
-        "       RunJournal& j) {\n"
-        "  auto report = AnnotateRegistryDurable(g, r, o, j);\n"
-        "}\n"},
-       {"tools/t.cpp",
-        "void G(const Workflow& w, const ModuleRegistry& r, Inputs in,\n"
-        "       InvocationEngine& e, RunJournal& j) {\n"
-        "  auto result = EnactResilientDurable(w, r, in, e, j);\n"
-        "}\n"}});
-  ASSERT_EQ(report.findings.size(), 2u) << Describe(report);
-  EXPECT_EQ(RuleSet(report), std::set<std::string>{"legacy-run-entry"});
-  EXPECT_NE(report.findings[0].message.find("SubmitRun"), std::string::npos);
-}
-
-TEST(LegacyRunEntryRuleTest, ShimHomeTestsAndBenchesAreExempt) {
-  LintReport report = Lint(
-      {// src/durability hosts the shims and the facade implementation.
-       {"src/durability/run_api.cc",
-        "void F() { auto r = AnnotateRegistryDurable(g, reg, o, j); }\n"},
-       // The equivalence suite compares shim output against the facade.
-       {"tests/run_api_test.cc",
-        "void G() { auto r = AnnotateRegistryDurable(g, reg, o, j); }\n"},
-       // The crash-recovery bench predates the facade on purpose.
-       {"bench/bench_crash_recovery.cc",
-        "void H() { auto r = EnactResilientDurable(w, reg, in, e, j); }\n"},
-       // Mentioning the name without calling it (docs, declarations).
-       {"src/serve/s.h", "// AnnotateRegistryDurable is deprecated.\n"}});
-  EXPECT_TRUE(report.findings.empty()) << Describe(report);
-}
-
-TEST(LegacyRunEntryRuleTest, SuppressibleWithAllowComment) {
-  LintReport report = Lint(
-      {{"src/serve/s.cc",
-        "// dexa-lint: allow(legacy-run-entry) — migration shim\n"
-        "auto r = AnnotateRegistryDurable(g, reg, o, j);\n"}});
-  EXPECT_TRUE(report.findings.empty()) << Describe(report);
-  EXPECT_EQ(report.suppressed, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Family 9: io — file bytes go through the IoEnv seam
+// Family 8: io — file bytes go through the IoEnv seam
 // ---------------------------------------------------------------------------
 
 TEST(RawIoRuleTest, FiresOnDirectPosixCallsInSrc) {
@@ -743,7 +697,7 @@ TEST(DeterminismTaintRuleTest, SourceInsideTheSinkFileIsAMinimalChain) {
 }
 
 // ---------------------------------------------------------------------------
-// Family 10: lock discipline (guarded fields)
+// Family 9: lock discipline (guarded fields)
 // ---------------------------------------------------------------------------
 
 TEST(GuardedFieldRuleTest, FiresOnUnannotatedFieldOfMutexOwningClass) {
@@ -848,7 +802,7 @@ TEST(ReportTest, EveryRegisteredRuleHasNameFamilySummary) {
     EXPECT_STRNE(rule.family, "");
     EXPECT_STRNE(rule.summary, "");
   }
-  EXPECT_EQ(names.size(), 15u) << "fifteen rules in ten families (DESIGN.md)";
+  EXPECT_EQ(names.size(), 14u) << "fourteen rules in nine families (DESIGN.md)";
 }
 
 TEST(ReportTest, JsonCarriesTaintFlows) {

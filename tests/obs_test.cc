@@ -15,8 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "core/engine_config.h"
+#include "core/run_api.h"
 #include "corpus/fault_injector.h"
-#include "durability/durable_annotate.h"
 #include "durability/journal.h"
 #include "modules/module.h"
 #include "obs/export.h"
@@ -159,12 +159,13 @@ TEST(ScopedSpanTest, NullTracerMakesEveryMemberANoOp) {
 TEST(StableCounterTest, DeltasOmitZeroesAndScheduleDependentCounters) {
   EngineMetrics metrics;
   EngineMetricsSnapshot before = metrics.Snapshot();
-  metrics.RecordInvocation(false);
-  metrics.RecordRetry();
+  metrics.Add(EngineCounter::invocations);
+  metrics.Add(EngineCounter::invocation_errors);
+  metrics.Add(EngineCounter::retries);
   // Schedule-dependent: the hit/miss split of concurrent lookups and the
   // wall-clock phase timings must never reach a trace.
-  metrics.RecordCacheQuery();
-  metrics.RecordCacheMiss();
+  metrics.Add(EngineCounter::cache_queries);
+  metrics.Add(EngineCounter::cache_misses);
   metrics.AddPhaseNanos(EnginePhase::kGenerate, 1'000'000);
   EngineMetricsSnapshot after = metrics.Snapshot();
 
@@ -207,9 +208,9 @@ TEST(MetricsRegistryTest, RatioPpmIsFixedPoint) {
 
 TEST(MetricsRegistryTest, EngineImportSplitsStableFromVolatile) {
   EngineMetrics metrics;
-  metrics.RecordInvocation(true);
-  metrics.RecordCacheQuery();
-  metrics.RecordCacheHit();
+  metrics.Add(EngineCounter::invocations);
+  metrics.Add(EngineCounter::cache_queries);
+  metrics.Add(EngineCounter::cache_hits);
   metrics.AddPhaseNanos(EnginePhase::kGenerate, 42);
 
   obs::MetricsRegistry registry;
@@ -555,14 +556,15 @@ std::string TracedResume(size_t threads, const std::string& dir,
     EXPECT_TRUE(journal.ok()) << journal.status();
     const auto modules = registry->AvailableModules();
     EXPECT_GT(modules.size(), crash_index);
-    DurableAnnotateOptions options;
-    options.crash.point = CrashPoint::kCrashBeforeCommit;
-    options.crash.key = modules[crash_index]->spec().id;
-    auto report = AnnotateRegistryDurable(generator, *registry,
-                                          *env.corpus.ontology, *journal,
-                                          options);
-    EXPECT_TRUE(report.ok()) << report.status();
-    EXPECT_TRUE(report->run_status.IsCancelled()) << report->run_status;
+    CrashPlan crash;
+    crash.point = CrashPoint::kCrashBeforeCommit;
+    crash.key = modules[crash_index]->spec().id;
+    RunRequest request = MakeDurableAnnotateRun(
+        generator, *registry, *env.corpus.ontology, *journal);
+    request.crash = &crash;
+    auto result = SubmitRun(request);
+    EXPECT_TRUE(result.ok()) << result.status();
+    EXPECT_TRUE(result->run_status.IsCancelled()) << result->run_status;
   }
 
   auto engine = config.BuildEngine();
@@ -575,16 +577,15 @@ std::string TracedResume(size_t threads, const std::string& dir,
   EXPECT_TRUE(journal.ok()) << journal.status();
 
   obs::Tracer tracer(&engine->clock());
-  DurableAnnotateOptions options;
-  options.resume = &*recovery;
-  options.obs.tracer = &tracer;
-  auto report = AnnotateRegistryDurable(generator, *registry,
-                                        *env.corpus.ontology, *journal,
-                                        options);
-  EXPECT_TRUE(report.ok()) << report.status();
-  EXPECT_TRUE(report->complete()) << report->run_status;
+  RunRequest request = MakeDurableAnnotateRun(generator, *registry,
+                                              *env.corpus.ontology, *journal);
+  request.resume = &*recovery;
+  request.obs.tracer = &tracer;
+  auto result = SubmitRun(request);
+  EXPECT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->complete()) << result->run_status;
   EXPECT_EQ(tracer.open_spans(), 0u);
-  if (out_replayed != nullptr) *out_replayed = report->replayed;
+  if (out_replayed != nullptr) *out_replayed = result->annotate.replayed;
   return obs::WriteChromeTrace(tracer);
 }
 

@@ -13,7 +13,6 @@
 #include "core/metrics.h"
 #include "corpus/behaviors.h"
 #include "corpus/fault_injector.h"
-#include "durability/durable_annotate.h"
 #include "durability/journal.h"
 #include "core/run_api.h"
 #include "corpus/scale.h"
@@ -380,22 +379,23 @@ TEST(JournalAccountingProperty, CommitsJournalRecordsAndReplayBalance) {
       env.corpus.ontology.get(), env.pool.get(), engine.get());
   auto journal = RunJournal::Create(dir.string(), {}, &engine->metrics());
   ASSERT_TRUE(journal.ok()) << journal.status();
-  auto report = AnnotateRegistryDurable(generator, **wrapped,
-                                        *env.corpus.ontology, *journal);
-  ASSERT_TRUE(report.ok()) << report.status();
-  ASSERT_TRUE(report->complete()) << report->run_status;
-  const EngineMetricsSnapshot m = report->metrics;
+  auto result = SubmitRun(MakeDurableAnnotateRun(
+      generator, **wrapped, *env.corpus.ontology, *journal));
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_TRUE(result->complete()) << result->run_status;
+  const AnnotateReport& report = result->annotate;
+  const EngineMetricsSnapshot m = report.metrics;
 
   // The commit hook and the journal are 1:1 — every commit becomes exactly
   // one journal record (segment seals are not records), and a fresh run
   // commits the header plus one unit per processed module.
   EXPECT_EQ(m.commits, m.journal_records);
-  EXPECT_EQ(m.commits, 1 + report->annotated + report->decayed);
+  EXPECT_EQ(m.commits, 1 + report.annotated + report.decayed);
 
   // Fresh run: everything was live work, nothing replayed.
   EXPECT_EQ(m.modules_replayed, 0u);
-  EXPECT_EQ(m.modules_reinvoked, report->annotated + report->decayed);
-  EXPECT_EQ(report->replayed, 0u);
+  EXPECT_EQ(m.modules_reinvoked, report.annotated + report.decayed);
+  EXPECT_EQ(report.replayed, 0u);
 }
 
 // ---------------------------------------------------------------------

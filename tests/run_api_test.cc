@@ -1,8 +1,8 @@
-// Facade-equivalence suite for the RunRequest/RunResult API
-// (core/run_api.h): every run family submitted through SubmitRun must be
-// byte-identical to the entry point it subsumes — annotations, journal
-// bytes, enactment outputs — at any thread count, including crash-resume
-// through the facade.
+// Suite for the RunRequest/RunResult API (core/run_api.h), the only run
+// entry point: request validation, runs byte-identical to the direct
+// in-memory calls and across thread counts (annotations, journal bytes,
+// enactment outputs), crash-resume through the facade, and the kind names
+// serve prints.
 
 #include <filesystem>
 #include <memory>
@@ -14,14 +14,13 @@
 #include "core/engine_config.h"
 #include "core/run_api.h"
 #include "corpus/fault_injector.h"
-#include "durability/durable_annotate.h"
-#include "durability/durable_enact.h"
 #include "durability/journal.h"
 #include "durability/snapshot.h"
 #include "modules/registry_io.h"
 #include "obs/export.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
+#include "serve/run_manager.h"
 #include "tests/test_util.h"
 
 namespace dexa {
@@ -83,34 +82,54 @@ const GeneratedWorkflow& PickWorkflow() {
   std::abort();
 }
 
-TEST(RunApiTest, RunKindNamesAreStable) {
-  EXPECT_STREQ(RunKindName(RunKind::kAnnotate), "annotate");
-  EXPECT_STREQ(RunKindName(RunKind::kAnnotateDurable), "annotate_durable");
-  EXPECT_STREQ(RunKindName(RunKind::kEnact), "enact");
-  EXPECT_STREQ(RunKindName(RunKind::kEnactDurable), "enact_durable");
+TEST(RunApiTest, ServeWireKindNamesAreStable) {
+  // The `kind` strings of serve's status/result responses and RUN
+  // descriptors: the run kind plus whether the run journals.
+  EXPECT_EQ(serve::WireKindName(RunKind::kAnnotate, false), "annotate");
+  EXPECT_EQ(serve::WireKindName(RunKind::kAnnotate, true), "annotate_durable");
+  EXPECT_EQ(serve::WireKindName(RunKind::kEnact, false), "enact");
+  EXPECT_EQ(serve::WireKindName(RunKind::kEnact, true), "enact_durable");
+  EXPECT_STREQ(serve::kShardWireKind, "shard");
 }
 
 TEST(RunApiTest, ValidatesRequiredFieldsPerKind) {
-  RunRequest empty;  // kAnnotate with no generator/registry.
-  auto result = SubmitRun(empty);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  auto expect_invalid = [](const RunRequest& request, const char* what) {
+    auto result = SubmitRun(request);
+    ASSERT_FALSE(result.ok()) << what;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+  expect_invalid(RunRequest{}, "annotate with no generator/registry");
 
   const auto& env = GetEnvironment();
   ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
   auto registry = FreshRegistry();
+  auto journal = RunJournal::Create(FreshDir("validate"));
+  ASSERT_TRUE(journal.ok()) << journal.status();
 
   RunRequest durable = MakeAnnotateRun(generator, *registry);
-  durable.kind = RunKind::kAnnotateDurable;  // No ontology, no journal.
-  auto durable_result = SubmitRun(durable);
-  ASSERT_FALSE(durable_result.ok());
-  EXPECT_EQ(durable_result.status().code(), StatusCode::kInvalidArgument);
+  durable.journal = &*journal;
+  expect_invalid(durable, "durable annotate with no ontology");
+
+  // Resume and crash only mean something with a journal: an in-memory run
+  // refuses them rather than dropping them.
+  JournalRecovery recovery;
+  RunRequest resume = MakeAnnotateRun(generator, *registry);
+  resume.resume = &recovery;
+  expect_invalid(resume, "in-memory annotate with resume");
+  CrashPlan crash;
+  RunRequest crashing = MakeAnnotateRun(generator, *registry);
+  crashing.crash = &crash;
+  expect_invalid(crashing, "in-memory annotate with crash");
 
   RunRequest enact;
-  enact.kind = RunKind::kEnact;  // No workflow/registry/engine.
-  auto enact_result = SubmitRun(enact);
-  ASSERT_FALSE(enact_result.ok());
-  EXPECT_EQ(enact_result.status().code(), StatusCode::kInvalidArgument);
+  enact.kind = RunKind::kEnact;
+  expect_invalid(enact, "enact with no workflow/registry/engine");
+  const GeneratedWorkflow& item = PickWorkflow();
+  InvocationEngine engine;
+  RunRequest crashing_enact =
+      MakeEnactRun(item.workflow, *env.corpus.registry, item.seeds, engine);
+  crashing_enact.crash = &crash;
+  expect_invalid(crashing_enact, "in-memory enact with crash");
 }
 
 TEST(RunApiTest, AnnotateFacadeMatchesDirectEntry) {
@@ -149,42 +168,6 @@ TEST(RunApiTest, AnnotateFacadeByteIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(annotations_t1, annotations_t8);
   EXPECT_FALSE(annotations_t1.empty());
-}
-
-TEST(RunApiTest, DurableAnnotateFacadeMatchesLegacyShim) {
-  const auto& env = GetEnvironment();
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
-
-  // Legacy entry point (its last legitimate call sites are this equivalence
-  // suite and the shims themselves — dexa-lint bans it elsewhere).
-  const std::string legacy_dir = FreshDir("legacy");
-  auto legacy_registry = FreshRegistry();
-  {
-    auto journal = RunJournal::Create(legacy_dir);
-    ASSERT_TRUE(journal.ok()) << journal.status();
-    auto report = AnnotateRegistryDurable(generator, *legacy_registry,
-                                          *env.corpus.ontology, *journal);
-    ASSERT_TRUE(report.ok()) << report.status();
-    ASSERT_TRUE(report->complete()) << report->run_status;
-  }
-
-  const std::string facade_dir = FreshDir("facade");
-  auto facade_registry = FreshRegistry();
-  {
-    auto journal = RunJournal::Create(facade_dir);
-    ASSERT_TRUE(journal.ok()) << journal.status();
-    auto result = SubmitRun(MakeDurableAnnotateRun(
-        generator, *facade_registry, *env.corpus.ontology, *journal));
-    ASSERT_TRUE(result.ok()) << result.status();
-    ASSERT_TRUE(result->complete()) << result->run_status;
-    EXPECT_EQ(result->kind, RunKind::kAnnotateDurable);
-  }
-
-  // Byte-for-byte: the annotations AND the journals the two paths wrote.
-  EXPECT_EQ(Annotations(*facade_registry), Annotations(*legacy_registry));
-  const std::string legacy_journal = JournalBytes(legacy_dir);
-  EXPECT_EQ(JournalBytes(facade_dir), legacy_journal);
-  EXPECT_FALSE(legacy_journal.empty());
 }
 
 TEST(RunApiTest, DurableAnnotateJournalByteIdenticalAcrossThreadCounts) {

@@ -102,6 +102,19 @@ TEST(WireTest, WireUintParsesAndRejects) {
   EXPECT_FALSE(WireUint(message, "name").ok());
   EXPECT_FALSE(WireUint(message, "missing").ok());
   EXPECT_EQ(WireGet(message, "missing", "fallback"), "fallback");
+
+  // 2^64-1 is the largest id; anything above is refused, never wrapped.
+  message["max"] = "18446744073709551615";
+  auto max = WireUint(message, "max");
+  ASSERT_TRUE(max.ok()) << max.status();
+  EXPECT_EQ(*max, UINT64_MAX);
+  for (const char* bad : {"18446744073709551616", "18446744073709551617",
+                          "99999999999999999999999", "", "-1", "+1", " 1"}) {
+    message["bad"] = bad;
+    auto parsed = WireUint(message, "bad");
+    ASSERT_FALSE(parsed.ok()) << "accepted '" << bad << "'";
+    EXPECT_TRUE(parsed.status().IsInvalidArgument()) << parsed.status();
+  }
 }
 
 // -- RunManager -------------------------------------------------------------
@@ -349,6 +362,52 @@ TEST(ServerTest, ProtocolSubmitStatusDrainResult) {
   WireMessage unknown = Response(server, "{\"op\":\"nope\"}");
   EXPECT_EQ(unknown["ok"], "0");
   EXPECT_EQ(unknown["code"], "InvalidArgument");
+}
+
+TEST(ServerTest, OverflowingNumbersAreRefusedOrClamped) {
+  ServeEnv& env = SharedEnv();
+  Server server(env, {});
+  WireMessage first = Response(
+      server, "{\"op\":\"submit\",\"kind\":\"annotate\",\"count\":\"1\"}");
+  ASSERT_EQ(first["ok"], "1") << first["error"];
+  Response(server, "{\"op\":\"drain\"}");
+
+  // 2^64 + 1 would wrap to run 1; it is a typed error instead.
+  WireMessage wrapped_id = Response(
+      server, "{\"op\":\"result\",\"id\":\"18446744073709551617\"}");
+  EXPECT_EQ(wrapped_id["ok"], "0");
+  EXPECT_EQ(wrapped_id["code"], "InvalidArgument");
+  WireMessage wrapped_count = Response(
+      server,
+      "{\"op\":\"submit\",\"kind\":\"annotate\","
+      "\"count\":\"18446744073709551620\"}");
+  EXPECT_EQ(wrapped_count["ok"], "0");
+  EXPECT_EQ(wrapped_count["code"], "InvalidArgument");
+
+  // offset + count past 2^64 clamps to the end: modules [5, N).
+  WireMessage clamped = Response(
+      server,
+      "{\"op\":\"submit\",\"kind\":\"annotate\",\"offset\":\"5\","
+      "\"count\":\"18446744073709551615\"}");
+  ASSERT_EQ(clamped["ok"], "1") << clamped["error"];
+  WireMessage to_end = Response(
+      server,
+      "{\"op\":\"submit\",\"kind\":\"annotate\",\"offset\":\"5\"}");
+  ASSERT_EQ(to_end["ok"], "1") << to_end["error"];
+  Response(server, "{\"op\":\"drain\"}");
+  const size_t n = env.available_modules();
+  ASSERT_GT(n, 5u);
+  WireMessage status = Response(
+      server, "{\"op\":\"status\",\"id\":\"" + clamped["id"] + "\"}");
+  EXPECT_EQ(status["label"], "annotate[5," + std::to_string(n) + ")");
+  WireMessage result = Response(
+      server, "{\"op\":\"result\",\"id\":\"" + clamped["id"] + "\"}");
+  ASSERT_EQ(result["ok"], "1") << result["error"];
+  EXPECT_EQ(std::stoull(result["annotated"]) + std::stoull(result["decayed"]),
+            n - 5);
+  WireMessage reference = Response(
+      server, "{\"op\":\"result\",\"id\":\"" + to_end["id"] + "\"}");
+  EXPECT_EQ(result["digest"], reference["digest"]);
 }
 
 TEST(ServerTest, ProtocolEnactRun) {

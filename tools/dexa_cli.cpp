@@ -13,10 +13,8 @@
 //                       any thread count)
 //   --seed=<n>          engine seed (per-task RNG streams + retry jitter)
 //
-// Every run family routes through the RunRequest facade (core/run_api.h):
-// the annotate/resume/serve commands all build a RunRequest and call
-// SubmitRun — the legacy durable entry points are not called here
-// (dexa-lint rule `legacy-run-entry` enforces it).
+// Every run routes through the RunRequest facade (core/run_api.h): the
+// annotate/resume/serve commands all build a RunRequest and call SubmitRun.
 
 #include <fstream>
 #include <iostream>
@@ -106,7 +104,7 @@ Status BuildEnv(CliContext& ctx, bool retire, bool annotate) {
     env.kb_image =
         std::shared_ptr<const kbimage::CompiledKb>(std::move(image).value());
     env.kb_checksum = env.kb_image->checksum();
-    ctx.engine->metrics().RecordKbImageLoad();
+    ctx.engine->metrics().Add(EngineCounter::kb_image_loads);
     // The corpus adopts the image's ontology and KB instead of rebuilding
     // them; concept ids are dense insertion indices in both, so the
     // materialized ontology and the image view agree on every ConceptId.

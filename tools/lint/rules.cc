@@ -505,37 +505,7 @@ void CheckUncachedReasoning(const SourceFile& f, const GlobalContext&,
 }
 
 // --------------------------------------------------------------------------
-// Family 8: run-entry discipline (RunRequest facade end-to-end)
-// --------------------------------------------------------------------------
-
-/// Production code submits runs through the RunRequest facade
-/// (core/run_api.h SubmitRun); the pre-facade durable entry points survive
-/// only as deprecated shims. src/durability hosts the shims and the facade
-/// implementation itself; tests/ keeps the facade-vs-shim equivalence
-/// suite and bench/ the pre-facade harnesses, so both call the legacy
-/// names on purpose.
-void CheckLegacyRunEntry(const SourceFile& f, const GlobalContext&,
-                         std::vector<Finding>& out) {
-  if (f.layer == "durability") return;
-  if (f.path.rfind("tests/", 0) == 0 || f.path.rfind("bench/", 0) == 0) return;
-  static const std::set<std::string> kLegacyEntries = {
-      "AnnotateRegistryDurable", "EnactResilientDurable"};
-  const Tokens& t = f.lex.tokens;
-  for (size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].kind != TokenKind::kIdentifier ||
-        kLegacyEntries.count(t[i].text) == 0) {
-      continue;
-    }
-    if (!IsPunct(t[i + 1], "(")) continue;
-    out.push_back({"legacy-run-entry", f.path, t[i].line,
-                   "call to deprecated `" + t[i].text +
-                       "`; describe the run as a RunRequest (core/run_api.h) "
-                       "and submit it through SubmitRun"});
-  }
-}
-
-// --------------------------------------------------------------------------
-// Family 9: io (every durable byte through the IoEnv seam)
+// Family 8: io (every durable byte through the IoEnv seam)
 // --------------------------------------------------------------------------
 
 /// Production code does its file I/O through the IoEnv seam
@@ -588,7 +558,7 @@ void CheckRawIo(const SourceFile& f, const GlobalContext&,
 }
 
 // --------------------------------------------------------------------------
-// Family 10: lock discipline (guarded fields)
+// Family 9: lock discipline (guarded fields)
 // --------------------------------------------------------------------------
 
 /// Skips a `<...>` group starting at the `<`; returns one past the matching
@@ -848,10 +818,6 @@ const std::vector<RuleInfo>& Rules() {
        "subsumption/partition reasoning in src/engine+src/core routes "
        "through ConceptCache, never the raw ontology",
        &CheckUncachedReasoning},
-      {"legacy-run-entry", "run-entry",
-       "runs are submitted through the RunRequest facade (SubmitRun); the "
-       "pre-facade durable entries are shims for src/durability only",
-       &CheckLegacyRunEntry},
       {"raw-io", "io",
        "src/ file I/O goes through the IoEnv seam (common/io_env.h), never "
        "raw ::open/::write/::fsync/rename",

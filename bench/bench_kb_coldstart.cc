@@ -115,7 +115,7 @@ int RunComparison() {
   const double mmap_total_ms = load_ms + materialize_ms;
   // The gate compares the two cold-start paths to an answerable concept
   // hierarchy: generative build vs map+verify (the image serves every
-  // KbView reasoning query straight from the mapping). Materializing a
+  // CompiledKb reasoning query straight from the mapping). Materializing a
   // heap KnowledgeBase for corpus-module compatibility is reported
   // separately — both arms share its index-build cost downstream.
   const double speedup = build_ms / load_ms;

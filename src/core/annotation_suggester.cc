@@ -76,13 +76,13 @@ AnnotationSuggester::AnnotationSuggester(const Ontology* ontology)
 AnnotationSuggester::AnnotationSuggester(
     std::shared_ptr<const ConceptCache> cache)
     : classifier_(cache) {
-  const KbView& view = cache->view();
-  names_.reserve(view.ConceptCount());
-  covered_.reserve(view.ConceptCount());
-  for (size_t c = 0; c < view.ConceptCount(); ++c) {
+  const kbimage::CompiledKb& kb = cache->kb();
+  names_.reserve(kb.ConceptCount());
+  covered_.reserve(kb.ConceptCount());
+  for (size_t c = 0; c < kb.ConceptCount(); ++c) {
     const ConceptId id = static_cast<ConceptId>(c);
-    names_.emplace_back(view.ConceptName(id));
-    covered_.push_back(view.Covered(id) ? 1 : 0);
+    names_.emplace_back(kb.ConceptName(id));
+    covered_.push_back(kb.Covered(id) ? 1 : 0);
   }
 }
 

@@ -33,15 +33,14 @@ struct ConceptSuggestion {
 ///    "instance-level matcher".
 ///
 /// Concept names are the suggester's data (lexical matching is its job),
-/// so they are materialized once at construction from the backing KbView;
+/// so they are materialized once at construction from the compiled KB;
 /// Suggest() itself performs no string-keyed ontology lookups.
 class AnnotationSuggester {
  public:
   /// Convenience: builds a private concept cache over `ontology`.
   explicit AnnotationSuggester(const Ontology* ontology);
 
-  /// Shares `cache` (and the backing KbView) with the rest of the
-  /// pipeline.
+  /// Shares `cache` (and its compiled KB) with the rest of the pipeline.
   explicit AnnotationSuggester(std::shared_ptr<const ConceptCache> cache);
 
   /// Ranked suggestions for a parameter named `parameter_name` with the

@@ -1,6 +1,7 @@
 #include "core/annotation_verifier.h"
 
 #include <algorithm>
+#include <span>
 
 namespace dexa {
 
@@ -74,7 +75,7 @@ std::vector<OutputAnnotationReport> AnnotationVerifier::VerifyOutputs(
     } else {
       // All observed values fit. Confirmed when every realizable partition
       // of the declared concept is witnessed; over-general otherwise.
-      const std::vector<ConceptId>& declared_partitions =
+      const std::span<const ConceptId> declared_partitions =
           cache_->Partitions(param.semantic_type);
       bool all_witnessed = true;
       for (ConceptId partition : declared_partitions) {

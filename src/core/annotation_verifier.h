@@ -54,8 +54,7 @@ class AnnotationVerifier {
       : AnnotationVerifier(std::make_shared<ConceptCache>(ontology)) {}
 
   /// Shares `cache` with the rest of the pipeline; all partition/LCS
-  /// reasoning is memoized and backend-agnostic (in-memory or compiled
-  /// image).
+  /// reasoning is a compiled-table read.
   explicit AnnotationVerifier(std::shared_ptr<const ConceptCache> cache)
       : cache_(cache), classifier_(std::move(cache)) {}
 

@@ -62,8 +62,7 @@ class ExampleGuidedComposer {
       : ExampleGuidedComposer(std::make_shared<ConceptCache>(ontology),
                               registry, pool, engine) {}
 
-  /// Shares `cache` (and its memoized reasoning answers) with the rest of
-  /// the pipeline.
+  /// Shares `cache` (and its compiled KB) with the rest of the pipeline.
   ExampleGuidedComposer(std::shared_ptr<const ConceptCache> cache,
                         const ModuleRegistry* registry,
                         const AnnotatedInstancePool* pool,

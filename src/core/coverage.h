@@ -59,9 +59,9 @@ class CoverageAnalyzer {
   explicit CoverageAnalyzer(const Ontology* ontology)
       : CoverageAnalyzer(std::make_shared<ConceptCache>(ontology)) {}
 
-  /// Shares `cache` (and its memoized answers) with the rest of the
-  /// pipeline; this is how image-backed runs route coverage reasoning
-  /// through the compiled KbView.
+  /// Shares `cache` (and its compiled KB) with the rest of the pipeline;
+  /// this is how --kb-image runs route coverage reasoning through the
+  /// mapped image.
   explicit CoverageAnalyzer(std::shared_ptr<const ConceptCache> cache)
       : partitioner_(cache), classifier_(std::move(cache)) {}
 

@@ -55,8 +55,7 @@ class BehaviorDiscovery {
       : BehaviorDiscovery(std::make_shared<ConceptCache>(ontology), registry,
                           engine) {}
 
-  /// Shares `cache` (and its memoized subsumption answers) with the rest
-  /// of the pipeline.
+  /// Shares `cache` (and its compiled KB) with the rest of the pipeline.
   BehaviorDiscovery(std::shared_ptr<const ConceptCache> cache,
                     const ModuleRegistry* registry,
                     InvocationEngine* engine = nullptr)

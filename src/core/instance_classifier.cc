@@ -1,5 +1,6 @@
 #include "core/instance_classifier.h"
 
+#include <span>
 #include <string>
 #include <utility>
 
@@ -28,12 +29,12 @@ InstanceClassifier::InstanceClassifier(
 }
 
 void InstanceClassifier::CompileRecognizers() {
-  const KbView& view = cache_->view();
-  recognizers_.resize(view.ConceptCount());
+  const kbimage::CompiledKb& kb = cache_->kb();
+  recognizers_.resize(kb.ConceptCount());
   for (size_t c = 0; c < recognizers_.size(); ++c) {
     // The one sanctioned name resolution: each concept's name is looked
     // at exactly once, here, to compile its recognizer.
-    const std::string name(view.ConceptName(static_cast<ConceptId>(c)));
+    const std::string name(kb.ConceptName(static_cast<ConceptId>(c)));
     Recognizer& r = recognizers_[c];
 
     // Identifier namespaces.
@@ -220,7 +221,7 @@ ConceptId InstanceClassifier::Classify(const Value& value,
   // Try the partitions of the declared concept, most derived first: the
   // partition list is in pre-order, so reverse iteration visits leaves
   // before their ancestors.
-  const std::vector<ConceptId>& partitions = cache_->Partitions(declared);
+  const std::span<const ConceptId> partitions = cache_->Partitions(declared);
   ConceptId fallback = kInvalidConcept;
   for (auto it = partitions.rbegin(); it != partitions.rend(); ++it) {
     ConceptId candidate = *it;

@@ -24,21 +24,21 @@ namespace dexa {
 ///
 /// Concept names are resolved exactly once, at construction: the
 /// classifier compiles a ConceptId-indexed recognizer table from the
-/// cache's KbView, so the per-value hot path (Matches/Classify) is pure
-/// ConceptId arithmetic with no string-keyed ontology lookups.
+/// cache's compiled KB, so the per-value hot path (Matches/Classify) is
+/// pure ConceptId arithmetic with no string-keyed ontology lookups.
 class InstanceClassifier {
  public:
   /// Convenience: builds a private concept cache over `ontology`.
   explicit InstanceClassifier(const Ontology* ontology);
 
-  /// Shares `cache` (reasoning answers and the backing KbView) with the
-  /// rest of the pipeline.
+  /// Shares `cache` (and its compiled KB) with the rest of the pipeline.
   explicit InstanceClassifier(std::shared_ptr<const ConceptCache> cache);
 
-  /// The most specific partition of `declared` (per KbView::Partitions)
-  /// that `value` instantiates; `declared` itself when the value matches no
-  /// finer recognizer but `declared` is realizable; kInvalidConcept when
-  /// nothing fits (e.g. declared is covered and no sub-concept matches).
+  /// The most specific partition of `declared` (per
+  /// ConceptCache::Partitions) that `value` instantiates; `declared` itself
+  /// when the value matches no finer recognizer but `declared` is
+  /// realizable; kInvalidConcept when nothing fits (e.g. declared is
+  /// covered and no sub-concept matches).
   ConceptId Classify(const Value& value, ConceptId declared) const;
 
   /// True if `value` matches the recognizer for `concept` (leaf-level

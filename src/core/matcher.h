@@ -59,10 +59,10 @@ struct MatchResult {
 /// against the candidate — and classifies the outcome as equivalent,
 /// overlapping or disjoint.
 ///
-/// Subsumption queries go through a ConceptCache (matching sweeps ask the
-/// same concept pairs for every candidate), and candidate replays are
-/// batched through an InvocationEngine with results folded in reference
-/// order, so relation verdicts are thread-count-invariant.
+/// Subsumption queries go through a ConceptCache (one bitset word per
+/// query), and candidate replays are batched through an InvocationEngine
+/// with results folded in reference order, so relation verdicts are
+/// thread-count-invariant.
 class ModuleMatcher {
  public:
   /// Builds a matcher with a private concept cache; `engine` defaults to

@@ -1,5 +1,7 @@
 #include "core/partitioner.h"
 
+#include <span>
+
 namespace dexa {
 
 size_t ModulePartitions::TotalCount() const {
@@ -22,7 +24,9 @@ ParameterPartitions DomainPartitioner::Partition(const Parameter& param) const {
   ParameterPartitions out;
   out.annotated_concept = param.semantic_type;
   if (param.semantic_type != kInvalidConcept) {
-    out.partitions = cache_->Partitions(param.semantic_type);
+    const std::span<const ConceptId> partitions =
+        cache_->Partitions(param.semantic_type);
+    out.partitions.assign(partitions.begin(), partitions.end());
   }
   return out;
 }

@@ -31,17 +31,17 @@ struct ModulePartitions {
 };
 
 /// Ontology-based domain partitioner (Section 3.1). All reasoning goes
-/// through a ConceptCache, so repeated partitioning of the same concepts
-/// (every module of a corpus shares a handful of annotation concepts) costs
-/// one ontology traversal total. Kept as a class so ablations can
-/// subclass/parameterize the strategy.
+/// through a ConceptCache, whose compiled KB holds every concept's
+/// partition list precomputed, so partitioning a parameter copies one
+/// list. Kept as a class so ablations can subclass/parameterize the
+/// strategy.
 class DomainPartitioner {
  public:
   /// Convenience: builds a private cache over `ontology`.
   explicit DomainPartitioner(const Ontology* ontology)
       : cache_(std::make_shared<ConceptCache>(ontology)) {}
 
-  /// Shares `cache` (and thus its memoized answers) with other components.
+  /// Shares `cache` (and its compiled KB) with other components.
   explicit DomainPartitioner(std::shared_ptr<const ConceptCache> cache)
       : cache_(std::move(cache)) {}
 

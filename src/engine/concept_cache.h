@@ -1,111 +1,101 @@
 #ifndef DEXA_ENGINE_CONCEPT_CACHE_H_
 #define DEXA_ENGINE_CONCEPT_CACHE_H_
 
-#include <atomic>
-#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
-#include <shared_mutex>
-#include <unordered_map>
+#include <span>
 #include <utility>
-#include <vector>
 
-#include "common/thread_annotations.h"
 #include "engine/metrics.h"
-#include "kbimage/kb_view.h"
+#include "kbimage/compiled_kb.h"
 #include "ontology/ontology.h"
 
 namespace dexa {
 
-/// Memoizes the ontology reasoning primitives the annotation pipeline hits
-/// on every combination — Subsumes, Descendants, Partitions, and
-/// least-common-subsumer — behind a read-mostly table.
+/// The handle the annotation pipeline reasons through: Subsumes,
+/// Descendants, Partitions and least-common-subsumer (Section 3 of the
+/// paper), answered by one shared compiled KB (kbimage::CompiledKb) — a
+/// mapped image file, or the ontology compiled in memory at construction.
+/// Every answer is a table read, so the handle memoizes nothing; it keeps
+/// the name ConceptCache because the benchmark (perfbench/) builds it by
+/// that name.
 ///
-/// The cache reasons through a KbView, so it is backend-agnostic: built
-/// over the in-memory Ontology it memoizes DFS answers; built over a
-/// compiled image (kbimage::CompiledKb) every miss is a bitset word load
-/// or a precomputed-span copy (counted as bitset_queries in the engine
-/// metrics). Both backends return byte-identical answers, so consumers
-/// never know the difference.
+/// Each lookup counts as one engine `cache_queries` and one `cache_hits`
+/// when constructed with metrics, so the engine ledger keeps reading the
+/// query volume and a hit ratio of 1.
 ///
-/// Invalidation rule: there is none. The view is immutable after load
-/// (dexa never mutates a loaded ontology or image; the pipeline only
-/// reads), so a cached answer is valid for the cache's whole lifetime.
-/// Anyone who does mutate an ontology must build a fresh cache.
-///
-/// Thread safety: all lookups may be called concurrently. Reads take a
-/// shared lock; a miss computes the answer from the view outside any
-/// lock and publishes it under an exclusive lock (first writer wins, so
-/// concurrent misses of the same key agree). Hit/miss counters are relaxed
-/// atomics, optionally mirrored into an EngineMetrics.
+/// Thread safety: the KB is deep-immutable and the counters are engine
+/// atomics, so all lookups may be called concurrently.
 class ConceptCache {
  public:
-  /// Memoizes over the in-memory ontology (wrapped in an owned
-  /// OntologyKbView); the ontology must outlive the cache.
+  /// Compiles `ontology` in memory; the cache does not keep the pointer.
+  /// A non-empty ontology always compiles, so a failure (an empty
+  /// ontology) is a caller bug and aborts.
   explicit ConceptCache(const Ontology* ontology,
                         EngineMetrics* metrics = nullptr)
-      : view_(std::make_shared<OntologyKbView>(ontology)),
-        metrics_(metrics) {}
+      : ConceptCache(CompileOrDie(*ontology), metrics) {}
 
-  /// Memoizes over any KbView backend (e.g. a compiled image).
-  explicit ConceptCache(std::shared_ptr<const KbView> view,
+  /// Reasons over an already loaded or compiled KB (e.g. --kb-image).
+  explicit ConceptCache(std::shared_ptr<const kbimage::CompiledKb> kb,
                         EngineMetrics* metrics = nullptr)
-      : view_(std::move(view)), metrics_(metrics) {}
+      : kb_(std::move(kb)), metrics_(metrics) {}
 
   ConceptCache(const ConceptCache&) = delete;
   ConceptCache& operator=(const ConceptCache&) = delete;
 
-  const KbView& view() const { return *view_; }
+  const kbimage::CompiledKb& kb() const { return *kb_; }
 
-  /// Routes newly-created caches' hit/miss counts into `metrics` as well.
-  void set_metrics(EngineMetrics* metrics) { metrics_ = metrics; }
+  /// a ⊑ b (reflexive).
+  bool IsSubsumedBy(ConceptId a, ConceptId b) const {
+    CountQuery();
+    return kb_->IsSubsumedBy(a, b);
+  }
 
-  /// Cached KbView::IsSubsumedBy (a ⊑ b, reflexive).
-  bool IsSubsumedBy(ConceptId a, ConceptId b) const;
+  /// a ⊑ b or b ⊑ a; composed from two subsumption queries.
+  bool Comparable(ConceptId a, ConceptId b) const {
+    return IsSubsumedBy(a, b) || IsSubsumedBy(b, a);
+  }
 
-  /// a ⊑ b or b ⊑ a; composed from two cached subsumption queries.
-  bool Comparable(ConceptId a, ConceptId b) const;
+  /// Descendants of `c` including `c`, in Ontology::Descendants order.
+  /// The span stays valid for the KB's lifetime.
+  std::span<const ConceptId> Descendants(ConceptId c) const {
+    CountQuery();
+    return kb_->Descendants(c);
+  }
 
-  /// Cached KbView::Descendants. The returned reference stays valid for
-  /// the cache's lifetime (node-based map, entries never erased).
-  const std::vector<ConceptId>& Descendants(ConceptId c) const;
+  /// Realizable descendants of `c` (Section 3.1), in Ontology::Partitions
+  /// order. The span stays valid for the KB's lifetime.
+  std::span<const ConceptId> Partitions(ConceptId c) const {
+    CountQuery();
+    return kb_->Partitions(c);
+  }
 
-  /// Cached KbView::Partitions (realizable descendants, Section 3.1).
-  const std::vector<ConceptId>& Partitions(ConceptId c) const;
-
-  /// Cached KbView::LeastCommonSubsumer.
-  ConceptId LeastCommonSubsumer(ConceptId a, ConceptId b) const;
-
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-
-  /// Total lookups issued. Every query resolves as exactly one hit or one
-  /// miss, so `hits() + misses() == queries()` always holds (the
-  /// conservation invariant pinned by property_test).
-  uint64_t queries() const {
-    return queries_.load(std::memory_order_relaxed);
+  ConceptId LeastCommonSubsumer(ConceptId a, ConceptId b) const {
+    CountQuery();
+    return kb_->LeastCommonSubsumer(a, b);
   }
 
  private:
-  void CountHit() const;
-  void CountMiss() const;
-  void CountQuery() const;
+  static std::shared_ptr<const kbimage::CompiledKb> CompileOrDie(
+      const Ontology& ontology) {
+    auto kb = kbimage::CompiledKb::Compile(ontology);
+    if (!kb.ok()) {
+      std::fprintf(stderr, "ConceptCache: %s\n",
+                   kb.status().ToString().c_str());
+      std::abort();
+    }
+    return std::move(kb).value();
+  }
 
-  // dexa-lint: allow(guarded-field) — set in the ctor, immutable after.
-  std::shared_ptr<const KbView> view_;
-  // dexa-lint: allow(guarded-field) — rebound only between runs, before sharing.
-  EngineMetrics* metrics_;
+  void CountQuery() const {
+    if (metrics_ == nullptr) return;
+    metrics_->Add(EngineCounter::cache_queries);
+    metrics_->Add(EngineCounter::cache_hits);
+  }
 
-  mutable std::shared_mutex mutex_;
-  mutable std::unordered_map<uint64_t, bool> subsumes_ DEXA_GUARDED_BY(mutex_);
-  mutable std::unordered_map<ConceptId, std::vector<ConceptId>> descendants_
-      DEXA_GUARDED_BY(mutex_);
-  mutable std::unordered_map<ConceptId, std::vector<ConceptId>> partitions_
-      DEXA_GUARDED_BY(mutex_);
-  mutable std::unordered_map<uint64_t, ConceptId> lcs_ DEXA_GUARDED_BY(mutex_);
-
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
-  mutable std::atomic<uint64_t> queries_{0};
+  const std::shared_ptr<const kbimage::CompiledKb> kb_;
+  EngineMetrics* const metrics_;
 };
 
 }  // namespace dexa

@@ -4,12 +4,12 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -268,8 +268,7 @@ class InvocationEngine {
   VirtualClock clock_;
 
   mutable std::mutex breaker_mutex_;
-  std::unordered_map<std::string, Breaker> breakers_
-      DEXA_GUARDED_BY(breaker_mutex_);
+  std::map<std::string, Breaker> breakers_ DEXA_GUARDED_BY(breaker_mutex_);
 
   std::mutex queue_mutex_;
   std::condition_variable_any queue_cv_;

@@ -32,10 +32,10 @@ enum class CounterStability { kStable, kVolatile };
 /// Every engine counter, once: X(name, stability). The name is the
 /// EngineCounter enumerator, the EngineMetricsSnapshot field and the metric
 /// `engine.<name>`. Stable counters come first, in the order spans list
-/// their deltas (the golden traces depend on it). Cache hits/misses are
-/// volatile because concurrent misses of one key each count; image loads
-/// and bitset queries because they vary with the KB backend, not with the
-/// annotations.
+/// their deltas (the golden traces depend on it). Concept-cache lookups
+/// are volatile because every caller sharing the engine's metrics counts
+/// into them, not only the run being traced; image loads because they
+/// vary with --kb-image, not with the annotations.
 #define DEXA_ENGINE_COUNTERS(X)                                             \
   X(invocations, kStable)             /* Module invocations routed.     */ \
   X(invocation_errors, kStable)       /* Invocations that were non-OK.  */ \
@@ -51,11 +51,9 @@ enum class CounterStability { kStable, kVolatile };
   X(torn_tails_discarded, kStable)    /* Damaged journal tails dropped. */ \
   X(modules_replayed, kStable)        /* Units served from the journal. */ \
   X(modules_reinvoked, kStable)       /* Units run live by durable runs. */ \
-  X(cache_hits, kVolatile)            /* ConceptCache hits.             */ \
-  X(cache_misses, kVolatile)          /* ConceptCache misses.           */ \
+  X(cache_hits, kVolatile)            /* ConceptCache lookups answered. */ \
   X(cache_queries, kVolatile)         /* ConceptCache lookups.          */ \
-  X(kb_image_loads, kVolatile)        /* KB images mapped and verified. */ \
-  X(bitset_queries, kVolatile)        /* Misses answered by bitsets.    */
+  X(kb_image_loads, kVolatile)        /* KB images mapped and verified. */
 
 enum class EngineCounter : size_t {
 #define DEXA_ENGINE_COUNTER_ENUM(name, stability) name,

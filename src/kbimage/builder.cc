@@ -1,5 +1,7 @@
 #include "kbimage/builder.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -65,21 +67,43 @@ std::string BuildConceptsSection(const Ontology& ontology,
   return out;
 }
 
-std::string BuildSubsumptionSection(const Ontology& ontology,
-                                    uint32_t words_per_row) {
+/// The subsumption closure of the concept DAG: row `a`, bit `b` set iff
+/// a ⊑ b, plus each concept's depth. Ids are insertion order and
+/// AddConcept requires every parent to exist, so parents precede their
+/// children and one pass in id order sees each parent's row and depth
+/// before its children's.
+struct Closure {
+  uint32_t words_per_row = 0;
+  std::vector<uint64_t> rows;  // n × words_per_row
+  std::vector<uint32_t> depths;
+
+  const uint64_t* Row(size_t c) const { return &rows[c * words_per_row]; }
+};
+
+Closure BuildClosure(const Ontology& ontology, uint32_t words_per_row) {
   const size_t n = ontology.size();
-  std::string out;
-  out.reserve(n * words_per_row * 8);
-  for (size_t a = 0; a < n; ++a) {
-    std::vector<uint64_t> row(words_per_row, 0);
-    // Precompute via Ancestors (one DFS) rather than n subsumption
-    // probes; bit b of row a means a ⊑ b.
-    for (ConceptId b : ontology.Ancestors(static_cast<ConceptId>(a))) {
-      row[static_cast<size_t>(b) / 64] |= uint64_t{1}
-                                          << (static_cast<size_t>(b) % 64);
+  Closure closure;
+  closure.words_per_row = words_per_row;
+  closure.rows.assign(n * words_per_row, 0);
+  closure.depths.assign(n, 0);
+  for (size_t c = 0; c < n; ++c) {
+    uint64_t* row = &closure.rows[c * words_per_row];
+    row[c / 64] |= uint64_t{1} << (c % 64);
+    for (ConceptId p : ontology.Get(static_cast<ConceptId>(c)).parents) {
+      const size_t parent = static_cast<size_t>(p);
+      const uint64_t* parent_row = closure.Row(parent);
+      for (uint32_t w = 0; w < words_per_row; ++w) row[w] |= parent_row[w];
+      closure.depths[c] =
+          std::max(closure.depths[c], closure.depths[parent] + 1);
     }
-    for (uint64_t word : row) AppendU64(out, word);
   }
+  return closure;
+}
+
+std::string BuildSubsumptionSection(const Closure& closure) {
+  std::string out;
+  out.reserve(closure.rows.size() * 8);
+  for (uint64_t word : closure.rows) AppendU64(out, word);
   return out;
 }
 
@@ -101,27 +125,43 @@ std::string BuildIdListSection(const Ontology& ontology,
   return offsets + flat;
 }
 
-std::string BuildLcsSection(const Ontology& ontology) {
-  const size_t n = ontology.size();
-  std::string out;
-  out.reserve(n * n * 4);
+/// LCS(a, b) is the deepest set bit of row_a & row_b; scanning bits in
+/// ascending id order and keeping only strictly deeper ones sends ties to
+/// the smallest id (Ontology::LeastCommonSubsumer's rule). No common bit
+/// leaves the kInvalidConcept sentinel.
+std::string BuildLcsSection(const Closure& closure) {
+  const size_t n = closure.depths.size();
+  std::vector<uint32_t> lcs(n * n, static_cast<uint32_t>(kInvalidConcept));
   for (size_t a = 0; a < n; ++a) {
-    for (size_t b = 0; b < n; ++b) {
-      out.reserve(out.size() + 4);
-      AppendU32(out,
-                static_cast<uint32_t>(ontology.LeastCommonSubsumer(
-                    static_cast<ConceptId>(a), static_cast<ConceptId>(b))));
+    const uint64_t* row_a = closure.Row(a);
+    for (size_t b = a; b < n; ++b) {
+      const uint64_t* row_b = closure.Row(b);
+      uint32_t best = static_cast<uint32_t>(kInvalidConcept);
+      for (uint32_t w = 0; w < closure.words_per_row; ++w) {
+        for (uint64_t common = row_a[w] & row_b[w]; common != 0;
+             common &= common - 1) {
+          const uint32_t x = w * 64 + static_cast<uint32_t>(
+                                          std::countr_zero(common));
+          if (best == static_cast<uint32_t>(kInvalidConcept) ||
+              closure.depths[x] > closure.depths[best]) {
+            best = x;
+          }
+        }
+      }
+      lcs[a * n + b] = best;
+      lcs[b * n + a] = best;
     }
   }
+  std::string out;
+  out.reserve(lcs.size() * 4);
+  for (uint32_t id : lcs) AppendU32(out, id);
   return out;
 }
 
-std::string BuildDepthsSection(const Ontology& ontology) {
-  const size_t n = ontology.size();
+std::string BuildDepthsSection(const Closure& closure) {
   std::string out;
-  for (size_t c = 0; c < n; ++c) {
-    AppendU32(out, static_cast<uint32_t>(ontology.Depth(static_cast<ConceptId>(c))));
-  }
+  out.reserve(closure.depths.size() * 4);
+  for (uint32_t depth : closure.depths) AppendU32(out, depth);
   return out;
 }
 
@@ -165,6 +205,7 @@ Result<std::string> CompileKbImage(const Ontology& ontology,
     return Status::InvalidArgument("cannot compile an empty ontology");
   }
   const uint32_t words_per_row = static_cast<uint32_t>((n + 63) / 64);
+  const Closure closure = BuildClosure(ontology, words_per_row);
 
   StringTable strings;
   // Intern in a fixed order (meta, concepts, entities) so recompiling
@@ -177,14 +218,13 @@ Result<std::string> CompileKbImage(const Ontology& ontology,
   };
   std::vector<Payload> payloads;
   payloads.push_back({kConcepts, BuildConceptsSection(ontology, strings)});
-  payloads.push_back(
-      {kSubsumption, BuildSubsumptionSection(ontology, words_per_row)});
+  payloads.push_back({kSubsumption, BuildSubsumptionSection(closure)});
   payloads.push_back(
       {kDescendants, BuildIdListSection(ontology, &Ontology::Descendants)});
   payloads.push_back(
       {kPartitions, BuildIdListSection(ontology, &Ontology::Partitions)});
-  payloads.push_back({kLcs, BuildLcsSection(ontology)});
-  payloads.push_back({kDepths, BuildDepthsSection(ontology)});
+  payloads.push_back({kLcs, BuildLcsSection(closure)});
+  payloads.push_back({kDepths, BuildDepthsSection(closure)});
   payloads.push_back({kEntities, BuildEntitiesSection(kb, strings)});
 
   std::string meta;

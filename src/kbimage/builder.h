@@ -12,11 +12,12 @@ namespace dexa::kbimage {
 
 /// Compiles `ontology` + `kb` into the binary image format (format.h):
 /// interns every string, assigns the ontology's dense ConceptIds
-/// verbatim, precomputes the subsumption bitset matrix and the
-/// descendants/partitions/LCS/depth answers with the Ontology's own
-/// reasoning functions (so the image reproduces their deterministic
-/// orders bit-for-bit), serializes the KB entities, and seals the result
-/// with per-section CRC-32s plus a whole-image SealHash64.
+/// verbatim, precomputes the subsumption bitset matrix in one pass over
+/// the DAG, derives depths and the LCS matrix from its rows, copies the
+/// descendants/partitions lists from the Ontology's own DFS (so the image
+/// reproduces their deterministic orders bit-for-bit), serializes the KB
+/// entities, and seals the result with per-section CRC-32s plus a
+/// whole-image SealHash64.
 ///
 /// Compiling the same inputs always yields the same bytes (and thus the
 /// same seal) — the seal doubles as the KB fingerprint durable runs pin.

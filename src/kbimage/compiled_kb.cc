@@ -1,11 +1,13 @@
 #include "kbimage/compiled_kb.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
 #include "common/crc32.h"
 #include "common/io_env.h"
 #include "common/rng.h"
+#include "kbimage/builder.h"
 #include "kbimage/entity_codec.h"
 #include "kbimage/format.h"
 #include "kbimage/seal.h"
@@ -19,6 +21,16 @@ namespace {
 /// under the fatal UBSan alignment check.
 bool Aligned(const char* p) {
   return reinterpret_cast<uintptr_t>(p) % kSectionAlign == 0;
+}
+
+/// Row `c` of an id-list CSR. The image stores ids as u32 and ConceptId is
+/// int32_t; a signed/unsigned pair of one width may alias, and Parse
+/// bounded every id below the concept count, so the values are unchanged.
+std::span<const ConceptId> CsrRow(const uint32_t* offsets, const uint32_t* ids,
+                                  ConceptId c) {
+  const size_t i = static_cast<size_t>(c);
+  return {reinterpret_cast<const ConceptId*>(ids + offsets[i]),
+          offsets[i + 1] - offsets[i]};
 }
 
 }  // namespace
@@ -47,11 +59,27 @@ Result<std::unique_ptr<CompiledKb>> CompiledKb::Load(const std::string& path,
   return kb;
 }
 
+Result<std::unique_ptr<CompiledKb>> CompiledKb::Compile(
+    const Ontology& ontology) {
+  const KnowledgeBase no_entities{KnowledgeBaseData{}};
+  auto image = CompileKbImage(ontology, no_entities);
+  if (!image.ok()) return image.status();
+  // operator new[] aligns for any fundamental type, which covers the
+  // format's 8-byte section alignment.
+  char* bytes = new char[image->size()];
+  std::memcpy(bytes, image->data(), image->size());
+
+  std::unique_ptr<CompiledKb> kb(new CompiledKb());
+  kb->map_ = MmapRegion(bytes, image->size(), /*unmap=*/false);
+  Status parsed = kb->Parse();
+  if (!parsed.ok()) return parsed;
+  return kb;
+}
+
 const char* CompiledKb::Section(uint32_t id, size_t* size) const {
-  auto it = sections_.find(id);
-  if (it == sections_.end()) return nullptr;
-  *size = it->second.size;
-  return it->second.data;
+  if (id >= sections_.size() || sections_[id].data == nullptr) return nullptr;
+  *size = sections_[id].size;
+  return sections_[id].data;
 }
 
 Status CompiledKb::Parse() {
@@ -110,7 +138,9 @@ Status CompiledKb::Parse() {
       return Status::Corrupted("KB image section " + std::to_string(entry.id) +
                                " CRC32 mismatch");
     }
-    sections_[entry.id] = {payload, entry.size};
+    if (entry.id < sections_.size()) {
+      sections_[entry.id] = {payload, entry.size};
+    }
   }
   if (!sealed) {
     // Damage outside any section payload (the table itself, or padding).
@@ -255,15 +285,16 @@ Status CompiledKb::Parse() {
   }
   depths_ = reinterpret_cast<const uint32_t*>(depths);
 
-  if (sections_.find(kEntities) == sections_.end()) {
+  if (Section(kEntities, &size) == nullptr) {
     return Status::Corrupted("KB image entity section missing");
   }
 
-  by_name_.reserve(n);
-  for (size_t c = 0; c < n; ++c) {
-    by_name_.emplace(strings_.Get(concept_name_refs_[c]),
-                     static_cast<ConceptId>(c));
-  }
+  by_name_.resize(n);
+  for (size_t c = 0; c < n; ++c) by_name_[c] = static_cast<ConceptId>(c);
+  std::stable_sort(by_name_.begin(), by_name_.end(),
+                   [this](ConceptId a, ConceptId b) {
+                     return ConceptName(a) < ConceptName(b);
+                   });
   return Status::OK();
 }
 
@@ -272,8 +303,12 @@ std::string_view CompiledKb::ConceptName(ConceptId c) const {
 }
 
 ConceptId CompiledKb::FindConcept(std::string_view name) const {
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? kInvalidConcept : it->second;
+  auto it = std::lower_bound(by_name_.begin(), by_name_.end(), name,
+                             [this](ConceptId c, std::string_view key) {
+                               return ConceptName(c) < key;
+                             });
+  return it != by_name_.end() && ConceptName(*it) == name ? *it
+                                                          : kInvalidConcept;
 }
 
 bool CompiledKb::Covered(ConceptId c) const {
@@ -286,18 +321,12 @@ bool CompiledKb::IsSubsumedBy(ConceptId a, ConceptId b) const {
   return (subsumption_[row + bit / 64] >> (bit % 64)) & 1;
 }
 
-std::vector<ConceptId> CompiledKb::Descendants(ConceptId c) const {
-  const size_t i = static_cast<size_t>(c);
-  const uint32_t* begin = descendant_ids_ + descendant_offsets_[i];
-  const uint32_t* end = descendant_ids_ + descendant_offsets_[i + 1];
-  return std::vector<ConceptId>(begin, end);
+std::span<const ConceptId> CompiledKb::Descendants(ConceptId c) const {
+  return CsrRow(descendant_offsets_, descendant_ids_, c);
 }
 
-std::vector<ConceptId> CompiledKb::Partitions(ConceptId c) const {
-  const size_t i = static_cast<size_t>(c);
-  const uint32_t* begin = partition_ids_ + partition_offsets_[i];
-  const uint32_t* end = partition_ids_ + partition_offsets_[i + 1];
-  return std::vector<ConceptId>(begin, end);
+std::span<const ConceptId> CompiledKb::Partitions(ConceptId c) const {
+  return CsrRow(partition_offsets_, partition_ids_, c);
 }
 
 ConceptId CompiledKb::LeastCommonSubsumer(ConceptId a, ConceptId b) const {

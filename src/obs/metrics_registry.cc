@@ -59,9 +59,6 @@ void MetricsRegistry::ImportEngineSnapshot(
   SetGauge("engine.invocation_error_rate_ppm",
            RatioPpm(snapshot.invocation_errors, snapshot.invocations),
            MetricStability::kStable);
-  SetGauge("engine.cache_hit_rate_ppm",
-           RatioPpm(snapshot.cache_hits, snapshot.cache_queries),
-           MetricStability::kVolatile);
 }
 
 void MetricsRegistry::ImportTrace(const Tracer& tracer) {

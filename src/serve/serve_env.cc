@@ -47,9 +47,9 @@ Result<std::unique_ptr<ServeEnv>> ServeEnv::Create(ServeEnvOptions options) {
       EngineConfig().Threads(env->options_.threads).Seed(env->options_.seed);
   env->engine_ = env->config_.BuildEngine();
 
-  // Same recipe as the CLI's BuildEnv: image-backed when a compiled KB is
-  // given, in-memory otherwise — either way all hot-path reasoning keys on
-  // ConceptId, so the two backends produce byte-identical runs.
+  // Same recipe as the CLI's BuildEnv: reason over the mapped image when
+  // one is given, else compile the in-memory ontology — the same tables
+  // either way, so both produce byte-identical runs.
   CorpusOptions corpus_options;
   if (!env->options_.kb_image_path.empty()) {
     auto image = kbimage::CompiledKb::Load(env->options_.kb_image_path);

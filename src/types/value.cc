@@ -333,7 +333,9 @@ class ValueParser {
   }
 
   Result<std::string> ParseRawString() {
-    if (text_[pos_] != '"') return Err("expected '\"'");
+    if (pos_ >= text_.size() || text_[pos_] != '"') {
+      return Err("expected '\"'");
+    }
     ++pos_;
     std::string out;
     while (pos_ < text_.size()) {

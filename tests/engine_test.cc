@@ -1,8 +1,9 @@
 // Tests for the invocation-engine layer: pool scheduling, the determinism
 // contract (any thread count yields an identical example set), and the
-// concept cache's agreement with the uncached ontology.
+// concept cache's agreement with the ontology's own DFS.
 
 #include <atomic>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -145,6 +146,10 @@ TEST(InvocationEngineTest, GeneratorRecordsSkippedCombinations) {
                 outcome->stats.combinations_skipped);
 }
 
+std::vector<ConceptId> Ids(std::span<const ConceptId> ids) {
+  return {ids.begin(), ids.end()};
+}
+
 TEST(ConceptCacheTest, AgreesWithOntologyOnRandomSample) {
   const auto& env = testing_env::GetEnvironment();
   const Ontology& ontology = *env.corpus.ontology;
@@ -153,26 +158,19 @@ TEST(ConceptCacheTest, AgreesWithOntologyOnRandomSample) {
   ASSERT_FALSE(concepts.empty());
 
   Rng rng(2026);
-  // Two passes over the same sample: the first populates the cache, the
-  // second must be served from it and still agree.
-  for (int pass = 0; pass < 2; ++pass) {
-    Rng pass_rng = rng.Fork(7);
-    for (int i = 0; i < 500; ++i) {
-      ConceptId a = concepts[pass_rng.NextIndex(concepts.size())];
-      ConceptId b = concepts[pass_rng.NextIndex(concepts.size())];
-      EXPECT_EQ(cache.IsSubsumedBy(a, b), ontology.IsSubsumedBy(a, b));
-      EXPECT_EQ(cache.Comparable(a, b), ontology.Comparable(a, b));
-      EXPECT_EQ(cache.LeastCommonSubsumer(a, b),
-                ontology.LeastCommonSubsumer(a, b));
-      EXPECT_EQ(cache.Descendants(a), ontology.Descendants(a));
-      EXPECT_EQ(cache.Partitions(a), ontology.Partitions(a));
-    }
+  for (int i = 0; i < 500; ++i) {
+    ConceptId a = concepts[rng.NextIndex(concepts.size())];
+    ConceptId b = concepts[rng.NextIndex(concepts.size())];
+    EXPECT_EQ(cache.IsSubsumedBy(a, b), ontology.IsSubsumedBy(a, b));
+    EXPECT_EQ(cache.Comparable(a, b), ontology.Comparable(a, b));
+    EXPECT_EQ(cache.LeastCommonSubsumer(a, b),
+              ontology.LeastCommonSubsumer(a, b));
+    EXPECT_EQ(Ids(cache.Descendants(a)), ontology.Descendants(a));
+    EXPECT_EQ(Ids(cache.Partitions(a)), ontology.Partitions(a));
   }
-  EXPECT_GT(cache.hits(), 0u);
-  EXPECT_GT(cache.misses(), 0u);
 }
 
-TEST(ConceptCacheTest, LcsKeyIsSymmetric) {
+TEST(ConceptCacheTest, LcsIsSymmetric) {
   const auto& env = testing_env::GetEnvironment();
   const Ontology& ontology = *env.corpus.ontology;
   ConceptCache cache(&ontology);
@@ -200,7 +198,7 @@ TEST(ConceptCacheTest, ConcurrentLookupsAgree) {
       ConceptId a = concepts[rng.NextIndex(concepts.size())];
       ConceptId b = concepts[rng.NextIndex(concepts.size())];
       if (cache.IsSubsumedBy(a, b) != ontology.IsSubsumedBy(a, b) ||
-          cache.Descendants(a) != ontology.Descendants(a)) {
+          Ids(cache.Descendants(a)) != ontology.Descendants(a)) {
         mismatches.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -214,7 +212,6 @@ TEST(EngineMetricsTest, SnapshotAggregatesCounters) {
   metrics.Add(EngineCounter::invocation_errors);
   metrics.Add(EngineCounter::batches);
   metrics.Add(EngineCounter::cache_hits);
-  metrics.Add(EngineCounter::cache_misses);
   metrics.AddPhaseNanos(EnginePhase::kGenerate, 1000);
 
   EngineMetricsSnapshot snapshot = metrics.Snapshot();
@@ -222,7 +219,6 @@ TEST(EngineMetricsTest, SnapshotAggregatesCounters) {
   EXPECT_EQ(snapshot.invocation_errors, 1u);
   EXPECT_EQ(snapshot.batches, 1u);
   EXPECT_EQ(snapshot.cache_hits, 1u);
-  EXPECT_EQ(snapshot.cache_misses, 1u);
   EXPECT_EQ(snapshot.phase_nanos[static_cast<size_t>(EnginePhase::kGenerate)],
             1000u);
 }

@@ -1,16 +1,19 @@
-// Backend-equivalence and damage-ladder suite for the compiled KB image
-// (src/kbimage/). The contract under test: a compiled, memory-mapped image
-// answers every reasoning query (subsumption, descendants, partitions,
-// LCS, depth, names, covered flags) identically to the in-memory Ontology
-// it was compiled from — over the real myGrid ontology AND randomized
-// ontologies — and any damaged image fails Load with a typed kCorrupted,
-// never undefined behavior.
+// Oracle-equivalence and damage-ladder suite for the compiled KB
+// (src/kbimage/). The contract under test: a CompiledKb — mapped from an
+// image file (Load) or compiled in memory (Compile) — answers every
+// reasoning query (subsumption, descendants, partitions, LCS, depth,
+// names, covered flags) identically to the Ontology's own DFS, over the
+// real myGrid ontology AND randomized ontologies wide enough for
+// multi-word bitset rows; and any damaged image fails Load with a typed
+// kCorrupted, never undefined behavior.
 
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,7 +25,6 @@
 #include "kbimage/builder.h"
 #include "kbimage/compiled_kb.h"
 #include "kbimage/format.h"
-#include "kbimage/kb_view.h"
 #include "ontology/mygrid.h"
 #include "ontology/ontology.h"
 
@@ -64,31 +66,43 @@ std::string CompileToFileAndRead(const Ontology& ontology,
   return bytes;
 }
 
-/// Asserts every KbView query agrees between `image` and the in-memory
-/// view of `ontology`, across all concepts and all concept pairs.
-void ExpectBackendEquivalence(const kbimage::CompiledKb& image,
-                              const Ontology& ontology) {
-  OntologyKbView memory(&ontology);
-  ASSERT_EQ(image.ConceptCount(), memory.ConceptCount());
+std::vector<ConceptId> Ids(std::span<const ConceptId> ids) {
+  return {ids.begin(), ids.end()};
+}
+
+/// Asserts every query of each of `kbs` agrees with the Ontology's DFS
+/// (the oracle), across all concepts and all concept pairs.
+void ExpectAgreesWithOntology(
+    const Ontology& ontology,
+    std::initializer_list<const kbimage::CompiledKb*> kbs) {
   const ConceptId n = static_cast<ConceptId>(ontology.size());
+  for (const kbimage::CompiledKb* kb : kbs) {
+    ASSERT_EQ(kb->ConceptCount(), ontology.size());
+    EXPECT_EQ(kb->FindConcept("NoSuchConceptAnywhere"), kInvalidConcept);
+  }
   for (ConceptId c = 0; c < n; ++c) {
-    EXPECT_EQ(image.ConceptName(c), memory.ConceptName(c)) << "id " << c;
-    EXPECT_EQ(image.FindConcept(memory.ConceptName(c)), c);
-    EXPECT_EQ(image.Covered(c), memory.Covered(c)) << "id " << c;
-    EXPECT_EQ(image.Depth(c), memory.Depth(c)) << "id " << c;
-    EXPECT_EQ(image.Descendants(c), memory.Descendants(c)) << "id " << c;
-    EXPECT_EQ(image.Partitions(c), memory.Partitions(c)) << "id " << c;
+    const std::vector<ConceptId> descendants = ontology.Descendants(c);
+    const std::vector<ConceptId> partitions = ontology.Partitions(c);
+    for (const kbimage::CompiledKb* kb : kbs) {
+      EXPECT_EQ(kb->ConceptName(c), ontology.NameOf(c)) << "id " << c;
+      EXPECT_EQ(kb->FindConcept(ontology.NameOf(c)), c);
+      EXPECT_EQ(kb->Covered(c), ontology.Get(c).covered) << "id " << c;
+      EXPECT_EQ(kb->Depth(c), ontology.Depth(c)) << "id " << c;
+      EXPECT_EQ(Ids(kb->Descendants(c)), descendants) << "id " << c;
+      EXPECT_EQ(Ids(kb->Partitions(c)), partitions) << "id " << c;
+    }
   }
   for (ConceptId a = 0; a < n; ++a) {
     for (ConceptId b = 0; b < n; ++b) {
-      EXPECT_EQ(image.IsSubsumedBy(a, b), memory.IsSubsumedBy(a, b))
-          << "a=" << a << " b=" << b;
-      EXPECT_EQ(image.LeastCommonSubsumer(a, b),
-                memory.LeastCommonSubsumer(a, b))
-          << "a=" << a << " b=" << b;
+      const bool subsumed = ontology.IsSubsumedBy(a, b);
+      const ConceptId lcs = ontology.LeastCommonSubsumer(a, b);
+      for (const kbimage::CompiledKb* kb : kbs) {
+        EXPECT_EQ(kb->IsSubsumedBy(a, b), subsumed) << "a=" << a << " b=" << b;
+        EXPECT_EQ(kb->LeastCommonSubsumer(a, b), lcs)
+            << "a=" << a << " b=" << b;
+      }
     }
   }
-  EXPECT_EQ(image.FindConcept("NoSuchConceptAnywhere"), kInvalidConcept);
 }
 
 /// Builds a randomized multi-parent DAG ontology: `size` concepts, each
@@ -125,7 +139,7 @@ Ontology RandomOntology(uint64_t seed, int size) {
   return ontology;
 }
 
-TEST(KbImageTest, MyGridBackendEquivalence) {
+TEST(KbImageTest, MyGridAgreesWithOntology) {
   Ontology ontology = BuildMyGridOntology();
   KnowledgeBase kb(7, SmallKbOptions());
   const fs::path path = TempPath("mygrid.img");
@@ -134,18 +148,24 @@ TEST(KbImageTest, MyGridBackendEquivalence) {
 
   auto image = kbimage::CompiledKb::Load(path.string());
   ASSERT_TRUE(image.ok()) << image.status();
-  EXPECT_EQ((*image)->backend(), KbBackend::kImage);
   EXPECT_NE((*image)->checksum(), 0u);
   EXPECT_EQ((*image)->kb_seed(), 7u);
   EXPECT_EQ((*image)->ontology_name(), ontology.name());
-  ExpectBackendEquivalence(**image, ontology);
+  auto compiled = kbimage::CompiledKb::Compile(ontology);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  EXPECT_EQ((*compiled)->ontology_name(), ontology.name());
+  ExpectAgreesWithOntology(ontology, {image->get(), compiled->get()});
   fs::remove(path);
 }
 
-TEST(KbImageTest, RandomizedBackendEquivalence) {
+TEST(KbImageTest, RandomizedAgreesWithOntology) {
+  // Sizes cycle through one-, two- and three-word subsumption rows (12-59,
+  // 72-119 and 132-179 concepts), so the multi-word bitset and LCS paths
+  // are exercised too.
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     Rng sizer(seed * 977);
-    const int size = 12 + static_cast<int>(sizer.NextBelow(48));
+    const int size = 12 + static_cast<int>(sizer.NextBelow(48)) +
+                     60 * static_cast<int>(seed % 3);
     Ontology ontology = RandomOntology(seed, size);
     KnowledgeBase kb(seed, SmallKbOptions());
     const fs::path path =
@@ -153,9 +173,17 @@ TEST(KbImageTest, RandomizedBackendEquivalence) {
     CompileToFileAndRead(ontology, kb, path);
     auto image = kbimage::CompiledKb::Load(path.string());
     ASSERT_TRUE(image.ok()) << "seed " << seed << ": " << image.status();
-    ExpectBackendEquivalence(**image, ontology);
+    auto compiled = kbimage::CompiledKb::Compile(ontology);
+    ASSERT_TRUE(compiled.ok()) << "seed " << seed << ": " << compiled.status();
+    ExpectAgreesWithOntology(ontology, {image->get(), compiled->get()});
     fs::remove(path);
   }
+}
+
+TEST(KbImageTest, CompileRefusesEmptyOntology) {
+  auto compiled = kbimage::CompiledKb::Compile(Ontology{"empty"});
+  ASSERT_FALSE(compiled.ok());
+  EXPECT_TRUE(compiled.status().IsInvalidArgument()) << compiled.status();
 }
 
 TEST(KbImageTest, ConceptCacheAgreesAcrossBackends) {
@@ -168,17 +196,24 @@ TEST(KbImageTest, ConceptCacheAgreesAcrossBackends) {
 
   std::shared_ptr<const kbimage::CompiledKb> shared(std::move(*image));
   ConceptCache image_cache(shared);
-  ConceptCache memory_cache(&ontology);
+  ConceptCache compiled_cache(&ontology);
   const ConceptId n = static_cast<ConceptId>(ontology.size());
   for (ConceptId a = 0; a < n; ++a) {
-    EXPECT_EQ(image_cache.Partitions(a), memory_cache.Partitions(a));
-    EXPECT_EQ(image_cache.Descendants(a), memory_cache.Descendants(a));
+    const std::vector<ConceptId> partitions = ontology.Partitions(a);
+    const std::vector<ConceptId> descendants = ontology.Descendants(a);
+    for (const ConceptCache* cache : {&image_cache, &compiled_cache}) {
+      EXPECT_EQ(Ids(cache->Partitions(a)), partitions);
+      EXPECT_EQ(Ids(cache->Descendants(a)), descendants);
+    }
     for (ConceptId b = 0; b < n; ++b) {
-      EXPECT_EQ(image_cache.IsSubsumedBy(a, b),
-                memory_cache.IsSubsumedBy(a, b));
-      EXPECT_EQ(image_cache.Comparable(a, b), memory_cache.Comparable(a, b));
-      EXPECT_EQ(image_cache.LeastCommonSubsumer(a, b),
-                memory_cache.LeastCommonSubsumer(a, b));
+      const bool subsumed = ontology.IsSubsumedBy(a, b);
+      const bool comparable = ontology.Comparable(a, b);
+      const ConceptId lcs = ontology.LeastCommonSubsumer(a, b);
+      for (const ConceptCache* cache : {&image_cache, &compiled_cache}) {
+        EXPECT_EQ(cache->IsSubsumedBy(a, b), subsumed);
+        EXPECT_EQ(cache->Comparable(a, b), comparable);
+        EXPECT_EQ(cache->LeastCommonSubsumer(a, b), lcs);
+      }
     }
   }
   fs::remove(path);

@@ -162,10 +162,10 @@ TEST(StableCounterTest, DeltasOmitZeroesAndScheduleDependentCounters) {
   metrics.Add(EngineCounter::invocations);
   metrics.Add(EngineCounter::invocation_errors);
   metrics.Add(EngineCounter::retries);
-  // Schedule-dependent: the hit/miss split of concurrent lookups and the
-  // wall-clock phase timings must never reach a trace.
+  // Volatile: concept-cache lookups (any caller sharing the metrics counts
+  // into them) and the wall-clock phase timings must never reach a trace.
   metrics.Add(EngineCounter::cache_queries);
-  metrics.Add(EngineCounter::cache_misses);
+  metrics.Add(EngineCounter::cache_hits);
   metrics.AddPhaseNanos(EnginePhase::kGenerate, 1'000'000);
   EngineMetricsSnapshot after = metrics.Snapshot();
 
@@ -223,12 +223,8 @@ TEST(MetricsRegistryTest, EngineImportSplitsStableFromVolatile) {
             MetricStability::kVolatile);
   EXPECT_EQ(registry.counters().at("engine.phase_ns.generate").second,
             MetricStability::kVolatile);
-  EXPECT_EQ(registry.gauges().at("engine.cache_hit_rate_ppm").second,
-            MetricStability::kVolatile);
   EXPECT_EQ(registry.gauges().at("engine.invocation_error_rate_ppm").second,
             MetricStability::kStable);
-  EXPECT_EQ(registry.gauges().at("engine.cache_hit_rate_ppm").first,
-            1'000'000u);
 }
 
 // ---------------------------------------------------------------------------

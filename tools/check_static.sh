@@ -4,7 +4,8 @@
 #   1. schema check over every committed BENCH_*.json (stale or
 #      hand-edited bench output fails the gate);
 #   2. dexa-lint over src/ tests/ bench/ tools/ examples/ (must be clean);
-#   3. the tier-1 ctest suite built with DEXA_SANITIZE=address;
+#   3. the tier-1 ctest suite built with DEXA_SANITIZE=address (which
+#      also turns on the libstdc++ bounds checks, _GLIBCXX_ASSERTIONS);
 #   4. the tier-1 ctest suite built with DEXA_SANITIZE=undefined
 #      (every UB report is fatal: -fno-sanitize-recover).
 #

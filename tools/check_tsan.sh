@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Builds the engine-facing tests under ThreadSanitizer and runs them.
 # The invocation engine is the only place dexa shares mutable state across
-# threads (work queue, concept cache, metrics, virtual clock, breaker map,
-# commit hook), so engine_test and fault_test (retries, breakers and fault
-# injection under the pooled engine) plus generator_test (which drives the
-# engine through AnnotateRegistry) cover the racy surface. durability_test
+# threads (work queue, metrics, virtual clock, breaker map, commit hook),
+# so engine_test and fault_test (retries, breakers and fault injection
+# under the pooled engine) plus generator_test (which drives the engine
+# through AnnotateRegistry) cover the racy surface. durability_test
 # exercises the journaled commit path under the 8-thread engine, io_test
 # the corruption-hardened readers it recovers through, and obs_test the
 # Tracer (mutex-guarded span log) riding along pooled annotate runs.
@@ -33,9 +33,9 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 "$BUILD_DIR/tests/durability_test"
 "$BUILD_DIR/tests/io_test"
 "$BUILD_DIR/tests/obs_test"
-# kbimage_test: the ConceptCache shared across engine threads can be
-# backed by the mmap'd image; the equivalence sweep runs here so TSan
-# sees the image-backed read path too.
+# kbimage_test: the ConceptCache shared across engine threads reads a
+# CompiledKb (mapped or compiled in memory) with no lock; the equivalence
+# sweep runs here so TSan sees both read paths.
 "$BUILD_DIR/tests/kbimage_test"
 # run_api_test + serve_test: the RunRequest facade and the run-manager
 # daemon fan concurrent runs (separate registries, one shared engine and

@@ -62,13 +62,12 @@ struct CliEnv {
   ProvenanceCorpus provenance;
   std::unique_ptr<AnnotatedInstancePool> pool;
 
-  /// The compiled image backing this run, or null for the in-memory
-  /// backend.
+  /// The image mapped from --kb-image, or null when the run compiles its
+  /// ontology at load.
   std::shared_ptr<const kbimage::CompiledKb> kb_image;
-  /// Shared reasoning cache for every component the commands construct;
-  /// backed by the image's bitsets when kb_image is set, by the in-memory
-  /// ontology otherwise. Either way all hot-path reasoning keys on
-  /// ConceptId, so the two backends produce byte-identical output.
+  /// Shared reasoning cache for every component the commands construct:
+  /// kb_image when set, otherwise the in-memory ontology compiled at load.
+  /// Both are the same compiled tables, so output is byte-identical.
   std::shared_ptr<const ConceptCache> cache;
   /// Image seal, recorded in durable run headers; 0 for in-memory runs.
   uint64_t kb_checksum = 0;

@@ -440,7 +440,7 @@ bool IsOntologyReceiver(const Token& t) {
 
 /// Consumer layers must key concepts by ConceptId: names are resolved once
 /// at boundaries (construction, serialization, diagnostics — `_io.` files
-/// are exempt wholesale). `KbView::ConceptName`/`FindConcept` are the
+/// are exempt wholesale). `CompiledKb::ConceptName`/`FindConcept` are the
 /// sanctioned spellings for those boundaries, so only the Ontology string
 /// APIs (`NameOf`, and `Find`/`Require` on an ontology receiver) are
 /// flagged.
@@ -460,7 +460,7 @@ void CheckStringKeyedLookup(const SourceFile& f, const GlobalContext&,
       out.push_back({"string-keyed-lookup", f.path, t[i].line,
                      "Ontology::NameOf on a consumer hot path; key on "
                      "ConceptId and resolve names once at the boundary "
-                     "(KbView::ConceptName)"});
+                     "(CompiledKb::ConceptName)"});
       continue;
     }
     if (name != "Find" && name != "Require") continue;
@@ -471,21 +471,19 @@ void CheckStringKeyedLookup(const SourceFile& f, const GlobalContext&,
     out.push_back({"string-keyed-lookup", f.path, t[i].line,
                    "string-keyed ontology lookup `" + name +
                        "` outside src/ontology|kb|kbimage; intern to a "
-                       "ConceptId at the boundary (KbView::FindConcept) and "
-                       "pass ids"});
+                       "ConceptId at the boundary (CompiledKb::FindConcept) "
+                       "and pass ids"});
   }
 }
 
-/// Reasoning primitives in the hot layers must route through ConceptCache
-/// (which memoizes and is backed by either ontology DFS or compiled-image
-/// bitsets). A direct call on an ontology receiver bypasses both the memo
-/// and the image backend.
+/// Reasoning primitives in the hot layers must route through ConceptCache,
+/// whose answers are reads of the compiled tables (a bitset word, a
+/// precomputed list). A direct call on an ontology receiver is the DFS
+/// instead — ~48 ns a subsumption test against ~2 ns
+/// (BENCH_kb_coldstart.json).
 void CheckUncachedReasoning(const SourceFile& f, const GlobalContext&,
                             std::vector<Finding>& out) {
   if (f.layer != "engine" && f.layer != "core") return;
-  // concept_cache.cc is the cache: it is the one sanctioned caller of the
-  // backing view's reasoning primitives.
-  if (f.path.find("concept_cache") != std::string::npos) return;
   static const std::set<std::string> kPrimitives = {
       "IsSubsumedBy", "Descendants", "Partitions", "LeastCommonSubsumer",
       "Comparable"};
@@ -499,8 +497,8 @@ void CheckUncachedReasoning(const SourceFile& f, const GlobalContext&,
     out.push_back({"uncached-reasoning", f.path, t[i].line,
                    "direct ontology reasoning call `" + t[i].text +
                        "` in a hot layer; route through ConceptCache so the "
-                       "answer is memoized and backend-agnostic (in-memory "
-                       "or compiled KB image)"});
+                       "answer is a compiled-table read, not an ontology "
+                       "DFS"});
   }
 }
 
@@ -812,11 +810,11 @@ const std::vector<RuleInfo>& Rules() {
        &CheckUnnamedSpan},
       {"string-keyed-lookup", "concept-interning",
        "consumer layers key concepts by ConceptId; names resolve once at "
-       "boundaries (KbView::ConceptName/FindConcept)",
+       "boundaries (CompiledKb::ConceptName/FindConcept)",
        &CheckStringKeyedLookup},
       {"uncached-reasoning", "concept-interning",
        "subsumption/partition reasoning in src/engine+src/core routes "
-       "through ConceptCache, never the raw ontology",
+       "through ConceptCache's compiled tables, never the raw ontology",
        &CheckUncachedReasoning},
       {"raw-io", "io",
        "src/ file I/O goes through the IoEnv seam (common/io_env.h), never "

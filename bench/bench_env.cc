@@ -3,7 +3,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
+
+#include "common/json.h"
+#include "common/strings.h"
 
 namespace dexa {
 namespace bench_env {
@@ -55,21 +57,23 @@ void BenchReport::Add(const std::string& metric, double value,
 }
 
 void BenchReport::Write() const {
-  std::ostringstream json;
-  json << "{\"bench\": \"" << name_ << "\", \"threads\": " << threads_
-       << ", \"metrics\": [";
+  std::string json = "{\"bench\": ";
+  AppendJsonString(json, name_);
+  json += ", \"threads\": " + std::to_string(threads_) + ", \"metrics\": [";
   for (size_t i = 0; i < metrics_.size(); ++i) {
-    if (i > 0) json << ", ";
-    char value[64];
-    std::snprintf(value, sizeof(value), "%.17g", metrics_[i].value);
-    json << "{\"name\": \"" << metrics_[i].name << "\", \"value\": " << value
-         << ", \"unit\": \"" << metrics_[i].unit << "\"}";
+    if (i > 0) json += ", ";
+    json += "{\"name\": ";
+    AppendJsonString(json, metrics_[i].name);
+    json += ", \"value\": " + StrFormat("%.17g", metrics_[i].value) +
+            ", \"unit\": ";
+    AppendJsonString(json, metrics_[i].unit);
+    json += "}";
   }
-  json << "]}\n";
+  json += "]}\n";
 
   const std::string path = "BENCH_" + name_ + ".json";
   std::ofstream out(path);
-  out << json.str();
+  out << json;
   if (!out) {
     std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
   }

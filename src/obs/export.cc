@@ -2,7 +2,9 @@
 
 #include <cctype>
 
+#include "common/json.h"
 #include "common/rng.h"
+#include "common/strings.h"
 
 namespace dexa::obs {
 namespace {
@@ -10,39 +12,6 @@ namespace {
 // ---------------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------------
-
-void AppendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* kHex = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xF];
-          out += kHex[static_cast<unsigned char>(c) & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 std::string Hex16(uint64_t value) {
   static const char* kHex = "0123456789abcdef";
@@ -78,221 +47,11 @@ void AppendCounterFields(std::string& out,
 }
 
 // ---------------------------------------------------------------------------
-// Reading: a strict, minimal JSON parser
+// Reading: schema decoding over common/json.h
 // ---------------------------------------------------------------------------
 //
-// The exports are machine-written, so the reader can afford to be strict:
-// objects keep insertion order, numbers are non-negative integers (the only
-// kind the writers emit), and any deviation is treated as damage. The
-// parser is recursive-descent with a hard depth cap, consumes each byte at
-// most once (no hangs), and reports every failure as a plain `false` that
-// the schema layer turns into kCorrupted.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  uint64_t number = 0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool Parse(JsonValue& out) {
-    SkipWhitespace();
-    if (!ParseValue(out, 0)) return false;
-    SkipWhitespace();
-    return pos_ == text_.size();  // No trailing garbage.
-  }
-
- private:
-  static constexpr int kMaxDepth = 64;
-
-  bool ParseValue(JsonValue& out, int depth) {
-    if (depth > kMaxDepth) return false;
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{':
-        return ParseObject(out, depth);
-      case '[':
-        return ParseArray(out, depth);
-      case '"':
-        out.kind = JsonValue::Kind::kString;
-        return ParseString(out.str);
-      case 't':
-        out.kind = JsonValue::Kind::kBool;
-        out.boolean = true;
-        return Consume("true");
-      case 'f':
-        out.kind = JsonValue::Kind::kBool;
-        out.boolean = false;
-        return Consume("false");
-      case 'n':
-        out.kind = JsonValue::Kind::kNull;
-        return Consume("null");
-      default:
-        out.kind = JsonValue::Kind::kNumber;
-        return ParseNumber(out.number);
-    }
-  }
-
-  bool ParseObject(JsonValue& out, int depth) {
-    out.kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWhitespace();
-      std::string key;
-      if (!ParseString(key)) return false;
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return false;
-      ++pos_;
-      SkipWhitespace();
-      JsonValue value;
-      if (!ParseValue(value, depth + 1)) return false;
-      out.object.emplace_back(std::move(key), std::move(value));
-      SkipWhitespace();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool ParseArray(JsonValue& out, int depth) {
-    out.kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWhitespace();
-      JsonValue value;
-      if (!ParseValue(value, depth + 1)) return false;
-      out.array.push_back(std::move(value));
-      SkipWhitespace();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool ParseString(std::string& out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') return false;
-    ++pos_;
-    out.clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) return false;
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return false;
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            value <<= 4;
-            if (h >= '0' && h <= '9') {
-              value |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              value |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              value |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return false;
-            }
-          }
-          // The writers only escape control bytes, so only accept those.
-          if (value >= 0x20) return false;
-          out += static_cast<char>(value);
-          break;
-        }
-        default:
-          return false;
-      }
-    }
-    return false;  // Unterminated.
-  }
-
-  bool ParseNumber(uint64_t& out) {
-    // The writers emit non-negative integers only; anything else (signs,
-    // fractions, exponents, overflow) is damage.
-    if (pos_ >= text_.size() || !std::isdigit(
-            static_cast<unsigned char>(text_[pos_]))) {
-      return false;
-    }
-    out = 0;
-    size_t digits = 0;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      if (++digits > 19) return false;  // Would overflow uint64.
-      out = out * 10 + static_cast<uint64_t>(text_[pos_] - '0');
-      ++pos_;
-    }
-    return true;
-  }
-
-  bool Consume(const char* literal) {
-    for (const char* p = literal; *p != '\0'; ++p) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) return false;
-      ++pos_;
-    }
-    return true;
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
+// The exports are machine-written, so any deviation from the schema (or a
+// number outside uint64) is damage and comes back kCorrupted.
 
 /// Verifies the trailing `,"checksum":"<16 hex>"}` seal and returns the
 /// document with the seal removed (ready to parse), or kCorrupted.
@@ -331,24 +90,26 @@ Result<std::string> Unseal(const std::string& text) {
 
 Result<JsonValue> ParseSealedDocument(const std::string& text) {
   DEXA_ASSIGN_OR_RETURN(std::string doc, Unseal(text));
-  JsonValue root;
-  if (!JsonParser(doc).Parse(root)) {
-    return Status::Corrupted("export is not well-formed JSON");
+  Result<JsonValue> root = ParseJson(doc);
+  if (!root.ok()) {
+    return Status::Corrupted("export is not well-formed JSON: " +
+                             root.status().message());
   }
-  if (root.kind != JsonValue::Kind::kObject) {
+  if (root->kind != JsonValue::Kind::kObject) {
     return Status::Corrupted("export root is not a JSON object");
   }
   return root;
 }
 
+/// True when `value` is a number in [0, 2^64); stores it in `out`.
+bool AsU64(const JsonValue& value, uint64_t& out) {
+  return value.kind == JsonValue::Kind::kNumber && ParseU64(value.text, &out);
+}
+
 bool GetNumber(const JsonValue& object, const std::string& key,
                uint64_t& out) {
   const JsonValue* value = object.Find(key);
-  if (value == nullptr || value->kind != JsonValue::Kind::kNumber) {
-    return false;
-  }
-  out = value->number;
-  return true;
+  return value != nullptr && AsU64(*value, out);
 }
 
 bool GetString(const JsonValue& object, const std::string& key,
@@ -357,7 +118,7 @@ bool GetString(const JsonValue& object, const std::string& key,
   if (value == nullptr || value->kind != JsonValue::Kind::kString) {
     return false;
   }
-  out = value->str;
+  out = value->text;
   return true;
 }
 
@@ -380,23 +141,24 @@ Result<ParsedSpan> DecodeTraceEvent(const JsonValue& event) {
   }
   bool saw_parent = false, saw_virtual = false, saw_replayed = false;
   for (const auto& [key, value] : args->object) {
-    if (value.kind != JsonValue::Kind::kNumber) {
-      return Status::Corrupted("trace arg '" + key + "' is not a number");
+    uint64_t number = 0;
+    if (!AsU64(value, number)) {
+      return Status::Corrupted("trace arg '" + key + "' is not a uint64");
     }
     if (key == "parent") {
-      span.parent = value.number;
+      span.parent = number;
       saw_parent = true;
     } else if (key == "virtual_ns") {
-      span.virtual_ns = value.number;
+      span.virtual_ns = number;
       saw_virtual = true;
     } else if (key == "replayed") {
-      if (value.number > 1) {
+      if (number > 1) {
         return Status::Corrupted("trace replayed flag out of range");
       }
-      span.replayed = value.number == 1;
+      span.replayed = number == 1;
       saw_replayed = true;
     } else {
-      span.counters.emplace_back(key, value.number);
+      span.counters.emplace_back(key, number);
     }
   }
   if (!saw_parent || !saw_virtual || !saw_replayed) {
@@ -409,10 +171,9 @@ Result<std::map<std::string, uint64_t>> DecodeNumberMap(
     const JsonValue& object) {
   std::map<std::string, uint64_t> out;
   for (const auto& [key, value] : object.object) {
-    if (value.kind != JsonValue::Kind::kNumber) {
-      return Status::Corrupted("metric '" + key + "' is not a number");
+    if (!AsU64(value, out[key])) {
+      return Status::Corrupted("metric '" + key + "' is not a uint64");
     }
-    out[key] = value.number;
   }
   return out;
 }
@@ -423,10 +184,9 @@ Result<std::vector<uint64_t>> DecodeNumberArray(const JsonValue& value) {
   }
   std::vector<uint64_t> out;
   for (const JsonValue& element : value.array) {
-    if (element.kind != JsonValue::Kind::kNumber) {
-      return Status::Corrupted("histogram array holds a non-number");
+    if (!AsU64(element, out.emplace_back())) {
+      return Status::Corrupted("histogram array holds a non-uint64");
     }
-    out.push_back(element.number);
   }
   return out;
 }

@@ -209,11 +209,11 @@ std::vector<uint64_t> RunManager::ExecuteBatch() {
     batch.push_back(it->second);
     it = queue_.erase(it);
   }
+  counters_.queued = queue_.size();
   if (batch.empty()) {
-    counters_.queued = queue_.size();
+    EvictRetained();  // Runs that expired above are retained results too.
     return batch;
   }
-  counters_.queued = queue_.size();
 
   std::vector<RunRecord*> running;
   running.reserve(batch.size());
@@ -328,25 +328,6 @@ void RunManager::EvictRetained() {
     --retained;
     counters_.retained = retained;
   }
-}
-
-void RunManager::ExportMetrics(obs::MetricsRegistry& registry) const {
-  registry.SetCounter("serve_submitted", counters_.submitted);
-  registry.SetCounter("serve_completed", counters_.completed);
-  registry.SetCounter("serve_failed", counters_.failed);
-  registry.SetCounter("serve_cancelled", counters_.cancelled);
-  registry.SetCounter("serve_rejected_overloaded",
-                      counters_.rejected_overloaded);
-  registry.SetCounter("serve_rejected_quota", counters_.rejected_quota);
-  registry.SetCounter("serve_deadline_expired", counters_.deadline_expired);
-  registry.SetCounter("serve_failed_io", counters_.failed_io);
-  registry.SetCounter("serve_done_marker_failed",
-                      counters_.done_marker_failed);
-  registry.SetGauge("serve_queued", static_cast<uint64_t>(counters_.queued));
-  registry.SetGauge("serve_retained",
-                    static_cast<uint64_t>(counters_.retained));
-  registry.SetGauge("serve_capacity",
-                    static_cast<uint64_t>(options_.capacity));
 }
 
 }  // namespace dexa::serve

@@ -223,9 +223,6 @@ class RunManager {
   /// assert on this.
   const std::vector<uint64_t>& started_order() const { return started_order_; }
 
-  /// Writes the manager-level counters into `registry` under "serve_*".
-  void ExportMetrics(obs::MetricsRegistry& registry) const;
-
  private:
   struct RunRecord {
     uint64_t id = 0;

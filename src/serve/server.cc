@@ -312,6 +312,10 @@ WireMessage Server::HandleMetrics() {
   response["cancelled"] = std::to_string(counters.cancelled);
   response["rejected_overloaded"] =
       std::to_string(counters.rejected_overloaded);
+  response["rejected_quota"] = std::to_string(counters.rejected_quota);
+  response["deadline_expired"] = std::to_string(counters.deadline_expired);
+  response["failed_io"] = std::to_string(counters.failed_io);
+  response["done_marker_failed"] = std::to_string(counters.done_marker_failed);
   response["queued"] = std::to_string(counters.queued);
   response["retained"] = std::to_string(counters.retained);
   response["capacity"] = std::to_string(options_.manager.capacity);

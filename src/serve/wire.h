@@ -20,9 +20,10 @@ using WireMessage = std::map<std::string, std::string>;
 /// daemon uses, so clients can treat responses as canonical bytes.
 std::string EncodeWire(const WireMessage& message);
 
-/// Parses one line holding a flat JSON object. Accepts string, integer and
-/// boolean values (normalized to their string spellings); rejects nesting,
-/// arrays, floats and trailing garbage with kParseError.
+/// Parses one line holding a flat JSON object (the ParseJson grammar of
+/// common/json.h). String values are kept, integers and booleans become
+/// their spellings; null, arrays, objects, floats, raw control bytes and
+/// trailing garbage are kParseError. A repeated key keeps its last value.
 [[nodiscard]] Result<WireMessage> ParseWire(const std::string& line);
 
 /// `message[key]` parsed as an unsigned integer; kInvalidArgument when the

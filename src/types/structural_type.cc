@@ -1,6 +1,9 @@
 #include "types/structural_type.h"
 
 #include <cassert>
+#include <string>
+
+#include "common/json.h"
 
 namespace dexa {
 
@@ -116,7 +119,7 @@ class TypeParser {
   explicit TypeParser(const std::string& text) : text_(text) {}
 
   Result<StructuralType> Parse() {
-    auto type = ParseType();
+    auto type = ParseType(0);
     if (!type.ok()) return type;
     SkipSpace();
     if (pos_ != text_.size()) {
@@ -138,15 +141,22 @@ class TypeParser {
     return false;
   }
 
-  Result<StructuralType> ParseType() {
+  /// `depth` counts the List and Record types enclosing the one parsed.
+  Result<StructuralType> ParseType(int depth) {
     SkipSpace();
-    if (Consume("List<")) {
-      auto element = ParseType();
+    const bool list = Consume("List<");
+    const bool record = !list && Consume("Record{");
+    if ((list || record) && depth >= kMaxNestingDepth) {
+      return Status::ParseError("type nests deeper than " +
+                                std::to_string(kMaxNestingDepth));
+    }
+    if (list) {
+      auto element = ParseType(depth + 1);
       if (!element.ok()) return element;
       if (!Consume(">")) return Status::ParseError("expected '>' in List type");
       return StructuralType::List(std::move(element).value());
     }
-    if (Consume("Record{")) {
+    if (record) {
       std::vector<std::pair<std::string, StructuralType>> fields;
       SkipSpace();
       if (Consume("}")) return StructuralType::Record(std::move(fields));
@@ -158,7 +168,7 @@ class TypeParser {
         }
         std::string name = text_.substr(pos_, colon - pos_);
         pos_ = colon + 1;
-        auto field_type = ParseType();
+        auto field_type = ParseType(depth + 1);
         if (!field_type.ok()) return field_type;
         fields.emplace_back(std::move(name), std::move(field_type).value());
         SkipSpace();

@@ -88,7 +88,8 @@ inline bool operator!=(const StructuralType& a, const StructuralType& b) {
 
 /// Parses the ToString() rendering back into a type ("String",
 /// "List<Double>", "Record{id:String, mass:Double}"). Round-trips
-/// ToString() for all types.
+/// ToString() for all types. More than kMaxNestingDepth (common/json.h)
+/// open List and Record types is kParseError.
 [[nodiscard]] Result<StructuralType> ParseStructuralType(const std::string& text);
 
 }  // namespace dexa

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/strings.h"
 
@@ -284,7 +285,7 @@ class ValueParser {
 
   Result<Value> Parse() {
     SkipSpace();
-    auto v = ParseValue();
+    auto v = ParseValue(0);
     if (!v.ok()) return v;
     SkipSpace();
     if (pos_ != text_.size()) {
@@ -313,7 +314,8 @@ class ValueParser {
     return false;
   }
 
-  Result<Value> ParseValue() {
+  /// `depth` counts the lists and records enclosing the value.
+  Result<Value> ParseValue(int depth) {
     SkipSpace();
     if (pos_ >= text_.size()) return Err("unexpected end of input");
     char c = text_[pos_];
@@ -321,8 +323,12 @@ class ValueParser {
     if (Consume("true")) return Value::Bool(true);
     if (Consume("false")) return Value::Bool(false);
     if (c == '"') return ParseString();
-    if (c == '[') return ParseList();
-    if (c == '{') return ParseRecord();
+    if (c == '[' || c == '{') {
+      if (depth >= kMaxNestingDepth) {
+        return Err("nesting deeper than " + std::to_string(kMaxNestingDepth));
+      }
+      return c == '[' ? ParseList(depth + 1) : ParseRecord(depth + 1);
+    }
     return ParseNumber();
   }
 
@@ -399,13 +405,13 @@ class ValueParser {
     return Err("malformed number '" + std::string(token) + "'");
   }
 
-  Result<Value> ParseList() {
+  Result<Value> ParseList(int depth) {
     ++pos_;  // '['
     std::vector<Value> items;
     SkipSpace();
     if (Consume("]")) return Value::ListOf(std::move(items));
     for (;;) {
-      auto v = ParseValue();
+      auto v = ParseValue(depth);
       if (!v.ok()) return v;
       items.push_back(std::move(v).value());
       SkipSpace();
@@ -414,7 +420,7 @@ class ValueParser {
     }
   }
 
-  Result<Value> ParseRecord() {
+  Result<Value> ParseRecord(int depth) {
     ++pos_;  // '{'
     std::vector<std::pair<std::string, Value>> fields;
     SkipSpace();
@@ -425,7 +431,7 @@ class ValueParser {
       if (!name.ok()) return name.status();
       SkipSpace();
       if (!Consume(":")) return Err("expected ':'");
-      auto v = ParseValue();
+      auto v = ParseValue(depth);
       if (!v.ok()) return v;
       fields.emplace_back(std::move(name).value(), std::move(v).value());
       SkipSpace();

@@ -71,6 +71,8 @@ class Value {
 
   /// Parses the JSON-style rendering produced by ToString(). Round-trips
   /// all values except doubles with non-finite payloads (never produced).
+  /// More than kMaxNestingDepth (common/json.h) open lists and records is
+  /// kParseError.
   [[nodiscard]] static Result<Value> Parse(std::string_view text);
 
  private:

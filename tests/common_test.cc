@@ -1,7 +1,10 @@
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -197,6 +200,136 @@ TEST(StringsTest, ParseU64IsStrictAndOverflowChecked) {
                           "-1", "+1", " 1", "1 ", "12x", "0x1"}) {
     EXPECT_FALSE(ParseU64(bad, &v)) << "accepted '" << bad << "'";
     EXPECT_EQ(v, UINT64_MAX);
+  }
+}
+
+TEST(JsonTest, EscaperSpellsEveryControlByteQuoteAndBackslash) {
+  const char* const kExpected[32] = {
+      "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005",
+      "\\u0006", "\\u0007", "\\u0008", "\\t",     "\\n",     "\\u000b",
+      "\\u000c", "\\r",     "\\u000e", "\\u000f", "\\u0010", "\\u0011",
+      "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017",
+      "\\u0018", "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d",
+      "\\u001e", "\\u001f"};
+  for (int byte = 0; byte < 32; ++byte) {
+    std::string out;
+    AppendJsonString(out, std::string(1, static_cast<char>(byte)));
+    EXPECT_EQ(out, "\"" + std::string(kExpected[byte]) + "\"") << byte;
+  }
+  std::string out = "x=";
+  AppendJsonString(out, "a\"b\\c");
+  EXPECT_EQ(out, "x=\"a\\\"b\\\\c\"");  // Appends; never clears.
+
+  // 0x7F, '/' and non-ASCII bytes pass through as is.
+  out.clear();
+  AppendJsonString(out, "/\x7f\xc3\xa9");
+  EXPECT_EQ(out, "\"/\x7f\xc3\xa9\"");
+}
+
+TEST(JsonTest, ParsesDocumentsInOrderWithNumbersAsText) {
+  auto doc = ParseJson(
+      " {\"b\": [1, -20, 18446744073709551616], \"a\": {\"t\": true,"
+      " \"f\": false, \"n\": null}, \"s\": \"q\\\"\\\\\\/\\n\\r\\t\\u0041"
+      "\\u007f\\u0000\\u001F\xc3\xa9\", \"b\": \"again\"}\r\n");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  ASSERT_EQ(doc->kind, JsonValue::Kind::kObject);
+  ASSERT_EQ(doc->object.size(), 4u);
+  EXPECT_EQ(doc->object[0].first, "b");
+  EXPECT_EQ(doc->object[1].first, "a");
+  EXPECT_EQ(doc->object[3].first, "b");  // Duplicates kept, in order.
+  const JsonValue* numbers = doc->Find("b");
+  ASSERT_NE(numbers, nullptr);
+  ASSERT_EQ(numbers->array.size(), 3u);
+  EXPECT_EQ(numbers->array[0].kind, JsonValue::Kind::kNumber);
+  EXPECT_EQ(numbers->array[0].text, "1");
+  EXPECT_EQ(numbers->array[1].text, "-20");
+  EXPECT_EQ(numbers->array[2].text, "18446744073709551616");
+  const JsonValue* inner = doc->Find("a");
+  EXPECT_TRUE(inner->Find("t")->boolean);
+  EXPECT_EQ(inner->Find("f")->kind, JsonValue::Kind::kBool);
+  EXPECT_FALSE(inner->Find("f")->boolean);
+  EXPECT_EQ(inner->Find("n")->kind, JsonValue::Kind::kNull);
+  EXPECT_EQ(inner->Find("missing"), nullptr);
+  EXPECT_EQ(doc->Find("s")->text,
+            std::string("q\"\\/\n\r\tA\x7f") + '\0' + "\x1f\xc3\xa9");
+
+  // Every byte the escaper writes reads back unchanged.
+  std::string all;
+  for (int byte = 0; byte < 256; ++byte) all += static_cast<char>(byte);
+  std::string encoded;
+  AppendJsonString(encoded, all);
+  auto decoded = ParseJson(encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->text, all);
+}
+
+TEST(JsonTest, EnforcesEachRuleOfTheGrammar) {
+  const std::string deepest =
+      std::string(kMaxNestingDepth, '[') + std::string(kMaxNestingDepth, ']');
+  const std::string too_deep = "[" + deepest + "]";
+  const std::string deepest_objects = [] {
+    std::string doc;
+    for (int i = 0; i < kMaxNestingDepth; ++i) doc += "{\"k\":";
+    doc += "1";
+    for (int i = 0; i < kMaxNestingDepth; ++i) doc += "}";
+    return doc;
+  }();
+  struct Case {
+    std::string text;
+    bool ok;
+  };
+  const std::vector<Case> cases = {
+      // Depth cap: kMaxNestingDepth open containers parse, one more fails.
+      {deepest, true},
+      {deepest_objects, true},
+      {too_deep, false},
+      {"{\"k\":" + deepest_objects + "}", false},
+      // Raw control bytes: fine between tokens, never inside a string.
+      {"\"a\x01\"", false},
+      {"\"a\nb\"", false},
+      {std::string("\"\0\"", 3), false},
+      {"\t[\n1\r,2 ]\n", true},
+      // \u escapes: 0000 to 007F in either case of hex digit, nothing wider.
+      {"\"\\u007F\\u007f\\u0000\"", true},
+      {"\"\\u0080\"", false},
+      {"\"\\u00e9\"", false},
+      {"\"\\u12\"", false},
+      {"\"\\u00g0\"", false},
+      {"\"\\b\"", false},
+      {"\"\\x41\"", false},
+      // Numbers are -?digits.
+      {"-0", true},
+      {"1.5", false},
+      {"1e3", false},
+      {"+1", false},
+      {"-", false},
+      {"[1,-]", false},
+      // Trailing bytes and unterminated input.
+      {"{} {}", false},
+      {"1 x", false},
+      {"truex", false},
+      {"\"abc", false},
+      {"\"abc\\", false},
+      {"\"abc\\\"", false},
+      {"[1,2", false},
+      {"{\"a\":1", false},
+      // Structure.
+      {"", false},
+      {"   ", false},
+      {"[1,]", false},
+      {"{\"a\":1,}", false},
+      {"{a:1}", false},
+      {"{\"a\" 1}", false},
+      {"[1 2]", false},
+      {"nul", false},
+      {"True", false},
+  };
+  for (const Case& c : cases) {
+    auto parsed = ParseJson(c.text);
+    EXPECT_EQ(parsed.ok(), c.ok) << "'" << c.text << "': " << parsed.status();
+    if (!parsed.ok()) {
+      EXPECT_TRUE(parsed.status().IsParseError()) << parsed.status();
+    }
   }
 }
 

@@ -3,12 +3,14 @@
 // never crashing or looping. Seeds parameterize deterministic mutation
 // streams over genuine rendered artifacts.
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "corpus/behaviors.h"
 #include "durability/journal.h"
@@ -22,6 +24,7 @@
 #include "kb/render.h"
 #include "kbimage/builder.h"
 #include "kbimage/compiled_kb.h"
+#include "modules/registry.h"
 #include "modules/registry_io.h"
 #include "obs/export.h"
 #include "obs/metrics_registry.h"
@@ -139,6 +142,8 @@ TEST_P(ParserFuzzTest, ValueParserNeverCrashes) {
         Mutate(sample.ToString(), rng, 1 + static_cast<int>(rng.NextBelow(6)));
     ExpectGraceful(Value::Parse(mutated));
   }
+  // Nesting far past kMaxNestingDepth is a ParseError, not a stack overflow.
+  EXPECT_TRUE(Value::Parse(std::string(200000, '[')).status().IsParseError());
 }
 
 TEST_P(ParserFuzzTest, DslParsersNeverCrash) {
@@ -158,6 +163,9 @@ TEST_P(ParserFuzzTest, DslParsersNeverCrash) {
     ExpectGraceful(ParseStructuralType(
         Mutate("Record{id:String, xs:List<Double>}", rng, rounds)));
   }
+  std::string deep_type;
+  for (int i = 0; i < 200000; ++i) deep_type += "List<";
+  EXPECT_TRUE(ParseStructuralType(deep_type).status().IsParseError());
 }
 
 TEST_P(ParserFuzzTest, AnnotationLoaderNeverCrashes) {
@@ -450,6 +458,45 @@ TEST_P(ParserFuzzTest, WireCodecNeverCrashes) {
   }
 }
 
+TEST_P(ParserFuzzTest, JsonParserNeverCrashes) {
+  Rng rng(GetParam());
+  const std::vector<std::string> documents = {
+      SampleTraceExport(),
+      "{\"op\":\"submit\",\"offset\":\"0\",\"count\":8,\"traced\":true}",
+      "[[[{\"a\":[null,false,-1,\"\\u0041\\n\\/\"]},{}],[]]]",
+  };
+  // ParseJson returns a value or a ParseError: never a crash or a hang.
+  auto expect_graceful = [](const std::string& text) {
+    auto parsed = ParseJson(text);
+    if (!parsed.ok()) {
+      EXPECT_TRUE(parsed.status().IsParseError()) << parsed.status();
+    }
+  };
+  for (const std::string& document : documents) {
+    ASSERT_TRUE(ParseJson(document).ok()) << document;
+  }
+  for (int i = 0; i < 200; ++i) {
+    expect_graceful(Mutate(documents[rng.NextIndex(documents.size())], rng,
+                           1 + static_cast<int>(rng.NextBelow(8))));
+  }
+
+  // Random bytes, half of them JSON punctuation so parses get past the
+  // first token.
+  static constexpr char kPunctuation[] = "{}[]\",:\\u0123456789-tfn \t";
+  for (int i = 0; i < 200; ++i) {
+    std::string garbage(rng.NextIndex(160), '\0');
+    for (char& byte : garbage) {
+      byte = rng.NextBelow(2) == 0
+                 ? kPunctuation[rng.NextIndex(sizeof(kPunctuation) - 1)]
+                 : static_cast<char>(rng.NextBelow(256));
+    }
+    expect_graceful(garbage);
+  }
+
+  // Nesting far past kMaxNestingDepth.
+  EXPECT_TRUE(ParseJson(std::string(200000, '[')).status().IsParseError());
+}
+
 TEST_P(ParserFuzzTest, KbImageLoaderNeverCrashes) {
   namespace fs = std::filesystem;
   Rng rng(GetParam());
@@ -569,6 +616,67 @@ TEST_P(ParserFuzzTest, ShardManifestCodecNeverCrashes) {
       EXPECT_TRUE(decoded.status().IsCorrupted()) << decoded.status();
     }
   }
+}
+
+/// Lists and records open at once in `value` (0 for a scalar).
+int NestingDepth(const Value& value) {
+  int deepest = 0;
+  if (value.is_list()) {
+    for (const Value& item : value.AsList()) {
+      deepest = std::max(deepest, NestingDepth(item));
+    }
+  } else if (value.is_record()) {
+    for (const auto& field : value.AsRecord()) {
+      deepest = std::max(deepest, NestingDepth(field.second));
+    }
+  } else {
+    return 0;
+  }
+  return deepest + 1;
+}
+
+/// List and Record types open at once in `type` (0 for a scalar type).
+int NestingDepth(const StructuralType& type) {
+  if (type.kind() == TypeKind::kList) return NestingDepth(type.element()) + 1;
+  if (type.kind() != TypeKind::kRecord) return 0;
+  int deepest = 0;
+  for (const auto& field : type.fields()) {
+    deepest = std::max(deepest, NestingDepth(field.second));
+  }
+  return deepest + 1;
+}
+
+// The depth cap of Value::Parse and ParseStructuralType must never bite on
+// real data: every parameter type, pool instance and data example of the
+// corpus nests far below it.
+TEST(ParserDepthTest, CorpusNestsFarBelowTheCap) {
+  const auto& env = GetEnvironment();
+  int deepest_type = 0;
+  int deepest_value = 0;
+  for (const ModulePtr& module : env.corpus.registry->AllModules()) {
+    for (const auto* params : {&module->spec().inputs, &module->spec().outputs}) {
+      for (const Parameter& param : *params) {
+        deepest_type =
+            std::max(deepest_type, NestingDepth(param.structural_type));
+      }
+    }
+    for (const DataExample& example :
+         env.corpus.registry->DataExamplesOf(module->spec().id)) {
+      for (const auto* values : {&example.inputs, &example.outputs}) {
+        for (const Value& value : *values) {
+          deepest_value = std::max(deepest_value, NestingDepth(value));
+        }
+      }
+    }
+  }
+  for (ConceptId concept_id : env.corpus.ontology->AllConcepts()) {
+    for (const Value& value : env.pool->InstancesOf(concept_id)) {
+      deepest_value = std::max(deepest_value, NestingDepth(value));
+    }
+  }
+  EXPECT_GE(deepest_type, 1);  // The walk reached List/Record types.
+  EXPECT_LE(deepest_type, kMaxNestingDepth / 8);
+  EXPECT_LE(deepest_value, kMaxNestingDepth / 8);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzzTest,

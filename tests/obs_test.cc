@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/strings.h"
 #include "core/engine_config.h"
 #include "core/run_api.h"
 #include "corpus/fault_injector.h"
@@ -321,6 +323,77 @@ TEST(ExportTest, DamagedExportsAreRejectedAsCorrupted) {
       obs::ReadMetricsJson(metrics.substr(0, metrics.size() - 1)).status()
           .IsCorrupted());
   EXPECT_TRUE(obs::ReadMetricsJson(trace).status().IsCorrupted());
+}
+
+/// `sealed` (a writer's output) with the first `from` replaced by `to` and
+/// its checksum seal recomputed, so the edit reaches the reader's decoding.
+std::string Reedit(const std::string& sealed, const std::string& from,
+                   const std::string& to) {
+  std::string doc = sealed.substr(0, sealed.rfind(",\"checksum\":\"")) + "}";
+  const size_t at = doc.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) doc.replace(at, from.size(), to);
+  const std::string digest = StrFormat(
+      "%016llx", static_cast<unsigned long long>(StableHash64(doc)));
+  doc.pop_back();
+  return doc + ",\"checksum\":\"" + digest + "\"}";
+}
+
+TEST(ExportTest, ReadersAcceptEveryUint64TheWritersEmit) {
+  for (uint64_t value :
+       {uint64_t{0}, uint64_t{10'000'000'000'000'000'000u}, UINT64_MAX}) {
+    obs::MetricsRegistry registry;
+    registry.SetCounter("c", value);
+    registry.SetGauge("g", value);
+    registry.DefineHistogram("h", {1});
+    registry.Observe("h", value);
+    const std::string metrics = obs::WriteMetricsJson(registry);
+    auto parsed = obs::ReadMetricsJson(metrics);
+    ASSERT_TRUE(parsed.ok()) << value << ": " << parsed.status();
+    EXPECT_EQ(parsed->stable_counters.at("c"), value);
+    EXPECT_EQ(parsed->stable_gauges.at("g"), value);
+    EXPECT_EQ(parsed->stable_histograms.at("h").total, value);
+    // No run observes 2^64 - 1 times, so the count is edited in.
+    auto observed = obs::ReadMetricsJson(
+        Reedit(metrics, "\"observations\":1",
+               "\"observations\":" + std::to_string(value)));
+    ASSERT_TRUE(observed.ok()) << value << ": " << observed.status();
+    EXPECT_EQ(observed->stable_histograms.at("h").observations, value);
+
+    obs::Tracer tracer;
+    {
+      obs::ScopedSpan span(&tracer, obs::SpanKind::kRun, "run");
+      span.Counter("n", value);
+    }
+    auto trace = obs::ReadChromeTrace(obs::WriteChromeTrace(tracer));
+    ASSERT_TRUE(trace.ok()) << value << ": " << trace.status();
+    ASSERT_EQ(trace->spans.size(), 1u);
+    EXPECT_EQ(trace->spans[0].counters,
+              (std::vector<std::pair<std::string, uint64_t>>{{"n", value}}));
+  }
+
+  // 2^64 and negatives are outside every field's range: damage.
+  obs::MetricsRegistry registry;
+  registry.SetCounter("c", 0);
+  const std::string metrics = obs::WriteMetricsJson(registry);
+  obs::Tracer tracer;
+  {
+    obs::ScopedSpan span(&tracer, obs::SpanKind::kRun, "run");
+    span.Counter("n", 0);
+  }
+  const std::string trace = obs::WriteChromeTrace(tracer);
+  ASSERT_TRUE(obs::ReadMetricsJson(metrics).ok());
+  ASSERT_TRUE(obs::ReadChromeTrace(trace).ok());
+  for (const std::string bad : {"18446744073709551616", "-1"}) {
+    EXPECT_TRUE(obs::ReadMetricsJson(Reedit(metrics, "\"c\":0", "\"c\":" + bad))
+                    .status()
+                    .IsCorrupted())
+        << bad;
+    EXPECT_TRUE(obs::ReadChromeTrace(Reedit(trace, "\"n\":0", "\"n\":" + bad))
+                    .status()
+                    .IsCorrupted())
+        << bad;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -86,7 +86,8 @@ TEST(WireTest, RejectsMalformedLines) {
   for (const char* bad :
        {"", "{", "{\"a\":}", "{\"a\":\"b\"", "{\"a\":[1]}",
         "{\"a\":{\"b\":1}}", "{\"a\":1.5}", "{\"a\":\"b\"} trailing",
-        "{\"a\" \"b\"}", "{\"a\":\"\\x\"}"}) {
+        "{\"a\" \"b\"}", "{\"a\":\"\\x\"}", "{\"a\":null}",
+        "{\"a\":\"b\x01\"}"}) {
     auto parsed = ParseWire(bad);
     EXPECT_FALSE(parsed.ok()) << "accepted: " << bad;
   }
@@ -448,6 +449,36 @@ TEST(ServerTest, ProtocolShedsLoadWithOverloadedCode) {
   WireMessage shutdown = Response(server, "{\"op\":\"shutdown\"}");
   EXPECT_EQ(shutdown["executed"], "2");
   EXPECT_TRUE(server.shutdown_requested());
+}
+
+TEST(ServerTest, ProtocolMetricsReportsEveryRunTableCounter) {
+  ServeEnv& env = SharedEnv();
+  ServerOptions options;
+  options.manager.capacity = 8;
+  options.manager.execute_batch = 1;
+  options.manager.per_tenant_max_queued = 1;
+  Server server(env, options);
+  // One admitted run, one quota rejection, and a run whose one-nanosecond
+  // deadline passes while the first executes.
+  const std::string submit =
+      "{\"op\":\"submit\",\"kind\":\"annotate\",\"count\":\"1\","
+      "\"tenant\":";
+  ASSERT_EQ(Response(server, submit + "\"a\"}")["ok"], "1");
+  EXPECT_EQ(Response(server, submit + "\"a\"}")["code"], "Overloaded");
+  ASSERT_EQ(Response(server, submit + "\"b\",\"deadline_ns\":\"1\"}")["ok"],
+            "1");
+  Response(server, "{\"op\":\"drain\"}");
+
+  WireMessage metrics = Response(server, "{\"op\":\"metrics\"}");
+  const WireMessage expected = {
+      {"ok", "1"},          {"submitted", "2"},
+      {"completed", "1"},   {"failed", "1"},
+      {"cancelled", "0"},   {"rejected_overloaded", "0"},
+      {"rejected_quota", "1"}, {"deadline_expired", "1"},
+      {"failed_io", "0"},   {"done_marker_failed", "0"},
+      {"queued", "0"},      {"retained", "2"},
+      {"capacity", "8"}};
+  EXPECT_EQ(metrics, expected);
 }
 
 TEST(ServerTest, ServesOverUnixSocket) {

@@ -8,6 +8,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "common/json.h"
 #include "tools/lint/callgraph.h"
 #include "tools/lint/sarif.h"
 #include "tools/lint/taint.h"
@@ -361,35 +362,6 @@ std::string ReportToJson(const LintReport& report) {
   }
   out += first ? "]}\n" : "\n]}\n";
   return out;
-}
-
-void AppendJsonString(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
 }
 
 std::vector<std::string> CollectSourceFiles(

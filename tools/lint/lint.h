@@ -84,9 +84,6 @@ class Linter {
 /// docs/STATIC_ANALYSIS.md.
 std::string ReportToJson(const LintReport& report);
 
-/// Appends `s` to `out` as a JSON string literal (quoted, escaped).
-void AppendJsonString(std::string& out, const std::string& s);
-
 /// Recursively collects lintable sources (.h/.cc/.cpp) under
 /// `root/<path>` for each path, skipping build trees and hidden
 /// directories. Returns root-relative paths, sorted.

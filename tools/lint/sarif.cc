@@ -1,5 +1,7 @@
 #include "tools/lint/sarif.h"
 
+#include "common/json.h"
+
 namespace dexa::lint {
 namespace {
 

@@ -210,14 +210,68 @@ Result<DataExampleSet> ExampleGenerator::ReplayInputs(
   return out;
 }
 
+Status ApplyCommit(ModuleCommit commit, ModuleRegistry& registry,
+                   AnnotateReport& report) {
+  const size_t examples = commit.examples.size();
+  DEXA_RETURN_IF_ERROR(
+      registry.SetDataExamples(commit.module_id, std::move(commit.examples)));
+  report.transient_exhausted += commit.transient_exhausted;
+  report.examples += examples;
+  if (commit.decayed) {
+    ++report.decayed;
+    report.decayed_ids.push_back(std::move(commit.module_id));
+  } else {
+    ++report.annotated;
+  }
+  return Status::OK();
+}
+
 Result<AnnotateReport> AnnotateRegistry(const ExampleGenerator& generator,
                                         ModuleRegistry& registry,
-                                        obs::Tracer* tracer) {
+                                        obs::Tracer* tracer,
+                                        const AnnotateHooks& hooks) {
   const std::vector<ModulePtr> modules = registry.AvailableModules();
-  const EngineMetrics& metrics = generator.engine().metrics();
+  EngineMetrics& metrics = generator.engine().metrics();
+  const bool durable = static_cast<bool>(hooks.on_commit);
 
-  obs::ScopedSpan run(tracer, obs::SpanKind::kRun, "annotate_registry");
+  obs::ScopedSpan run(tracer, obs::SpanKind::kRun,
+                      durable ? "annotate_registry_durable"
+                              : "annotate_registry");
   const EngineMetricsSnapshot run_before = metrics.Snapshot();
+  if (hooks.on_begin) DEXA_RETURN_IF_ERROR(hooks.on_begin());
+
+  AnnotateReport report;
+  size_t start = 0;
+  if (hooks.replayed != nullptr) {
+    if (hooks.replayed->size() > modules.size()) {
+      return Status::InvalidArgument(
+          "replay prefix is longer than the registry");
+    }
+    // Serve the committed prefix without invoking it. Replay spans are
+    // marked `replayed` and carry only the counters a commit preserves —
+    // no live invocation deltas, because no invocation happened.
+    obs::ScopedSpan replay(tracer, obs::SpanKind::kPhase, "replay", run.id());
+    for (const ModuleCommit& commit : *hooks.replayed) {
+      obs::ScopedSpan module_span(tracer, obs::SpanKind::kBatch,
+                                  commit.module_id, replay.id());
+      module_span.MarkReplayed();
+      std::vector<std::pair<std::string, uint64_t>> counters;
+      counters.reserve(3);
+      if (!commit.examples.empty()) {
+        counters.emplace_back("examples", commit.examples.size());
+      }
+      if (commit.decayed) counters.emplace_back("decayed", 1);
+      if (commit.transient_exhausted != 0) {
+        counters.emplace_back("transient_exhausted",
+                              commit.transient_exhausted);
+      }
+      module_span.Counters(std::move(counters));
+      DEXA_RETURN_IF_ERROR(ApplyCommit(commit, registry, report));
+      ++report.replayed;
+      metrics.Add(EngineCounter::modules_replayed);
+    }
+    start = hooks.replayed->size();
+  }
 
   // Generate concurrently (modules are independent), commit sequentially in
   // registration order so the registry content is thread-count-invariant.
@@ -227,17 +281,15 @@ Result<AnnotateReport> AnnotateRegistry(const ExampleGenerator& generator,
     obs::ScopedSpan generate(tracer, obs::SpanKind::kPhase, "generate",
                              run.id());
     const EngineMetricsSnapshot before = metrics.Snapshot();
-    generator.engine().ForEach(modules.size(), [&](size_t i) {
-      outcomes[i] = generator.Generate(*modules[i]);
+    generator.engine().ForEach(modules.size() - start, [&](size_t k) {
+      outcomes[start + k] = generator.Generate(*modules[start + k]);
     });
     generate.CounterDeltas(before, metrics.Snapshot());
   }
 
-  obs::ScopedSpan commit(tracer, obs::SpanKind::kPhase, "commit", run.id());
-  AnnotateReport report;
-  for (size_t i = 0; i < modules.size(); ++i) {
-    obs::ScopedSpan module_span(tracer, obs::SpanKind::kBatch,
-                                modules[i]->spec().id, commit.id());
+  obs::ScopedSpan commit_phase(tracer, obs::SpanKind::kPhase, "commit",
+                               run.id());
+  for (size_t i = start; i < modules.size(); ++i) {
     Result<GenerationOutcome>& outcome = *outcomes[i];
     if (!outcome.ok()) {
       // Generate() degrades gracefully on module faults, so a failed
@@ -250,24 +302,35 @@ Result<AnnotateReport> AnnotateRegistry(const ExampleGenerator& generator,
     // A decayed module keeps its partial example set: an incomplete
     // annotation still supports matching and repair (Sections 5-6), and the
     // module is reported as a repair candidate instead of aborting the run.
-    AnnotateBatchSpan(module_span, outcome->stats);
-    size_t examples = outcome->examples.size();
-    Status committed = registry.SetDataExamples(
-        modules[i]->spec().id, std::move(outcome->examples));
-    if (!committed.ok()) {
-      report.run_status = committed;
+    ModuleCommit commit;
+    commit.module_id = modules[i]->spec().id;
+    commit.decayed = outcome->stats.decayed;
+    commit.transient_exhausted = outcome->stats.transient_exhausted;
+    commit.examples = std::move(outcome->examples);
+
+    // Write-ahead: the callback runs before the commit takes effect, and
+    // before the module's span opens, so a run that dies before the commit
+    // traces no span for the module.
+    CommitVerdict verdict;
+    if (durable) verdict = hooks.on_commit(commit);
+    if (!verdict.status.ok() && !verdict.after_commit) {
+      report.run_status = std::move(verdict.status);
       break;
     }
-    report.transient_exhausted += outcome->stats.transient_exhausted;
-    report.examples += examples;
-    if (outcome->stats.decayed) {
-      ++report.decayed;
-      report.decayed_ids.push_back(modules[i]->spec().id);
-    } else {
-      ++report.annotated;
+    obs::ScopedSpan module_span(tracer, obs::SpanKind::kBatch,
+                                commit.module_id, commit_phase.id());
+    AnnotateBatchSpan(module_span, outcome->stats);
+    Status applied = ApplyCommit(std::move(commit), registry, report);
+    if (!applied.ok()) {
+      report.run_status = std::move(applied);
+      break;
+    }
+    if (!verdict.status.ok()) {
+      report.run_status = std::move(verdict.status);
+      break;
     }
   }
-  commit.End();
+  commit_phase.End();
   report.metrics = metrics.Snapshot();
   run.CounterDeltas(run_before, report.metrics);
   return report;

@@ -2,7 +2,9 @@
 #define DEXA_CORE_EXAMPLE_GENERATOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -132,6 +134,16 @@ class ExampleGenerator {
   InvocationEngine* engine_;
 };
 
+/// One module's annotation as it takes effect: everything AnnotateRegistry
+/// stores into the registry and counts into its report for that module.
+/// Durable runs journal exactly this (durability/commit_codec.h).
+struct ModuleCommit {
+  std::string module_id;
+  bool decayed = false;
+  uint64_t transient_exhausted = 0;
+  DataExampleSet examples;
+};
+
 /// The outcome of annotating a registry: how much worked, and which modules
 /// turned out to be decayed along the way.
 struct AnnotateReport {
@@ -161,9 +173,48 @@ struct AnnotateReport {
   bool complete() const { return run_status.ok(); }
 };
 
+/// Makes `commit` take effect: stores its examples into `registry` and
+/// counts the module into `report`. Live, replayed and shard-merged commits
+/// all go through here.
+[[nodiscard]] Status ApplyCommit(ModuleCommit commit, ModuleRegistry& registry,
+                                 AnnotateReport& report);
+
+/// What a write-ahead commit callback decided for one module.
+struct CommitVerdict {
+  /// OK lets the run go on; anything else ends it with this status.
+  Status status;
+  /// When `status` ends the run: true if the module's commit takes effect
+  /// first (the run dies right after its record landed), false if it never
+  /// does (the run dies before the record, or the record did not land).
+  bool after_commit = false;
+};
+
+/// The durability seam of AnnotateRegistry, the annotate counterpart of
+/// EnactHooks: the durable runner (durability/run_api.cc) journals through
+/// it and serves a recovered prefix from it, while the loop itself stays
+/// storage-agnostic. A run is durable exactly when `on_commit` is set.
+struct AnnotateHooks {
+  /// Modules committed by a previous run, in registration order: they must
+  /// be the first `replayed->size()` available modules. Each takes effect
+  /// (registry and report) under a "replay" phase without invoking the
+  /// module; generation starts after the prefix. Null opens no replay
+  /// phase; durable runs always pass one, empty when they start fresh.
+  const std::vector<ModuleCommit>* replayed = nullptr;
+
+  /// Runs once, before the replay, inside the run span: a fresh durable
+  /// run appends its journal header here.
+  std::function<Status()> on_begin;
+
+  /// The write-ahead point: called for each live module, in registration
+  /// order, before its commit takes effect. The verdict can end the run
+  /// before or right after that commit.
+  std::function<CommitVerdict(const ModuleCommit& commit)> on_commit;
+};
+
 /// Runs `generator` over every available module of `registry` and stores
 /// the resulting data examples back into the registry (step 2 of the
-/// architecture in Figure 3).
+/// architecture in Figure 3). This is the only generate→commit loop: the
+/// in-memory, durable, resumed and sharded runs all go through it.
 ///
 /// Modules are annotated concurrently across the generator's engine (the
 /// corpus has 252 independent modules); results are committed to the
@@ -177,12 +228,14 @@ struct AnnotateReport {
 ///
 /// `tracer` (optional) records a run → phase → batch span tree: a
 /// "generate" phase around the concurrent fan-out and a "commit" phase with
-/// one batch span per module carrying its GenerationStats counters. All
-/// spans open/close at sequential points, so the trace is byte-identical at
-/// any thread count.
+/// one batch span per module carrying its GenerationStats counters. Durable
+/// runs (see AnnotateHooks) name the run "annotate_registry_durable", and a
+/// replay prefix adds a "replay" phase before "generate" whose batch spans
+/// are marked replayed. All spans open/close at sequential points, so the
+/// trace is byte-identical at any thread count.
 [[nodiscard]] Result<AnnotateReport> AnnotateRegistry(
     const ExampleGenerator& generator, ModuleRegistry& registry,
-    obs::Tracer* tracer = nullptr);
+    obs::Tracer* tracer = nullptr, const AnnotateHooks& hooks = {});
 
 }  // namespace dexa
 

@@ -1,9 +1,11 @@
 #include "durability/commit_codec.h"
 
+#include <limits>
 #include <utility>
 
 #include "common/rng.h"
 #include "common/strings.h"
+#include "modules/registry_io.h"
 
 namespace dexa {
 
@@ -91,21 +93,7 @@ std::string EncodeModuleCommit(const ModuleCommit& commit,
   out += "decayed " + std::to_string(commit.decayed ? 1 : 0) + "\n";
   out += "transient_exhausted " + std::to_string(commit.transient_exhausted) +
          "\n";
-  for (const DataExample& example : commit.examples) {
-    out += "example\n";
-    for (size_t i = 0; i < example.inputs.size(); ++i) {
-      ConceptId partition = i < example.input_partitions.size()
-                                ? example.input_partitions[i]
-                                : kInvalidConcept;
-      out += "in ";
-      out += partition == kInvalidConcept ? "-" : ontology.NameOf(partition);
-      out += " " + example.inputs[i].ToString() + "\n";
-    }
-    for (const Value& output : example.outputs) {
-      out += "out " + output.ToString() + "\n";
-    }
-    out += "end\n";
-  }
+  AppendDataExamples(out, commit.examples, ontology);
   return out;
 }
 
@@ -121,6 +109,9 @@ Result<ModuleCommit> DecodeModuleCommit(const std::string& payload,
   commit.module_id = *id;
   auto decayed = ExpectField(lines, 2, "decayed");
   if (!decayed.ok()) return decayed.status();
+  if (*decayed != "0" && *decayed != "1") {
+    return Status::ParseError("malformed decayed flag '" + *decayed + "'");
+  }
   commit.decayed = *decayed == "1";
   auto exhausted = ExpectField(lines, 3, "transient_exhausted");
   if (!exhausted.ok()) return exhausted.status();
@@ -128,52 +119,19 @@ Result<ModuleCommit> DecodeModuleCommit(const std::string& payload,
   if (!count.ok()) return count.status();
   commit.transient_exhausted = *count;
 
-  DataExample example;
-  bool in_example = false;
+  DataExampleParser parser(ontology);
   for (size_t n = 4; n < lines.size(); ++n) {
-    const std::string& line = lines[n];
-    auto err = [&](const std::string& msg) {
+    if (lines[n].empty()) continue;
+    Status parsed = parser.ParseLine(lines[n]);
+    if (!parsed.ok()) {
       return Status::ParseError("module commit line " + std::to_string(n + 1) +
-                                ": " + msg);
-    };
-    if (line.empty()) continue;
-    if (line == "example") {
-      if (in_example) return err("nested example");
-      in_example = true;
-      example = DataExample();
-    } else if (StartsWith(line, "in ")) {
-      if (!in_example) return err("'in' outside an example");
-      std::string rest = line.substr(3);
-      size_t space = rest.find(' ');
-      if (space == std::string::npos) return err("malformed 'in' line");
-      std::string concept_name = rest.substr(0, space);
-      ConceptId partition = kInvalidConcept;
-      if (concept_name != "-") {
-        partition = ontology.Find(concept_name);
-        if (partition == kInvalidConcept) {
-          return err("unknown concept '" + concept_name + "'");
-        }
-      }
-      auto value = Value::Parse(rest.substr(space + 1));
-      if (!value.ok()) return err(value.status().ToString());
-      example.inputs.push_back(std::move(value).value());
-      example.input_partitions.push_back(partition);
-    } else if (StartsWith(line, "out ")) {
-      if (!in_example) return err("'out' outside an example");
-      auto value = Value::Parse(line.substr(4));
-      if (!value.ok()) return err(value.status().ToString());
-      example.outputs.push_back(std::move(value).value());
-    } else if (line == "end") {
-      if (!in_example) return err("'end' outside an example");
-      in_example = false;
-      commit.examples.push_back(std::move(example));
-    } else {
-      return err("unrecognized line '" + line + "'");
+                                ": " + parsed.message());
     }
   }
-  if (in_example) {
+  if (parser.in_example()) {
     return Status::ParseError("module commit record ends inside an example");
   }
+  commit.examples = parser.TakeExamples();
   return commit;
 }
 
@@ -240,6 +198,10 @@ Result<StepCommit> DecodeStepCommit(const std::string& payload) {
   if (!processor.ok()) return processor.status();
   auto index = ParseU64Field(*processor, "processor index");
   if (!index.ok()) return index.status();
+  if (*index > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    return Status::ParseError("processor index " + *processor +
+                              " out of range");
+  }
   commit.processor = static_cast<int>(*index);
   auto workflow = ExpectField(lines, 2, "workflow");
   if (!workflow.ok()) return workflow.status();

@@ -44,15 +44,9 @@ uint64_t AnnotateConfigFingerprint(const ModuleRegistry& registry,
 std::string EncodeAnnotateRunHeader(const AnnotateRunHeader& header);
 [[nodiscard]] Result<AnnotateRunHeader> DecodeAnnotateRunHeader(const std::string& payload);
 
-/// One committed module annotation: everything AnnotateRegistry writes into
-/// the registry and folds into its report for that module.
-struct ModuleCommit {
-  std::string module_id;
-  bool decayed = false;
-  uint64_t transient_exhausted = 0;
-  DataExampleSet examples;
-};
-
+/// One committed module annotation (ModuleCommit, core/example_generator.h):
+/// an id/decayed/transient_exhausted preamble, then the data-example blocks
+/// of modules/registry_io.h. `decayed` decodes from `0` or `1` only.
 std::string EncodeModuleCommit(const ModuleCommit& commit,
                                const Ontology& ontology);
 [[nodiscard]] Result<ModuleCommit> DecodeModuleCommit(const std::string& payload,
@@ -74,6 +68,7 @@ std::string EncodeEnactRunHeader(const EnactRunHeader& header);
 /// One committed enactment step: the processor index in the workflow's
 /// processor list plus the full invocation record, so a resumed enactment
 /// serves the outputs (and re-emits the provenance) without re-invoking.
+/// A processor index above INT_MAX does not decode.
 struct StepCommit {
   int processor = -1;
   InvocationRecord record;

@@ -30,12 +30,13 @@ bool ParseSegmentIndex(const fs::path& path, size_t* index) {
   constexpr size_t kPrefixLen = 4;  // "wal-"
   constexpr size_t kSuffixLen = 4;  // ".seg"
   if (name.size() <= kPrefixLen + kSuffixLen) return false;
-  size_t value = 0;
-  for (size_t at = kPrefixLen; at < name.size() - kSuffixLen; ++at) {
-    if (name[at] < '0' || name[at] > '9') return false;
-    value = value * 10 + static_cast<size_t>(name[at] - '0');
+  uint64_t value = 0;
+  if (!ParseU64(std::string_view(name).substr(
+                    kPrefixLen, name.size() - kPrefixLen - kSuffixLen),
+                &value)) {
+    return false;
   }
-  *index = value;
+  *index = static_cast<size_t>(value);
   return true;
 }
 

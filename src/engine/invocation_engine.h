@@ -97,14 +97,6 @@ struct EngineOptions {
   /// pool is spawned and every batch runs inline on the caller.
   size_t threads = 0;
 
-  /// When true (the default and the only contract dexa's pipeline relies
-  /// on), batch results are returned in input order and per-task RNG
-  /// streams are split from `seed` by task index, so a run is bit-identical
-  /// at any thread count. The flag exists so a future best-effort mode
-  /// (early exit, unordered reduce) has a home; the current engine honors
-  /// the deterministic contract regardless.
-  bool deterministic = true;
-
   /// Base seed for RngFor(): per-task generators are forked from it, never
   /// shared across workers. Also salts the retry-jitter streams.
   uint64_t seed = 0x5eed;

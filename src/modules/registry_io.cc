@@ -10,6 +10,65 @@ namespace {
 constexpr const char* kHeader = "# dexa annotations v1";
 }  // namespace
 
+void AppendDataExamples(std::string& out, const DataExampleSet& examples,
+                        const Ontology& ontology) {
+  for (const DataExample& example : examples) {
+    out += "example\n";
+    for (size_t i = 0; i < example.inputs.size(); ++i) {
+      ConceptId partition = i < example.input_partitions.size()
+                                ? example.input_partitions[i]
+                                : kInvalidConcept;
+      out += "in ";
+      out += partition == kInvalidConcept ? "-" : ontology.NameOf(partition);
+      out += " " + example.inputs[i].ToString() + "\n";
+    }
+    for (const Value& output : example.outputs) {
+      out += "out " + output.ToString() + "\n";
+    }
+    out += "end\n";
+  }
+}
+
+Status DataExampleParser::ParseLine(std::string_view line) {
+  if (line == "example") {
+    if (in_example_) return Status::ParseError("nested example");
+    in_example_ = true;
+    example_ = DataExample();
+  } else if (StartsWith(line, "in ")) {
+    if (!in_example_) return Status::ParseError("'in' outside an example");
+    std::string_view rest = line.substr(3);
+    size_t space = rest.find(' ');
+    if (space == std::string_view::npos) {
+      return Status::ParseError("malformed 'in' line");
+    }
+    std::string concept_name(rest.substr(0, space));
+    ConceptId partition = kInvalidConcept;
+    if (concept_name != "-") {
+      partition = ontology_.Find(concept_name);
+      if (partition == kInvalidConcept) {
+        return Status::ParseError("unknown concept '" + concept_name + "'");
+      }
+    }
+    auto value = Value::Parse(rest.substr(space + 1));
+    if (!value.ok()) return Status::ParseError(value.status().ToString());
+    example_.inputs.push_back(std::move(value).value());
+    example_.input_partitions.push_back(partition);
+  } else if (StartsWith(line, "out ")) {
+    if (!in_example_) return Status::ParseError("'out' outside an example");
+    auto value = Value::Parse(line.substr(4));
+    if (!value.ok()) return Status::ParseError(value.status().ToString());
+    example_.outputs.push_back(std::move(value).value());
+  } else if (line == "end") {
+    if (!in_example_) return Status::ParseError("'end' outside an example");
+    in_example_ = false;
+    examples_.push_back(std::move(example_));
+  } else {
+    return Status::ParseError("unrecognized line '" + std::string(line) +
+                              "'");
+  }
+  return Status::OK();
+}
+
 std::string SaveAnnotations(const ModuleRegistry& registry,
                             const Ontology& ontology) {
   std::string out = std::string(kHeader) + "\n";
@@ -18,21 +77,7 @@ std::string SaveAnnotations(const ModuleRegistry& registry,
     const DataExampleSet& examples = registry.DataExamplesOf(id);
     if (examples.empty()) continue;
     out += "module " + id + " " + module->spec().name + "\n";
-    for (const DataExample& example : examples) {
-      out += "example\n";
-      for (size_t i = 0; i < example.inputs.size(); ++i) {
-        ConceptId partition = i < example.input_partitions.size()
-                                  ? example.input_partitions[i]
-                                  : kInvalidConcept;
-        out += "in ";
-        out += partition == kInvalidConcept ? "-" : ontology.NameOf(partition);
-        out += " " + example.inputs[i].ToString() + "\n";
-      }
-      for (const Value& output : example.outputs) {
-        out += "out " + output.ToString() + "\n";
-      }
-      out += "end\n";
-    }
+    AppendDataExamples(out, examples, ontology);
   }
   return out;
 }
@@ -51,15 +96,11 @@ Result<size_t> LoadAnnotations(const std::string& text,
   // behind.
   std::vector<std::pair<std::string, DataExampleSet>> staged;
   std::string current_module;
-  DataExampleSet current_examples;
-  DataExample current_example;
-  bool in_example = false;
+  DataExampleParser parser(ontology);
 
-  auto flush_module = [&]() -> Status {
-    if (current_module.empty()) return Status::OK();
-    staged.emplace_back(current_module, std::move(current_examples));
-    current_examples = DataExampleSet();
-    return Status::OK();
+  auto flush_module = [&]() {
+    if (current_module.empty()) return;
+    staged.emplace_back(current_module, parser.TakeExamples());
   };
 
   for (size_t n = 1; n < lines.size(); ++n) {
@@ -69,55 +110,28 @@ Result<size_t> LoadAnnotations(const std::string& text,
     };
     if (line.empty() || line[0] == '#') continue;
     if (StartsWith(line, "module ")) {
-      if (in_example) return err("'module' inside an example");
-      DEXA_RETURN_IF_ERROR(flush_module());
+      if (parser.in_example()) return err("'module' inside an example");
+      flush_module();
       std::vector<std::string> parts = Split(line, ' ');
       if (parts.size() < 2) return err("malformed module line");
       current_module = parts[1];
       if (!registry.Find(current_module).ok()) {
         return err("unknown module id '" + current_module + "'");
       }
-    } else if (line == "example") {
-      if (current_module.empty()) return err("'example' before any module");
-      if (in_example) return err("nested example");
-      in_example = true;
-      current_example = DataExample();
-    } else if (StartsWith(line, "in ")) {
-      if (!in_example) return err("'in' outside an example");
-      std::string rest = line.substr(3);
-      size_t space = rest.find(' ');
-      if (space == std::string::npos) return err("malformed 'in' line");
-      std::string concept_name = rest.substr(0, space);
-      ConceptId partition = kInvalidConcept;
-      if (concept_name != "-") {
-        partition = ontology.Find(concept_name);
-        if (partition == kInvalidConcept) {
-          return err("unknown concept '" + concept_name + "'");
-        }
-      }
-      auto value = Value::Parse(rest.substr(space + 1));
-      if (!value.ok()) return err(value.status().ToString());
-      current_example.inputs.push_back(std::move(value).value());
-      current_example.input_partitions.push_back(partition);
-    } else if (StartsWith(line, "out ")) {
-      if (!in_example) return err("'out' outside an example");
-      auto value = Value::Parse(line.substr(4));
-      if (!value.ok()) return err(value.status().ToString());
-      current_example.outputs.push_back(std::move(value).value());
-    } else if (line == "end") {
-      if (!in_example) return err("'end' outside an example");
-      in_example = false;
-      current_examples.push_back(std::move(current_example));
-    } else {
-      return err("unrecognized line '" + line + "'");
+      continue;
     }
+    if (line == "example" && current_module.empty()) {
+      return err("'example' before any module");
+    }
+    Status parsed = parser.ParseLine(line);
+    if (!parsed.ok()) return err(parsed.message());
   }
-  if (in_example) {
+  if (parser.in_example()) {
     // The document stops mid-example: a truncation (half-written file,
     // interrupted copy), not a grammar error.
     return Status::Corrupted("annotations file ends inside an example");
   }
-  DEXA_RETURN_IF_ERROR(flush_module());
+  flush_module();
 
   for (auto& [module_id, examples] : staged) {
     DEXA_RETURN_IF_ERROR(

@@ -304,18 +304,8 @@ Result<MergeReport> MergeShards(ModuleRegistry& registry,
     // records[k][0] is the shard header; commits[k][i] decodes
     // records[k][i + 1] (ids already verified against the partition above).
     DEXA_RETURN_IF_ERROR(merged->Append(records[k][cursor[k] + 1]));
-    ModuleCommit& commit = commits[k][cursor[k]++];
-    const size_t examples = commit.examples.size();
-    DEXA_RETURN_IF_ERROR(
-        registry.SetDataExamples(id, std::move(commit.examples)));
-    out.merged.transient_exhausted += commit.transient_exhausted;
-    out.merged.examples += examples;
-    if (commit.decayed) {
-      ++out.merged.decayed;
-      out.merged.decayed_ids.push_back(id);
-    } else {
-      ++out.merged.annotated;
-    }
+    DEXA_RETURN_IF_ERROR(ApplyCommit(std::move(commits[k][cursor[k]++]),
+                                     registry, out.merged));
   }
   // Flush the batched tail segment through to disk. Sealing writes no
   // bytes, so the merged journal still compares byte-identical to a

@@ -98,9 +98,10 @@ struct ResilientEnactmentResult {
                                                 InvocationEngine& engine);
 
 /// Durability seams of a resilient enactment. The durable enactment runner
-/// (durability/durable_enact.cc) uses these to journal every step and to
-/// serve already-committed steps from a recovered journal; the enactor
-/// itself stays storage-agnostic.
+/// (durability/run_api.cc) uses these to journal every step and to serve
+/// already-committed steps from a recovered journal; the enactor itself
+/// stays storage-agnostic. AnnotateHooks (core/example_generator.h) is the
+/// annotate counterpart.
 struct EnactHooks {
   /// One slot per workflow processor (by processor index). A present entry
   /// is a step committed by a previous run: its record is re-emitted as

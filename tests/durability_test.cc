@@ -1,10 +1,12 @@
 // Tests for the durability layer: journal framing and CRC32, segment
 // rolling, torn-tail detection and discard, crash-point injection,
 // crash-resume determinism (byte-identical state at any thread count),
-// atomic snapshot/restore, and durable workflow enactment.
+// journal record decoding, atomic snapshot/restore, and durable workflow
+// enactment.
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "core/run_api.h"
 #include "corpus/fault_injector.h"
 #include "common/crc32.h"
+#include "durability/commit_codec.h"
 #include "durability/journal.h"
 #include "durability/snapshot.h"
 #include "durability/trace_io.h"
@@ -299,8 +302,9 @@ TEST(RegistryIoTest, TruncatedAnnotationsAreCorruptedAndAtomic) {
 }
 
 /// One full durable annotation run (no crash) into `dir`; returns the
-/// serialized annotations of the resulting registry.
-std::string UninterruptedRunState(size_t threads, const std::string& dir) {
+/// annotated registry.
+std::unique_ptr<ModuleRegistry> UninterruptedRun(size_t threads,
+                                                 const std::string& dir) {
   const auto& env = GetEnvironment();
   EngineConfig config = EngineConfig().Threads(threads).Seed(0xD0D0);
   auto engine = config.BuildEngine();
@@ -313,7 +317,7 @@ std::string UninterruptedRunState(size_t threads, const std::string& dir) {
   EXPECT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE((*report).complete()) << (*report).run_status;
   EXPECT_GT((*report).metrics.commits, 0u);
-  return SaveAnnotations(*registry, *env.corpus.ontology);
+  return registry;
 }
 
 struct CrashCase {
@@ -332,8 +336,10 @@ TEST_P(CrashResumeTest, ResumedRunIsByteIdenticalToUninterrupted) {
   const std::string label =
       std::string(CrashPointName(crash_case.point)) + "-t" +
       std::to_string(threads);
+  const std::unique_ptr<ModuleRegistry> baseline_registry =
+      UninterruptedRun(threads, FreshDir("baseline-" + label));
   const std::string baseline =
-      UninterruptedRunState(threads, FreshDir("baseline-" + label));
+      SaveAnnotations(*baseline_registry, *env.corpus.ontology);
 
   EngineConfig config = EngineConfig().Threads(threads).Seed(0xD0D0);
 
@@ -362,6 +368,26 @@ TEST_P(CrashResumeTest, ResumedRunIsByteIdenticalToUninterrupted) {
     // The aborted run's report still carries the final engine counters.
     EXPECT_GT(report->metrics.invocations, 0u);
     EXPECT_GT(report->metrics.commits, 0u);
+
+    // The report and the registry cover exactly the modules whose commit
+    // took effect: the crash module itself only when the run died after
+    // its record was appended.
+    const size_t committed =
+        crash_case.point == CrashPoint::kCrashBeforeCommit
+            ? crash_case.module_index
+            : crash_case.module_index + 1;
+    EXPECT_EQ(report->annotated + report->decayed, committed);
+    size_t annotated_modules = 0;
+    for (size_t i = 0; i < modules.size(); ++i) {
+      const std::string& id = modules[i]->spec().id;
+      const DataExampleSet expected = i < committed
+                                          ? baseline_registry->DataExamplesOf(id)
+                                          : DataExampleSet{};
+      EXPECT_EQ(crashed_registry->DataExamplesOf(id), expected)
+          << "module " << i << " ('" << id << "')";
+      if (!expected.empty()) ++annotated_modules;
+    }
+    EXPECT_GT(annotated_modules, 0u);
   }
 
   // Phase 2: a new process recovers the journal and resumes.
@@ -518,6 +544,87 @@ TEST(DurableAnnotateTest, ResumeRejectsForeignJournals) {
   EXPECT_TRUE(rejected.status().IsInvalidArgument()) << rejected.status();
 }
 
+TEST(CommitCodecTest, DecodersRejectValuesTheyCannotRepresent) {
+  const Ontology& ontology = *GetEnvironment().corpus.ontology;
+
+  // A step commit names its processor by index; one past INT_MAX would
+  // narrow into a different, valid-looking slot.
+  StepCommit step;
+  step.processor = 1;
+  step.record.workflow_id = "wf";
+  step.record.processor_name = "p";
+  step.record.module_id = "m001";
+  const std::string step_payload = EncodeStepCommit(step);
+  auto with_processor = [&](const std::string& index) {
+    std::string payload = step_payload;
+    payload.replace(payload.find("processor 1\n"), 12,
+                    "processor " + index + "\n");
+    return DecodeStepCommit(payload);
+  };
+  auto largest = with_processor("2147483647");
+  ASSERT_TRUE(largest.ok()) << largest.status();
+  EXPECT_EQ(largest->processor, std::numeric_limits<int>::max());
+  for (const char* index : {"2147483648", "4294967297"}) {
+    auto decoded = with_processor(index);
+    ASSERT_FALSE(decoded.ok())
+        << index << " decoded as processor " << decoded->processor;
+    EXPECT_TRUE(decoded.status().IsParseError()) << decoded.status();
+  }
+
+  // A module commit's decayed flag is 0 or 1; anything else is not a flag.
+  ModuleCommit module;
+  module.module_id = "m001";
+  const std::string module_payload = EncodeModuleCommit(module, ontology);
+  auto with_decayed = [&](const std::string& flag) {
+    std::string payload = module_payload;
+    payload.replace(payload.find("decayed 0\n"), 10,
+                    "decayed " + flag + "\n");
+    return DecodeModuleCommit(payload, ontology);
+  };
+  auto clean = with_decayed("0");
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  EXPECT_FALSE(clean->decayed);
+  auto decayed = with_decayed("1");
+  ASSERT_TRUE(decayed.ok()) << decayed.status();
+  EXPECT_TRUE(decayed->decayed);
+  for (const char* flag : {"yes", "2", "01", ""}) {
+    auto decoded = with_decayed(flag);
+    ASSERT_FALSE(decoded.ok()) << "decayed '" << flag << "' decoded";
+    EXPECT_TRUE(decoded.status().IsParseError()) << decoded.status();
+  }
+}
+
+TEST(DurableAnnotateTest, ResumeRefusesACommitItCannotRepresent) {
+  const auto& env = GetEnvironment();
+  const std::string dir = FreshDir("decayed-yes");
+  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  auto registry = FreshRegistry();
+  {
+    // A CRC-valid journal: this run's header, then module 0 with a decayed
+    // flag no writer emits.
+    auto journal = RunJournal::Create(dir);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    AnnotateRunHeader header;
+    header.modules = registry->AvailableModules().size();
+    header.fingerprint =
+        AnnotateConfigFingerprint(*registry, generator.options());
+    ASSERT_TRUE(journal->Append(EncodeAnnotateRunHeader(header)).ok());
+    ModuleCommit commit;
+    commit.module_id = registry->AvailableModules()[0]->spec().id;
+    std::string payload = EncodeModuleCommit(commit, *env.corpus.ontology);
+    payload.replace(payload.find("decayed 0\n"), 10, "decayed yes\n");
+    ASSERT_TRUE(journal->Append(payload).ok());
+  }
+  auto recovery = RecoverJournal(dir);
+  ASSERT_TRUE(recovery.ok()) << recovery.status();
+  ASSERT_EQ(recovery->records.size(), 2u);
+  auto journal = RunJournal::Resume(dir, *recovery);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  auto resumed = AnnotateDurable(generator, *registry, *journal, &*recovery);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_TRUE(resumed.status().IsCorrupted()) << resumed.status();
+}
+
 /// Picks a still-enactable corpus workflow with at least three processors
 /// for the enactment drills; its generated seeds are the inputs.
 const GeneratedWorkflow& PickWorkflow() {
@@ -530,6 +637,40 @@ const GeneratedWorkflow& PickWorkflow() {
   }
   ADD_FAILURE() << "no enactable workflow with >= 3 processors in the corpus";
   std::abort();
+}
+
+TEST(DurableEnactTest, ResumeRefusesAProcessorIndexPastIntMax) {
+  const GeneratedWorkflow& item = PickWorkflow();
+  const std::string dir = FreshDir("processor-past-int-max");
+  {
+    // A CRC-valid journal: this enactment's header, then a step commit
+    // whose processor index narrows to 1 as an int.
+    auto journal = RunJournal::Create(dir);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    EnactRunHeader header;
+    header.workflow_id = item.workflow.id;
+    header.processors = item.workflow.processors.size();
+    header.fingerprint = EnactConfigFingerprint(item.workflow.id, item.seeds);
+    ASSERT_TRUE(journal->Append(EncodeEnactRunHeader(header)).ok());
+    StepCommit step;
+    step.processor = 1;
+    step.record.workflow_id = item.workflow.id;
+    step.record.processor_name = item.workflow.processors[1].name;
+    step.record.module_id = item.workflow.processors[1].module_id;
+    std::string payload = EncodeStepCommit(step);
+    payload.replace(payload.find("processor 1\n"), 12,
+                    "processor 4294967297\n");
+    ASSERT_TRUE(journal->Append(payload).ok());
+  }
+  InvocationEngine engine;
+  auto recovery = RecoverJournal(dir);
+  ASSERT_TRUE(recovery.ok()) << recovery.status();
+  ASSERT_EQ(recovery->records.size(), 2u);
+  auto journal = RunJournal::Resume(dir, *recovery);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  auto resumed = EnactDurable(item, engine, *journal, &*recovery);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_TRUE(resumed.status().IsCorrupted()) << resumed.status();
 }
 
 TEST(DurableEnactTest, CrashedEnactmentResumesToIdenticalResult) {

@@ -1,12 +1,15 @@
 // Suite for the RunRequest/RunResult API (core/run_api.h), the only run
 // entry point: request validation, runs byte-identical to the direct
 // in-memory calls and across thread counts (annotations, journal bytes,
-// enactment outputs), crash-resume through the facade, and the kind names
-// serve prints.
+// enactment outputs), in-memory and durable annotate committing the same
+// modules, crash-resume through the facade, and the kind names serve
+// prints.
 
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -244,6 +247,114 @@ TEST(RunApiTest, DurableAnnotateCrashResumesThroughFacade) {
   EXPECT_GT(resumed->annotate.replayed, 0u);
 
   EXPECT_EQ(Annotations(*resumed_registry), Annotations(*baseline_registry));
+}
+
+/// A fresh registry whose modules fail the way remote services do: every
+/// module draws transient faults, and every fifth one is down for good, so
+/// a run commits decayed modules and lost combinations as well as clean
+/// ones.
+std::unique_ptr<ModuleRegistry> FaultyRegistry(EngineMetrics* metrics) {
+  const auto& env = GetEnvironment();
+  FaultProfile flaky;
+  flaky.transient_rate = 0.2;
+  FaultProfile down = flaky;
+  down.down = true;
+  auto flaky_registry =
+      WrapRegistryWithFaults(*env.corpus.registry, flaky, metrics);
+  auto down_registry =
+      WrapRegistryWithFaults(*env.corpus.registry, down, metrics);
+  EXPECT_TRUE(flaky_registry.ok()) << flaky_registry.status();
+  EXPECT_TRUE(down_registry.ok()) << down_registry.status();
+  const std::vector<ModulePtr> flaky_modules = (*flaky_registry)->AllModules();
+  const std::vector<ModulePtr> down_modules = (*down_registry)->AllModules();
+  auto registry = std::make_unique<ModuleRegistry>();
+  for (size_t i = 0; i < flaky_modules.size(); ++i) {
+    Status registered =
+        registry->Register(i % 5 == 0 ? down_modules[i] : flaky_modules[i]);
+    EXPECT_TRUE(registered.ok()) << registered;
+  }
+  return registry;
+}
+
+/// What one traced annotate run left behind: its report, the registry's
+/// annotations, and (name, counters) of every batch span under "commit".
+struct TracedAnnotate {
+  AnnotateReport report;
+  std::string annotations;
+  std::vector<std::pair<std::string, std::vector<std::pair<std::string, uint64_t>>>>
+      commit_spans;
+};
+
+/// Annotates a FaultyRegistry at `threads` with a tracer: durably into a
+/// fresh journal in `journal_dir`, or in memory when it is empty.
+TracedAnnotate RunTracedAnnotate(size_t threads,
+                                 const std::string& journal_dir) {
+  const auto& env = GetEnvironment();
+  EngineConfig config = EngineConfig().Threads(threads);
+  auto engine = config.BuildEngine();
+  auto registry = FaultyRegistry(&engine->metrics());
+  ExampleGenerator generator = config.MakeGenerator(
+      env.corpus.ontology.get(), env.pool.get(), engine.get());
+  std::optional<RunJournal> journal;
+  RunRequest request = MakeAnnotateRun(generator, *registry);
+  if (!journal_dir.empty()) {
+    auto created = RunJournal::Create(journal_dir);
+    EXPECT_TRUE(created.ok()) << created.status();
+    journal.emplace(std::move(created).value());
+    request = MakeDurableAnnotateRun(generator, *registry,
+                                     *env.corpus.ontology, *journal);
+  }
+  obs::Tracer tracer(&engine->clock());
+  request.obs.tracer = &tracer;
+  auto result = SubmitRun(request);
+  EXPECT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->complete()) << result->run_status;
+
+  TracedAnnotate out;
+  out.report = result->annotate;
+  out.annotations = Annotations(*registry);
+  const std::vector<obs::TraceSpan> spans = tracer.spans();
+  uint64_t commit_phase = 0;
+  for (const obs::TraceSpan& span : spans) {
+    if (span.kind == obs::SpanKind::kPhase && span.name == "commit") {
+      commit_phase = span.id;
+    }
+  }
+  EXPECT_NE(commit_phase, 0u);
+  for (const obs::TraceSpan& span : spans) {
+    if (span.kind == obs::SpanKind::kBatch && span.parent == commit_phase) {
+      out.commit_spans.emplace_back(span.name, span.counters);
+    }
+  }
+  return out;
+}
+
+TEST(RunApiTest, InMemoryAndFreshDurableAnnotateCommitTheSameModules) {
+  // Both paths run the one generate→commit loop; the durable one only adds
+  // the write-ahead callback. Module by module they must commit the same.
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const TracedAnnotate in_memory = RunTracedAnnotate(threads, "");
+    const TracedAnnotate durable = RunTracedAnnotate(
+        threads, FreshDir("agree-t" + std::to_string(threads)));
+
+    EXPECT_EQ(durable.annotations, in_memory.annotations);
+    EXPECT_EQ(durable.report.annotated, in_memory.report.annotated);
+    EXPECT_EQ(durable.report.decayed, in_memory.report.decayed);
+    EXPECT_EQ(durable.report.examples, in_memory.report.examples);
+    EXPECT_EQ(durable.report.transient_exhausted,
+              in_memory.report.transient_exhausted);
+    EXPECT_EQ(durable.report.decayed_ids, in_memory.report.decayed_ids);
+    EXPECT_EQ(durable.commit_spans, in_memory.commit_spans);
+
+    // The faults reach the commits, so the comparison covers decayed and
+    // lossy modules, and every available module has its span.
+    EXPECT_GT(in_memory.report.decayed, 0u);
+    EXPECT_GT(in_memory.report.transient_exhausted, 0u);
+    EXPECT_GT(in_memory.report.examples, 0u);
+    EXPECT_EQ(in_memory.commit_spans.size(),
+              in_memory.report.annotated + in_memory.report.decayed);
+  }
 }
 
 TEST(RunApiTest, EnactFacadeMatchesDirectEntry) {

@@ -8,21 +8,29 @@
 //   --kb-image=<file>   serve all reasoning from a compiled KB image
 //                       (mmap-backed, interned ids) instead of the
 //                       in-memory corpus
-//   --threads=<n>       worker threads of the invocation engine
-//                       (default 1 = serial; runs are byte-identical at
-//                       any thread count)
+//   --threads=<n>       worker threads of the invocation engine, 0..1024
+//                       (default 1 = serial, 0 = hardware concurrency;
+//                       runs are byte-identical at any thread count)
 //   --seed=<n>          engine seed (per-task RNG streams + retry jitter)
+//
+// Every numeric flag and argument is a plain decimal integer checked
+// against its range (common/strings.h ParseU64); anything else fails with
+// an InvalidArgument that names the flag.
 //
 // Every run routes through the RunRequest facade (core/run_api.h): the
 // annotate/resume/serve commands all build a RunRequest and call SubmitRun.
 
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/strings.h"
 #include "common/table.h"
 #include "core/composition.h"
 #include "core/coverage.h"
@@ -89,6 +97,30 @@ struct CliContext {
 int Fail(const Status& status) {
   std::cerr << "error: " << status << "\n";
   return 1;
+}
+
+/// The value of `arg` when it reads `<flag>=<value>`, else nullopt.
+std::optional<std::string_view> FlagValue(std::string_view arg,
+                                          std::string_view flag) {
+  if (arg.size() <= flag.size() || arg.substr(0, flag.size()) != flag ||
+      arg[flag.size()] != '=') {
+    return std::nullopt;
+  }
+  return arg.substr(flag.size() + 1);
+}
+
+/// Parses the value of the numeric flag `flag` with ParseU64 and checks it
+/// lies in [min, max]; anything else is an InvalidArgument naming the flag.
+Result<uint64_t> ParseNumericFlag(std::string_view flag,
+                                  std::string_view value, uint64_t min,
+                                  uint64_t max) {
+  uint64_t parsed = 0;
+  if (!ParseU64(value, &parsed) || parsed < min || parsed > max) {
+    return Status::InvalidArgument(
+        std::string(flag) + " takes an integer in [" + std::to_string(min) +
+        ", " + std::to_string(max) + "], got '" + std::string(value) + "'");
+  }
+  return parsed;
 }
 
 /// Builds the evaluation environment into `ctx.env`. `annotate` is false
@@ -362,21 +394,10 @@ int CmdAnnotate(CliContext& ctx, const std::vector<std::string>& args) {
         }
         crash.key = args[i + 2];
         i += 3;
-      } else if (args[i].rfind("--shards=", 0) == 0) {
-        const std::string value = args[i].substr(9);
-        shards = 0;
-        bool numeric = !value.empty();
-        for (char c : value) {
-          if (c < '0' || c > '9') {
-            numeric = false;
-            break;
-          }
-          shards = shards * 10 + static_cast<uint64_t>(c - '0');
-        }
-        if (!numeric || shards == 0 || shards > 4096) {
-          return Fail(Status::InvalidArgument(
-              "--shards takes a count in [1, 4096], got '" + value + "'"));
-        }
+      } else if (auto value = FlagValue(args[i], "--shards")) {
+        auto parsed = ParseNumericFlag("--shards", *value, 1, 4096);
+        if (!parsed.ok()) return Fail(parsed.status());
+        shards = *parsed;
         i += 1;
       } else {
         return Fail(Status::InvalidArgument(
@@ -504,7 +525,11 @@ int CmdCompose(CliContext& ctx, const std::vector<std::string>& args) {
     return Fail(Status::NotFound("unknown concept (see export-ontology)"));
   }
   size_t depth = 3;
-  if (args.size() == 3) depth = static_cast<size_t>(std::stoul(args[2]));
+  if (args.size() == 3) {
+    auto parsed = ParseNumericFlag("compose depth", args[2], 1, 16);
+    if (!parsed.ok()) return Fail(parsed.status());
+    depth = static_cast<size_t>(*parsed);
+  }
   ExampleGuidedComposer composer(env.cache, env.corpus.registry.get(),
                                  env.pool.get());
   CompositionRequest request;
@@ -618,33 +643,56 @@ int CmdServe(CliContext& ctx, const std::vector<std::string>& args) {
   env_options.seed = ctx.config.engine_options().seed;
   serve::ServerOptions server_options;
   bool stdio = false;
+  constexpr uint64_t kSizeMax = std::numeric_limits<size_t>::max();
+  constexpr uint64_t kU64Max = std::numeric_limits<uint64_t>::max();
+  // The numeric serve flags: range and destination of each.
+  struct NumericFlag {
+    const char* name;
+    uint64_t min;
+    uint64_t max;
+    std::function<void(uint64_t)> set;
+  };
+  serve::RunManagerOptions& manager = server_options.manager;
+  const NumericFlag numeric_flags[] = {
+      {"--port", 0, 65535,
+       [&](uint64_t v) { server_options.port = static_cast<int>(v); }},
+      {"--capacity", 1, kSizeMax,
+       [&](uint64_t v) { manager.capacity = static_cast<size_t>(v); }},
+      {"--batch", 1, kSizeMax,
+       [&](uint64_t v) { manager.execute_batch = static_cast<size_t>(v); }},
+      {"--tenant-queued", 0, kSizeMax,
+       [&](uint64_t v) {
+         manager.per_tenant_max_queued = static_cast<size_t>(v);
+       }},
+      {"--tenant-concurrent", 0, kSizeMax,
+       [&](uint64_t v) {
+         manager.per_tenant_max_concurrent = static_cast<size_t>(v);
+       }},
+      {"--deadline-ns", 0, kU64Max,
+       [&](uint64_t v) { manager.default_deadline_ns = v; }},
+      {"--max-line-bytes", 1, kSizeMax,
+       [&](uint64_t v) {
+         server_options.max_line_bytes = static_cast<size_t>(v);
+       }},
+  };
   for (const std::string& arg : args) {
-    if (arg.rfind("--port=", 0) == 0) {
-      server_options.port = std::stoi(arg.substr(7));
-    } else if (arg.rfind("--unix=", 0) == 0) {
+    bool numeric = false;
+    for (const NumericFlag& flag : numeric_flags) {
+      auto value = FlagValue(arg, flag.name);
+      if (!value) continue;
+      auto parsed = ParseNumericFlag(flag.name, *value, flag.min, flag.max);
+      if (!parsed.ok()) return Fail(parsed.status());
+      flag.set(*parsed);
+      numeric = true;
+      break;
+    }
+    if (numeric) continue;
+    if (arg.rfind("--unix=", 0) == 0) {
       server_options.unix_path = arg.substr(7);
     } else if (arg == "--stdio") {
       stdio = true;
     } else if (arg.rfind("--journal-root=", 0) == 0) {
       env_options.journal_root = arg.substr(15);
-    } else if (arg.rfind("--capacity=", 0) == 0) {
-      server_options.manager.capacity =
-          static_cast<size_t>(std::stoul(arg.substr(11)));
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      server_options.manager.execute_batch =
-          static_cast<size_t>(std::stoul(arg.substr(8)));
-    } else if (arg.rfind("--tenant-queued=", 0) == 0) {
-      server_options.manager.per_tenant_max_queued =
-          static_cast<size_t>(std::stoul(arg.substr(16)));
-    } else if (arg.rfind("--tenant-concurrent=", 0) == 0) {
-      server_options.manager.per_tenant_max_concurrent =
-          static_cast<size_t>(std::stoul(arg.substr(20)));
-    } else if (arg.rfind("--deadline-ns=", 0) == 0) {
-      server_options.manager.default_deadline_ns =
-          std::stoull(arg.substr(14));
-    } else if (arg.rfind("--max-line-bytes=", 0) == 0) {
-      server_options.max_line_bytes =
-          static_cast<size_t>(std::stoul(arg.substr(17)));
     } else {
       return Fail(Status::InvalidArgument("unknown serve argument '" + arg +
                                           "'"));
@@ -753,10 +801,15 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < args.size();) {
     if (args[i].rfind("--kb-image=", 0) == 0) {
       ctx.kb_image_path = args[i].substr(11);
-    } else if (args[i].rfind("--threads=", 0) == 0) {
-      ctx.config.Threads(static_cast<size_t>(std::stoul(args[i].substr(10))));
-    } else if (args[i].rfind("--seed=", 0) == 0) {
-      ctx.config.Seed(std::stoull(args[i].substr(7)));
+    } else if (auto threads = FlagValue(args[i], "--threads")) {
+      auto parsed = ParseNumericFlag("--threads", *threads, 0, 1024);
+      if (!parsed.ok()) return Fail(parsed.status());
+      ctx.config.Threads(static_cast<size_t>(*parsed));
+    } else if (auto seed = FlagValue(args[i], "--seed")) {
+      auto parsed = ParseNumericFlag(
+          "--seed", *seed, 0, std::numeric_limits<uint64_t>::max());
+      if (!parsed.ok()) return Fail(parsed.status());
+      ctx.config.Seed(*parsed);
     } else {
       ++i;
       continue;

@@ -26,9 +26,10 @@ namespace dexa {
 ///   ExampleGenerator generator = config.MakeGenerator(ontology, pool,
 ///                                                     engine.get());
 ///
-/// The underlying aggregate structs remain public API: every setter is a
-/// thin assignment, and Engine()/Generation()/Retry() splice in a whole
-/// struct when a call site already has one. Defaults are the structs'
+/// The underlying aggregate structs remain public API, and every setter is
+/// a thin assignment into them. A knob without a setter here (such as
+/// use_realization) is set on the struct, which the ExampleGenerator and
+/// InvocationEngine constructors take directly. Defaults are the structs'
 /// defaults — a default EngineConfig builds the exact engine and generator
 /// the pre-config constructors did.
 class EngineConfig {
@@ -46,12 +47,6 @@ class EngineConfig {
   /// Base seed for per-task RNG streams and retry jitter.
   EngineConfig& Seed(uint64_t seed) {
     engine_.seed = seed;
-    return *this;
-  }
-
-  /// Replaces the whole EngineOptions (retry policy included).
-  EngineConfig& Engine(EngineOptions options) {
-    engine_ = options;
     return *this;
   }
 
@@ -93,12 +88,6 @@ class EngineConfig {
     return *this;
   }
 
-  /// Replaces the whole RetryPolicy.
-  EngineConfig& Retry(RetryPolicy policy) {
-    engine_.retry = policy;
-    return *this;
-  }
-
   // -- Generator: example generation --------------------------------------
 
   /// Hard cap on input combinations enumerated per module.
@@ -107,27 +96,9 @@ class EngineConfig {
     return *this;
   }
 
-  /// Realization semantics for instance selection (Section 3.2).
-  EngineConfig& UseRealization(bool use_realization) {
-    generator_.use_realization = use_realization;
-    return *this;
-  }
-
   /// Full cartesian enumeration vs the pinned-tail ablation strategy.
   EngineConfig& FullCartesian(bool full_cartesian) {
     generator_.full_cartesian = full_cartesian;
-    return *this;
-  }
-
-  /// Whether optional inputs also try null (Section 2).
-  EngineConfig& NullForOptional(bool include_null) {
-    generator_.include_null_for_optional = include_null;
-    return *this;
-  }
-
-  /// Replaces the whole GeneratorOptions.
-  EngineConfig& Generation(GeneratorOptions options) {
-    generator_ = options;
     return *this;
   }
 

@@ -25,10 +25,11 @@ class Tracer;  // obs/trace.h — optional run tracing, forward-declared so
 /// Tuning knobs for the data-example generator; the defaults implement the
 /// paper's heuristic, the alternatives exist for the ablation benches.
 ///
-/// Aggregate initialization of this struct remains supported, but new call
-/// sites should prefer the fluent EngineConfig builder
-/// (core/engine_config.h), which configures generator, engine and retry
-/// policy through one chained expression.
+/// Aggregate initialization and the fluent EngineConfig builder
+/// (core/engine_config.h) are both public API, by decision: perfbench
+/// constructs `GeneratorOptions{}` directly and builds its engines through
+/// EngineConfig, so neither spelling can go. The builder configures
+/// generator, engine and retry policy in one chained expression.
 struct GeneratorOptions {
   /// Hard cap on input combinations enumerated for one module.
   size_t max_combinations = 4096;

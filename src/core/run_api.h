@@ -90,7 +90,7 @@ struct RunResult {
   AnnotateReport annotate;
 
   /// Payload of the enact family.
-  ResilientEnactmentResult enact;
+  EnactmentResult enact;
 
   /// OK for runs that ran to completion; the abort cause otherwise
   /// (kCancelled for an injected crash of a durable annotate run, which
@@ -104,10 +104,10 @@ struct RunResult {
 /// the only run entry point: the CLI, the serve daemon's RunManager and the
 /// shard runner all describe their runs as RunRequests.
 ///
-/// Runs are deterministic at any thread count. Durable runs journal through
-/// a per-run CommitStream, and a resumed run (replaying the committed
-/// prefix, generating only the remainder) ends byte-identical to an
-/// uninterrupted one. Injected crashes surface as run_status=kCancelled
+/// Runs are deterministic at any thread count. Durable runs append their
+/// commits, in order, to their own journal, and a resumed run (replaying
+/// the committed prefix, generating only the remainder) ends byte-identical
+/// to an uninterrupted one. Injected crashes surface as run_status=kCancelled
 /// (annotate) or an error Result (enact).
 ///
 /// Defined in the durability layer (durability/run_api.cc): the facade must

@@ -55,24 +55,20 @@ void ExportObservability(const obs::RunObservability& obs,
   if (obs.tracer != nullptr) obs.metrics->ImportTrace(*obs.tracer);
 }
 
-/// The write-ahead side of one durable run. Records go through the run's
-/// own ordered CommitStream into its journal: streams are per-run state, so
-/// concurrent durable runs sharing one engine cannot interleave each
-/// other's journals.
+/// The write-ahead side of one durable run: appends its records to the
+/// run's own journal. Each run has its own DurableCommits and commits
+/// sequentially, so concurrent durable runs sharing one engine cannot
+/// interleave each other's journals.
 class DurableCommits {
  public:
   DurableCommits(const RunRequest& request, InvocationEngine& engine)
       : journal_(*request.journal),
         crash_(request.crash != nullptr ? *request.crash : CrashPlan{}),
-        metrics_(engine.metrics()),
-        stream_(engine, [&journal = *request.journal](
-                            uint64_t, const std::string& payload) {
-          return journal.Append(payload);
-        }) {}
+        metrics_(engine.metrics()) {}
 
   /// Appends the run header, which no crash plan keys on.
   [[nodiscard]] Status AppendHeader(const std::string& payload) {
-    return stream_.Commit(payload);
+    return Append(payload);
   }
 
   /// The crash-plan step, shared by annotate and enact: appends the record
@@ -90,7 +86,7 @@ class DurableCommits {
         crash_.Matches(key)) {
       return crashed("crash injected before commit of ", false);
     }
-    Status appended = stream_.Commit(payload);
+    Status appended = Append(payload);
     if (!appended.ok()) return CommitVerdict{std::move(appended), false};
     metrics_.Add(EngineCounter::modules_reinvoked);
     if (!crash_.Matches(key)) return CommitVerdict{};
@@ -112,10 +108,15 @@ class DurableCommits {
   }
 
  private:
+  /// Counts the commit, then appends it: a failed append still counts.
+  Status Append(const std::string& payload) {
+    metrics_.Add(EngineCounter::commits);
+    return journal_.Append(payload);
+  }
+
   RunJournal& journal_;
   const CrashPlan crash_;
   EngineMetrics& metrics_;
-  CommitStream stream_;
 };
 
 /// Parses and validates the committed prefix of a recovered annotate
@@ -215,7 +216,11 @@ Result<AnnotateReport> AnnotateDurable(const RunRequest& request) {
 }
 
 /// Decodes the committed steps of a recovered enactment journal into a
-/// per-processor replay vector, validating the header against this run.
+/// per-processor replay vector, validating the header against this run and
+/// each step against the processor it names: same workflow, processor name
+/// and module id, and at most one commit per processor. Step order is not
+/// checked — a resumed degraded run can append a retried upstream step
+/// after an independent downstream one.
 Result<std::vector<std::optional<InvocationRecord>>> ValidateEnactResume(
     const JournalRecovery& recovery, const Workflow& workflow,
     const std::vector<Value>& inputs) {
@@ -248,8 +253,24 @@ Result<std::vector<std::optional<InvocationRecord>>> ValidateEnactResume(
                                std::to_string(commit->processor) +
                                ", out of range");
     }
-    replayed[static_cast<size_t>(commit->processor)] =
-        std::move(commit->record);
+    const size_t p = static_cast<size_t>(commit->processor);
+    const Processor& processor = workflow.processors[p];
+    const InvocationRecord& record = commit->record;
+    if (record.workflow_id != workflow.id ||
+        record.processor_name != processor.name ||
+        record.module_id != processor.module_id) {
+      return Status::Corrupted(
+          "journal record " + std::to_string(r) + " commits step '" +
+          record.processor_name + "' (module '" + record.module_id +
+          "') under processor " + std::to_string(p) + " ('" +
+          processor.name + "')");
+    }
+    if (replayed[p].has_value()) {
+      return Status::Corrupted("journal record " + std::to_string(r) +
+                               " commits processor " + std::to_string(p) +
+                               " ('" + processor.name + "') a second time");
+    }
+    replayed[p] = std::move(commit->record);
   }
   return replayed;
 }
@@ -257,7 +278,7 @@ Result<std::vector<std::optional<InvocationRecord>>> ValidateEnactResume(
 /// A journaled enactment: validates the resume, writes the run header of a
 /// fresh journal, and journals every live step through EnactHooks, before
 /// its outputs feed downstream processors.
-Result<ResilientEnactmentResult> EnactDurable(const RunRequest& request) {
+Result<EnactmentResult> EnactDurable(const RunRequest& request) {
   const Workflow& workflow = *request.workflow;
   InvocationEngine& engine = *request.engine;
   std::vector<std::optional<InvocationRecord>> replayed(
@@ -296,8 +317,7 @@ Result<ResilientEnactmentResult> EnactDurable(const RunRequest& request) {
                 EncodeStepCommit(commit))
         .status;
   };
-  return EnactResilient(workflow, *request.registry, request.inputs, engine,
-                        hooks);
+  return Enact(workflow, *request.registry, request.inputs, engine, hooks);
 }
 
 }  // namespace
@@ -336,8 +356,8 @@ Result<RunResult> SubmitRun(const RunRequest& request) {
       hooks.obs = request.obs;
       auto enacted =
           durable ? EnactDurable(request)
-                  : EnactResilient(*request.workflow, *request.registry,
-                                   request.inputs, *request.engine, hooks);
+                  : Enact(*request.workflow, *request.registry,
+                          request.inputs, *request.engine, hooks);
       if (!enacted.ok()) return enacted.status();
       result.enact = std::move(enacted).value();
       ExportObservability(request.obs, request.engine->metrics().Snapshot());

@@ -88,10 +88,11 @@ struct BreakerView {
 
 /// Configuration of an InvocationEngine.
 ///
-/// Aggregate initialization of this struct remains supported, but new call
-/// sites should prefer the fluent EngineConfig builder
-/// (core/engine_config.h), which also folds in the RetryPolicy and
-/// GeneratorOptions knobs.
+/// Aggregate initialization and the fluent EngineConfig builder
+/// (core/engine_config.h) are both public API, by decision: a call site
+/// that sets one knob spells the struct (`EngineOptions{.threads = 1}`),
+/// and one that sets engine, retry and generator knobs together chains the
+/// builder. The perfbench harness relies on both spellings.
 struct EngineOptions {
   /// Worker threads in the pool. 0 means hardware concurrency; 1 means no
   /// pool is spawned and every batch runs inline on the caller.
@@ -155,12 +156,6 @@ class InvocationEngine {
   Rng RngFor(uint64_t task_index) const {
     return Rng(options_.seed).Fork(task_index);
   }
-
-  /// Durable-commit hook: receives every committed unit of work of one
-  /// run, in commit order, with a strictly increasing sequence number. The
-  /// durability layer attaches a RunJournal appender; see CommitStream.
-  using CommitHook =
-      std::function<Status(uint64_t sequence, const std::string& payload)>;
 
   /// Invokes `module` once, counting the invocation into the engine
   /// metrics. The single-combination path every sequential consumer
@@ -267,45 +262,6 @@ class InvocationEngine {
   std::deque<std::shared_ptr<Batch>> queue_ DEXA_GUARDED_BY(queue_mutex_);
   // dexa-lint: allow(guarded-field) — written once in the ctor, joined in the dtor.
   std::vector<std::jthread> workers_;
-};
-
-/// The ordered commit channel of one durable run. Each stream owns its own
-/// hook, mutex and sequence counter, so many durable runs can share one
-/// engine without interleaving their journals (the original engine-global
-/// SetCommitHook allowed exactly one durable run per engine — the shape the
-/// serve daemon cannot live with). Consumers with a sequential-commit phase
-/// push each committed unit through Commit(), which assigns the stream's
-/// next sequence number and counts the commit into the engine metrics; the
-/// stream serializes hook invocations but cannot invent an order, so
-/// Commit() must never be called from the parallel fan-out.
-class CommitStream {
- public:
-  CommitStream(InvocationEngine& engine, InvocationEngine::CommitHook hook)
-      : engine_(&engine), hook_(std::move(hook)) {}
-
-  CommitStream(const CommitStream&) = delete;
-  CommitStream& operator=(const CommitStream&) = delete;
-
-  /// Pushes one committed unit through the hook (no-op without one).
-  [[nodiscard]] Status Commit(const std::string& payload) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!hook_) return Status::OK();
-    engine_->metrics().Add(EngineCounter::commits);
-    return hook_(sequence_++, payload);
-  }
-
-  /// Units committed so far.
-  uint64_t committed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return sequence_;
-  }
-
- private:
-  // dexa-lint: allow(guarded-field) — set in the ctor, immutable after.
-  InvocationEngine* engine_;
-  mutable std::mutex mutex_;
-  InvocationEngine::CommitHook hook_ DEXA_GUARDED_BY(mutex_);
-  uint64_t sequence_ DEXA_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace dexa

@@ -406,11 +406,24 @@ Result<ProvenanceCorpus> BuildProvenanceCorpus(
     const Corpus& corpus, const WorkflowCorpus& workflow_corpus) {
   ProvenanceCorpus provenance;
   for (const GeneratedWorkflow& item : workflow_corpus.items) {
-    auto result = Enact(item.workflow, *corpus.registry, item.seeds);
+    auto result = Enact(item.workflow, *corpus.registry, item.seeds,
+                        InvocationEngine::Serial());
     if (!result.ok()) {
       return Status(result.status().code(),
                     "enacting '" + item.workflow.id +
                         "': " + result.status().message());
+    }
+    if (!result->complete()) {
+      // The pool is harvested from whole traces: a skipped step is a hole
+      // in the provenance, so a degraded enactment fails the harvest.
+      std::string message = "enacting '" + item.workflow.id +
+                            "': skipped processors " +
+                            Join(result->skipped_processors, ", ");
+      if (result->decayed_modules.empty()) {
+        return Status::Unavailable(std::move(message));
+      }
+      return Status::Decayed(message + " (decayed modules " +
+                             Join(result->decayed_modules, ", ") + ")");
     }
     WorkflowTrace trace;
     trace.workflow_id = item.workflow.id;

@@ -62,7 +62,10 @@ struct WorkflowCorpusOptions {
 /// Enacts every workflow of `workflow_corpus` and collects the provenance,
 /// then appends "historical" standalone invocation records for each decayed
 /// module (seeds 0..5) — the old-project traces of Section 6. Fails if any
-/// workflow fails to enact (the corpus is constructed to succeed).
+/// workflow fails to enact or enacts incomplete (the corpus is constructed
+/// to succeed): kDecayed when a module of the workflow has decayed,
+/// otherwise kUnavailable, naming the workflow id and its skipped
+/// processors.
 [[nodiscard]] Result<ProvenanceCorpus> BuildProvenanceCorpus(
     const Corpus& corpus, const WorkflowCorpus& workflow_corpus);
 

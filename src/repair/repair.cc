@@ -12,8 +12,7 @@ Result<DecayScanReport> ScanForDecay(const ModuleRegistry& probe_registry,
                                      ModuleRegistry* retire_in) {
   DecayScanReport report;
   for (const GeneratedWorkflow& item : workflow_corpus.items) {
-    auto enactment =
-        EnactResilient(item.workflow, probe_registry, item.seeds, engine);
+    auto enactment = Enact(item.workflow, probe_registry, item.seeds, engine);
     if (!enactment.ok()) return enactment.status();
     ++report.workflows_enacted;
     if (!enactment->complete()) ++report.workflows_degraded;
@@ -277,8 +276,9 @@ Result<RepairOutcome> RepairWorkflows(const Corpus& corpus,
 
     // Re-enact on the original seeds and verify each substitution
     // in-context against the retired module's provenance.
-    auto enactment = Enact(repaired, registry, item.seeds);
-    bool verified = enactment.ok();
+    auto enactment =
+        Enact(repaired, registry, item.seeds, InvocationEngine::Serial());
+    bool verified = enactment.ok() && enactment->complete();
     if (verified) {
       for (const AppliedSubstitution& substitution : applied) {
         // Locate what the substitute consumed/produced during enactment.

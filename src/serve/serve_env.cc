@@ -397,7 +397,7 @@ uint64_t ServeEnv::AnnotationsDigest(const ModuleRegistry& registry) const {
   return StableHash64(SaveAnnotations(registry, *corpus_.ontology));
 }
 
-uint64_t ServeEnv::EnactDigest(const ResilientEnactmentResult& result) {
+uint64_t ServeEnv::EnactDigest(const EnactmentResult& result) {
   std::string rendered;
   for (const Value& value : result.outputs) {
     rendered += value.ToString();

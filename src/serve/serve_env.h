@@ -113,7 +113,7 @@ class ServeEnv {
   uint64_t AnnotationsDigest(const ModuleRegistry& registry) const;
 
   /// Stable digest of an enactment's outputs.
-  static uint64_t EnactDigest(const ResilientEnactmentResult& result);
+  static uint64_t EnactDigest(const EnactmentResult& result);
 
  private:
   ServeEnv() = default;

@@ -290,7 +290,7 @@ WireMessage Server::HandleResult(const WireMessage& request) {
       break;
     }
     case RunKind::kEnact: {
-      const ResilientEnactmentResult& enact = (*result)->enact;
+      const EnactmentResult& enact = (*result)->enact;
       response["outputs"] = std::to_string(enact.outputs.size());
       response["missing"] = std::to_string(enact.missing_outputs);
       response["invocations"] = std::to_string(enact.invocations.size());

@@ -1,104 +1,14 @@
 #include "workflow/enactor.h"
 
-#include <algorithm>
-
 #include "obs/trace.h"
 
 namespace dexa {
 
 Result<EnactmentResult> Enact(const Workflow& workflow,
                               const ModuleRegistry& registry,
-                              const std::vector<Value>& inputs) {
-  return Enact(workflow, registry, inputs, InvocationEngine::Serial());
-}
-
-Result<EnactmentResult> Enact(const Workflow& workflow,
-                              const ModuleRegistry& registry,
                               const std::vector<Value>& inputs,
-                              InvocationEngine& engine) {
-  if (inputs.size() != workflow.inputs.size()) {
-    return Status::InvalidArgument(
-        "workflow '" + workflow.name + "' expects " +
-        std::to_string(workflow.inputs.size()) + " inputs, got " +
-        std::to_string(inputs.size()));
-  }
-  auto order = TopologicalOrder(workflow);
-  if (!order.ok()) return order.status();
-
-  EnactmentResult result;
-  // Values produced so far: per processor, its output vector.
-  std::vector<std::vector<Value>> produced(workflow.processors.size());
-
-  auto resolve = [&](const PortSource& source) -> Result<Value> {
-    if (source.from_workflow_input()) {
-      if (source.port < 0 ||
-          static_cast<size_t>(source.port) >= inputs.size()) {
-        return Status::InvalidArgument("workflow input index out of range");
-      }
-      return inputs[static_cast<size_t>(source.port)];
-    }
-    if (source.processor < 0 ||
-        static_cast<size_t>(source.processor) >= produced.size()) {
-      return Status::InvalidArgument("source processor index out of range");
-    }
-    const auto& values = produced[static_cast<size_t>(source.processor)];
-    if (source.port < 0 || static_cast<size_t>(source.port) >= values.size()) {
-      return Status::InvalidArgument("source output port out of range");
-    }
-    return values[static_cast<size_t>(source.port)];
-  };
-
-  for (int p : *order) {
-    const Processor& processor =
-        workflow.processors[static_cast<size_t>(p)];
-    auto module = registry.Find(processor.module_id);
-    if (!module.ok()) return module.status();
-
-    std::vector<Value> module_inputs;
-    module_inputs.reserve(processor.input_sources.size());
-    for (const PortSource& source : processor.input_sources) {
-      auto value = resolve(source);
-      if (!value.ok()) return value.status();
-      module_inputs.push_back(std::move(value).value());
-    }
-
-    auto outputs =
-        engine.Invoke(**module, module_inputs, EnginePhase::kEnact);
-    if (!outputs.ok()) {
-      return Status(outputs.status().code(),
-                    "workflow '" + workflow.name + "', processor '" +
-                        processor.name + "': " + outputs.status().message());
-    }
-
-    InvocationRecord record;
-    record.workflow_id = workflow.id;
-    record.processor_name = processor.name;
-    record.module_id = processor.module_id;
-    record.inputs = module_inputs;
-    record.outputs = *outputs;
-    result.invocations.push_back(std::move(record));
-
-    produced[static_cast<size_t>(p)] = std::move(outputs).value();
-  }
-
-  for (const WorkflowOutput& output : workflow.outputs) {
-    auto value = resolve(output.source);
-    if (!value.ok()) return value.status();
-    result.outputs.push_back(std::move(value).value());
-  }
-  return result;
-}
-
-Result<ResilientEnactmentResult> EnactResilient(
-    const Workflow& workflow, const ModuleRegistry& registry,
-    const std::vector<Value>& inputs, InvocationEngine& engine) {
-  return EnactResilient(workflow, registry, inputs, engine, EnactHooks{});
-}
-
-Result<ResilientEnactmentResult> EnactResilient(
-    const Workflow& workflow, const ModuleRegistry& registry,
-    const std::vector<Value>& inputs, InvocationEngine& engine,
-    const EnactHooks& hooks) {
+                              InvocationEngine& engine,
+                              const EnactHooks& hooks) {
   if (hooks.replayed != nullptr &&
       hooks.replayed->size() != workflow.processors.size()) {
     return Status::InvalidArgument(
@@ -115,7 +25,7 @@ Result<ResilientEnactmentResult> EnactResilient(
   auto order = TopologicalOrder(workflow);
   if (!order.ok()) return order.status();
 
-  ResilientEnactmentResult result;
+  EnactmentResult result;
   std::vector<std::vector<Value>> produced(workflow.processors.size());
   // Processors that ran to completion; a skipped processor poisons its
   // consumers transitively.
@@ -153,6 +63,8 @@ Result<ResilientEnactmentResult> EnactResilient(
   };
 
   obs::Tracer* tracer = hooks.obs.tracer;
+  // The span keeps its historical name: it is trace format
+  // (docs/OBSERVABILITY.md), and renaming it would change every enact trace.
   obs::ScopedSpan run(tracer, obs::SpanKind::kRun,
                       "enact_resilient:" + workflow.name);
   obs::ScopedSpan enact_phase(tracer, obs::SpanKind::kPhase, "enact",

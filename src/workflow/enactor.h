@@ -25,41 +25,9 @@ struct InvocationRecord {
   std::vector<Value> outputs;
 };
 
-/// The result of enacting a workflow: the workflow-level outputs plus the
-/// captured provenance.
-struct EnactmentResult {
-  std::vector<Value> outputs;
-  std::vector<InvocationRecord> invocations;
-};
-
-/// Enacts `workflow` on `inputs` (one value per workflow input), invoking
-/// modules from `registry` in topological order and threading values along
-/// the data links. Fails with:
-///  * Decayed if any referenced module has been withdrawn (or a permanent-
-///    class fault surfaces mid-run — see EnactResilient for the variant
-///    that degrades instead of failing);
-///  * InvalidArgument if the workflow is malformed, `inputs` has the wrong
-///    arity, or a module rejects its input combination.
-/// Provenance is captured for the invocations that did run.
-///
-/// Module invocations are routed through `engine` (counted under the
-/// enact phase); the 3-argument overload uses the shared serial engine.
-/// Enactment order is the workflow's deterministic topological order
-/// regardless of the engine's thread count — data dependencies serialize
-/// the steps; the engine is the metering and (for batched consumers)
-/// fan-out point.
-[[nodiscard]] Result<EnactmentResult> Enact(const Workflow& workflow,
-                              const ModuleRegistry& registry,
-                              const std::vector<Value>& inputs,
-                              InvocationEngine& engine);
-
-[[nodiscard]] Result<EnactmentResult> Enact(const Workflow& workflow,
-                              const ModuleRegistry& registry,
-                              const std::vector<Value>& inputs);
-
-/// The result of a resilient enactment: the parts of the workflow that ran,
+/// The result of enacting a workflow: the parts of the workflow that ran,
 /// plus an account of what decayed along the way.
-struct ResilientEnactmentResult {
+struct EnactmentResult {
   /// One slot per workflow output, in declaration order. Slots fed by a
   /// skipped processor hold Value::Null(); `missing_outputs` counts them.
   std::vector<Value> outputs;
@@ -78,26 +46,13 @@ struct ResilientEnactmentResult {
   /// upstream dependency was skipped. Topological order.
   std::vector<std::string> skipped_processors;
 
+  /// True when every processor ran. Callers that need the whole workflow
+  /// (provenance harvest, repair verification) treat an incomplete result
+  /// as a failure of their own.
   bool complete() const { return skipped_processors.empty(); }
 };
 
-/// Enacts `workflow` like Enact(), but degrades gracefully instead of
-/// failing when a module decays mid-run: the failing processor and every
-/// processor downstream of it are skipped, the surviving portion of the
-/// workflow still runs (with its provenance captured), and the decayed
-/// module ids are reported so the caller can hand them to the repair
-/// subsystem. Retryable failures that survive the engine's retry policy
-/// skip the processor without marking the module decayed.
-///
-/// Still fails on structural errors (malformed workflow, wrong input
-/// arity, InvalidArgument from a module rejecting its inputs): those are
-/// bugs in the workflow or corpus, not infrastructure decay.
-[[nodiscard]] Result<ResilientEnactmentResult> EnactResilient(const Workflow& workflow,
-                                                const ModuleRegistry& registry,
-                                                const std::vector<Value>& inputs,
-                                                InvocationEngine& engine);
-
-/// Durability seams of a resilient enactment. The durable enactment runner
+/// Durability seams of an enactment. The durable enactment runner
 /// (durability/run_api.cc) uses these to journal every step and to serve
 /// already-committed steps from a recovered journal; the enactor itself
 /// stays storage-agnostic. AnnotateHooks (core/example_generator.h) is the
@@ -125,13 +80,29 @@ struct EnactHooks {
   obs::RunObservability obs;
 };
 
-/// EnactResilient with durability hooks. `hooks.replayed`, when non-null,
-/// must have exactly one slot per processor.
-[[nodiscard]] Result<ResilientEnactmentResult> EnactResilient(const Workflow& workflow,
-                                                const ModuleRegistry& registry,
-                                                const std::vector<Value>& inputs,
-                                                InvocationEngine& engine,
-                                                const EnactHooks& hooks);
+/// Enacts `workflow` on `inputs` (one value per workflow input), invoking
+/// modules from `registry` in topological order and threading values along
+/// the data links. Provenance is captured for every invocation that ran.
+///
+/// Decay is data, not an error: a processor whose module fails with a
+/// permanent-class status is skipped with everything downstream of it, the
+/// rest of the workflow still runs, and the module id is reported in
+/// `decayed_modules`. A retryable failure the engine's retry policy could
+/// not outlast skips the processor without marking the module decayed.
+///
+/// Fails on structural errors — wrong input arity, a cycle, an unknown
+/// module id, a module rejecting its inputs (InvalidArgument, ...) — and
+/// with the status of a failed `hooks.on_commit`. `hooks.replayed`, when
+/// non-null, must have exactly one slot per processor.
+///
+/// Invocations are routed through `engine` (counted under the enact
+/// phase). Enactment order is the workflow's deterministic topological
+/// order at any thread count.
+[[nodiscard]] Result<EnactmentResult> Enact(const Workflow& workflow,
+                                            const ModuleRegistry& registry,
+                                            const std::vector<Value>& inputs,
+                                            InvocationEngine& engine,
+                                            const EnactHooks& hooks = {});
 
 /// Extracts the sub-workflow induced by `processor_indices` (Section 6:
 /// validating substitutes on sub-workflows). Dangling inputs — links from

@@ -66,7 +66,7 @@ Result<AnnotateReport> AnnotateDurable(const ExampleGenerator& generator,
 }
 
 /// Submits a durable enactment of `item`'s workflow on its seeds.
-Result<ResilientEnactmentResult> EnactDurable(
+Result<EnactmentResult> EnactDurable(
     const GeneratedWorkflow& item, InvocationEngine& engine,
     RunJournal& journal, const JournalRecovery* resume = nullptr,
     const CrashPlan* crash = nullptr) {
@@ -639,38 +639,105 @@ const GeneratedWorkflow& PickWorkflow() {
   std::abort();
 }
 
+/// Writes a CRC-valid journal for `item`'s enactment into `dir`: this
+/// enactment's run header, then `steps` as records.
+void WriteEnactJournal(const std::string& dir, const GeneratedWorkflow& item,
+                       const std::vector<std::string>& steps) {
+  auto journal = RunJournal::Create(dir);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  EnactRunHeader header;
+  header.workflow_id = item.workflow.id;
+  header.processors = item.workflow.processors.size();
+  header.fingerprint = EnactConfigFingerprint(item.workflow.id, item.seeds);
+  ASSERT_TRUE(journal->Append(EncodeEnactRunHeader(header)).ok());
+  for (const std::string& step : steps) {
+    ASSERT_TRUE(journal->Append(step).ok());
+  }
+}
+
+/// Recovers the journal in `dir` and resumes `item`'s enactment from it.
+Result<EnactmentResult> ResumeEnact(const GeneratedWorkflow& item,
+                                    const std::string& dir) {
+  auto recovery = RecoverJournal(dir);
+  if (!recovery.ok()) return recovery.status();
+  EXPECT_FALSE(recovery->tail_discarded());  // Every record is CRC-valid.
+  auto journal = RunJournal::Resume(dir, *recovery);
+  if (!journal.ok()) return journal.status();
+  InvocationEngine engine;
+  return EnactDurable(item, engine, *journal, &*recovery);
+}
+
+/// The index of the processor named `name` in `workflow`.
+int ProcessorIndex(const Workflow& workflow, const std::string& name) {
+  for (size_t p = 0; p < workflow.processors.size(); ++p) {
+    if (workflow.processors[p].name == name) return static_cast<int>(p);
+  }
+  ADD_FAILURE() << "no processor named '" << name << "'";
+  return -1;
+}
+
 TEST(DurableEnactTest, ResumeRefusesAProcessorIndexPastIntMax) {
   const GeneratedWorkflow& item = PickWorkflow();
   const std::string dir = FreshDir("processor-past-int-max");
-  {
-    // A CRC-valid journal: this enactment's header, then a step commit
-    // whose processor index narrows to 1 as an int.
-    auto journal = RunJournal::Create(dir);
-    ASSERT_TRUE(journal.ok()) << journal.status();
-    EnactRunHeader header;
-    header.workflow_id = item.workflow.id;
-    header.processors = item.workflow.processors.size();
-    header.fingerprint = EnactConfigFingerprint(item.workflow.id, item.seeds);
-    ASSERT_TRUE(journal->Append(EncodeEnactRunHeader(header)).ok());
-    StepCommit step;
-    step.processor = 1;
-    step.record.workflow_id = item.workflow.id;
-    step.record.processor_name = item.workflow.processors[1].name;
-    step.record.module_id = item.workflow.processors[1].module_id;
-    std::string payload = EncodeStepCommit(step);
-    payload.replace(payload.find("processor 1\n"), 12,
-                    "processor 4294967297\n");
-    ASSERT_TRUE(journal->Append(payload).ok());
-  }
-  InvocationEngine engine;
-  auto recovery = RecoverJournal(dir);
-  ASSERT_TRUE(recovery.ok()) << recovery.status();
-  ASSERT_EQ(recovery->records.size(), 2u);
-  auto journal = RunJournal::Resume(dir, *recovery);
-  ASSERT_TRUE(journal.ok()) << journal.status();
-  auto resumed = EnactDurable(item, engine, *journal, &*recovery);
+  // A step commit whose processor index narrows to 1 as an int.
+  StepCommit step;
+  step.processor = 1;
+  step.record.workflow_id = item.workflow.id;
+  step.record.processor_name = item.workflow.processors[1].name;
+  step.record.module_id = item.workflow.processors[1].module_id;
+  std::string payload = EncodeStepCommit(step);
+  payload.replace(payload.find("processor 1\n"), 12,
+                  "processor 4294967297\n");
+  WriteEnactJournal(dir, item, {payload});
+  auto resumed = ResumeEnact(item, dir);
   ASSERT_FALSE(resumed.ok());
   EXPECT_TRUE(resumed.status().IsCorrupted()) << resumed.status();
+}
+
+TEST(DurableEnactTest, ResumeRefusesAStepCommittedUnderAnotherProcessor) {
+  const auto& env = GetEnvironment();
+  const GeneratedWorkflow& item = PickWorkflow();
+  auto baseline = Enact(item.workflow, *env.corpus.registry, item.seeds,
+                        InvocationEngine::Serial());
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+  ASSERT_GE(baseline->invocations.size(), 2u);
+
+  // The first step's real record, filed under the second step's processor.
+  const std::string dir = FreshDir("step-under-another-processor");
+  StepCommit step;
+  step.processor =
+      ProcessorIndex(item.workflow, baseline->invocations[1].processor_name);
+  step.record = baseline->invocations[0];
+  WriteEnactJournal(dir, item, {EncodeStepCommit(step)});
+  auto resumed = ResumeEnact(item, dir);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_TRUE(resumed.status().IsCorrupted()) << resumed.status();
+  EXPECT_NE(resumed.status().message().find("journal record 1"),
+            std::string::npos)
+      << resumed.status();
+}
+
+TEST(DurableEnactTest, ResumeRefusesAStepCommittedTwice) {
+  const auto& env = GetEnvironment();
+  const GeneratedWorkflow& item = PickWorkflow();
+  auto baseline = Enact(item.workflow, *env.corpus.registry, item.seeds,
+                        InvocationEngine::Serial());
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+  ASSERT_GE(baseline->invocations.size(), 1u);
+
+  const std::string dir = FreshDir("step-committed-twice");
+  StepCommit step;
+  step.processor =
+      ProcessorIndex(item.workflow, baseline->invocations[0].processor_name);
+  step.record = baseline->invocations[0];
+  const std::string payload = EncodeStepCommit(step);
+  WriteEnactJournal(dir, item, {payload, payload});
+  auto resumed = ResumeEnact(item, dir);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_TRUE(resumed.status().IsCorrupted()) << resumed.status();
+  EXPECT_NE(resumed.status().message().find("journal record 2"),
+            std::string::npos)
+      << resumed.status();
 }
 
 TEST(DurableEnactTest, CrashedEnactmentResumesToIdenticalResult) {
@@ -680,8 +747,8 @@ TEST(DurableEnactTest, CrashedEnactmentResumesToIdenticalResult) {
   const std::vector<Value>& inputs = item.seeds;
 
   InvocationEngine baseline_engine;
-  auto baseline = EnactResilient(workflow, *env.corpus.registry, inputs,
-                                 baseline_engine);
+  auto baseline =
+      Enact(workflow, *env.corpus.registry, inputs, baseline_engine);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
 
   // Crash at the second step that actually runs.
@@ -738,8 +805,8 @@ TEST(DurableEnactTest, TornStepCommitIsReinvokedOnResume) {
   const std::vector<Value>& inputs = item.seeds;
 
   InvocationEngine baseline_engine;
-  auto baseline = EnactResilient(workflow, *env.corpus.registry, inputs,
-                                 baseline_engine);
+  auto baseline =
+      Enact(workflow, *env.corpus.registry, inputs, baseline_engine);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
   ASSERT_GE(baseline->invocations.size(), 2u);
   const std::string crash_key = baseline->invocations[1].module_id;

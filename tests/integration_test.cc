@@ -1,6 +1,8 @@
 // Cross-module integration checks: the full Figure 3 architecture exercised
 // end to end on the shared environment.
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/coverage.h"
@@ -121,8 +123,27 @@ TEST(IntegrationTest, BrokenWorkflowsFailBeforeRepairAndRunAfter) {
     }
   }
   ASSERT_NE(broken, nullptr);
-  auto failed = Enact(broken->workflow, *env.corpus.registry, broken->seeds);
-  EXPECT_TRUE(failed.status().IsDecayed());
+  auto failed = Enact(broken->workflow, *env.corpus.registry, broken->seeds,
+                      InvocationEngine::Serial());
+  ASSERT_TRUE(failed.ok()) << failed.status();
+  EXPECT_FALSE(failed->complete());
+  // Every processor on a retired module is skipped, and the retired modules
+  // the enactment reached are reported decayed.
+  const std::vector<std::string> retired =
+      UnavailableModules(broken->workflow, *env.corpus.registry);
+  auto contains = [](const std::vector<std::string>& ids,
+                     const std::string& id) {
+    return std::find(ids.begin(), ids.end(), id) != ids.end();
+  };
+  ASSERT_FALSE(failed->decayed_modules.empty());
+  for (const std::string& id : failed->decayed_modules) {
+    EXPECT_TRUE(contains(retired, id)) << id;
+  }
+  for (const Processor& processor : broken->workflow.processors) {
+    if (!contains(retired, processor.module_id)) continue;
+    EXPECT_TRUE(contains(failed->skipped_processors, processor.name))
+        << processor.name;
+  }
 
   auto matching = MatchRetiredModules(env.corpus, env.provenance);
   ASSERT_TRUE(matching.ok());
@@ -134,8 +155,10 @@ TEST(IntegrationTest, BrokenWorkflowsFailBeforeRepairAndRunAfter) {
     ASSERT_FALSE(best.candidate_id.empty());
     processor.module_id = best.candidate_id;
   }
-  auto fixed = Enact(repaired, *env.corpus.registry, broken->seeds);
-  EXPECT_TRUE(fixed.ok()) << fixed.status();
+  auto fixed = Enact(repaired, *env.corpus.registry, broken->seeds,
+                     InvocationEngine::Serial());
+  ASSERT_TRUE(fixed.ok()) << fixed.status();
+  EXPECT_TRUE(fixed->complete());
 }
 
 TEST(IntegrationTest, CoverageSummaryOverWholeCorpus) {

@@ -186,10 +186,14 @@ TEST(WorkflowIoTest, ParsedWorkflowEnacts) {
       RenderWorkflowDsl(item.workflow, *env.corpus.ontology);
   auto parsed = ParseWorkflowDsl(rendered, *env.corpus.ontology);
   ASSERT_TRUE(parsed.ok());
-  auto original = Enact(item.workflow, *env.corpus.registry, item.seeds);
-  auto reloaded = Enact(*parsed, *env.corpus.registry, item.seeds);
+  auto original = Enact(item.workflow, *env.corpus.registry, item.seeds,
+                        InvocationEngine::Serial());
+  auto reloaded = Enact(*parsed, *env.corpus.registry, item.seeds,
+                        InvocationEngine::Serial());
   ASSERT_TRUE(original.ok());
   ASSERT_TRUE(reloaded.ok());
+  ASSERT_TRUE(original->complete());
+  ASSERT_TRUE(reloaded->complete());
   ASSERT_EQ(original->outputs.size(), reloaded->outputs.size());
   for (size_t o = 0; o < original->outputs.size(); ++o) {
     EXPECT_EQ(original->outputs[o], reloaded->outputs[o]);

@@ -51,6 +51,27 @@ TEST(ProvenanceCorpusTest, RetiredModulesHaveHistoricalRecords) {
   }
 }
 
+TEST(ProvenanceCorpusTest, HarvestFailsDecayedAfterRetirement) {
+  // The shared environment has retired its decayed modules, so harvesting
+  // its workflow corpus again reaches a retired module.
+  const auto& env = GetEnvironment();
+  const GeneratedWorkflow* first_decayed = nullptr;
+  for (const GeneratedWorkflow& item : env.workflows.items) {
+    if (!IsEnactable(item.workflow, *env.corpus.registry)) {
+      first_decayed = &item;
+      break;
+    }
+  }
+  ASSERT_NE(first_decayed, nullptr);
+  auto harvested = BuildProvenanceCorpus(env.corpus, env.workflows);
+  ASSERT_FALSE(harvested.ok());
+  EXPECT_TRUE(harvested.status().IsDecayed()) << harvested.status();
+  EXPECT_NE(harvested.status().message().find(
+                "'" + first_decayed->workflow.id + "'"),
+            std::string::npos)
+      << harvested.status();
+}
+
 TEST(ProvenanceCorpusTest, FindByInputsLocatesRecords) {
   const auto& env = GetEnvironment();
   const std::string& retired = env.corpus.retired_ids[0];

@@ -362,8 +362,8 @@ TEST(RunApiTest, EnactFacadeMatchesDirectEntry) {
   const GeneratedWorkflow& item = PickWorkflow();
 
   InvocationEngine direct_engine;
-  auto direct = EnactResilient(item.workflow, *env.corpus.registry,
-                               item.seeds, direct_engine);
+  auto direct = Enact(item.workflow, *env.corpus.registry, item.seeds,
+                      direct_engine);
   ASSERT_TRUE(direct.ok()) << direct.status();
 
   InvocationEngine facade_engine;
@@ -387,8 +387,8 @@ TEST(RunApiTest, DurableEnactCrashResumesThroughFacade) {
   const GeneratedWorkflow& item = PickWorkflow();
 
   InvocationEngine baseline_engine;
-  auto baseline = EnactResilient(item.workflow, *env.corpus.registry,
-                                 item.seeds, baseline_engine);
+  auto baseline = Enact(item.workflow, *env.corpus.registry, item.seeds,
+                        baseline_engine);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
   ASSERT_GE(baseline->invocations.size(), 2u);
   const std::string crash_key = baseline->invocations[1].module_id;

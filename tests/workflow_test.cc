@@ -64,6 +64,12 @@ class WorkflowFixture : public ::testing::Test {
                     .ok());
   }
 
+  /// Enacts `wf` on the shared serial engine.
+  Result<EnactmentResult> Run(const Workflow& wf,
+                              const std::vector<Value>& inputs) {
+    return Enact(wf, registry_, inputs, InvocationEngine::Serial());
+  }
+
   /// in -> Upper -> Exclaim -> out
   Workflow Chain() {
     Workflow wf;
@@ -140,8 +146,9 @@ TEST_F(WorkflowFixture, SubsumedSourceIsAccepted) {
 }
 
 TEST_F(WorkflowFixture, EnactsChain) {
-  auto result = Enact(Chain(), registry_, {Value::Str("abc")});
+  auto result = Run(Chain(), {Value::Str("abc")});
   ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_TRUE(result->complete());
   ASSERT_EQ(result->outputs.size(), 1u);
   EXPECT_EQ(result->outputs[0].AsString(), "ABC!");
   ASSERT_EQ(result->invocations.size(), 2u);
@@ -151,21 +158,25 @@ TEST_F(WorkflowFixture, EnactsChain) {
 }
 
 TEST_F(WorkflowFixture, EnactChecksInputArity) {
-  EXPECT_TRUE(Enact(Chain(), registry_, {}).status().IsInvalidArgument());
+  EXPECT_TRUE(Run(Chain(), {}).status().IsInvalidArgument());
 }
 
 TEST_F(WorkflowFixture, EnactPropagatesModuleErrors) {
   Workflow wf = Chain();
   wf.processors[1].module_id = "fail";
-  auto result = Enact(wf, registry_, {Value::Str("abc")});
+  auto result = Run(wf, {Value::Str("abc")});
   EXPECT_TRUE(result.status().IsInvalidArgument());
   EXPECT_NE(result.status().message().find("step2"), std::string::npos);
 }
 
-TEST_F(WorkflowFixture, EnactFailsOnRetiredModule) {
+TEST_F(WorkflowFixture, EnactSkipsRetiredModule) {
   (*registry_.Find("ex"))->Retire();
-  auto result = Enact(Chain(), registry_, {Value::Str("abc")});
-  EXPECT_TRUE(result.status().IsDecayed());
+  auto result = Run(Chain(), {Value::Str("abc")});
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_FALSE(result->complete());
+  EXPECT_EQ(result->skipped_processors, (std::vector<std::string>{"step2"}));
+  EXPECT_EQ(result->decayed_modules, (std::vector<std::string>{"ex"}));
+  EXPECT_EQ(result->missing_outputs, 1u);
   EXPECT_FALSE(IsEnactable(Chain(), registry_));
   EXPECT_EQ(UnavailableModules(Chain(), registry_),
             (std::vector<std::string>{"ex"}));
@@ -192,8 +203,9 @@ TEST_F(WorkflowFixture, DiamondDataflow) {
   wf.processors = {upper, exclaim, concat};
   wf.outputs = {{"result", {2, 0}}};
   ASSERT_TRUE(ValidateWorkflow(wf, registry_, onto_).ok());
-  auto result = Enact(wf, registry_, {Value::Str("ab")});
+  auto result = Run(wf, {Value::Str("ab")});
   ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_TRUE(result->complete());
   EXPECT_EQ(result->outputs[0].AsString(), "ABab!");
 }
 
@@ -206,8 +218,9 @@ TEST_F(WorkflowFixture, ExtractSubWorkflow) {
   ASSERT_EQ(sub->inputs.size(), 1u);
   EXPECT_EQ(sub->inputs[0].name, "step1.out");
   ASSERT_EQ(sub->outputs.size(), 1u);
-  auto result = Enact(*sub, registry_, {Value::Str("X")});
+  auto result = Run(*sub, {Value::Str("X")});
   ASSERT_TRUE(result.ok());
+  ASSERT_TRUE(result->complete());
   EXPECT_EQ(result->outputs[0].AsString(), "X!");
 }
 
@@ -217,8 +230,9 @@ TEST_F(WorkflowFixture, ExtractSubWorkflowKeepsInternalLinks) {
   ASSERT_TRUE(sub.ok());
   EXPECT_EQ(sub->processors.size(), 2u);
   EXPECT_EQ(sub->inputs.size(), 1u);  // Only the original seed.
-  auto result = Enact(*sub, registry_, {Value::Str("x")});
+  auto result = Run(*sub, {Value::Str("x")});
   ASSERT_TRUE(result.ok());
+  ASSERT_TRUE(result->complete());
   EXPECT_EQ(result->outputs[0].AsString(), "X!");
 }
 

@@ -15,9 +15,9 @@
 #include "common/table.h"
 #include "core/example_generator.h"
 #include "corpus/scale.h"
+#include "durability/evaluation_env.h"
 #include "engine/invocation_engine.h"
 #include "modules/registry_io.h"
-#include "provenance/workflow_corpus.h"
 
 namespace dexa {
 namespace {
@@ -78,15 +78,10 @@ AnnotateRun RunWithThreads(size_t threads) {
     return Annotate(*corpus->ontology, *corpus->registry, *corpus->pool,
                     threads);
   }
-  auto corpus = BuildCorpus();
-  if (!corpus.ok()) Die("BuildCorpus", corpus.status());
-  auto workflows = GenerateWorkflowCorpus(*corpus);
-  if (!workflows.ok()) Die("GenerateWorkflowCorpus", workflows.status());
-  auto provenance = BuildProvenanceCorpus(*corpus, *workflows);
-  if (!provenance.ok()) Die("BuildProvenanceCorpus", provenance.status());
-  AnnotatedInstancePool pool =
-      HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
-  return Annotate(*corpus->ontology, *corpus->registry, pool, threads);
+  auto env = BuildEvaluationEnv();
+  if (!env.ok()) Die("BuildEvaluationEnv", env.status());
+  return Annotate(*env->corpus.ontology, *env->corpus.registry, *env->pool,
+                  threads);
 }
 
 int RunComparison() {

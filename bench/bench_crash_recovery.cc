@@ -46,8 +46,7 @@ std::string FreshDir(const std::string& name) {
   return dir.string();
 }
 
-std::unique_ptr<ModuleRegistry> FreshRegistry(
-    const bench_env::Environment& env) {
+std::unique_ptr<ModuleRegistry> FreshRegistry(const EvaluationEnv& env) {
   auto wrapped = WrapRegistryWithFaults(*env.corpus.registry, FaultProfile{});
   if (!wrapped.ok()) Die("WrapRegistryWithFaults", wrapped.status());
   return std::move(wrapped).value();
@@ -65,7 +64,7 @@ struct CrashCell {
   bool identical = false;        ///< Resumed state == uninterrupted state.
 };
 
-CrashCell RunCell(const bench_env::Environment& env, CrashPoint point,
+CrashCell RunCell(const EvaluationEnv& env, CrashPoint point,
                   const std::string& baseline) {
   CrashCell cell;
   cell.point = point;

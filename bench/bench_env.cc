@@ -18,26 +18,13 @@ namespace {
 }
 }  // namespace
 
-const Environment& GetEnvironment() {
-  static Environment* env = [] {
-    auto* out = new Environment();
-    auto corpus = BuildCorpus();
-    if (!corpus.ok()) Die("BuildCorpus", corpus.status());
-    out->corpus = std::move(corpus).value();
+const EvaluationEnv& GetEnvironment() {
+  static EvaluationEnv* env = [] {
+    auto built = BuildEvaluationEnv();
+    if (!built.ok()) Die("BuildEvaluationEnv", built.status());
+    auto* out = new EvaluationEnv(std::move(built).value());
 
-    auto workflows = GenerateWorkflowCorpus(out->corpus);
-    if (!workflows.ok()) Die("GenerateWorkflowCorpus", workflows.status());
-    out->workflows = std::move(workflows).value();
-
-    auto provenance = BuildProvenanceCorpus(out->corpus, out->workflows);
-    if (!provenance.ok()) Die("BuildProvenanceCorpus", provenance.status());
-    out->provenance = std::move(provenance).value();
-
-    out->pool = std::make_unique<AnnotatedInstancePool>(
-        HarvestPool(out->provenance, *out->corpus.registry,
-                    *out->corpus.ontology));
-
-    ExampleGenerator generator(out->corpus.ontology.get(), out->pool.get());
+    ExampleGenerator generator(out->cache, out->pool.get());
     auto annotated = AnnotateRegistry(generator, *out->corpus.registry);
     if (!annotated.ok()) Die("AnnotateRegistry", annotated.status());
     if (!annotated->complete()) {

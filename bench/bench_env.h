@@ -2,30 +2,21 @@
 #define DEXA_BENCH_BENCH_ENV_H_
 
 // Shared setup for the benchmark harnesses: builds the full evaluation
-// environment once per binary (corpus, workflow corpus, provenance, pool,
-// registry annotations; decayed modules retired).
+// environment once per binary (BuildEvaluationEnv, registry annotations;
+// decayed modules retired).
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/example_generator.h"
-#include "corpus/corpus.h"
-#include "provenance/workflow_corpus.h"
+#include "durability/evaluation_env.h"
 
 namespace dexa {
 namespace bench_env {
 
-struct Environment {
-  Corpus corpus;
-  WorkflowCorpus workflows;
-  ProvenanceCorpus provenance;
-  std::unique_ptr<AnnotatedInstancePool> pool;
-};
-
 /// Builds the environment on first use; aborts with a diagnostic on any
 /// pipeline failure (the benches cannot run without it).
-const Environment& GetEnvironment();
+const EvaluationEnv& GetEnvironment();
 
 /// Machine-readable side channel of a bench run: every harness emits a
 /// `BENCH_<name>.json` next to its stdout tables so successive PRs have a

@@ -45,8 +45,7 @@ struct SweepCell {
 
 /// Annotates a fault-wrapped copy of the environment registry with the
 /// given transient rate and retry setting.
-SweepCell RunCell(const bench_env::Environment& env, double fault_rate,
-                  bool retries) {
+SweepCell RunCell(const EvaluationEnv& env, double fault_rate, bool retries) {
   SweepCell cell;
   cell.fault_rate = fault_rate;
   cell.retries = retries;

@@ -70,7 +70,7 @@ int RunComparison() {
   // `dexa compile-kb`; cold start begins at the mapped file.
   {
     Ontology ontology = BuildMyGridOntology();
-    KnowledgeBase kb(defaults.seed, defaults.kb_options);
+    KnowledgeBase kb(defaults.seed);
     Status written =
         kbimage::WriteKbImage(ontology, kb, image_path.string());
     if (!written.ok()) Die("WriteKbImage", written);
@@ -106,7 +106,7 @@ int RunComparison() {
   for (int rep = 0; rep < kReps; ++rep) {
     auto start = std::chrono::steady_clock::now();
     Ontology ontology = BuildMyGridOntology();
-    KnowledgeBase kb(defaults.seed, defaults.kb_options);
+    KnowledgeBase kb(defaults.seed);
     build_ms = std::min(build_ms, ElapsedMs(start));
     if (ontology.size() != concepts) Die("concept count drift", Status::OK());
   }

@@ -17,11 +17,10 @@
 #include "bench/bench_env.h"
 #include "common/table.h"
 #include "core/example_generator.h"
-#include "corpus/corpus.h"
+#include "durability/evaluation_env.h"
 #include "engine/invocation_engine.h"
 #include "obs/export.h"
 #include "obs/trace.h"
-#include "provenance/workflow_corpus.h"
 
 namespace dexa {
 namespace {
@@ -48,24 +47,18 @@ struct OverheadRun {
 /// covers; the one-shot export at run end is timed separately (it happens
 /// once, after the work, and scales with trace size, not workload).
 OverheadRun RunOnce(bool traced) {
-  auto corpus = BuildCorpus();
-  if (!corpus.ok()) Die("BuildCorpus", corpus.status());
-  auto workflows = GenerateWorkflowCorpus(*corpus);
-  if (!workflows.ok()) Die("GenerateWorkflowCorpus", workflows.status());
-  auto provenance = BuildProvenanceCorpus(*corpus, *workflows);
-  if (!provenance.ok()) Die("BuildProvenanceCorpus", provenance.status());
-  AnnotatedInstancePool pool =
-      HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
+  auto env = BuildEvaluationEnv();
+  if (!env.ok()) Die("BuildEvaluationEnv", env.status());
 
   InvocationEngine engine(EngineOptions{.threads = kThreads});
-  ExampleGenerator generator(corpus->ontology.get(), &pool, GeneratorOptions{},
+  ExampleGenerator generator(env->cache, env->pool.get(), GeneratorOptions{},
                              &engine);
   obs::Tracer tracer(&engine.clock());
 
   OverheadRun run;
   auto start = std::chrono::steady_clock::now();
-  auto annotated =
-      AnnotateRegistry(generator, *corpus->registry, traced ? &tracer : nullptr);
+  auto annotated = AnnotateRegistry(generator, *env->corpus.registry,
+                                    traced ? &tracer : nullptr);
   auto end = std::chrono::steady_clock::now();
   if (traced) {
     run.trace_json = obs::WriteChromeTrace(tracer);

@@ -11,28 +11,20 @@
 #include "core/coverage.h"
 #include "core/example_generator.h"
 #include "core/metrics.h"
-#include "corpus/corpus.h"
-#include "provenance/workflow_corpus.h"
+#include "durability/evaluation_env.h"
 
 int main() {
   using namespace dexa;
 
-  auto corpus = BuildCorpus();
-  if (!corpus.ok()) {
-    std::cerr << corpus.status() << "\n";
+  auto env = BuildEvaluationEnv();
+  if (!env.ok()) {
+    std::cerr << env.status() << "\n";
     return 1;
   }
-  auto workflows = GenerateWorkflowCorpus(*corpus);
-  auto provenance = BuildProvenanceCorpus(*corpus, *workflows);
-  if (!provenance.ok()) {
-    std::cerr << provenance.status() << "\n";
-    return 1;
-  }
-  AnnotatedInstancePool pool =
-      HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
+  const Corpus& corpus = env->corpus;
 
-  ExampleGenerator generator(corpus->ontology.get(), &pool);
-  auto annotated = AnnotateRegistry(generator, *corpus->registry);
+  ExampleGenerator generator(env->cache, env->pool.get());
+  auto annotated = AnnotateRegistry(generator, *corpus.registry);
   if (!annotated.ok()) {
     std::cerr << annotated.status() << "\n";
     return 1;
@@ -43,16 +35,16 @@ int main() {
   }
   std::cout << "Annotated " << annotated->annotated << " modules with data examples\n\n";
 
-  CoverageAnalyzer analyzer(corpus->ontology.get());
+  CoverageAnalyzer analyzer(env->cache);
   size_t inputs_covered = 0;
   size_t outputs_covered = 0;
   std::map<std::string, int> completeness;
   std::map<std::string, int> conciseness;
   size_t total_examples = 0;
 
-  for (const std::string& id : corpus->available_ids) {
-    ModulePtr module = *corpus->registry->Find(id);
-    const DataExampleSet& examples = corpus->registry->DataExamplesOf(id);
+  for (const std::string& id : corpus.available_ids) {
+    ModulePtr module = *corpus.registry->Find(id);
+    const DataExampleSet& examples = corpus.registry->DataExamplesOf(id);
     total_examples += examples.size();
     CoverageReport report = analyzer.Analyze(module->spec(), examples);
     if (report.inputs_fully_covered()) ++inputs_covered;
@@ -66,9 +58,9 @@ int main() {
 
   std::printf("Total data examples generated: %zu\n", total_examples);
   std::printf("Input partitions fully covered : %zu / %zu modules\n",
-              inputs_covered, corpus->available_ids.size());
+              inputs_covered, corpus.available_ids.size());
   std::printf("Output partitions fully covered: %zu / %zu modules\n\n",
-              outputs_covered, corpus->available_ids.size());
+              outputs_covered, corpus.available_ids.size());
 
   TablePrinter completeness_table({"Completeness", "# of modules"});
   for (auto it = completeness.rbegin(); it != completeness.rend(); ++it) {

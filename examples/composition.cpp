@@ -8,34 +8,26 @@
 
 #include "core/composition.h"
 #include "core/discovery.h"
-#include "corpus/corpus.h"
-#include "provenance/workflow_corpus.h"
+#include "durability/evaluation_env.h"
 
 int main() {
   using namespace dexa;
 
-  auto corpus = BuildCorpus();
-  if (!corpus.ok()) {
-    std::cerr << corpus.status() << "\n";
+  auto env = BuildEvaluationEnv();
+  if (!env.ok()) {
+    std::cerr << env.status() << "\n";
     return 1;
   }
-  auto workflows = GenerateWorkflowCorpus(*corpus);
-  auto provenance = BuildProvenanceCorpus(*corpus, *workflows);
-  if (!provenance.ok()) {
-    std::cerr << provenance.status() << "\n";
-    return 1;
-  }
-  AnnotatedInstancePool pool =
-      HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
-  const Ontology& onto = *corpus->ontology;
+  const Corpus& corpus = env->corpus;
+  const Ontology& onto = *corpus.ontology;
 
   // --- Discovery: "something that turns a Uniprot accession into the
   // protein sequence" with a concrete behavior example.
-  BehaviorDiscovery discovery(&onto, corpus->registry.get());
+  BehaviorDiscovery discovery(env->cache, corpus.registry.get());
   DiscoveryQuery query;
   query.input_concept = onto.Find("UniprotAccession");
   query.output_concept = onto.Find("ProteinSequence");
-  const ProteinEntity& protein = corpus->kb->proteins()[0];
+  const ProteinEntity& protein = corpus.kb->proteins()[0];
   DataExample example;
   example.inputs = {Value::Str(protein.accession)};
   example.outputs = {Value::Str(protein.sequence)};
@@ -49,7 +41,8 @@ int main() {
   }
 
   // --- Composition: assemble the paper's Figure 1 tail automatically.
-  ExampleGuidedComposer composer(&onto, corpus->registry.get(), &pool);
+  ExampleGuidedComposer composer(env->cache, corpus.registry.get(),
+                                 env->pool.get());
   CompositionRequest request;
   request.source_concept = onto.Find("UniprotAccession");
   request.target_concept = onto.Find("AlignmentReport");
@@ -67,7 +60,7 @@ int main() {
     std::cout << "  chain:";
     for (const std::string& module_id : candidate.module_ids) {
       std::cout << " -> "
-                << (*corpus->registry->Find(module_id))->spec().name;
+                << (*corpus.registry->Find(module_id))->spec().name;
     }
     std::cout << "\n    witness: " << candidate.witness_input.ToString()
               << " yields a "
@@ -91,7 +84,7 @@ int main() {
     std::cout << "  chain:";
     for (const std::string& module_id : candidate.module_ids) {
       std::cout << " -> "
-                << (*corpus->registry->Find(module_id))->spec().name;
+                << (*corpus.registry->Find(module_id))->spec().name;
     }
     std::cout << "\n";
   }

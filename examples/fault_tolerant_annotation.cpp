@@ -12,29 +12,21 @@
 #include "common/table.h"
 #include "core/engine_config.h"
 #include "core/example_generator.h"
-#include "corpus/corpus.h"
 #include "corpus/fault_injector.h"
+#include "durability/evaluation_env.h"
 #include "engine/invocation_engine.h"
-#include "provenance/workflow_corpus.h"
 #include "repair/repair.h"
 #include "workflow/enactor.h"
 
 int main() {
   using namespace dexa;
 
-  auto corpus = BuildCorpus();
-  if (!corpus.ok()) {
-    std::cerr << corpus.status() << "\n";
+  auto env = BuildEvaluationEnv();
+  if (!env.ok()) {
+    std::cerr << env.status() << "\n";
     return 1;
   }
-  auto workflows = GenerateWorkflowCorpus(*corpus);
-  auto provenance = BuildProvenanceCorpus(*corpus, *workflows);
-  if (!provenance.ok()) {
-    std::cerr << provenance.status() << "\n";
-    return 1;
-  }
-  AnnotatedInstancePool pool =
-      HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
+  const Corpus& corpus = env->corpus;
 
   // One fluent configuration for the whole pipeline: an 8-thread engine
   // that retries transient faults up to 4 times with jittered exponential
@@ -55,15 +47,15 @@ int main() {
   profile.seed = 0xFA17;
   profile.transient_rate = 0.2;
   profile.latency_ns = 1'000'000;
-  auto wrapped = WrapRegistryWithFaults(*corpus->registry, profile,
+  auto wrapped = WrapRegistryWithFaults(*corpus.registry, profile,
                                         &engine->metrics());
   if (!wrapped.ok()) {
     std::cerr << wrapped.status() << "\n";
     return 1;
   }
 
-  ExampleGenerator generator = config.MakeGenerator(corpus->ontology.get(),
-                                                    &pool, engine.get());
+  ExampleGenerator generator =
+      config.MakeGenerator(env->cache, env->pool.get(), engine.get());
   auto report = AnnotateRegistry(generator, **wrapped);
   if (!report.ok()) {
     std::cerr << report.status() << "\n";
@@ -94,7 +86,7 @@ int main() {
   // decayed modules to the repair pipeline.
   auto probe = std::make_unique<ModuleRegistry>();
   bool first = true;
-  for (const ModulePtr& module : corpus->registry->AllModules()) {
+  for (const ModulePtr& module : corpus.registry->AllModules()) {
     FaultProfile probe_profile;
     probe_profile.down = first && module->available();
     if (probe_profile.down) first = false;
@@ -107,7 +99,7 @@ int main() {
     }
   }
 
-  auto scan = ScanForDecay(*probe, *workflows, *engine, probe.get());
+  auto scan = ScanForDecay(*probe, env->workflows, *engine, probe.get());
   if (!scan.ok()) {
     std::cerr << scan.status() << "\n";
     return 1;

@@ -6,31 +6,23 @@
 #include <iostream>
 
 #include "core/matcher.h"
-#include "corpus/corpus.h"
-#include "provenance/workflow_corpus.h"
+#include "durability/evaluation_env.h"
 
 int main() {
   using namespace dexa;
 
-  auto corpus = BuildCorpus();
-  if (!corpus.ok()) {
-    std::cerr << corpus.status() << "\n";
+  auto env = BuildEvaluationEnv();
+  if (!env.ok()) {
+    std::cerr << env.status() << "\n";
     return 1;
   }
-  auto workflows = GenerateWorkflowCorpus(*corpus);
-  auto provenance = BuildProvenanceCorpus(*corpus, *workflows);
-  if (!provenance.ok()) {
-    std::cerr << provenance.status() << "\n";
-    return 1;
-  }
-  AnnotatedInstancePool pool =
-      HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
-  ExampleGenerator generator(corpus->ontology.get(), &pool);
-  ModuleMatcher matcher(corpus->ontology.get(), &generator);
+  const Corpus& corpus = env->corpus;
+  ExampleGenerator generator(env->cache, env->pool.get());
+  ModuleMatcher matcher(env->cache, &generator);
 
   auto compare = [&](const char* left, const char* right) {
-    auto a = corpus->registry->FindByName(left);
-    auto b = corpus->registry->FindByName(right);
+    auto a = corpus.registry->FindByName(left);
+    auto b = corpus.registry->FindByName(right);
     if (!a.ok() || !b.ok()) {
       std::cerr << "lookup failed\n";
       return;

@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "common/strings.h"
-#include "provenance/workflow_corpus.h"
+#include "durability/evaluation_env.h"
 #include "repair/repair.h"
 #include "workflow/enactor.h"
 #include "workflow/workflow_io.h"
@@ -92,14 +92,15 @@ Result<EnactmentResult> EnactWhole(const Workflow& workflow,
 }  // namespace
 
 int main() {
-  auto corpus = BuildCorpus();
-  if (!corpus.ok()) {
-    std::cerr << corpus.status() << "\n";
+  auto env = BuildEvaluationEnv();
+  if (!env.ok()) {
+    std::cerr << env.status() << "\n";
     return 1;
   }
-  const ModuleRegistry& registry = *corpus->registry;
-  const Ontology& onto = *corpus->ontology;
-  const KnowledgeBase& kb = *corpus->kb;
+  Corpus& corpus = env->corpus;
+  const ModuleRegistry& registry = *corpus.registry;
+  const Ontology& onto = *corpus.ontology;
+  const KnowledgeBase& kb = *corpus.kb;
 
   // --- Figure 1.
   Workflow figure1 = BuildFigure1(registry, onto);
@@ -133,13 +134,7 @@ int main() {
 
   // --- Figure 6 built against the legacy provider, which then disappears.
   Workflow decayed = BuildFigure6(registry, onto, /*use_retired=*/true);
-  auto workflows = GenerateWorkflowCorpus(*corpus);
-  auto provenance = BuildProvenanceCorpus(*corpus, *workflows);
-  if (!provenance.ok()) {
-    std::cerr << provenance.status() << "\n";
-    return 1;
-  }
-  if (Status status = RetireDecayedModules(*corpus); !status.ok()) {
+  if (Status status = RetireDecayedModules(corpus); !status.ok()) {
     std::cerr << status << "\n";
     return 1;
   }
@@ -158,7 +153,7 @@ int main() {
             << "\n";
 
   // Repair: match the retired module, substitute, re-enact.
-  auto matching = MatchRetiredModules(*corpus, *provenance);
+  auto matching = MatchRetiredModules(corpus, env->provenance);
   if (!matching.ok()) {
     std::cerr << matching.status() << "\n";
     return 1;

@@ -10,45 +10,34 @@
 
 #include "core/coverage.h"
 #include "core/example_generator.h"
-#include "corpus/corpus.h"
-#include "provenance/workflow_corpus.h"
+#include "durability/evaluation_env.h"
 
 int main() {
   using namespace dexa;
 
-  // 1. Build the corpus: myGrid-style ontology, synthetic knowledge base,
-  //    252 available + 72 decayed scientific modules.
-  auto corpus = BuildCorpus();
-  if (!corpus.ok()) {
-    std::cerr << "BuildCorpus failed: " << corpus.status() << "\n";
+  // 1. Build the evaluation environment: myGrid-style ontology, synthetic
+  //    knowledge base, 252 available + 72 decayed scientific modules; the
+  //    workflow corpus enacted over them, and the annotated instance pool
+  //    harvested from its provenance (Section 4.1 of the paper).
+  auto env = BuildEvaluationEnv();
+  if (!env.ok()) {
+    std::cerr << "BuildEvaluationEnv failed: " << env.status() << "\n";
     return 1;
   }
-  std::cout << "Corpus: " << corpus->available_ids.size()
-            << " available modules, " << corpus->retired_ids.size()
-            << " decayed modules, ontology of " << corpus->ontology->size()
+  const Corpus& corpus = env->corpus;
+  std::cout << "Corpus: " << corpus.available_ids.size()
+            << " available modules, " << corpus.retired_ids.size()
+            << " decayed modules, ontology of " << corpus.ontology->size()
             << " concepts\n";
 
-  // 2. Enact the workflow corpus and harvest the annotated instance pool
-  //    from its provenance (Section 4.1 of the paper).
-  auto workflows = GenerateWorkflowCorpus(*corpus);
-  if (!workflows.ok()) {
-    std::cerr << "GenerateWorkflowCorpus failed: " << workflows.status() << "\n";
-    return 1;
-  }
-  auto provenance = BuildProvenanceCorpus(*corpus, *workflows);
-  if (!provenance.ok()) {
-    std::cerr << "BuildProvenanceCorpus failed: " << provenance.status() << "\n";
-    return 1;
-  }
-  AnnotatedInstancePool pool =
-      HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
-  std::cout << "Provenance: " << provenance->num_traces() << " traces, "
-            << provenance->num_invocations() << " invocations; pool holds "
-            << pool.size() << " annotated instances\n\n";
+  // 2. What the environment enacted and harvested.
+  std::cout << "Provenance: " << env->provenance.num_traces() << " traces, "
+            << env->provenance.num_invocations() << " invocations; pool holds "
+            << env->pool->size() << " annotated instances\n\n";
 
   // 3. Generate data examples for a module (Section 3.2's heuristic).
-  ExampleGenerator generator(corpus->ontology.get(), &pool);
-  auto module = corpus->registry->FindByName("EBI_GetBiologicalSequence");
+  ExampleGenerator generator(env->cache, env->pool.get());
+  auto module = corpus.registry->FindByName("EBI_GetBiologicalSequence");
   if (!module.ok()) {
     std::cerr << module.status() << "\n";
     return 1;
@@ -68,7 +57,7 @@ int main() {
   }
 
   // 4. Coverage of the module's parameter partitions (Section 4.2).
-  CoverageAnalyzer analyzer(corpus->ontology.get());
+  CoverageAnalyzer analyzer(env->cache);
   CoverageReport report =
       analyzer.Analyze((*module)->spec(), outcome->examples);
   std::printf(

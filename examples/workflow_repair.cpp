@@ -6,37 +6,29 @@
 #include <cstdio>
 #include <iostream>
 
+#include "durability/evaluation_env.h"
 #include "repair/repair.h"
 
 int main() {
   using namespace dexa;
 
-  auto corpus = BuildCorpus();
-  if (!corpus.ok()) {
-    std::cerr << corpus.status() << "\n";
+  auto env = BuildEvaluationEnv();
+  if (!env.ok()) {
+    std::cerr << env.status() << "\n";
     return 1;
   }
-  auto workflows = GenerateWorkflowCorpus(*corpus);
-  if (!workflows.ok()) {
-    std::cerr << workflows.status() << "\n";
-    return 1;
-  }
-  auto provenance = BuildProvenanceCorpus(*corpus, *workflows);
-  if (!provenance.ok()) {
-    std::cerr << provenance.status() << "\n";
-    return 1;
-  }
-  std::cout << "Workflow corpus: " << workflows->items.size()
-            << " workflows enacted, " << provenance->num_invocations()
+  Corpus& corpus = env->corpus;
+  std::cout << "Workflow corpus: " << env->workflows.items.size()
+            << " workflows enacted, " << env->provenance.num_invocations()
             << " provenance records collected\n";
 
   // Providers withdraw their modules; half the corpus decays.
-  if (Status status = RetireDecayedModules(*corpus); !status.ok()) {
+  if (Status status = RetireDecayedModules(corpus); !status.ok()) {
     std::cerr << status << "\n";
     return 1;
   }
 
-  auto matching = MatchRetiredModules(*corpus, *provenance);
+  auto matching = MatchRetiredModules(corpus, env->provenance);
   if (!matching.ok()) {
     std::cerr << matching.status() << "\n";
     return 1;
@@ -50,10 +42,10 @@ int main() {
       matching->with_overlapping, matching->with_none);
 
   // Show one concrete substitution.
-  auto retired = corpus->registry->FindByName("soap_get_genes_by_pathway");
+  auto retired = corpus.registry->FindByName("soap_get_genes_by_pathway");
   if (retired.ok()) {
     const auto& best = matching->best.at((*retired)->spec().id);
-    auto candidate = corpus->registry->Find(best.candidate_id);
+    auto candidate = corpus.registry->Find(best.candidate_id);
     std::cout << "\nExample: retired 'soap_get_genes_by_pathway' is "
               << BehaviorRelationName(best.relation) << " to '"
               << (*candidate)->spec().name << "' (" << best.examples_agreeing
@@ -61,7 +53,7 @@ int main() {
   }
 
   auto outcome =
-      RepairWorkflows(*corpus, *workflows, *provenance, *matching);
+      RepairWorkflows(corpus, env->workflows, env->provenance, *matching);
   if (!outcome.ok()) {
     std::cerr << outcome.status() << "\n";
     return 1;

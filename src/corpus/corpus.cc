@@ -770,8 +770,7 @@ Result<Corpus> BuildCorpus(const CorpusOptions& options) {
   Corpus corpus;
   corpus.kb = options.prebuilt_kb != nullptr
                   ? options.prebuilt_kb
-                  : std::make_shared<KnowledgeBase>(options.seed,
-                                                    options.kb_options);
+                  : std::make_shared<KnowledgeBase>(options.seed);
   corpus.ontology = options.prebuilt_ontology != nullptr
                         ? options.prebuilt_ontology
                         : std::make_shared<Ontology>(BuildMyGridOntology());

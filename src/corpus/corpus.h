@@ -14,15 +14,15 @@ namespace dexa {
 
 /// Options for building the evaluation corpus.
 struct CorpusOptions {
+  /// Seed of the synthetic knowledge base (built at its default sizing).
   uint64_t seed = 42;
-  KnowledgeBaseOptions kb_options;
 
   /// When set, the corpus adopts these instead of generating the knowledge
-  /// base (expensive) and building the myGrid ontology from scratch. This
-  /// is how `--kb-image=` runs slot a memory-mapped compiled image in: the
-  /// CLI materializes both from the image and injects them here. The
-  /// prebuilt KB must have been generated with the same seed/options the
-  /// corpus would use — module calibration depends on its contents.
+  /// base (expensive) and building the myGrid ontology from scratch.
+  /// BuildEvaluationEnv (durability/evaluation_env.h) is their one setter:
+  /// it materializes both from a compiled KB image and takes `seed` from
+  /// the same image, so the KB always matches the seed module calibration
+  /// was built for.
   std::shared_ptr<const KnowledgeBase> prebuilt_kb;
   std::shared_ptr<Ontology> prebuilt_ontology;
 };

@@ -19,6 +19,17 @@ size_t WorkflowCorpus::CountCategory(WorkflowCategory category) const {
 
 namespace {
 
+// Sizing of the generated corpus, per category. These reproduce the paper's
+// Section 6 numbers: ~3000 workflows, ~1500 of which decay; 321 repaired
+// through equivalent substitutes, 13 through overlapping ones, 73 partly.
+constexpr size_t kEquivalentOnlyWorkflows = 253;
+constexpr size_t kEquivalentPlusDeadWorkflows = 68;
+constexpr size_t kOverlapGoodWorkflows = 8;
+constexpr size_t kOverlapGoodPlusDeadWorkflows = 5;
+constexpr size_t kOverlapBadWorkflows = 266;
+constexpr size_t kDeadOnlyWorkflows = 900;
+constexpr size_t kHealthyWorkflows = 1500;
+
 /// A workflow blueprint: a module-name sequence (chained on first ports
 /// where compatible) plus the seed indices to instantiate it with.
 struct Recipe {
@@ -307,8 +318,7 @@ std::vector<std::string> LegacyNames() {
 
 }  // namespace
 
-Result<WorkflowCorpus> GenerateWorkflowCorpus(
-    const Corpus& corpus, const WorkflowCorpusOptions& options) {
+Result<WorkflowCorpus> GenerateWorkflowCorpus(const Corpus& corpus) {
   const ModuleRegistry& registry = *corpus.registry;
   const Ontology& ontology = *corpus.ontology;
   SeedCatalog catalog(corpus.kb);
@@ -336,7 +346,7 @@ Result<WorkflowCorpus> GenerateWorkflowCorpus(
   }
   const std::vector<Recipe>& padding = PaddingRecipes();
   size_t padding_cursor = 0;
-  while (out.items.size() < options.healthy_total) {
+  while (out.items.size() < kHealthyWorkflows) {
     const Recipe& recipe = padding[padding_cursor % padding.size()];
     size_t seed = recipe.seed_indices[(padding_cursor / padding.size()) %
                                       recipe.seed_indices.size()];
@@ -350,14 +360,14 @@ Result<WorkflowCorpus> GenerateWorkflowCorpus(
   // --- Broken: workflows that will decay once the retired modules are
   // withdrawn, laid out per category.
   const auto& equivalents = EquivalentUsage();
-  for (size_t i = 0; i < options.equivalent_only; ++i) {
+  for (size_t i = 0; i < kEquivalentOnlyWorkflows; ++i) {
     const RetiredUsage& usage = equivalents[i % equivalents.size()];
     size_t seed = usage.good_seeds[(i / equivalents.size()) %
                                    usage.good_seeds.size()];
     DEXA_RETURN_IF_ERROR(instantiate({usage.name}, seed,
                                      WorkflowCategory::kEquivalentOnly));
   }
-  for (size_t i = 0; i < options.equivalent_plus_dead; ++i) {
+  for (size_t i = 0; i < kEquivalentPlusDeadWorkflows; ++i) {
     const RetiredUsage& usage = equivalents[i % equivalents.size()];
     size_t seed = usage.good_seeds[(i / equivalents.size()) %
                                    usage.good_seeds.size()];
@@ -367,14 +377,14 @@ Result<WorkflowCorpus> GenerateWorkflowCorpus(
   }
 
   const auto& good_overlap = GoodOverlapUsage();
-  for (size_t i = 0; i < options.overlap_good; ++i) {
+  for (size_t i = 0; i < kOverlapGoodWorkflows; ++i) {
     const RetiredUsage& usage = good_overlap[i % good_overlap.size()];
     size_t seed = usage.good_seeds[(i / good_overlap.size()) %
                                    usage.good_seeds.size()];
     DEXA_RETURN_IF_ERROR(
         instantiate({usage.name}, seed, WorkflowCategory::kOverlapGood));
   }
-  for (size_t i = 0; i < options.overlap_good_plus_dead; ++i) {
+  for (size_t i = 0; i < kOverlapGoodPlusDeadWorkflows; ++i) {
     const RetiredUsage& usage = good_overlap[(i + 1) % good_overlap.size()];
     size_t seed = usage.good_seeds[(i / good_overlap.size()) %
                                    usage.good_seeds.size()];
@@ -384,7 +394,7 @@ Result<WorkflowCorpus> GenerateWorkflowCorpus(
   }
 
   const auto& bad_overlap = BadOverlapUsage();
-  for (size_t i = 0; i < options.overlap_bad; ++i) {
+  for (size_t i = 0; i < kOverlapBadWorkflows; ++i) {
     const RetiredUsage& usage = bad_overlap[i % bad_overlap.size()];
     size_t seed =
         usage.bad_seeds[(i / bad_overlap.size()) % usage.bad_seeds.size()];
@@ -392,7 +402,7 @@ Result<WorkflowCorpus> GenerateWorkflowCorpus(
         instantiate({usage.name}, seed, WorkflowCategory::kOverlapBad));
   }
 
-  for (size_t i = 0; i < options.dead_only; ++i) {
+  for (size_t i = 0; i < kDeadOnlyWorkflows; ++i) {
     const std::string& name = legacy[i % legacy.size()];
     size_t seed = (i / legacy.size()) % 4;
     DEXA_RETURN_IF_ERROR(

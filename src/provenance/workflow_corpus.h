@@ -39,25 +39,12 @@ struct WorkflowCorpus {
   size_t CountCategory(WorkflowCategory category) const;
 };
 
-/// Sizing of the generated corpus; defaults reproduce the paper's Section 6
-/// numbers (~3000 workflows, ~1500 of which decay; 321 repaired through
-/// equivalent substitutes, 13 through overlapping ones, 73 partly).
-struct WorkflowCorpusOptions {
-  size_t equivalent_only = 253;
-  size_t equivalent_plus_dead = 68;
-  size_t overlap_good = 8;
-  size_t overlap_good_plus_dead = 5;
-  size_t overlap_bad = 266;
-  size_t dead_only = 900;
-  size_t healthy_total = 1500;
-};
-
 /// Generates the workflow corpus over `corpus` (whose decayed modules must
 /// still be available — they are enacted to produce pre-decay provenance).
 /// Every workflow validates against the registry and enacts successfully on
 /// its seeds.
 [[nodiscard]] Result<WorkflowCorpus> GenerateWorkflowCorpus(
-    const Corpus& corpus, const WorkflowCorpusOptions& options = {});
+    const Corpus& corpus);
 
 /// Enacts every workflow of `workflow_corpus` and collects the provenance,
 /// then appends "historical" standalone invocation records for each decayed

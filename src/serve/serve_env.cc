@@ -41,67 +41,40 @@ bool ParseRunDirIndex(const std::string& name, uint64_t& index) {
 }  // namespace
 
 Result<std::unique_ptr<ServeEnv>> ServeEnv::Create(ServeEnvOptions options) {
-  std::unique_ptr<ServeEnv> env(new ServeEnv());
-  env->options_ = std::move(options);
-  env->config_ =
-      EngineConfig().Threads(env->options_.threads).Seed(env->options_.seed);
-  env->engine_ = env->config_.BuildEngine();
-
-  // Same recipe as the CLI's BuildEnv: reason over the mapped image when
-  // one is given, else compile the in-memory ontology — the same tables
-  // either way, so both produce byte-identical runs.
-  CorpusOptions corpus_options;
-  if (!env->options_.kb_image_path.empty()) {
-    auto image = kbimage::CompiledKb::Load(env->options_.kb_image_path);
-    if (!image.ok()) return image.status();
-    env->kb_image_ =
-        std::shared_ptr<const kbimage::CompiledKb>(std::move(image).value());
-    env->kb_checksum_ = env->kb_image_->checksum();
-    env->engine_->metrics().Add(EngineCounter::kb_image_loads);
-    auto ontology = env->kb_image_->MaterializeOntology();
-    if (!ontology.ok()) return ontology.status();
-    corpus_options.prebuilt_ontology =
-        std::make_shared<Ontology>(std::move(ontology).value());
-    auto kb = env->kb_image_->MaterializeKnowledgeBase();
-    if (!kb.ok()) return kb.status();
-    corpus_options.prebuilt_kb = std::move(kb).value();
-    corpus_options.seed = env->kb_image_->kb_seed();
-  }
-  auto corpus = BuildCorpus(corpus_options);
-  if (!corpus.ok()) return corpus.status();
-  env->corpus_ = std::move(corpus).value();
-  if (env->kb_image_ != nullptr) {
-    env->cache_ = std::make_shared<ConceptCache>(env->kb_image_,
-                                                 &env->engine_->metrics());
-  } else {
-    env->cache_ = std::make_shared<ConceptCache>(env->corpus_.ontology.get(),
-                                                 &env->engine_->metrics());
-  }
-  auto workflows = GenerateWorkflowCorpus(env->corpus_);
-  if (!workflows.ok()) return workflows.status();
-  env->workflows_ = std::move(workflows).value();
-  auto provenance = BuildProvenanceCorpus(env->corpus_, env->workflows_);
-  if (!provenance.ok()) return provenance.status();
-  env->provenance_ = std::move(provenance).value();
-  env->pool_ = std::make_unique<AnnotatedInstancePool>(
-      HarvestPool(env->provenance_, *env->corpus_.registry,
-                  *env->corpus_.ontology));
+  std::unique_ptr<ServeEnv> serve(new ServeEnv());
+  serve->options_ = std::move(options);
 
   // Durable runs journal under run-<n> directories; continue the numbering
-  // after whatever a previous daemon instance left behind.
-  if (!env->options_.journal_root.empty()) {
+  // after whatever a previous daemon instance left behind. A root that
+  // cannot be created or listed fails startup: unlisted run-<n> dirs could
+  // be reused by new runs.
+  const std::string& root = serve->options_.journal_root;
+  if (!root.empty()) {
+    DEXA_RETURN_IF_ERROR(IoEnv::Real().CreateDirs(root));
     std::error_code ec;
-    std::filesystem::create_directories(env->options_.journal_root, ec);
-    for (const auto& entry : std::filesystem::directory_iterator(
-             env->options_.journal_root, ec)) {
+    for (std::filesystem::directory_iterator it(root, ec), end;
+         !ec && it != end; it.increment(ec)) {
       uint64_t index = 0;
-      if (entry.is_directory() &&
-          ParseRunDirIndex(entry.path().filename().string(), index)) {
-        if (index >= env->next_run_dir_) env->next_run_dir_ = index + 1;
+      if (it->is_directory() &&
+          ParseRunDirIndex(it->path().filename().string(), index)) {
+        serve->next_run_dir_ = std::max(serve->next_run_dir_, index + 1);
       }
     }
+    if (ec) {
+      return Status::Internal("cannot list journal root '" + root +
+                              "': " + ec.message());
+    }
   }
-  return env;
+
+  serve->config_ = EngineConfig()
+                       .Threads(serve->options_.threads)
+                       .Seed(serve->options_.seed);
+  serve->engine_ = serve->config_.BuildEngine();
+  auto env = BuildEvaluationEnv({}, serve->options_.kb_image_path,
+                                &serve->engine_->metrics());
+  if (!env.ok()) return env.status();
+  serve->env_ = std::move(env).value();
+  return serve;
 }
 
 std::string ServeEnv::NextRunDir() {
@@ -112,7 +85,7 @@ std::string ServeEnv::NextRunDir() {
 
 Result<std::unique_ptr<ModuleRegistry>> ServeEnv::SubsetRegistry(
     size_t offset, size_t count) const {
-  const std::vector<std::string>& ids = corpus_.available_ids;
+  const std::vector<std::string>& ids = env_.corpus.available_ids;
   if (offset > ids.size()) {
     return Status::InvalidArgument("offset " + std::to_string(offset) +
                                    " past the " + std::to_string(ids.size()) +
@@ -125,7 +98,7 @@ Result<std::unique_ptr<ModuleRegistry>> ServeEnv::SubsetRegistry(
                          : offset + count;
   auto registry = std::make_unique<ModuleRegistry>();
   for (size_t i = offset; i < end; ++i) {
-    auto module = corpus_.registry->Find(ids[i]);
+    auto module = env_.corpus.registry->Find(ids[i]);
     if (!module.ok()) return module.status();
     DEXA_RETURN_IF_ERROR(registry->Register(*module));
   }
@@ -134,7 +107,7 @@ Result<std::unique_ptr<ModuleRegistry>> ServeEnv::SubsetRegistry(
 
 Result<std::unique_ptr<ModuleRegistry>> ServeEnv::FullRegistry() const {
   auto registry = std::make_unique<ModuleRegistry>();
-  for (const ModulePtr& module : corpus_.registry->AllModules()) {
+  for (const ModulePtr& module : env_.corpus.registry->AllModules()) {
     DEXA_RETURN_IF_ERROR(registry->Register(module));
   }
   return registry;
@@ -142,7 +115,7 @@ Result<std::unique_ptr<ModuleRegistry>> ServeEnv::FullRegistry() const {
 
 std::unique_ptr<ExampleGenerator> ServeEnv::MakeGenerator() const {
   return std::make_unique<ExampleGenerator>(
-      cache_, pool_.get(), config_.generator_options(), engine_.get());
+      env_.cache, env_.pool.get(), config_.generator_options(), engine_.get());
 }
 
 Result<PreparedRun> ServeEnv::PrepareAnnotate(size_t offset, size_t count,
@@ -192,8 +165,8 @@ Result<PreparedRun> ServeEnv::PrepareDurableAnnotate(
       EncodeWire(descriptor) + "\n"));
 
   run.request = MakeDurableAnnotateRun(*run.generator, *run.registry,
-                                       *corpus_.ontology, *run.journal);
-  run.request.kb_checksum = kb_checksum_;
+                                       *env_.corpus.ontology, *run.journal);
+  run.request.kb_checksum = env_.kb_checksum;
   run.request.obs.metrics = run.metrics.get();
   if (crash != nullptr && crash->armed()) {
     run.crash = std::make_unique<CrashPlan>(*crash);
@@ -223,11 +196,11 @@ Result<PreparedRun> ServeEnv::PrepareShardedAnnotate(uint32_t shards,
   run.sharded = std::make_unique<ShardedRunSpec>();
   run.sharded->options.shards = shards;
   run.sharded->options.root = run.journal_dir;
-  run.sharded->options.kb_checksum = kb_checksum_;
+  run.sharded->options.kb_checksum = env_.kb_checksum;
   run.sharded->options.orchestrator = engine_.get();
   run.sharded->config = config_;
-  run.sharded->ontology = corpus_.ontology.get();
-  run.sharded->pool = pool_.get();
+  run.sharded->ontology = env_.corpus.ontology.get();
+  run.sharded->pool = env_.pool.get();
   if (crash != nullptr && crash->armed()) {
     run.crash = std::make_unique<CrashPlan>(*crash);
     run.sharded->options.crash = run.crash.get();
@@ -251,17 +224,17 @@ Result<PreparedRun> ServeEnv::PrepareShardedAnnotate(uint32_t shards,
 Result<PreparedRun> ServeEnv::PrepareEnact(size_t workflow_index,
                                            bool durable,
                                            const IoFaultProfile* io_fault) {
-  if (workflow_index >= workflows_.items.size()) {
+  if (workflow_index >= env_.workflows.items.size()) {
     return Status::InvalidArgument(
         "workflow index " + std::to_string(workflow_index) + " out of range (" +
-        std::to_string(workflows_.items.size()) + " generated)");
+        std::to_string(env_.workflows.items.size()) + " generated)");
   }
-  const GeneratedWorkflow& item = workflows_.items[workflow_index];
+  const GeneratedWorkflow& item = env_.workflows.items[workflow_index];
 
   PreparedRun run;
   run.metrics = std::make_unique<obs::MetricsRegistry>();
   if (!durable) {
-    run.request = MakeEnactRun(item.workflow, *corpus_.registry, item.seeds,
+    run.request = MakeEnactRun(item.workflow, *env_.corpus.registry, item.seeds,
                                *engine_);
     run.request.obs.metrics = run.metrics.get();
     run.label = "enact " + item.workflow.id;
@@ -286,7 +259,7 @@ Result<PreparedRun> ServeEnv::PrepareEnact(size_t workflow_index,
   DEXA_RETURN_IF_ERROR(WriteTextFile(
       io, std::filesystem::path(run.journal_dir) / kRunDescriptor,
       EncodeWire(descriptor) + "\n"));
-  run.request = MakeDurableEnactRun(item.workflow, *corpus_.registry,
+  run.request = MakeDurableEnactRun(item.workflow, *env_.corpus.registry,
                                     item.seeds, *engine_, *run.journal);
   run.request.obs.metrics = run.metrics.get();
   run.label = "enact-durable " + item.workflow.id;
@@ -325,11 +298,11 @@ Result<PreparedRun> ServeEnv::PrepareResume(const std::string& dir) {
     run.sharded = std::make_unique<ShardedRunSpec>();
     run.sharded->options.shards = static_cast<uint32_t>(*shards);
     run.sharded->options.root = dir;
-    run.sharded->options.kb_checksum = kb_checksum_;
+    run.sharded->options.kb_checksum = env_.kb_checksum;
     run.sharded->options.orchestrator = engine_.get();
     run.sharded->config = config_;
-    run.sharded->ontology = corpus_.ontology.get();
-    run.sharded->pool = pool_.get();
+    run.sharded->ontology = env_.corpus.ontology.get();
+    run.sharded->pool = env_.pool.get();
     run.label = "resume " + dir;
     return run;
   }
@@ -352,17 +325,17 @@ Result<PreparedRun> ServeEnv::PrepareResume(const std::string& dir) {
     run.registry = std::move(*registry);
     run.generator = MakeGenerator();
     run.request = MakeDurableAnnotateRun(*run.generator, *run.registry,
-                                         *corpus_.ontology, *run.journal);
-    run.request.kb_checksum = kb_checksum_;
+                                         *env_.corpus.ontology, *run.journal);
+    run.request.kb_checksum = env_.kb_checksum;
   } else if (kind == WireKindName(RunKind::kEnact, /*durable=*/true)) {
     auto workflow_index = WireUint(*descriptor, "workflow");
     if (!workflow_index.ok()) return workflow_index.status();
-    if (*workflow_index >= workflows_.items.size()) {
+    if (*workflow_index >= env_.workflows.items.size()) {
       return Status::Corrupted("RUN descriptor in " + dir +
                                " names an out-of-range workflow");
     }
-    const GeneratedWorkflow& item = workflows_.items[*workflow_index];
-    run.request = MakeDurableEnactRun(item.workflow, *corpus_.registry,
+    const GeneratedWorkflow& item = env_.workflows.items[*workflow_index];
+    run.request = MakeDurableEnactRun(item.workflow, *env_.corpus.registry,
                                       item.seeds, *engine_, *run.journal);
   } else {
     return Status::Corrupted("RUN descriptor in " + dir +
@@ -394,7 +367,7 @@ std::vector<std::string> ServeEnv::UnfinishedJournalDirs() const {
 }
 
 uint64_t ServeEnv::AnnotationsDigest(const ModuleRegistry& registry) const {
-  return StableHash64(SaveAnnotations(registry, *corpus_.ontology));
+  return StableHash64(SaveAnnotations(registry, *env_.corpus.ontology));
 }
 
 uint64_t ServeEnv::EnactDigest(const EnactmentResult& result) {

@@ -9,9 +9,7 @@
 #include "common/result.h"
 #include "core/engine_config.h"
 #include "corpus/corpus.h"
-#include "kbimage/compiled_kb.h"
-#include "pool/instance_pool.h"
-#include "provenance/workflow_corpus.h"
+#include "durability/evaluation_env.h"
 #include "serve/run_manager.h"
 
 namespace dexa::serve {
@@ -36,9 +34,9 @@ struct ServeEnvOptions {
 /// Everything the daemon shares across runs — corpus, ontology, concept
 /// cache, workflow corpus, instance pool, and ONE pooled InvocationEngine —
 /// plus the factories that turn protocol-level submissions into
-/// PreparedRuns. The recipe mirrors the CLI's BuildEnv, so every run the
-/// daemon executes is byte-identical to the same run issued one-shot from
-/// the command line (the serve equivalence suite pins this).
+/// PreparedRuns. Create calls BuildEvaluationEnv, as the CLI does, so every
+/// run the daemon executes is byte-identical to the same run issued
+/// one-shot from the command line (the serve equivalence suite pins this).
 ///
 /// Isolation model: runs share the immutable state (KB, ontology, cache,
 /// pool, modules) and the engine, but each PreparedRun gets its own
@@ -102,10 +100,12 @@ class ServeEnv {
   // -- Shared state --------------------------------------------------------
 
   InvocationEngine& engine() { return *engine_; }
-  const Corpus& corpus() const { return corpus_; }
-  size_t workflow_count() const { return workflows_.items.size(); }
-  size_t available_modules() const { return corpus_.available_ids.size(); }
-  uint64_t kb_checksum() const { return kb_checksum_; }
+  const Corpus& corpus() const { return env_.corpus; }
+  size_t workflow_count() const { return env_.workflows.items.size(); }
+  size_t available_modules() const {
+    return env_.corpus.available_ids.size();
+  }
+  uint64_t kb_checksum() const { return env_.kb_checksum; }
   const std::string& journal_root() const { return options_.journal_root; }
 
   /// Stable digest of a run registry's annotations — what clients compare
@@ -132,15 +132,11 @@ class ServeEnv {
   std::unique_ptr<ExampleGenerator> MakeGenerator() const;
 
   ServeEnvOptions options_;
-  Corpus corpus_;
-  WorkflowCorpus workflows_;
-  ProvenanceCorpus provenance_;
-  std::unique_ptr<AnnotatedInstancePool> pool_;
-  std::shared_ptr<const kbimage::CompiledKb> kb_image_;
-  std::shared_ptr<const ConceptCache> cache_;
-  uint64_t kb_checksum_ = 0;
   EngineConfig config_;
   std::unique_ptr<InvocationEngine> engine_;
+  /// Declared after engine_, so it is destroyed first: its cache holds a
+  /// pointer to the engine's metrics.
+  EvaluationEnv env_;
   uint64_t next_run_dir_ = 0;
 };
 

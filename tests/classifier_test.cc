@@ -26,7 +26,7 @@ class ClassifierTest : public ::testing::Test {
     return c == kInvalidConcept ? "<none>" : env_.corpus.ontology->NameOf(c);
   }
 
-  const testing_env::Environment& env_;
+  const EvaluationEnv& env_;
   InstanceClassifier classifier_;
 };
 

@@ -25,7 +25,7 @@ class CompositionTest : public ::testing::Test {
     return (*env_.corpus.registry->Find(module_id))->spec().name;
   }
 
-  const testing_env::Environment& env_;
+  const EvaluationEnv& env_;
   ExampleGuidedComposer composer_;
 };
 
@@ -111,7 +111,7 @@ class DiscoveryTest : public ::testing::Test {
 
   ConceptId C(const char* name) { return env_.corpus.ontology->Find(name); }
 
-  const testing_env::Environment& env_;
+  const EvaluationEnv& env_;
   BehaviorDiscovery discovery_;
 };
 

@@ -18,6 +18,7 @@
 #include "corpus/fault_injector.h"
 #include "common/crc32.h"
 #include "durability/commit_codec.h"
+#include "durability/evaluation_env.h"
 #include "durability/journal.h"
 #include "durability/snapshot.h"
 #include "durability/trace_io.h"
@@ -836,6 +837,61 @@ TEST(DurableEnactTest, TornStepCommitIsReinvokedOnResume) {
   for (size_t i = 0; i < baseline->outputs.size(); ++i) {
     EXPECT_TRUE(resumed->outputs[i].Equals(baseline->outputs[i]));
   }
+}
+
+// -- The evaluation environment ------------------------------------------
+
+TEST(EvaluationEnvTest, ImageEnvMatchesTheInMemoryEnv) {
+  const std::string path = FreshDir("evaluation_env") + "/kb.img";
+  const uint64_t seal = testing_env::WriteCorpusKbImage(path);
+  ASSERT_NE(seal, 0u);
+
+  // The image's seed overrides the one passed in: the corpus must match
+  // the KB it adopts.
+  CorpusOptions other_seed;
+  other_seed.seed = 7;
+  EngineMetrics image_metrics;
+  EngineMetrics memory_metrics;
+  auto from_image = BuildEvaluationEnv(other_seed, path, &image_metrics);
+  ASSERT_TRUE(from_image.ok()) << from_image.status();
+  auto in_memory = BuildEvaluationEnv({}, "", &memory_metrics);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status();
+
+  EXPECT_EQ(from_image->kb_checksum, seal);
+  EXPECT_EQ(in_memory->kb_checksum, 0u);
+  EXPECT_EQ(image_metrics.Snapshot().kb_image_loads, 1u);
+  EXPECT_EQ(memory_metrics.Snapshot().kb_image_loads, 0u);
+
+  EXPECT_EQ(from_image->corpus.ontology->ToDsl(),
+            in_memory->corpus.ontology->ToDsl());
+  EXPECT_EQ(SavePool(*from_image->pool), SavePool(*in_memory->pool));
+  EXPECT_EQ(from_image->workflows.items.size(),
+            in_memory->workflows.items.size());
+
+  // Each env's cache annotates its own registry to the same bytes, and
+  // counts its lookups into the metrics the env was built with.
+  auto annotations = [](const EvaluationEnv& env) {
+    ExampleGenerator generator(env.cache, env.pool.get());
+    auto report = AnnotateRegistry(generator, *env.corpus.registry);
+    EXPECT_TRUE(report.ok()) << report.status();
+    if (report.ok()) {
+      EXPECT_TRUE(report->complete()) << report->run_status;
+    }
+    return SaveAnnotations(*env.corpus.registry, *env.corpus.ontology);
+  };
+  EXPECT_EQ(annotations(*from_image), annotations(*in_memory));
+  EXPECT_GT(image_metrics.Snapshot().cache_queries, 0u);
+  EXPECT_GT(memory_metrics.Snapshot().cache_queries, 0u);
+}
+
+TEST(EvaluationEnvTest, MissingImageFailsWithTheLoaderStatus) {
+  const std::string missing = FreshDir("evaluation_env_missing") + "/kb.img";
+  auto env = BuildEvaluationEnv({}, missing);
+  ASSERT_FALSE(env.ok());
+  const Status load = kbimage::CompiledKb::Load(missing).status();
+  ASSERT_FALSE(load.ok());
+  EXPECT_EQ(env.status().code(), load.code());
+  EXPECT_EQ(env.status().message(), load.message());
 }
 
 }  // namespace

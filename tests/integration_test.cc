@@ -45,22 +45,16 @@ TEST(IntegrationTest, ExamplesReplayDeterministically) {
 }
 
 TEST(IntegrationTest, GenerationIsDeterministicAcrossRebuilds) {
-  // Rebuild the whole pipeline from the same seed: the annotation of a
+  // Rebuild the whole environment from the same seed: the annotation of a
   // sample module must be identical.
   const auto& env = GetEnvironment();
-  auto corpus = BuildCorpus();
-  ASSERT_TRUE(corpus.ok());
-  auto workflows = GenerateWorkflowCorpus(*corpus);
-  ASSERT_TRUE(workflows.ok());
-  auto provenance = BuildProvenanceCorpus(*corpus, *workflows);
-  ASSERT_TRUE(provenance.ok());
-  AnnotatedInstancePool pool =
-      HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
-  ExampleGenerator generator(corpus->ontology.get(), &pool);
+  auto rebuilt = BuildEvaluationEnv();
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  ExampleGenerator generator(rebuilt->cache, rebuilt->pool.get());
 
   for (const char* name : {"EBI_GetUniprotRecord", "NormalizeAccession",
                            "CompareSequences", "GetConcept"}) {
-    ModulePtr fresh = *corpus->registry->FindByName(name);
+    ModulePtr fresh = *rebuilt->corpus.registry->FindByName(name);
     auto outcome = generator.Generate(*fresh);
     ASSERT_TRUE(outcome.ok()) << name;
     ModulePtr original = *env.corpus.registry->FindByName(name);

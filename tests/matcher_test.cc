@@ -21,7 +21,7 @@ class MatcherTest : public ::testing::Test {
     return *module;
   }
 
-  const testing_env::Environment& env_;
+  const EvaluationEnv& env_;
   ExampleGenerator generator_;
   ModuleMatcher matcher_;
 };

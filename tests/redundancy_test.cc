@@ -24,7 +24,7 @@ class RedundancyTest : public ::testing::Test {
     return env_.corpus.registry->DataExamplesOf(module->spec().id);
   }
 
-  const testing_env::Environment& env_;
+  const EvaluationEnv& env_;
   RedundancyDetector detector_;
 };
 
@@ -108,7 +108,7 @@ struct CorpusQuality {
   double recall;
 };
 
-CorpusQuality MeasureCorpusQuality(const testing_env::Environment& env,
+CorpusQuality MeasureCorpusQuality(const EvaluationEnv& env,
                                    const RedundancyOptions& options) {
   RedundancyDetector detector(env.corpus.ontology.get(), options);
   size_t tp = 0, fp = 0, fn = 0;

@@ -20,7 +20,7 @@
 #include "core/example_generator.h"
 #include "core/metrics.h"
 #include "corpus/scale.h"
-#include "provenance/workflow_corpus.h"
+#include "durability/evaluation_env.h"
 #include "repair/repair.h"
 
 namespace dexa {
@@ -31,28 +31,23 @@ class SeedSweepTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(SeedSweepTest, StructuralResultsHoldAcrossSeeds) {
   CorpusOptions options;
   options.seed = GetParam();
-  auto corpus = BuildCorpus(options);
-  ASSERT_TRUE(corpus.ok()) << corpus.status();
-  auto workflows = GenerateWorkflowCorpus(*corpus);
-  ASSERT_TRUE(workflows.ok()) << workflows.status();
-  auto provenance = BuildProvenanceCorpus(*corpus, *workflows);
-  ASSERT_TRUE(provenance.ok()) << provenance.status();
-  AnnotatedInstancePool pool =
-      HarvestPool(*provenance, *corpus->registry, *corpus->ontology);
-  ExampleGenerator generator(corpus->ontology.get(), &pool);
-  auto annotated = AnnotateRegistry(generator, *corpus->registry);
+  auto env = BuildEvaluationEnv(options);
+  ASSERT_TRUE(env.ok()) << env.status();
+  Corpus& corpus = env->corpus;
+  ExampleGenerator generator(env->cache, env->pool.get());
+  auto annotated = AnnotateRegistry(generator, *corpus.registry);
   ASSERT_TRUE(annotated.ok()) << annotated.status();
   ASSERT_TRUE(annotated->complete()) << annotated->run_status;
 
   // Tables 1-3 and the Section 4.3 coverage results.
-  CoverageAnalyzer analyzer(corpus->ontology.get());
+  CoverageAnalyzer analyzer(env->cache);
   std::map<std::string, int> completeness;
   std::map<std::string, int> conciseness;
   size_t input_covered = 0;
   size_t output_exceptions = 0;
-  for (const std::string& id : corpus->available_ids) {
-    ModulePtr module = *corpus->registry->Find(id);
-    const DataExampleSet& examples = corpus->registry->DataExamplesOf(id);
+  for (const std::string& id : corpus.available_ids) {
+    ModulePtr module = *corpus.registry->Find(id);
+    const DataExampleSet& examples = corpus.registry->DataExamplesOf(id);
     auto metrics = EvaluateBehaviorMetrics(*module, examples);
     ASSERT_TRUE(metrics.ok()) << module->spec().name;
     completeness[FormatFixed(metrics->completeness(), 3)]++;
@@ -63,10 +58,10 @@ TEST_P(SeedSweepTest, StructuralResultsHoldAcrossSeeds) {
   }
   // Derived from the corpus census, not a parallel hardcoded copy of it
   // (the paper corpus pins 252; a resized corpus keeps this test honest).
-  EXPECT_EQ(input_covered, corpus->available_ids.size());
+  EXPECT_EQ(input_covered, corpus.available_ids.size());
   EXPECT_EQ(output_exceptions, 19u);
   EXPECT_EQ(completeness["1.000"],
-            static_cast<int>(corpus->available_ids.size()) - 18);
+            static_cast<int>(corpus.available_ids.size()) - 18);
   EXPECT_EQ(completeness["0.750"], 8);
   EXPECT_EQ(completeness["0.625"], 4);
   EXPECT_EQ(completeness["0.600"], 4);
@@ -81,15 +76,15 @@ TEST_P(SeedSweepTest, StructuralResultsHoldAcrossSeeds) {
   EXPECT_EQ(conciseness["0.10"], 1);
 
   // Figure 8 matching and the repair outcome.
-  ASSERT_TRUE(RetireDecayedModules(*corpus).ok());
-  auto matching = MatchRetiredModules(*corpus, *provenance);
+  ASSERT_TRUE(RetireDecayedModules(corpus).ok());
+  auto matching = MatchRetiredModules(corpus, env->provenance);
   ASSERT_TRUE(matching.ok()) << matching.status();
   EXPECT_EQ(matching->with_equivalent, 16u);
   EXPECT_EQ(matching->with_overlapping, 23u);
   EXPECT_EQ(matching->with_none, 33u);
 
   auto outcome =
-      RepairWorkflows(*corpus, *workflows, *provenance, *matching);
+      RepairWorkflows(corpus, env->workflows, env->provenance, *matching);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_EQ(outcome->broken_workflows, 1500u);
   EXPECT_EQ(outcome->repaired_via_equivalent, 321u);

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "serve/serve_env.h"
 #include "serve/server.h"
 #include "serve/wire.h"
+#include "tests/test_util.h"
 
 namespace dexa::serve {
 namespace {
@@ -304,6 +306,46 @@ TEST(RunManagerTest, ScheduleAndResultsIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(orders[0], orders[1]);
   EXPECT_EQ(digests[0], digests[1]);
+}
+
+// -- ServeEnv startup -------------------------------------------------------
+
+TEST(ServeEnvTest, CreateFailsOnAJournalRootThatIsAFile) {
+  const std::string file = FreshDir("root_is_a_file") + "/runs";
+  std::ofstream(file) << "not a directory\n";
+  ServeEnvOptions options;
+  options.journal_root = file;
+  auto env = ServeEnv::Create(options);
+  ASSERT_FALSE(env.ok()) << "a regular file was accepted as journal root";
+  EXPECT_NE(env.status().message().find(file), std::string::npos)
+      << env.status();
+}
+
+/// A daemon built from a compiled KB image pins the image seal and
+/// annotates to the same bytes as the in-memory daemon.
+TEST(ServeEnvTest, KbImageDaemonMatchesTheInMemoryDaemon) {
+  const std::string path = FreshDir("kb_image") + "/kb.img";
+  const uint64_t seal = testing_env::WriteCorpusKbImage(path);
+  ASSERT_NE(seal, 0u);
+  ServeEnvOptions options;
+  options.kb_image_path = path;
+  options.threads = 2;
+  auto image_env = ServeEnv::Create(options);
+  ASSERT_TRUE(image_env.ok()) << image_env.status();
+  EXPECT_EQ((*image_env)->kb_checksum(), seal);
+  EXPECT_EQ(SharedEnv().kb_checksum(), 0u);
+
+  auto digest = [](ServeEnv& env) -> uint64_t {
+    auto run = env.PrepareAnnotate(0, 8, /*traced=*/false);
+    EXPECT_TRUE(run.ok()) << run.status();
+    if (!run.ok()) return 0;
+    auto result = SubmitRun(run->request);
+    EXPECT_TRUE(result.ok()) << result.status();
+    if (!result.ok()) return 0;
+    EXPECT_TRUE(result->complete()) << result->run_status;
+    return env.AnnotationsDigest(*run->registry);
+  };
+  EXPECT_EQ(digest(**image_env), digest(SharedEnv()));
 }
 
 // -- Server protocol --------------------------------------------------------

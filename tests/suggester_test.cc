@@ -23,7 +23,7 @@ class SuggesterTest : public ::testing::Test {
     return env_.corpus.ontology->NameOf(suggestions[0].concept_id);
   }
 
-  const testing_env::Environment& env_;
+  const EvaluationEnv& env_;
   AnnotationSuggester suggester_;
 };
 

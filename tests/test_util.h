@@ -2,62 +2,38 @@
 #define DEXA_TESTS_TEST_UTIL_H_
 
 // Shared fixtures for the dexa test suites. The full evaluation pipeline
-// (corpus -> workflow corpus -> provenance -> pool -> annotations) is
-// expensive to rebuild per test, so suites share one lazily-built
-// environment.
+// (BuildEvaluationEnv, then annotations) is expensive to rebuild per test,
+// so suites share one lazily-built environment.
 
-#include <memory>
+#include <cstdint>
+#include <cstdlib>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/example_generator.h"
-#include "corpus/corpus.h"
-#include "provenance/workflow_corpus.h"
+#include "durability/evaluation_env.h"
+#include "kb/knowledge_base.h"
+#include "kbimage/builder.h"
+#include "kbimage/compiled_kb.h"
+#include "ontology/mygrid.h"
 
 namespace dexa {
 namespace testing_env {
 
-/// The fully-built evaluation environment (built once per process).
-struct Environment {
-  Corpus corpus;
-  WorkflowCorpus workflows;
-  ProvenanceCorpus provenance;
-  std::unique_ptr<AnnotatedInstancePool> pool;
-  // Registry annotated with generated data examples; modules retired.
-};
-
-/// Builds (once) and returns the shared environment: corpus built, workflow
-/// corpus generated and enacted, pool harvested, data examples generated
-/// into the registry, decayed modules retired.
-inline const Environment& GetEnvironment() {
-  static Environment* env = [] {
-    auto* out = new Environment();
-    auto corpus = BuildCorpus();
-    if (!corpus.ok()) {
-      ADD_FAILURE() << "BuildCorpus: " << corpus.status();
+/// Builds (once) and returns the shared environment: BuildEvaluationEnv at
+/// the corpus defaults, data examples generated into the registry, decayed
+/// modules retired.
+inline const EvaluationEnv& GetEnvironment() {
+  static EvaluationEnv* env = [] {
+    auto built = BuildEvaluationEnv();
+    if (!built.ok()) {
+      ADD_FAILURE() << "BuildEvaluationEnv: " << built.status();
       std::abort();
     }
-    out->corpus = std::move(corpus).value();
+    auto* out = new EvaluationEnv(std::move(built).value());
 
-    auto workflows = GenerateWorkflowCorpus(out->corpus);
-    if (!workflows.ok()) {
-      ADD_FAILURE() << "GenerateWorkflowCorpus: " << workflows.status();
-      std::abort();
-    }
-    out->workflows = std::move(workflows).value();
-
-    auto provenance = BuildProvenanceCorpus(out->corpus, out->workflows);
-    if (!provenance.ok()) {
-      ADD_FAILURE() << "BuildProvenanceCorpus: " << provenance.status();
-      std::abort();
-    }
-    out->provenance = std::move(provenance).value();
-
-    out->pool = std::make_unique<AnnotatedInstancePool>(
-        HarvestPool(out->provenance, *out->corpus.registry,
-                    *out->corpus.ontology));
-
-    ExampleGenerator generator(out->corpus.ontology.get(), out->pool.get());
+    ExampleGenerator generator(out->cache, out->pool.get());
     auto annotated = AnnotateRegistry(generator, *out->corpus.registry);
     if (!annotated.ok()) {
       ADD_FAILURE() << "AnnotateRegistry: " << annotated.status();
@@ -76,6 +52,18 @@ inline const Environment& GetEnvironment() {
     return out;
   }();
   return *env;
+}
+
+/// Writes a KB image of the corpus defaults to `path`, as `dexa compile-kb`
+/// does, and returns the seal it loads back with (0 on failure).
+inline uint64_t WriteCorpusKbImage(const std::string& path) {
+  const CorpusOptions defaults;
+  Status written = kbimage::WriteKbImage(
+      BuildMyGridOntology(), KnowledgeBase(defaults.seed), path);
+  EXPECT_TRUE(written.ok()) << written;
+  auto image = kbimage::CompiledKb::Load(path);
+  EXPECT_TRUE(image.ok()) << image.status();
+  return image.ok() ? (*image)->checksum() : 0;
 }
 
 }  // namespace testing_env

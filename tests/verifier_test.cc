@@ -23,7 +23,7 @@ class VerifierTest : public ::testing::Test {
         env_.corpus.registry->DataExamplesOf(module->spec().id));
   }
 
-  const testing_env::Environment& env_;
+  const EvaluationEnv& env_;
   AnnotationVerifier verifier_;
 };
 

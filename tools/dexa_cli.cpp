@@ -42,6 +42,7 @@
 #include "core/run_api.h"
 #include "corpus/corpus.h"
 #include "corpus/fault_injector.h"
+#include "durability/evaluation_env.h"
 #include "durability/journal.h"
 #include "durability/snapshot.h"
 #include "kb/knowledge_base.h"
@@ -64,30 +65,13 @@ namespace {
 
 using namespace dexa;
 
-struct CliEnv {
-  Corpus corpus;
-  WorkflowCorpus workflows;
-  ProvenanceCorpus provenance;
-  std::unique_ptr<AnnotatedInstancePool> pool;
-
-  /// The image mapped from --kb-image, or null when the run compiles its
-  /// ontology at load.
-  std::shared_ptr<const kbimage::CompiledKb> kb_image;
-  /// Shared reasoning cache for every component the commands construct:
-  /// kb_image when set, otherwise the in-memory ontology compiled at load.
-  /// Both are the same compiled tables, so output is byte-identical.
-  std::shared_ptr<const ConceptCache> cache;
-  /// Image seal, recorded in durable run headers; 0 for in-memory runs.
-  uint64_t kb_checksum = 0;
-};
-
 /// Everything a command handler gets: the parsed global flags, the engine
 /// they configure, and a lazily-built evaluation environment.
 struct CliContext {
   std::string kb_image_path;
   EngineConfig config;
   std::unique_ptr<InvocationEngine> engine;
-  std::optional<CliEnv> env;
+  std::optional<EvaluationEnv> env;
 
   ExampleGenerator MakeGenerator() const {
     return config.MakeGenerator(env->cache, env->pool.get(), engine.get());
@@ -127,46 +111,10 @@ Result<uint64_t> ParseNumericFlag(std::string_view flag,
 /// for the durable/traced subcommands, which run (or resume) the
 /// annotation themselves through the facade instead of inline.
 Status BuildEnv(CliContext& ctx, bool retire, bool annotate) {
-  CliEnv env;
-  CorpusOptions corpus_options;
-  if (!ctx.kb_image_path.empty()) {
-    auto image = kbimage::CompiledKb::Load(ctx.kb_image_path);
-    if (!image.ok()) return image.status();
-    env.kb_image =
-        std::shared_ptr<const kbimage::CompiledKb>(std::move(image).value());
-    env.kb_checksum = env.kb_image->checksum();
-    ctx.engine->metrics().Add(EngineCounter::kb_image_loads);
-    // The corpus adopts the image's ontology and KB instead of rebuilding
-    // them; concept ids are dense insertion indices in both, so the
-    // materialized ontology and the image view agree on every ConceptId.
-    auto ontology = env.kb_image->MaterializeOntology();
-    if (!ontology.ok()) return ontology.status();
-    corpus_options.prebuilt_ontology =
-        std::make_shared<Ontology>(std::move(ontology).value());
-    auto kb = env.kb_image->MaterializeKnowledgeBase();
-    if (!kb.ok()) return kb.status();
-    corpus_options.prebuilt_kb = std::move(kb).value();
-    corpus_options.seed = env.kb_image->kb_seed();
-  }
-  auto corpus = BuildCorpus(corpus_options);
-  if (!corpus.ok()) return corpus.status();
-  env.corpus = std::move(corpus).value();
-  if (env.kb_image != nullptr) {
-    env.cache = std::make_shared<ConceptCache>(env.kb_image,
-                                               &ctx.engine->metrics());
-  } else {
-    env.cache = std::make_shared<ConceptCache>(env.corpus.ontology.get(),
-                                               &ctx.engine->metrics());
-  }
-  auto workflows = GenerateWorkflowCorpus(env.corpus);
-  if (!workflows.ok()) return workflows.status();
-  env.workflows = std::move(workflows).value();
-  auto provenance = BuildProvenanceCorpus(env.corpus, env.workflows);
-  if (!provenance.ok()) return provenance.status();
-  env.provenance = std::move(provenance).value();
-  env.pool = std::make_unique<AnnotatedInstancePool>(HarvestPool(
-      env.provenance, *env.corpus.registry, *env.corpus.ontology));
-  ctx.env.emplace(std::move(env));
+  auto env =
+      BuildEvaluationEnv({}, ctx.kb_image_path, &ctx.engine->metrics());
+  if (!env.ok()) return env.status();
+  ctx.env.emplace(std::move(env).value());
   if (annotate) {
     ExampleGenerator generator = ctx.MakeGenerator();
     auto result =
@@ -189,7 +137,7 @@ int WriteFile(const std::string& path, const std::string& content) {
 }
 
 int CmdTables(CliContext& ctx, const std::vector<std::string>&) {
-  const CliEnv& env = *ctx.env;
+  const EvaluationEnv& env = *ctx.env;
   std::map<ModuleKind, int> census;
   std::map<std::string, int, std::greater<std::string>> completeness;
   std::map<std::string, int, std::greater<std::string>> conciseness;
@@ -231,7 +179,7 @@ int CmdTables(CliContext& ctx, const std::vector<std::string>&) {
 }
 
 int CmdShowModule(CliContext& ctx, const std::string& name) {
-  const CliEnv& env = *ctx.env;
+  const EvaluationEnv& env = *ctx.env;
   auto module = env.corpus.registry->FindByName(name);
   if (!module.ok()) return Fail(module.status());
   const ModuleSpec& spec = (*module)->spec();
@@ -292,7 +240,7 @@ int CmdAnnotateTraced(CliContext& ctx, const std::string& trace_path,
 /// journal.
 int FinishDurableRun(CliContext& ctx, const std::string& dir,
                      const AnnotateReport& report) {
-  CliEnv& env = *ctx.env;
+  EvaluationEnv& env = *ctx.env;
   TablePrinter table({"metric", "value"});
   table.AddRow({"modules annotated", std::to_string(report.annotated)});
   table.AddRow({"modules decayed", std::to_string(report.decayed)});
@@ -457,7 +405,7 @@ int CmdResume(CliContext& ctx, const std::vector<std::string>& args) {
 }
 
 int CmdCompare(CliContext& ctx, const std::vector<std::string>& args) {
-  const CliEnv& env = *ctx.env;
+  const EvaluationEnv& env = *ctx.env;
   auto left = env.corpus.registry->FindByName(args[0]);
   auto right = env.corpus.registry->FindByName(args[1]);
   if (!left.ok()) return Fail(left.status());
@@ -493,7 +441,7 @@ StructuralType DefaultTypeFor(const std::string& concept_name) {
 }
 
 int CmdDiscover(CliContext& ctx, const std::vector<std::string>& args) {
-  const CliEnv& env = *ctx.env;
+  const EvaluationEnv& env = *ctx.env;
   ConceptId in_concept = env.corpus.ontology->Find(args[0]);
   ConceptId out_concept = env.corpus.ontology->Find(args[1]);
   if (in_concept == kInvalidConcept || out_concept == kInvalidConcept) {
@@ -518,7 +466,7 @@ int CmdDiscover(CliContext& ctx, const std::vector<std::string>& args) {
 }
 
 int CmdCompose(CliContext& ctx, const std::vector<std::string>& args) {
-  const CliEnv& env = *ctx.env;
+  const EvaluationEnv& env = *ctx.env;
   ConceptId in_concept = env.corpus.ontology->Find(args[0]);
   ConceptId out_concept = env.corpus.ontology->Find(args[1]);
   if (in_concept == kInvalidConcept || out_concept == kInvalidConcept) {
@@ -574,7 +522,7 @@ int CmdStudy(CliContext& ctx, const std::vector<std::string>&) {
 }
 
 int CmdRepair(CliContext& ctx, const std::vector<std::string>&) {
-  CliEnv& env = *ctx.env;
+  EvaluationEnv& env = *ctx.env;
   auto matching = MatchRetiredModules(env.corpus, env.provenance);
   if (!matching.ok()) return Fail(matching.status());
   std::cout << "retired modules: " << matching->retired_total
@@ -622,7 +570,7 @@ int CmdExportWorkflow(CliContext& ctx, const std::vector<std::string>& args) {
 int CmdCompileKb(CliContext&, const std::vector<std::string>& args) {
   const CorpusOptions defaults;
   Ontology ontology = BuildMyGridOntology();
-  KnowledgeBase kb(defaults.seed, defaults.kb_options);
+  KnowledgeBase kb(defaults.seed);
   Status written = kbimage::WriteKbImage(ontology, kb, args[0]);
   if (!written.ok()) return Fail(written);
   auto image = kbimage::CompiledKb::Load(args[0]);
@@ -634,8 +582,9 @@ int CmdCompileKb(CliContext&, const std::vector<std::string>& args) {
 }
 
 /// `dexa serve`: the multi-tenant run-manager daemon. One ServeEnv is
-/// built (same recipe as every other command), then a poll()-driven Server
-/// admits runs over the line protocol until shutdown.
+/// built (its Create calls BuildEvaluationEnv, as every other command
+/// does), then a poll()-driven Server admits runs over the line protocol
+/// until shutdown.
 int CmdServe(CliContext& ctx, const std::vector<std::string>& args) {
   serve::ServeEnvOptions env_options;
   env_options.kb_image_path = ctx.kb_image_path;

@@ -79,12 +79,14 @@ int RunBench() {
   serve::RunManagerOptions manager_options;
   manager_options.capacity = kFaultRuns + 1;
   manager_options.execute_batch = kThreads;
+  serve::RunSpec spec;
+  spec.kind = "annotate_durable";
   uint64_t baseline_digest = 0;
   double baseline_ms = 0.0;
   {
     serve::RunManager manager((*env)->engine(), manager_options);
-    auto run = (*env)->PrepareDurableAnnotate(nullptr, nullptr);
-    if (!run.ok()) Die("baseline PrepareDurableAnnotate", run.status());
+    auto run = (*env)->Prepare(spec);
+    if (!run.ok()) Die("baseline Prepare", run.status());
     const Clock::time_point start = Clock::now();
     auto id = manager.Submit("baseline", std::move(*run));
     if (!id.ok()) Die("baseline Submit", id.status());
@@ -105,9 +107,9 @@ int RunBench() {
     Rng rng(0xBE6C);
     std::vector<uint64_t> ids;
     for (size_t i = 0; i < kFaultRuns; ++i) {
-      IoFaultProfile profile = DrawProfile(rng, i);
-      auto run = (*env)->PrepareDurableAnnotate(nullptr, &profile);
-      if (!run.ok()) Die("faulted PrepareDurableAnnotate", run.status());
+      spec.io_fault = DrawProfile(rng, i);
+      auto run = (*env)->Prepare(spec);
+      if (!run.ok()) Die("faulted Prepare", run.status());
       auto id = manager.Submit("chaos-" + std::to_string(i % 4),
                                std::move(*run));
       if (!id.ok()) Die("faulted Submit", id.status());

@@ -80,6 +80,14 @@ const char* CrashPointName(CrashPoint point) {
   return "unknown";
 }
 
+Result<CrashPoint> ParseCrashPoint(const std::string& name) {
+  if (name == "before") return CrashPoint::kCrashBeforeCommit;
+  if (name == "after") return CrashPoint::kCrashAfterCommit;
+  if (name == "torn") return CrashPoint::kTornWrite;
+  return Status::InvalidArgument("crash must be before|after|torn, got '" +
+                                 name + "'");
+}
+
 Result<std::unique_ptr<ModuleRegistry>> WrapRegistryWithFaults(
     const ModuleRegistry& registry, const FaultProfile& profile,
     EngineMetrics* metrics) {

@@ -97,6 +97,10 @@ struct CrashPlan {
 /// Human-readable name of a crash point ("before-commit", ...).
 const char* CrashPointName(CrashPoint point);
 
+/// The crash point a request spells "before", "after" or "torn" — the one
+/// spelling the CLI's --crash and serve's "crash" field share.
+[[nodiscard]] Result<CrashPoint> ParseCrashPoint(const std::string& name);
+
 /// Wraps any module with a deterministic fault profile. The injector
 /// presents the wrapped module's exact spec and ground truth, decides per
 /// attempt whether to fail (and how, on the typed Status taxonomy), charges

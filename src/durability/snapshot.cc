@@ -11,39 +11,21 @@ namespace dexa {
 
 namespace fs = std::filesystem;
 
-namespace {
-IoEnv& EnvOrReal(IoEnv* io) { return io != nullptr ? *io : IoEnv::Real(); }
-}  // namespace
-
-Status AtomicWriteFile(const std::string& path, const std::string& content,
-                       IoEnv* io) {
-  return WriteFileAtomic(EnvOrReal(io), path, content);
-}
-
-Result<std::string> ReadFileToString(const std::string& path, IoEnv* io) {
-  auto bytes = EnvOrReal(io).ReadFile(path);
-  if (!bytes.ok() && bytes.status().IsNotFound()) {
-    // Preserve the historical message shape callers print.
-    return Status::NotFound("cannot read file '" + path + "'");
-  }
-  return bytes;
-}
-
 Status WriteRunStateSnapshot(const std::string& dir,
                              const AnnotatedInstancePool& pool,
                              const ModuleRegistry& registry,
                              const Ontology& ontology,
                              const ProvenanceCorpus& provenance, IoEnv* io) {
-  IoEnv& env = EnvOrReal(io);
+  IoEnv& env = io != nullptr ? *io : IoEnv::Real();
   DEXA_RETURN_IF_ERROR(env.CreateDirs(dir));
   const fs::path base(dir);
-  DEXA_RETURN_IF_ERROR(AtomicWriteFile((base / kSnapshotPoolFile).string(),
-                                       SavePool(pool), &env));
+  DEXA_RETURN_IF_ERROR(WriteFileAtomic(
+      env, (base / kSnapshotPoolFile).string(), SavePool(pool)));
   DEXA_RETURN_IF_ERROR(
-      AtomicWriteFile((base / kSnapshotAnnotationsFile).string(),
-                      SaveAnnotations(registry, ontology), &env));
-  DEXA_RETURN_IF_ERROR(AtomicWriteFile((base / kSnapshotTracesFile).string(),
-                                       SaveTraces(provenance), &env));
+      WriteFileAtomic(env, (base / kSnapshotAnnotationsFile).string(),
+                      SaveAnnotations(registry, ontology)));
+  DEXA_RETURN_IF_ERROR(WriteFileAtomic(
+      env, (base / kSnapshotTracesFile).string(), SaveTraces(provenance)));
   return Status::OK();
 }
 
@@ -51,12 +33,13 @@ Result<RestoredRunState> RestoreRunState(const std::string& dir,
                                          const Ontology& ontology,
                                          ModuleRegistry& registry) {
   const fs::path base(dir);
-  auto pool_text = ReadFileToString((base / kSnapshotPoolFile).string());
+  IoEnv& io = IoEnv::Real();
+  auto pool_text = io.ReadFile((base / kSnapshotPoolFile).string());
   if (!pool_text.ok()) return pool_text.status();
   auto annotations_text =
-      ReadFileToString((base / kSnapshotAnnotationsFile).string());
+      io.ReadFile((base / kSnapshotAnnotationsFile).string());
   if (!annotations_text.ok()) return annotations_text.status();
-  auto traces_text = ReadFileToString((base / kSnapshotTracesFile).string());
+  auto traces_text = io.ReadFile((base / kSnapshotTracesFile).string());
   if (!traces_text.ok()) return traces_text.status();
 
   RestoredRunState state(&ontology);

@@ -12,21 +12,6 @@
 
 namespace dexa {
 
-/// Writes `content` to `path` atomically: the bytes land in a temporary
-/// sibling file (`<path>.tmp`) which is flushed and then renamed over the
-/// target. A crash mid-write leaves either the old file or the new one —
-/// never a truncated hybrid — because rename(2) within one directory is
-/// atomic on POSIX filesystems. Bytes travel through `io` (nullptr = the
-/// real filesystem), so injected disk faults surface as the seam's typed
-/// kResourceExhausted/kCorrupted codes with no torn target file.
-[[nodiscard]] Status AtomicWriteFile(const std::string& path,
-                                     const std::string& content,
-                                     IoEnv* io = nullptr);
-
-/// Reads `path` whole. NotFound when the file does not exist.
-[[nodiscard]] Result<std::string> ReadFileToString(const std::string& path,
-                                                   IoEnv* io = nullptr);
-
 /// File names of the three run-state artifacts inside a snapshot directory.
 inline constexpr const char* kSnapshotPoolFile = "pool.dexa";
 inline constexpr const char* kSnapshotAnnotationsFile = "annotations.dexa";
@@ -34,9 +19,9 @@ inline constexpr const char* kSnapshotTracesFile = "traces.dexa";
 
 /// The full durable state of an annotation run, snapshotted together: the
 /// annotated instance pool, the per-module data-example annotations, and
-/// the provenance trace corpus. Each artifact is written atomically
-/// (write-to-temp + rename), so a crash between files leaves a mix of old
-/// and new artifacts but never a torn one.
+/// the provenance trace corpus. Each artifact is written with
+/// WriteFileAtomic through `io` (nullptr = the real filesystem), so a crash
+/// between files leaves a mix of old and new artifacts but never a torn one.
 [[nodiscard]] Status WriteRunStateSnapshot(const std::string& dir,
                              const AnnotatedInstancePool& pool,
                              const ModuleRegistry& registry,

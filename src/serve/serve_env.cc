@@ -17,19 +17,6 @@ constexpr char kRunDescriptor[] = "RUN";
 constexpr char kDoneMarker[] = "DONE";
 constexpr char kRunDirPrefix[] = "run-";
 
-Status WriteTextFile(IoEnv& io, const std::filesystem::path& path,
-                     const std::string& content) {
-  return WriteFileAtomic(io, path.string(), content);
-}
-
-Result<std::string> ReadTextFile(const std::filesystem::path& path) {
-  auto content = IoEnv::Real().ReadFile(path.string());
-  if (!content.ok() && content.status().IsNotFound()) {
-    return Status::NotFound("cannot read " + path.string());
-  }
-  return content;
-}
-
 /// Parses the numeric suffix of a `run-<n>` directory name; returns false
 /// for anything else.
 bool ParseRunDirIndex(const std::string& name, uint64_t& index) {
@@ -38,7 +25,106 @@ bool ParseRunDirIndex(const std::string& name, uint64_t& index) {
          ParseU64(std::string_view(name).substr(prefix.size()), &index);
 }
 
+/// True for the kinds that journal under a `run-<n>` directory.
+bool IsDurableKind(const std::string& kind) {
+  return kind == "annotate_durable" || kind == "enact_durable" ||
+         kind == kShardWireKind;
+}
+
+/// The RUN descriptor of a durable run: its kind, plus the workflow or the
+/// shard count that kind reads.
+std::string EncodeRunDescriptor(const RunSpec& spec) {
+  WireMessage descriptor;
+  descriptor["kind"] = spec.kind;
+  if (spec.kind == "enact_durable") {
+    descriptor["workflow"] = std::to_string(spec.workflow);
+  } else if (spec.kind == kShardWireKind) {
+    descriptor["shards"] = std::to_string(spec.shards);
+  }
+  return EncodeWire(descriptor) + "\n";
+}
+
+/// The spec a RUN descriptor records. A descriptor EncodeRunDescriptor
+/// would not have written is refused, so a resumed run never re-arms a
+/// crash plan, a disk fault or a deadline.
+Result<RunSpec> DecodeRunDescriptor(const std::string& text) {
+  DEXA_ASSIGN_OR_RETURN(const WireMessage descriptor, ParseWire(text));
+  DEXA_ASSIGN_OR_RETURN(RunSpec spec, ParseRunSpec(descriptor));
+  if (!IsDurableKind(spec.kind)) {
+    return Status::InvalidArgument("kind '" + spec.kind +
+                                   "' does not journal");
+  }
+  if (EncodeRunDescriptor(spec) != text) {
+    return Status::InvalidArgument("holds fields its kind does not record");
+  }
+  return spec;
+}
+
 }  // namespace
+
+Result<RunSpec> ParseRunSpec(const WireMessage& message) {
+  RunSpec spec;
+  spec.kind = WireGet(message, "kind", "annotate");
+  // An absent numeric field keeps its default.
+  const auto optional_uint = [&](const char* key, uint64_t& dst) -> Status {
+    if (message.count(key) != 0) {
+      DEXA_ASSIGN_OR_RETURN(dst, WireUint(message, key));
+    }
+    return Status::OK();
+  };
+  IoFaultProfile& io = spec.io_fault;
+  const struct {
+    const char* key;
+    uint64_t* dst;
+  } io_fields[] = {
+      {"io_seed", &io.seed},
+      {"io_enospc_after", &io.enospc_after_bytes},
+      {"io_eio_write", &io.eio_write_at},
+      {"io_fsync_fail", &io.fsync_fail_at},
+      {"io_rename_fail", &io.rename_fail_at},
+      {"io_eio_read", &io.eio_read_at},
+  };
+  for (const auto& field : io_fields) {
+    DEXA_RETURN_IF_ERROR(optional_uint(field.key, *field.dst));
+  }
+  if (message.count("io_short") != 0) {
+    io.short_writes = WireGet(message, "io_short") != "0";
+  }
+  if (io.armed() && spec.kind != "annotate_durable" &&
+      spec.kind != "enact_durable") {
+    return Status::InvalidArgument(
+        "io_* fault injection applies to durable kinds only");
+  }
+  DEXA_RETURN_IF_ERROR(optional_uint("deadline_ns", spec.deadline_ns));
+
+  if (spec.kind == "annotate") {
+    DEXA_RETURN_IF_ERROR(optional_uint("offset", spec.offset));
+    DEXA_RETURN_IF_ERROR(optional_uint("count", spec.count));
+    spec.traced = WireGet(message, "traced") == "1";
+    return spec;
+  }
+  if (spec.kind == "enact" || spec.kind == "enact_durable") {
+    DEXA_ASSIGN_OR_RETURN(spec.workflow, WireUint(message, "workflow"));
+    return spec;
+  }
+  if (spec.kind == kShardWireKind) {
+    DEXA_RETURN_IF_ERROR(optional_uint("shards", spec.shards));
+    if (spec.shards == 0 || spec.shards > 4096) {
+      return Status::InvalidArgument("shards must be in [1, 4096]");
+    }
+  } else if (spec.kind != "annotate_durable") {
+    return Status::InvalidArgument("unknown kind '" + spec.kind + "'");
+  }
+  // annotate_durable and shard take an optional crash injection.
+  const std::string point = WireGet(message, "crash");
+  if (point.empty()) return spec;
+  DEXA_ASSIGN_OR_RETURN(spec.crash.point, ParseCrashPoint(point));
+  spec.crash.key = WireGet(message, "crash_key");
+  if (spec.crash.key.empty()) {
+    return Status::InvalidArgument("crash injection needs crash_key");
+  }
+  return spec;
+}
 
 Result<std::unique_ptr<ServeEnv>> ServeEnv::Create(ServeEnvOptions options) {
   std::unique_ptr<ServeEnv> serve(new ServeEnv());
@@ -136,214 +222,126 @@ Result<PreparedRun> ServeEnv::PrepareAnnotate(size_t offset, size_t count,
   return run;
 }
 
-Result<PreparedRun> ServeEnv::PrepareDurableAnnotate(
-    const CrashPlan* crash, const IoFaultProfile* io_fault) {
-  if (options_.journal_root.empty()) {
-    return Status::InvalidArgument(
-        "durable runs need a journal root (--journal-root)");
-  }
-  auto registry = FullRegistry();
-  if (!registry.ok()) return registry.status();
-
-  PreparedRun run;
-  run.registry = std::move(*registry);
-  run.generator = MakeGenerator();
-  run.metrics = std::make_unique<obs::MetricsRegistry>();
-  run.journal_dir = NextRunDir();
-  if (io_fault != nullptr && io_fault->armed()) {
-    run.io = std::make_unique<FaultyIoEnv>(*io_fault);
-  }
-  IoEnv& io = run.io != nullptr ? *run.io : IoEnv::Real();
-  auto journal =
-      RunJournal::Create(run.journal_dir, {}, &engine_->metrics(), &io);
-  if (!journal.ok()) return journal.status();
-  run.journal = std::make_unique<RunJournal>(std::move(*journal));
-  WireMessage descriptor;
-  descriptor["kind"] = WireKindName(RunKind::kAnnotate, /*durable=*/true);
-  DEXA_RETURN_IF_ERROR(WriteTextFile(
-      io, std::filesystem::path(run.journal_dir) / kRunDescriptor,
-      EncodeWire(descriptor) + "\n"));
-
-  run.request = MakeDurableAnnotateRun(*run.generator, *run.registry,
-                                       *env_.corpus.ontology, *run.journal);
-  run.request.kb_checksum = env_.kb_checksum;
-  run.request.obs.metrics = run.metrics.get();
-  if (crash != nullptr && crash->armed()) {
-    run.crash = std::make_unique<CrashPlan>(*crash);
-    run.request.crash = run.crash.get();
-  }
-  run.label = "annotate-durable " + run.journal_dir;
-  return run;
-}
-
-Result<PreparedRun> ServeEnv::PrepareShardedAnnotate(uint32_t shards,
-                                                     const CrashPlan* crash) {
-  if (options_.journal_root.empty()) {
-    return Status::InvalidArgument(
-        "sharded runs need a journal root (--journal-root)");
-  }
-  if (shards == 0) {
-    return Status::InvalidArgument("sharded runs need at least one shard");
-  }
-  auto registry = FullRegistry();
-  if (!registry.ok()) return registry.status();
-
-  PreparedRun run;
-  run.registry = std::move(*registry);
-  run.metrics = std::make_unique<obs::MetricsRegistry>();
-  run.journal_dir = NextRunDir();
-
-  run.sharded = std::make_unique<ShardedRunSpec>();
-  run.sharded->options.shards = shards;
-  run.sharded->options.root = run.journal_dir;
-  run.sharded->options.kb_checksum = env_.kb_checksum;
-  run.sharded->options.orchestrator = engine_.get();
-  run.sharded->config = config_;
-  run.sharded->ontology = env_.corpus.ontology.get();
-  run.sharded->pool = env_.pool.get();
-  if (crash != nullptr && crash->armed()) {
-    run.crash = std::make_unique<CrashPlan>(*crash);
-    run.sharded->options.crash = run.crash.get();
-  }
-
-  // The request itself is never submitted (the shard runner submits one
-  // RunRequest per shard); its default kAnnotate kind feeds status views.
-  WireMessage descriptor;
-  descriptor["kind"] = kShardWireKind;
-  descriptor["shards"] = std::to_string(shards);
-  IoEnv& io = IoEnv::Real();
-  DEXA_RETURN_IF_ERROR(io.CreateDirs(run.journal_dir));
-  DEXA_RETURN_IF_ERROR(WriteTextFile(
-      io, std::filesystem::path(run.journal_dir) / kRunDescriptor,
-      EncodeWire(descriptor) + "\n"));
-  run.label = "annotate-sharded x" + std::to_string(shards) + " " +
-              run.journal_dir;
-  return run;
-}
-
-Result<PreparedRun> ServeEnv::PrepareEnact(size_t workflow_index,
-                                           bool durable,
-                                           const IoFaultProfile* io_fault) {
-  if (workflow_index >= env_.workflows.items.size()) {
-    return Status::InvalidArgument(
-        "workflow index " + std::to_string(workflow_index) + " out of range (" +
-        std::to_string(env_.workflows.items.size()) + " generated)");
-  }
-  const GeneratedWorkflow& item = env_.workflows.items[workflow_index];
-
-  PreparedRun run;
-  run.metrics = std::make_unique<obs::MetricsRegistry>();
-  if (!durable) {
-    run.request = MakeEnactRun(item.workflow, *env_.corpus.registry, item.seeds,
-                               *engine_);
-    run.request.obs.metrics = run.metrics.get();
-    run.label = "enact " + item.workflow.id;
-    return run;
-  }
-  if (options_.journal_root.empty()) {
-    return Status::InvalidArgument(
-        "durable runs need a journal root (--journal-root)");
-  }
-  run.journal_dir = NextRunDir();
-  if (io_fault != nullptr && io_fault->armed()) {
-    run.io = std::make_unique<FaultyIoEnv>(*io_fault);
-  }
-  IoEnv& io = run.io != nullptr ? *run.io : IoEnv::Real();
-  auto journal =
-      RunJournal::Create(run.journal_dir, {}, &engine_->metrics(), &io);
-  if (!journal.ok()) return journal.status();
-  run.journal = std::make_unique<RunJournal>(std::move(*journal));
-  WireMessage descriptor;
-  descriptor["kind"] = WireKindName(RunKind::kEnact, /*durable=*/true);
-  descriptor["workflow"] = std::to_string(workflow_index);
-  DEXA_RETURN_IF_ERROR(WriteTextFile(
-      io, std::filesystem::path(run.journal_dir) / kRunDescriptor,
-      EncodeWire(descriptor) + "\n"));
-  run.request = MakeDurableEnactRun(item.workflow, *env_.corpus.registry,
-                                    item.seeds, *engine_, *run.journal);
-  run.request.obs.metrics = run.metrics.get();
-  run.label = "enact-durable " + item.workflow.id;
-  return run;
+Result<PreparedRun> ServeEnv::Prepare(const RunSpec& spec) {
+  return Build(spec, /*resume_dir=*/"");
 }
 
 Result<PreparedRun> ServeEnv::PrepareResume(const std::string& dir) {
-  auto descriptor_text =
-      ReadTextFile(std::filesystem::path(dir) / kRunDescriptor);
-  if (!descriptor_text.ok()) return descriptor_text.status();
-  std::string line = *descriptor_text;
-  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-    line.pop_back();
+  DEXA_ASSIGN_OR_RETURN(
+      const std::string text,
+      IoEnv::Real().ReadFile((std::filesystem::path(dir) / kRunDescriptor)
+                                 .string()));
+  auto spec = DecodeRunDescriptor(text);
+  if (!spec.ok()) {
+    return Status::Corrupted("RUN descriptor in " + dir + ": " +
+                             spec.status().message());
   }
-  auto descriptor = ParseWire(line);
-  if (!descriptor.ok()) return descriptor.status();
-  const std::string kind = WireGet(*descriptor, "kind");
+  return Build(*spec, dir);
+}
 
-  if (kind == kShardWireKind) {
-    // The run root holds a MANIFEST and per-shard journal directories, not
-    // wal segments — no root-level journal to recover. The shard runner
-    // resumes each shard from its own journal prefix; shards that already
-    // completed replay, the rest re-run.
-    auto shards = WireUint(*descriptor, "shards");
-    if (!shards.ok()) return shards.status();
-    if (*shards == 0) {
-      return Status::Corrupted("RUN descriptor in " + dir +
-                               " pins zero shards");
+Result<PreparedRun> ServeEnv::Build(const RunSpec& spec,
+                                    const std::string& resume_dir) {
+  if (spec.kind == "annotate") {
+    auto run = PrepareAnnotate(spec.offset, spec.count, spec.traced);
+    if (run.ok()) run->deadline_ns = spec.deadline_ns;
+    return run;
+  }
+  const bool enact = spec.kind == "enact" || spec.kind == "enact_durable";
+  if (!enact && !IsDurableKind(spec.kind)) {
+    return Status::InvalidArgument("unknown kind '" + spec.kind + "'");
+  }
+  if (enact && spec.workflow >= env_.workflows.items.size()) {
+    return Status::InvalidArgument(
+        "workflow index " + std::to_string(spec.workflow) + " out of range (" +
+        std::to_string(env_.workflows.items.size()) + " generated)");
+  }
+  const GeneratedWorkflow* item =
+      enact ? &env_.workflows.items[spec.workflow] : nullptr;
+
+  PreparedRun run;
+  run.metrics = std::make_unique<obs::MetricsRegistry>();
+  run.deadline_ns = spec.deadline_ns;
+  if (spec.kind == "enact") {
+    run.request = MakeEnactRun(item->workflow, *env_.corpus.registry,
+                               item->seeds, *engine_);
+    run.request.obs.metrics = run.metrics.get();
+    run.label = "enact " + item->workflow.id;
+    return run;
+  }
+
+  // The durable kinds: a fresh run-<n> directory, or the resumed one.
+  const bool shard = spec.kind == kShardWireKind;
+  const bool resume = !resume_dir.empty();
+  if (!resume && options_.journal_root.empty()) {
+    return Status::InvalidArgument(
+        std::string(shard ? "sharded" : "durable") +
+        " runs need a journal root (--journal-root)");
+  }
+  if (!enact) {
+    // A full copy in registration order: the journal fingerprint covers it.
+    DEXA_ASSIGN_OR_RETURN(run.registry, FullRegistry());
+  }
+  run.journal_dir = resume ? resume_dir : NextRunDir();
+  if (spec.crash.armed()) run.crash = std::make_unique<CrashPlan>(spec.crash);
+  if (spec.io_fault.armed()) {
+    run.io = std::make_unique<FaultyIoEnv>(spec.io_fault);
+  }
+  IoEnv& io = run.io != nullptr ? *run.io : IoEnv::Real();
+
+  if (shard) {
+    // The run root holds a MANIFEST and one journal per shard; the shard
+    // runner resumes each shard from its own journal prefix.
+    if (!resume) DEXA_RETURN_IF_ERROR(io.CreateDirs(run.journal_dir));
+  } else {
+    if (resume) {
+      DEXA_ASSIGN_OR_RETURN(
+          JournalRecovery recovery,
+          RecoverJournal(run.journal_dir, &engine_->metrics(), &io));
+      run.recovery = std::make_unique<JournalRecovery>(std::move(recovery));
     }
-    auto registry = FullRegistry();
-    if (!registry.ok()) return registry.status();
-    PreparedRun run;
-    run.registry = std::move(*registry);
-    run.metrics = std::make_unique<obs::MetricsRegistry>();
-    run.journal_dir = dir;
+    auto journal =
+        resume ? RunJournal::Resume(run.journal_dir, *run.recovery, {},
+                                    &engine_->metrics(), &io)
+               : RunJournal::Create(run.journal_dir, {}, &engine_->metrics(),
+                                    &io);
+    if (!journal.ok()) return journal.status();
+    run.journal = std::make_unique<RunJournal>(std::move(*journal));
+  }
+  if (!resume) {
+    DEXA_RETURN_IF_ERROR(WriteFileAtomic(
+        io, (std::filesystem::path(run.journal_dir) / kRunDescriptor).string(),
+        EncodeRunDescriptor(spec)));
+  }
+
+  if (shard) {
+    // ExecuteBatch hands the run to the shard runner; `request` stays at
+    // its default kAnnotate kind, which status views read.
     run.sharded = std::make_unique<ShardedRunSpec>();
-    run.sharded->options.shards = static_cast<uint32_t>(*shards);
-    run.sharded->options.root = dir;
+    run.sharded->options.shards = static_cast<uint32_t>(spec.shards);
+    run.sharded->options.root = run.journal_dir;
     run.sharded->options.kb_checksum = env_.kb_checksum;
+    run.sharded->options.crash = run.crash.get();
     run.sharded->options.orchestrator = engine_.get();
     run.sharded->config = config_;
     run.sharded->ontology = env_.corpus.ontology.get();
     run.sharded->pool = env_.pool.get();
-    run.label = "resume " + dir;
-    return run;
-  }
-
-  auto recovery = RecoverJournal(dir, &engine_->metrics());
-  if (!recovery.ok()) return recovery.status();
-
-  PreparedRun run;
-  run.recovery = std::make_unique<JournalRecovery>(std::move(*recovery));
-  auto journal =
-      RunJournal::Resume(dir, *run.recovery, {}, &engine_->metrics());
-  if (!journal.ok()) return journal.status();
-  run.journal = std::make_unique<RunJournal>(std::move(*journal));
-  run.journal_dir = dir;
-  run.metrics = std::make_unique<obs::MetricsRegistry>();
-
-  if (kind == WireKindName(RunKind::kAnnotate, /*durable=*/true)) {
-    auto registry = FullRegistry();
-    if (!registry.ok()) return registry.status();
-    run.registry = std::move(*registry);
+    run.label = "annotate-sharded x" + std::to_string(spec.shards) + " " +
+                run.journal_dir;
+  } else if (enact) {
+    run.request = MakeDurableEnactRun(item->workflow, *env_.corpus.registry,
+                                      item->seeds, *engine_, *run.journal);
+    run.label = "enact-durable " + item->workflow.id;
+  } else {
     run.generator = MakeGenerator();
     run.request = MakeDurableAnnotateRun(*run.generator, *run.registry,
                                          *env_.corpus.ontology, *run.journal);
     run.request.kb_checksum = env_.kb_checksum;
-  } else if (kind == WireKindName(RunKind::kEnact, /*durable=*/true)) {
-    auto workflow_index = WireUint(*descriptor, "workflow");
-    if (!workflow_index.ok()) return workflow_index.status();
-    if (*workflow_index >= env_.workflows.items.size()) {
-      return Status::Corrupted("RUN descriptor in " + dir +
-                               " names an out-of-range workflow");
-    }
-    const GeneratedWorkflow& item = env_.workflows.items[*workflow_index];
-    run.request = MakeDurableEnactRun(item.workflow, *env_.corpus.registry,
-                                      item.seeds, *engine_, *run.journal);
-  } else {
-    return Status::Corrupted("RUN descriptor in " + dir +
-                             " has unknown kind '" + kind + "'");
+    run.request.crash = run.crash.get();
+    run.label = "annotate-durable " + run.journal_dir;
   }
   run.request.resume = run.recovery.get();
   run.request.obs.metrics = run.metrics.get();
-  run.label = "resume " + dir;
+  if (resume) run.label = "resume " + run.journal_dir;
   return run;
 }
 

@@ -11,6 +11,7 @@
 #include "corpus/corpus.h"
 #include "durability/evaluation_env.h"
 #include "serve/run_manager.h"
+#include "serve/wire.h"
 
 namespace dexa::serve {
 
@@ -31,12 +32,38 @@ struct ServeEnvOptions {
   uint64_t seed = 0x5eed;
 };
 
+/// One run as a client asks for it: the fields of a submit request, parsed
+/// once. ServeEnv::Prepare builds every kind from it, and a durable run's
+/// RUN descriptor records exactly its kind, workflow and shards, so a
+/// restarted daemon rebuilds the run from the same spec.
+struct RunSpec {
+  /// annotate | annotate_durable | enact | enact_durable | shard.
+  std::string kind = "annotate";
+  uint64_t offset = 0;  ///< annotate: first available module.
+  uint64_t count = 0;   ///< annotate: modules, 0 = through the end.
+  bool traced = false;  ///< annotate: attach a per-run Tracer.
+  uint64_t workflow = 0;  ///< enact kinds: index into the workflow corpus.
+  uint64_t shards = 1;    ///< shard: 1..4096.
+  /// annotate_durable, shard: injected crash. Never recorded in RUN.
+  CrashPlan crash;
+  /// annotate_durable, enact_durable: injected disk faults, through a
+  /// per-run FaultyIoEnv. Never recorded in RUN.
+  IoFaultProfile io_fault;
+  /// Virtual-clock queue deadline, 0 = the manager default. Never recorded.
+  uint64_t deadline_ns = 0;
+};
+
+/// Parses the run fields of a submit request (or of a RUN descriptor): the
+/// io_* fault fields, deadline_ns, then the kind's own fields. Every error
+/// is kInvalidArgument.
+[[nodiscard]] Result<RunSpec> ParseRunSpec(const WireMessage& message);
+
 /// Everything the daemon shares across runs — corpus, ontology, concept
 /// cache, workflow corpus, instance pool, and ONE pooled InvocationEngine —
-/// plus the factories that turn protocol-level submissions into
-/// PreparedRuns. Create calls BuildEvaluationEnv, as the CLI does, so every
-/// run the daemon executes is byte-identical to the same run issued
-/// one-shot from the command line (the serve equivalence suite pins this).
+/// plus the builder that turns a RunSpec into a PreparedRun. Create calls
+/// BuildEvaluationEnv, as the CLI does, so every run the daemon executes is
+/// byte-identical to the same run issued one-shot from the command line
+/// (the serve equivalence suite pins this).
 ///
 /// Isolation model: runs share the immutable state (KB, ontology, cache,
 /// pool, modules) and the engine, but each PreparedRun gets its own
@@ -53,6 +80,12 @@ class ServeEnv {
 
   // -- Run factories -------------------------------------------------------
 
+  /// Builds the run `spec` describes. Durable kinds journal under a fresh
+  /// `run-<n>` directory and write its RUN descriptor there, through the
+  /// run's FaultyIoEnv when `spec.io_fault` is armed; an enact run's
+  /// workflow index is checked before any directory is allocated.
+  [[nodiscard]] Result<PreparedRun> Prepare(const RunSpec& spec);
+
   /// Annotation of `count` available modules starting at `offset` (count 0
   /// = through the end), in a per-run subset registry. Example generation
   /// is module-local, so each module's annotation is byte-identical to the
@@ -60,36 +93,11 @@ class ServeEnv {
   [[nodiscard]] Result<PreparedRun> PrepareAnnotate(size_t offset,
                                                     size_t count, bool traced);
 
-  /// Durable full-registry annotation journaled under a fresh
-  /// `run-<n>` directory. The per-run registry is a full copy in
-  /// registration order, so the journal fingerprint matches across daemon
-  /// restarts. `crash` (optional) arms in-process crash injection;
-  /// `io_fault` (optional) arms a per-run FaultyIoEnv the journal, RUN
-  /// descriptor, and DONE marker all route through — injected disk faults
-  /// fail the run typed while the daemon and other tenants carry on.
-  [[nodiscard]] Result<PreparedRun> PrepareDurableAnnotate(
-      const CrashPlan* crash, const IoFaultProfile* io_fault = nullptr);
-
-  /// Sharded durable full-registry annotation (serve kind "shard"): the
-  /// registry is partitioned across `shards` deterministic shards, each
-  /// journaled under `run-<n>/shard-<k>`, and the per-shard journals are
-  /// merged into the canonical `run-<n>/merged` journal — byte-identical to
-  /// a one-shot durable run. `crash` arms per-module crash injection (only
-  /// the owning shard crashes); resubmitting after a crash resumes the
-  /// unfinished shard subset.
-  [[nodiscard]] Result<PreparedRun> PrepareShardedAnnotate(
-      uint32_t shards, const CrashPlan* crash = nullptr);
-
-  /// Resilient enactment of workflow `workflow_index` of the generated
-  /// corpus on its recorded seeds; `durable` journals every step.
-  /// `io_fault` as in PrepareDurableAnnotate (durable runs only).
-  [[nodiscard]] Result<PreparedRun> PrepareEnact(
-      size_t workflow_index, bool durable,
-      const IoFaultProfile* io_fault = nullptr);
-
-  /// Resumes the durable run journaled in `dir`: recovers the journal,
-  /// reads the run's RUN descriptor, and rebuilds the same request with
-  /// `resume` pointing at the recovered records.
+  /// Resumes the durable run journaled in `dir`: parses its RUN descriptor
+  /// with ParseRunSpec and runs Prepare's builder over the recovered
+  /// journal. A descriptor that does not parse, names a kind that does not
+  /// journal, or holds fields its kind does not record fails kCorrupted
+  /// before the journal is touched.
   [[nodiscard]] Result<PreparedRun> PrepareResume(const std::string& dir);
 
   /// Journal directories under journal_root holding an unfinished durable
@@ -117,6 +125,11 @@ class ServeEnv {
 
  private:
   ServeEnv() = default;
+
+  /// The builder behind Prepare and PrepareResume: a fresh run when
+  /// `resume_dir` is "", otherwise the run whose journal is in `resume_dir`.
+  [[nodiscard]] Result<PreparedRun> Build(const RunSpec& spec,
+                                          const std::string& resume_dir);
 
   /// Allocates the next `run-<n>` journal directory name.
   std::string NextRunDir();

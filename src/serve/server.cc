@@ -34,57 +34,6 @@ Status SetNonBlocking(int fd) {
   return Status::OK();
 }
 
-/// Parses the optional injected-I/O-fault wire fields of a submit request
-/// into a profile (unarmed when none are present).
-Result<IoFaultProfile> ParseIoFault(const WireMessage& request) {
-  IoFaultProfile profile;
-  const struct {
-    const char* key;
-    uint64_t* dst;
-  } fields[] = {
-      {"io_seed", &profile.seed},
-      {"io_enospc_after", &profile.enospc_after_bytes},
-      {"io_eio_write", &profile.eio_write_at},
-      {"io_fsync_fail", &profile.fsync_fail_at},
-      {"io_rename_fail", &profile.rename_fail_at},
-      {"io_eio_read", &profile.eio_read_at},
-  };
-  for (const auto& field : fields) {
-    if (request.count(field.key) == 0) continue;
-    auto value = WireUint(request, field.key);
-    if (!value.ok()) return value.status();
-    *field.dst = *value;
-  }
-  if (request.count("io_short") != 0) {
-    profile.short_writes = WireGet(request, "io_short") != "0";
-  }
-  return profile;
-}
-
-/// Parses the optional crash-injection fields of a submit request
-/// ("crash":"before|after|torn" plus "crash_key") into a plan, unarmed when
-/// "crash" is absent.
-Result<CrashPlan> ParseCrashPlan(const WireMessage& request) {
-  CrashPlan crash;
-  const std::string point = WireGet(request, "crash");
-  if (point.empty()) return crash;
-  if (point == "before") {
-    crash.point = CrashPoint::kCrashBeforeCommit;
-  } else if (point == "after") {
-    crash.point = CrashPoint::kCrashAfterCommit;
-  } else if (point == "torn") {
-    crash.point = CrashPoint::kTornWrite;
-  } else {
-    return Status::InvalidArgument("crash must be before|after|torn, got '" +
-                                   point + "'");
-  }
-  crash.key = WireGet(request, "crash_key");
-  if (crash.key.empty()) {
-    return Status::InvalidArgument("crash injection needs crash_key");
-  }
-  return crash;
-}
-
 }  // namespace
 
 Server::Server(ServeEnv& env, ServerOptions options)
@@ -171,72 +120,14 @@ Result<size_t> Server::ResumeInFlightRuns() {
 }
 
 WireMessage Server::HandleSubmit(const WireMessage& request) {
-  const std::string tenant = WireGet(request, "tenant", "default");
-  const std::string kind = WireGet(request, "kind", "annotate");
-
-  auto io_fault = ParseIoFault(request);
-  if (!io_fault.ok()) return ErrorResponse(io_fault.status());
-  const bool durable_kind = kind == "annotate_durable" || kind == "enact_durable";
-  if (io_fault->armed() && !durable_kind) {
-    return ErrorResponse(Status::InvalidArgument(
-        "io_* fault injection applies to durable kinds only"));
-  }
-  const IoFaultProfile* fault =
-      io_fault->armed() ? &io_fault.value() : nullptr;
-
-  uint64_t deadline_ns = 0;
-  if (request.count("deadline_ns") != 0) {
-    auto parsed = WireUint(request, "deadline_ns");
-    if (!parsed.ok()) return ErrorResponse(parsed.status());
-    deadline_ns = *parsed;
-  }
-
-  Result<PreparedRun> run = Status::InvalidArgument("unhandled kind");
-  if (kind == "annotate") {
-    uint64_t offset = 0, count = 0;
-    if (request.count("offset") != 0) {
-      auto parsed = WireUint(request, "offset");
-      if (!parsed.ok()) return ErrorResponse(parsed.status());
-      offset = *parsed;
-    }
-    if (request.count("count") != 0) {
-      auto parsed = WireUint(request, "count");
-      if (!parsed.ok()) return ErrorResponse(parsed.status());
-      count = *parsed;
-    }
-    run = env_.PrepareAnnotate(offset, count,
-                               WireGet(request, "traced") == "1");
-  } else if (kind == "annotate_durable") {
-    auto crash = ParseCrashPlan(request);
-    if (!crash.ok()) return ErrorResponse(crash.status());
-    run = env_.PrepareDurableAnnotate(&*crash, fault);
-  } else if (kind == kShardWireKind) {
-    uint64_t shards = 1;
-    if (request.count("shards") != 0) {
-      auto parsed = WireUint(request, "shards");
-      if (!parsed.ok()) return ErrorResponse(parsed.status());
-      shards = *parsed;
-    }
-    if (shards == 0 || shards > 4096) {
-      return ErrorResponse(
-          Status::InvalidArgument("shards must be in [1, 4096]"));
-    }
-    auto crash = ParseCrashPlan(request);
-    if (!crash.ok()) return ErrorResponse(crash.status());
-    run = env_.PrepareShardedAnnotate(static_cast<uint32_t>(shards), &*crash);
-  } else if (kind == "enact" || kind == "enact_durable") {
-    auto workflow = WireUint(request, "workflow");
-    if (!workflow.ok()) return ErrorResponse(workflow.status());
-    run = env_.PrepareEnact(*workflow, kind == "enact_durable", fault);
-  } else {
-    return ErrorResponse(
-        Status::InvalidArgument("unknown kind '" + kind + "'"));
-  }
+  auto spec = ParseRunSpec(request);
+  if (!spec.ok()) return ErrorResponse(spec.status());
+  auto run = env_.Prepare(*spec);
   if (!run.ok()) return ErrorResponse(run.status());
-  run->deadline_ns = deadline_ns;
 
   const std::string journal_dir = run->journal_dir;
-  auto id = manager_.Submit(tenant, std::move(*run));
+  auto id = manager_.Submit(WireGet(request, "tenant", "default"),
+                            std::move(*run));
   if (!id.ok()) return ErrorResponse(id.status());
 
   WireMessage response;

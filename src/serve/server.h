@@ -50,6 +50,8 @@ struct ServerOptions {
 ///    "tenant":T,"traced":"1"}             -> {"id":I,"ok":"1",...}
 ///   {"op":"submit","kind":"annotate_durable"[,"crash":"before|after|torn",
 ///    "crash_key":K]}                      durable full-registry annotation
+///   {"op":"submit","kind":"shard","shards":N[,"crash":...,"crash_key":K]}
+///                                         the same, over N shards (1..4096)
 ///   {"op":"submit","kind":"enact","workflow":W}
 ///   {"op":"submit","kind":"enact_durable","workflow":W}
 ///   {"op":"status","id":I}                run state + label + outcome
@@ -60,10 +62,12 @@ struct ServerOptions {
 ///   {"op":"drain"}                        execute everything queued now
 ///   {"op":"shutdown"}                     drain, then stop the daemon
 ///
-/// Durable submits additionally accept an injected I/O fault profile
-/// ("io_enospc_after":BYTES, "io_eio_write":K, "io_fsync_fail":K,
-/// "io_rename_fail":K, "io_seed":S, "io_short":"0|1") and every submit a
-/// virtual-clock "deadline_ns":N — the chaos harness drives both.
+/// annotate_durable and enact_durable submits additionally accept an
+/// injected I/O fault profile ("io_enospc_after":BYTES, "io_eio_write":K,
+/// "io_eio_read":K, "io_fsync_fail":K, "io_rename_fail":K, "io_seed":S,
+/// "io_short":"0|1") and every submit a virtual-clock "deadline_ns":N — the
+/// chaos harness drives both. ParseRunSpec (serve_env.h) reads the run
+/// fields of a submit; ServeEnv::Prepare builds the run.
 ///
 /// Errors come back as {"ok":"0","code":<StatusCodeName>,"error":...}; an
 /// admission rejection carries code "Overloaded" — the typed backpressure

@@ -6,8 +6,6 @@
 #include "common/rng.h"
 #include "core/run_api.h"
 #include "durability/commit_codec.h"
-#include "obs/export.h"
-#include "obs/trace.h"
 
 namespace dexa {
 
@@ -46,10 +44,10 @@ Result<ShardManifest> ComputeManifest(const ModuleRegistry& registry,
   m.fingerprint =
       AnnotateConfigFingerprint(registry, config.generator_options());
   m.kb_checksum = options.kb_checksum;
-  m.partition_salt = options.partition_salt;
-  m.segment_bytes = options.journal.segment_bytes;
+  m.partition_salt = kShardPartitionSalt;
+  m.segment_bytes = JournalOptions{}.segment_bytes;
   const auto partition =
-      PartitionRegistry(registry, options.shards, options.partition_salt);
+      PartitionRegistry(registry, options.shards, kShardPartitionSalt);
   m.entries.reserve(options.shards);
   for (const std::vector<std::string>& ids : partition) {
     auto sub = SubRegistry(registry, ids);
@@ -174,10 +172,9 @@ Result<ShardRunReport> RunShard(const ModuleRegistry& registry,
     resume = true;
   }
   Result<RunJournal> journal =
-      resume ? RunJournal::Resume(out.journal_dir, recovery, options.journal,
+      resume ? RunJournal::Resume(out.journal_dir, recovery, {},
                                   &engine->metrics(), io)
-             : RunJournal::Create(out.journal_dir, options.journal,
-                                  &engine->metrics(), io);
+             : RunJournal::Create(out.journal_dir, {}, &engine->metrics(), io);
   if (!journal.ok()) return journal.status();
 
   RunRequest request =
@@ -186,17 +183,10 @@ Result<ShardRunReport> RunShard(const ModuleRegistry& registry,
   request.crash = options.crash;
   if (resume) request.resume = &recovery;
 
-  std::unique_ptr<obs::Tracer> tracer;
-  if (options.traced) {
-    tracer = std::make_unique<obs::Tracer>(&engine->clock());
-    request.obs.tracer = tracer.get();
-  }
-
   auto result = SubmitRun(request);
   if (!result.ok()) return result.status();
   out.report = std::move(result->annotate);
   out.resumed = resume;
-  if (tracer != nullptr) out.chrome_trace = obs::WriteChromeTrace(*tracer);
   return out;
 }
 
@@ -280,7 +270,7 @@ Result<MergeReport> MergeShards(ModuleRegistry& registry,
   // journals, which were synced record-by-record as they were written — so
   // it batches its fsyncs per segment instead of per record. Framing (and
   // therefore the byte-equality contract) is unaffected.
-  JournalOptions merged_options = options.journal;
+  JournalOptions merged_options;
   merged_options.sync_each_record = false;
   auto merged = RunJournal::Create(out.merged_dir, merged_options,
                                    /*metrics=*/nullptr, io);

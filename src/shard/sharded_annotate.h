@@ -20,10 +20,10 @@ namespace dexa {
 
 /// The sharded annotation runner: partitions a registry deterministically
 /// by stable module-id hash, executes each shard as an independent durable
-/// annotate RunRequest (own journal segment directory, own engine, own
-/// tracer), and merges the per-shard journals into one canonical output
-/// that is byte-identical to an equivalent single-process durable run —
-/// regardless of shard count, thread count, or shard completion order.
+/// annotate RunRequest (own journal segment directory, own engine), and
+/// merges the per-shard journals into one canonical output that is
+/// byte-identical to an equivalent single-process durable run — regardless
+/// of shard count, thread count, or shard completion order.
 ///
 /// Why the bytes line up (docs/SHARDING.md spells this out):
 ///  * annotation is module-local, so a sub-registry of any subset yields
@@ -34,6 +34,10 @@ namespace dexa {
 ///    registration order under a synthesized one-shot run header, so even
 ///    a crash-resumed shard — whose own segment files were renumbered by
 ///    recovery — contributes the identical record sequence.
+
+/// The partition salt of every sharded run. MANIFEST pins it, so a run
+/// root partitioned under another salt is refused, never mixed.
+inline constexpr uint64_t kShardPartitionSalt = 0x5A17;
 
 /// Stable assignment of a module to a shard. Pure function of
 /// (module id, shards, salt): independent of registration order, corpus
@@ -48,24 +52,20 @@ std::vector<std::vector<std::string>> PartitionRegistry(
 
 /// Configuration of a sharded run. The per-shard engine/generator settings
 /// ride in the EngineConfig passed alongside (its generator options are
-/// part of the pinned fingerprint).
+/// part of the pinned fingerprint). Every shard and the merge journal with
+/// the default JournalOptions.
 struct ShardOptions {
   uint32_t shards = 1;
   /// Run root: holds MANIFEST, one `shard-<k>` journal directory per
   /// shard, and the `merged` canonical journal.
   std::string root;
-  uint64_t partition_salt = 0x5A17;
   /// Pinned into every run header (0 = in-memory KB backend).
   uint64_t kb_checksum = 0;
-  /// Journal framing every shard and the merge share.
-  JournalOptions journal;
   /// Crash injection, keyed by module id — only the owning shard crashes.
   const CrashPlan* crash = nullptr;
   /// Engine to fan the shard runs out on; nullptr runs shards sequentially.
   /// Each shard still builds its own inner engine from the EngineConfig.
   InvocationEngine* orchestrator = nullptr;
-  /// Attach a per-shard tracer and return its Chrome trace JSON.
-  bool traced = false;
 };
 
 /// What one shard run produced.
@@ -76,8 +76,6 @@ struct ShardRunReport {
   /// True when the shard resumed from a prior journal instead of starting
   /// fresh.
   bool resumed = false;
-  /// Chrome trace JSON of the shard's run (only when ShardOptions::traced).
-  std::string chrome_trace;
 };
 
 /// What MergeShards produced.

@@ -224,9 +224,9 @@ TEST(RunJournalTest, DamagedHeaderEndsTheJournalBeforeAnyRecord) {
 TEST(SnapshotTest, AtomicWriteLeavesNoTemporaries) {
   const std::string dir = FreshDir("atomic");
   const std::string path = (fs::path(dir) / "artifact.txt").string();
-  ASSERT_TRUE(AtomicWriteFile(path, "first").ok());
-  ASSERT_TRUE(AtomicWriteFile(path, "second").ok());
-  auto content = ReadFileToString(path);
+  ASSERT_TRUE(WriteFileAtomic(IoEnv::Real(), path, "first").ok());
+  ASSERT_TRUE(WriteFileAtomic(IoEnv::Real(), path, "second").ok());
+  auto content = IoEnv::Real().ReadFile(path);
   ASSERT_TRUE(content.ok());
   EXPECT_EQ(*content, "second");
   EXPECT_FALSE(fs::exists(path + ".tmp"));
@@ -255,7 +255,7 @@ TEST(SnapshotTest, RunStateRoundTripAndCorruptionSafety) {
   // kCorrupted and leaves the target registry untouched.
   const std::string annotations_path =
       (fs::path(dir) / kSnapshotAnnotationsFile).string();
-  auto annotations = ReadFileToString(annotations_path);
+  auto annotations = IoEnv::Real().ReadFile(annotations_path);
   ASSERT_TRUE(annotations.ok());
   // Cut just before an "end" line: every surviving line is complete, but
   // the document stops inside an example — damage, not a grammar error.

@@ -14,11 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/io_env.h"
 #include "core/engine_config.h"
 #include "core/run_api.h"
 #include "corpus/fault_injector.h"
 #include "durability/journal.h"
-#include "durability/snapshot.h"
 #include "modules/registry_io.h"
 #include "obs/export.h"
 #include "obs/metrics_registry.h"
@@ -61,7 +61,7 @@ std::string JournalBytes(const std::string& dir) {
   std::sort(segments.begin(), segments.end());
   std::string bytes;
   for (const fs::path& segment : segments) {
-    auto content = ReadFileToString(segment.string());
+    auto content = IoEnv::Real().ReadFile(segment.string());
     EXPECT_TRUE(content.ok()) << content.status();
     if (content.ok()) bytes += *content;
   }

@@ -13,12 +13,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/io_env.h"
 #include "core/run_api.h"
 #include "serve/run_manager.h"
 #include "serve/serve_env.h"
@@ -348,6 +351,34 @@ TEST(ServeEnvTest, KbImageDaemonMatchesTheInMemoryDaemon) {
   EXPECT_EQ(digest(**image_env), digest(SharedEnv()));
 }
 
+/// A RUN descriptor that does not parse as a durable run spec is damage:
+/// resume refuses it kCorrupted, naming the directory, before it recovers
+/// or truncates anything there.
+TEST(ServeEnvTest, PrepareResumeRefusesADamagedDescriptor) {
+  const std::string root = FreshDir("damaged_descriptor");
+  const char* const descriptors[] = {
+      "{\"kind\":\"teleport\"}",       // unknown kind
+      "{\"kind\":\"annotate\"}",       // a kind that does not journal
+      "{\"kind\":\"enact_durable\"}",  // no workflow
+      "{\"kind\":\"shard\",\"shards\":\"0\"}",
+  };
+  for (size_t i = 0; i < std::size(descriptors); ++i) {
+    const std::string dir = root + "/run-" + std::to_string(i);
+    fs::create_directories(dir);
+    std::ofstream(dir + "/RUN") << descriptors[i] << "\n";
+    auto run = SharedEnv().PrepareResume(dir);
+    ASSERT_FALSE(run.ok()) << descriptors[i];
+    EXPECT_TRUE(run.status().IsCorrupted()) << run.status();
+    EXPECT_NE(run.status().message().find("RUN descriptor in " + dir),
+              std::string::npos)
+        << run.status();
+    EXPECT_EQ(std::distance(fs::directory_iterator(dir),
+                            fs::directory_iterator()),
+              1)
+        << "resume touched " << dir;
+  }
+}
+
 // -- Server protocol --------------------------------------------------------
 
 WireMessage Response(Server& server, const std::string& line) {
@@ -635,6 +666,88 @@ TEST(ServerTest, ResumesInFlightDurableRunsAfterRestart) {
     EXPECT_TRUE(fs::exists(fs::path(crashed_dir) / "DONE"));
     EXPECT_TRUE(env->UnfinishedJournalDirs().empty());
   }
+}
+
+/// The wal-*.seg files of a journal directory, name and bytes, in name
+/// order.
+std::vector<std::pair<std::string, std::string>> Segments(
+    const std::string& dir) {
+  std::vector<std::pair<std::string, std::string>> segments;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("wal-", 0) != 0) continue;
+    auto bytes = IoEnv::Real().ReadFile(entry.path().string());
+    EXPECT_TRUE(bytes.ok()) << bytes.status();
+    segments.emplace_back(name, bytes.ok() ? *bytes : "");
+  }
+  std::sort(segments.begin(), segments.end());
+  return segments;
+}
+
+/// The serve shard kind merges to the one-shot durable journal, and a
+/// crashed shard run resumes from its RUN descriptor after a restart.
+TEST(ServerTest, ShardRunMatchesTheDurableRunAndResumesAfterRestart) {
+  const std::string root = FreshDir("shard_restart");
+  const auto result_of = [](Server& server, const std::string& id) {
+    return Response(server, "{\"op\":\"result\",\"id\":\"" + id + "\"}");
+  };
+
+  // Daemon 1: a one-shot durable run and a four-shard run.
+  std::string baseline_digest;
+  {
+    auto env = MakeEnv(root, 2);
+    Server server(*env, {});
+    WireMessage durable = Response(
+        server, "{\"op\":\"submit\",\"kind\":\"annotate_durable\"}");
+    ASSERT_EQ(durable["ok"], "1") << durable["error"];
+    WireMessage sharded = Response(
+        server, "{\"op\":\"submit\",\"kind\":\"shard\",\"shards\":\"4\"}");
+    ASSERT_EQ(sharded["ok"], "1") << sharded["error"];
+    Response(server, "{\"op\":\"drain\"}");
+    WireMessage durable_result = result_of(server, durable["id"]);
+    WireMessage sharded_result = result_of(server, sharded["id"]);
+    ASSERT_EQ(durable_result["ok"], "1") << durable_result["error"];
+    ASSERT_EQ(sharded_result["ok"], "1") << sharded_result["error"];
+    baseline_digest = durable_result["digest"];
+    EXPECT_EQ(sharded_result["digest"], baseline_digest);
+
+    const auto oneshot = Segments(durable["journal"]);
+    ASSERT_FALSE(oneshot.empty());
+    EXPECT_EQ(Segments(sharded["journal"] + "/merged"), oneshot);
+  }
+
+  // Daemon 2: a three-shard run crashes after one module's commit.
+  std::string crashed_dir;
+  {
+    auto env = MakeEnv(root, 2);
+    const std::string crash_key = env->corpus().available_ids[37];
+    Server server(*env, {});
+    WireMessage submitted = Response(
+        server, "{\"op\":\"submit\",\"kind\":\"shard\",\"shards\":\"3\","
+                "\"crash\":\"after\",\"crash_key\":\"" + crash_key + "\"}");
+    ASSERT_EQ(submitted["ok"], "1") << submitted["error"];
+    crashed_dir = submitted["journal"];
+    Response(server, "{\"op\":\"drain\"}");
+    WireMessage status = Response(
+        server, "{\"op\":\"status\",\"id\":\"" + submitted["id"] + "\"}");
+    EXPECT_EQ(status["state"], "failed");
+    EXPECT_FALSE(fs::exists(fs::path(crashed_dir) / "DONE"));
+  }
+
+  // Daemon 3 on the same root: the startup scan resumes the shard run from
+  // its RUN descriptor, without the crash plan, to the baseline bytes.
+  auto env = MakeEnv(root, 2);
+  EXPECT_EQ(env->UnfinishedJournalDirs(),
+            std::vector<std::string>{crashed_dir});
+  Server server(*env, {});
+  auto resumed = server.ResumeInFlightRuns();
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(*resumed, 1u);
+  EXPECT_EQ(server.manager().Drain(), 1u);
+  WireMessage result = result_of(server, "1");
+  ASSERT_EQ(result["ok"], "1") << result["error"];
+  EXPECT_EQ(result["digest"], baseline_digest);
+  EXPECT_TRUE(fs::exists(fs::path(crashed_dir) / "DONE"));
 }
 
 }  // namespace

@@ -363,7 +363,7 @@ TEST_P(ShardCrashResumeTest, KilledShardSubsetResumesToOneShotBytes) {
   // the owning shard aborts; the other three complete.
   CrashPlan crash;
   crash.point = point;
-  crash.key = ModuleInShard(options.shards, options.partition_salt, 2);
+  crash.key = ModuleInShard(options.shards, kShardPartitionSalt, 2);
   options.crash = &crash;
   auto target = FreshRegistry(*corpus.registry);
   auto crashed = RunShardedAnnotate(*target, *corpus.ontology, *corpus.pool,
@@ -414,7 +414,7 @@ TEST(ShardCrashResumeSuite, TwoKilledShardsResumeIndependently) {
     CrashPlan crash;
     crash.point = k == 1 ? CrashPoint::kCrashAfterCommit
                          : CrashPoint::kTornWrite;
-    crash.key = ModuleInShard(options.shards, options.partition_salt, k);
+    crash.key = ModuleInShard(options.shards, kShardPartitionSalt, k);
     ShardOptions crashing = options;
     crashing.crash = &crash;
     auto run = RunShard(*corpus.registry, *corpus.ontology, *corpus.pool,

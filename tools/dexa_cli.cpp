@@ -330,16 +330,9 @@ int CmdAnnotate(CliContext& ctx, const std::vector<std::string>& args) {
     size_t i = 2;
     while (i < args.size()) {
       if (args[i] == "--crash" && i + 2 < args.size()) {
-        if (args[i + 1] == "before") {
-          crash.point = CrashPoint::kCrashBeforeCommit;
-        } else if (args[i + 1] == "after") {
-          crash.point = CrashPoint::kCrashAfterCommit;
-        } else if (args[i + 1] == "torn") {
-          crash.point = CrashPoint::kTornWrite;
-        } else {
-          return Fail(Status::InvalidArgument(
-              "--crash takes before|after|torn, got '" + args[i + 1] + "'"));
-        }
+        auto point = ParseCrashPoint(args[i + 1]);
+        if (!point.ok()) return Fail(point.status());
+        crash.point = *point;
         crash.key = args[i + 2];
         i += 3;
       } else if (auto value = FlagValue(args[i], "--shards")) {

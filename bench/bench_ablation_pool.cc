@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <memory>
 
 #include "bench/bench_env.h"
 #include "common/table.h"
@@ -56,8 +57,8 @@ void PrintAblation(bench_env::BenchReport& report) {
     for (char& c : slug) {
       if (c == ' ' || c == '/') c = '_';
     }
-    ExampleGenerator generator(&ontology, &pool);
-    CoverageAnalyzer analyzer(&ontology);
+    ExampleGenerator generator(env.cache, &pool);
+    CoverageAnalyzer analyzer(env.cache);
     size_t fully = 0;
     size_t examples = 0;
     for (const std::string& id : env.corpus.available_ids) {
@@ -100,6 +101,7 @@ void PrintAblation(bench_env::BenchReport& report) {
     (void)*micro.AddConcept("DNA", {"Sequence"});
     (void)*micro.AddConcept("RNA", {"Sequence"});
     AnnotatedInstancePool micro_pool(&micro);
+    auto micro_cache = std::make_shared<ConceptCache>(&micro);
     micro_pool.Add(micro.Find("DNA"), Value::Str("ACGT"));
     micro_pool.Add(micro.Find("RNA"), Value::Str("ACGU"));
 
@@ -123,7 +125,7 @@ void PrintAblation(bench_env::BenchReport& report) {
     for (bool use_realization : {true, false}) {
       GeneratorOptions options;
       options.use_realization = use_realization;
-      ExampleGenerator generator(&micro, &micro_pool, options);
+      ExampleGenerator generator(micro_cache, &micro_pool, options);
       auto outcome = generator.Generate(*module);
       size_t examples = outcome.ok() ? outcome->examples.size() : 0;
       realization.AddRow(
@@ -141,8 +143,9 @@ void PrintAblation(bench_env::BenchReport& report) {
 void BM_HarvestPool(benchmark::State& state) {
   const auto& env = bench_env::GetEnvironment();
   for (auto _ : state) {
-    AnnotatedInstancePool pool = HarvestPool(
-        env.provenance, *env.corpus.registry, *env.corpus.ontology);
+    AnnotatedInstancePool pool = HarvestPool(env.provenance,
+                                             *env.corpus.registry,
+                                             *env.corpus.ontology, env.cache);
     benchmark::DoNotOptimize(pool.size());
   }
 }

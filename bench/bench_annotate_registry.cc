@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -45,11 +46,13 @@ struct AnnotateRun {
 }
 
 /// Runs AnnotateRegistry over a fresh registry through an engine with
-/// `threads` workers and captures timing + serialized annotations.
+/// `threads` workers, reasoning through a concept cache that counts into
+/// it, and captures timing + serialized annotations.
 AnnotateRun Annotate(const Ontology& ontology, ModuleRegistry& registry,
                      const AnnotatedInstancePool& pool, size_t threads) {
   InvocationEngine engine(EngineOptions{.threads = threads});
-  ExampleGenerator generator(&ontology, &pool, GeneratorOptions{}, &engine);
+  auto cache = std::make_shared<ConceptCache>(&ontology, &engine.metrics());
+  ExampleGenerator generator(cache, &pool, GeneratorOptions{}, &engine);
 
   AnnotateRun run;
   auto start = std::chrono::steady_clock::now();

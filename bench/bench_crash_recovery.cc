@@ -76,7 +76,7 @@ CrashCell RunCell(const EvaluationEnv& env, CrashPoint point,
   {
     auto engine = config.BuildEngine();
     ExampleGenerator generator = config.MakeGenerator(
-        env.corpus.ontology.get(), env.pool.get(), engine.get());
+        env.cache, env.pool.get(), engine.get());
     auto registry = FreshRegistry(env);
     auto journal = RunJournal::Create(dir, {}, &engine->metrics());
     if (!journal.ok()) Die("RunJournal::Create", journal.status());
@@ -107,7 +107,7 @@ CrashCell RunCell(const EvaluationEnv& env, CrashPoint point,
   // Phase 2: a fresh process recovers the journal and resumes the run.
   auto engine = config.BuildEngine();
   ExampleGenerator generator = config.MakeGenerator(
-      env.corpus.ontology.get(), env.pool.get(), engine.get());
+      env.cache, env.pool.get(), engine.get());
   auto registry = FreshRegistry(env);
 
   auto recover_start = std::chrono::steady_clock::now();
@@ -153,7 +153,7 @@ int RunBench() {
     EngineConfig config = EngineConfig().Threads(kThreads).Seed(0xD0D0);
     auto engine = config.BuildEngine();
     ExampleGenerator generator = config.MakeGenerator(
-        env.corpus.ontology.get(), env.pool.get(), engine.get());
+        env.cache, env.pool.get(), engine.get());
     auto registry = FreshRegistry(env);
     auto journal =
         RunJournal::Create(FreshDir("baseline"), {}, &engine->metrics());

@@ -63,7 +63,7 @@ SweepCell RunCell(const EvaluationEnv& env, double fault_rate, bool retries) {
   if (!wrapped.ok()) Die("WrapRegistryWithFaults", wrapped.status());
 
   ExampleGenerator generator = config.MakeGenerator(
-      env.corpus.ontology.get(), env.pool.get(), engine.get());
+      env.cache, env.pool.get(), engine.get());
 
   auto start = std::chrono::steady_clock::now();
   auto report = AnnotateRegistry(generator, **wrapped);

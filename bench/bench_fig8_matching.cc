@@ -16,7 +16,7 @@ namespace {
 
 void PrintFigure8(bench_env::BenchReport& report) {
   const auto& env = bench_env::GetEnvironment();
-  auto matching = MatchRetiredModules(env.corpus, env.provenance);
+  auto matching = MatchRetiredModules(env.corpus, env.provenance, env.cache);
   if (!matching.ok()) {
     std::cerr << matching.status() << "\n";
     return;
@@ -90,7 +90,7 @@ void PrintExampleBudgetSweep() {
                       "overlapping", "none"});
   for (size_t budget : {1u, 2u, 4u, 8u, 16u, 64u}) {
     ProvenanceCorpus truncated = TruncateProvenance(env.provenance, budget);
-    auto matching = MatchRetiredModules(env.corpus, truncated);
+    auto matching = MatchRetiredModules(env.corpus, truncated, env.cache);
     if (!matching.ok()) {
       std::cerr << matching.status() << "\n";
       return;
@@ -100,7 +100,7 @@ void PrintExampleBudgetSweep() {
                   std::to_string(matching->with_overlapping),
                   std::to_string(matching->with_none)});
   }
-  auto full = MatchRetiredModules(env.corpus, env.provenance);
+  auto full = MatchRetiredModules(env.corpus, env.provenance, env.cache);
   if (full.ok()) {
     table.AddRow({"all (paper setting)", std::to_string(full->with_equivalent),
                   std::to_string(full->with_overlapping),
@@ -119,7 +119,7 @@ void PrintExampleBudgetSweep() {
 void BM_MatchRetiredModules(benchmark::State& state) {
   const auto& env = bench_env::GetEnvironment();
   for (auto _ : state) {
-    auto matching = MatchRetiredModules(env.corpus, env.provenance);
+    auto matching = MatchRetiredModules(env.corpus, env.provenance, env.cache);
     benchmark::DoNotOptimize(matching);
   }
 }
@@ -127,7 +127,7 @@ BENCHMARK(BM_MatchRetiredModules);
 
 void BM_RepairWorkflows(benchmark::State& state) {
   const auto& env = bench_env::GetEnvironment();
-  auto matching = MatchRetiredModules(env.corpus, env.provenance);
+  auto matching = MatchRetiredModules(env.corpus, env.provenance, env.cache);
   if (!matching.ok()) {
     state.SkipWithError(matching.status().ToString().c_str());
     return;

@@ -31,7 +31,7 @@ void PrintRedundancy(bench_env::BenchReport& report) {
   TablePrinter table({"feature set", "predicted redundant (truth: 173)",
                       "exact modules", "precision", "recall"});
   for (const Config& config : kConfigs) {
-    RedundancyDetector detector(env.corpus.ontology.get(), config.options);
+    RedundancyDetector detector(config.options);
     size_t tp = 0, fp = 0, fn = 0;
     size_t predicted_redundant = 0, exact_modules = 0;
     for (const std::string& id : env.corpus.available_ids) {
@@ -76,7 +76,7 @@ void PrintRedundancy(bench_env::BenchReport& report) {
 
 void BM_DetectRedundancy(benchmark::State& state) {
   const auto& env = bench_env::GetEnvironment();
-  RedundancyDetector detector(env.corpus.ontology.get());
+  RedundancyDetector detector;
   std::vector<ModulePtr> modules = env.corpus.registry->AvailableModules();
   for (auto _ : state) {
     size_t clusters = 0;

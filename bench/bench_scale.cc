@@ -24,6 +24,7 @@
 #include "core/run_api.h"
 #include "corpus/scale.h"
 #include "durability/journal.h"
+#include "engine/concept_cache.h"
 #include "shard/sharded_annotate.h"
 
 namespace dexa {
@@ -123,8 +124,10 @@ int RunBench() {
       auto registry = FreshRegistry(*corpus->registry);
       EngineConfig config = per_shard;
       auto engine = config.BuildEngine();
-      ExampleGenerator generator = config.MakeGenerator(
-          corpus->ontology.get(), corpus->pool.get(), engine.get());
+      auto cache = std::make_shared<ConceptCache>(corpus->ontology.get(),
+                                                  &engine->metrics());
+      ExampleGenerator generator =
+          config.MakeGenerator(cache, corpus->pool.get(), engine.get());
       auto journal =
           RunJournal::Create(reference_dir, {}, &engine->metrics());
       if (!journal.ok()) Die("RunJournal::Create", journal.status());

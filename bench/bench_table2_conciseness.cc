@@ -52,7 +52,7 @@ void PrintTable2(bench_env::BenchReport& report) {
 
 void BM_GenerateExamplesForCorpus(benchmark::State& state) {
   const auto& env = bench_env::GetEnvironment();
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator generator(env.cache, env.pool.get());
   std::vector<ModulePtr> modules = env.corpus.registry->AvailableModules();
   for (auto _ : state) {
     size_t examples = 0;
@@ -69,7 +69,7 @@ BENCHMARK(BM_GenerateExamplesForCorpus);
 
 void BM_GenerateSingleModule(benchmark::State& state) {
   const auto& env = bench_env::GetEnvironment();
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator generator(env.cache, env.pool.get());
   ModulePtr module = *env.corpus.registry->FindByName("NormalizeAccession");
   for (auto _ : state) {
     auto outcome = generator.Generate(*module);

@@ -153,7 +153,7 @@ int main() {
             << "\n";
 
   // Repair: match the retired module, substitute, re-enact.
-  auto matching = MatchRetiredModules(corpus, env->provenance);
+  auto matching = MatchRetiredModules(corpus, env->provenance, env->cache);
   if (!matching.ok()) {
     std::cerr << matching.status() << "\n";
     return 1;

@@ -28,7 +28,7 @@ int main() {
     return 1;
   }
 
-  auto matching = MatchRetiredModules(corpus, env->provenance);
+  auto matching = MatchRetiredModules(corpus, env->provenance, env->cache);
   if (!matching.ok()) {
     std::cerr << matching.status() << "\n";
     return 1;

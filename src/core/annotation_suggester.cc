@@ -70,9 +70,6 @@ double LexicalScore(const std::vector<std::string>& parameter_tokens,
 
 }  // namespace
 
-AnnotationSuggester::AnnotationSuggester(const Ontology* ontology)
-    : AnnotationSuggester(std::make_shared<ConceptCache>(ontology)) {}
-
 AnnotationSuggester::AnnotationSuggester(
     std::shared_ptr<const ConceptCache> cache)
     : classifier_(cache) {

@@ -37,9 +37,6 @@ struct ConceptSuggestion {
 /// Suggest() itself performs no string-keyed ontology lookups.
 class AnnotationSuggester {
  public:
-  /// Convenience: builds a private concept cache over `ontology`.
-  explicit AnnotationSuggester(const Ontology* ontology);
-
   /// Shares `cache` (and its compiled KB) with the rest of the pipeline.
   explicit AnnotationSuggester(std::shared_ptr<const ConceptCache> cache);
 

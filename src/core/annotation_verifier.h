@@ -49,10 +49,6 @@ struct OutputAnnotationReport {
 /// double as evidence for or against the parameter annotations themselves.
 class AnnotationVerifier {
  public:
-  /// Convenience: builds a private concept cache over `ontology`.
-  explicit AnnotationVerifier(const Ontology* ontology)
-      : AnnotationVerifier(std::make_shared<ConceptCache>(ontology)) {}
-
   /// Shares `cache` with the rest of the pipeline; all partition/LCS
   /// reasoning is a compiled-table read.
   explicit AnnotationVerifier(std::shared_ptr<const ConceptCache> cache)

@@ -53,16 +53,8 @@ struct CompositionCandidate {
 /// thus what separates composable from merely type-compatible.
 class ExampleGuidedComposer {
  public:
-  /// Convenience: builds a private concept cache over `ontology`.
-  /// Chain-validation replays are routed through `engine` (serial default).
-  ExampleGuidedComposer(const Ontology* ontology,
-                        const ModuleRegistry* registry,
-                        const AnnotatedInstancePool* pool,
-                        InvocationEngine* engine = nullptr)
-      : ExampleGuidedComposer(std::make_shared<ConceptCache>(ontology),
-                              registry, pool, engine) {}
-
   /// Shares `cache` (and its compiled KB) with the rest of the pipeline.
+  /// Chain-validation replays are routed through `engine` (serial default).
   ExampleGuidedComposer(std::shared_ptr<const ConceptCache> cache,
                         const ModuleRegistry* registry,
                         const AnnotatedInstancePool* pool,

@@ -55,10 +55,6 @@ struct CoverageReport {
 /// input-derived examples).
 class CoverageAnalyzer {
  public:
-  /// Convenience: builds a private concept cache over `ontology`.
-  explicit CoverageAnalyzer(const Ontology* ontology)
-      : CoverageAnalyzer(std::make_shared<ConceptCache>(ontology)) {}
-
   /// Shares `cache` (and its compiled KB) with the rest of the pipeline;
   /// this is how --kb-image runs route coverage reasoning through the
   /// mapped image.

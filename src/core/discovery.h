@@ -48,14 +48,8 @@ struct DiscoveryHit {
 /// Hits are returned best-first (ties by module name).
 class BehaviorDiscovery {
  public:
-  /// Convenience: builds a private concept cache over `ontology`. Example
-  /// probes are routed through `engine` (serial default).
-  BehaviorDiscovery(const Ontology* ontology, const ModuleRegistry* registry,
-                    InvocationEngine* engine = nullptr)
-      : BehaviorDiscovery(std::make_shared<ConceptCache>(ontology), registry,
-                          engine) {}
-
   /// Shares `cache` (and its compiled KB) with the rest of the pipeline.
+  /// Example probes are routed through `engine` (serial default).
   BehaviorDiscovery(std::shared_ptr<const ConceptCache> cache,
                     const ModuleRegistry* registry,
                     InvocationEngine* engine = nullptr)

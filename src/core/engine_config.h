@@ -114,14 +114,8 @@ class EngineConfig {
   }
 
   /// Builds an ExampleGenerator with the accumulated generator options,
-  /// running on `engine` (nullptr = the shared serial engine).
-  ExampleGenerator MakeGenerator(const Ontology* ontology,
-                                 const AnnotatedInstancePool* pool,
-                                 InvocationEngine* engine = nullptr) const {
-    return ExampleGenerator(ontology, pool, generator_, engine);
-  }
-
-  /// Cache-sharing overload (matcher/suggester pipelines).
+  /// reasoning through `cache` and running on `engine` (nullptr = the
+  /// shared serial engine).
   ExampleGenerator MakeGenerator(std::shared_ptr<const ConceptCache> cache,
                                  const AnnotatedInstancePool* pool,
                                  InvocationEngine* engine = nullptr) const {

@@ -19,9 +19,6 @@ bool IsTermInstance(const std::string& s, const char* prefix) {
 
 }  // namespace
 
-InstanceClassifier::InstanceClassifier(const Ontology* ontology)
-    : InstanceClassifier(std::make_shared<ConceptCache>(ontology)) {}
-
 InstanceClassifier::InstanceClassifier(
     std::shared_ptr<const ConceptCache> cache)
     : cache_(std::move(cache)) {

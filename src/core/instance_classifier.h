@@ -28,9 +28,6 @@ namespace dexa {
 /// pure ConceptId arithmetic with no string-keyed ontology lookups.
 class InstanceClassifier {
  public:
-  /// Convenience: builds a private concept cache over `ontology`.
-  explicit InstanceClassifier(const Ontology* ontology);
-
   /// Shares `cache` (and its compiled KB) with the rest of the pipeline.
   explicit InstanceClassifier(std::shared_ptr<const ConceptCache> cache);
 

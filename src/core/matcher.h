@@ -65,15 +65,8 @@ struct MatchResult {
 /// thread-count-invariant.
 class ModuleMatcher {
  public:
-  /// Builds a matcher with a private concept cache; `engine` defaults to
-  /// the shared serial engine.
-  ModuleMatcher(const Ontology* ontology, const ExampleGenerator* generator,
-                InvocationEngine* engine = nullptr)
-      : cache_(std::make_shared<ConceptCache>(ontology)),
-        generator_(generator),
-        engine_(engine != nullptr ? engine : &InvocationEngine::Serial()) {}
-
-  /// Shares a concept cache (typically the generator's).
+  /// Shares a concept cache (typically the generator's); `engine`
+  /// defaults to the shared serial engine.
   ModuleMatcher(std::shared_ptr<const ConceptCache> cache,
                 const ExampleGenerator* generator,
                 InvocationEngine* engine = nullptr)

@@ -37,10 +37,6 @@ struct ModulePartitions {
 /// strategy.
 class DomainPartitioner {
  public:
-  /// Convenience: builds a private cache over `ontology`.
-  explicit DomainPartitioner(const Ontology* ontology)
-      : cache_(std::make_shared<ConceptCache>(ontology)) {}
-
   /// Shares `cache` (and its compiled KB) with other components.
   explicit DomainPartitioner(std::shared_ptr<const ConceptCache> cache)
       : cache_(std::move(cache)) {}
@@ -54,7 +50,6 @@ class DomainPartitioner {
   ModulePartitions PartitionModule(const ModuleSpec& spec) const;
 
   const ConceptCache& cache() const { return *cache_; }
-  std::shared_ptr<const ConceptCache> shared_cache() const { return cache_; }
 
  private:
   std::shared_ptr<const ConceptCache> cache_;

@@ -6,7 +6,6 @@
 
 #include "modules/data_example.h"
 #include "modules/module.h"
-#include "ontology/ontology.h"
 
 namespace dexa {
 
@@ -52,9 +51,8 @@ struct RedundancyOptions {
 
 class RedundancyDetector {
  public:
-  explicit RedundancyDetector(const Ontology* ontology,
-                              RedundancyOptions options = {})
-      : ontology_(ontology), options_(options) {}
+  explicit RedundancyDetector(RedundancyOptions options = {})
+      : options_(options) {}
 
   /// Clusters `examples` by fingerprint (stable order: clusters appear in
   /// first-occurrence order, indices ascending).
@@ -66,7 +64,6 @@ class RedundancyDetector {
                           const DataExample& example) const;
 
  private:
-  const Ontology* ontology_;
   RedundancyOptions options_;
 };
 

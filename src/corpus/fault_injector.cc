@@ -23,19 +23,16 @@ Result<std::vector<Value>> FaultInjector::InvokeImpl(
 
 Result<std::vector<Value>> FaultInjector::InvokeWithContext(
     const std::vector<Value>& inputs, InvocationContext& context) const {
-  const uint64_t arrival =
-      invocations_.fetch_add(1, std::memory_order_relaxed);
+  invocations_.fetch_add(1, std::memory_order_relaxed);
   context.charged_ns += profile_.latency_ns;
 
   auto inject = [&](Status status) -> Result<std::vector<Value>> {
-    context.charged_ns += profile_.fault_latency_ns;
     faults_injected_.fetch_add(1, std::memory_order_relaxed);
     if (metrics_ != nullptr) metrics_->Add(EngineCounter::injected_faults);
     return status;
   };
 
-  if (profile_.down ||
-      (profile_.decay_after != 0 && arrival >= profile_.decay_after)) {
+  if (profile_.down) {
     return inject(Status::Permanent("module '" + spec().name +
                                     "' backend is permanently gone"));
   }
@@ -46,20 +43,16 @@ Result<std::vector<Value>> FaultInjector::InvokeWithContext(
                                     std::to_string(context.attempt) + ")"));
   }
 
-  if (profile_.transient_rate > 0.0 || profile_.timeout_rate > 0.0) {
-    // One independent draw stream per (inputs, attempt): a retry re-rolls
-    // the dice, and the verdict for a given input never depends on what
-    // other inputs or threads did.
+  if (profile_.transient_rate > 0.0) {
+    // One independent draw per (inputs, attempt): a retry re-rolls the
+    // dice, and the verdict for a given input never depends on what other
+    // inputs or threads did.
     uint64_t key = profile_.seed;
     for (const Value& value : inputs) key = HashCombine(key, value.Hash());
     Rng draw(HashCombine(key, static_cast<uint64_t>(context.attempt)));
     if (draw.NextDouble() < profile_.transient_rate) {
       return inject(Status::Transient("module '" + spec().name +
                                       "' dropped the connection"));
-    }
-    if (draw.NextDouble() < profile_.timeout_rate) {
-      return inject(
-          Status::Timeout("module '" + spec().name + "' stalled"));
     }
   }
 

@@ -25,9 +25,6 @@ struct FaultProfile {
   /// error). With retries, P(exhaustion) = transient_rate^max_attempts.
   double transient_rate = 0.0;
 
-  /// Per-attempt probability of a kTimeout failure (stalled service).
-  double timeout_rate = 0.0;
-
   /// Flaky warm-up: attempts [0, flaky_first_attempts) of every input fail
   /// with kTransient before the stochastic draws even run. Models a flaky
   /// period that a sufficiently patient retry policy always outlasts (and
@@ -38,22 +35,10 @@ struct FaultProfile {
   /// engine's per-invocation deadline budget.
   uint64_t latency_ns = 0;
 
-  /// Extra virtual latency charged on faulted attempts (a failing service
-  /// is typically also a slow one).
-  uint64_t fault_latency_ns = 0;
-
   /// Permanent decay active from the first invocation: every call fails
   /// with kPermanent while the registry still believes the module is
   /// available — the dynamic-decay situation ScanForDecay detects.
   bool down = false;
-
-  /// Retire after this many total invocations (0 = never): the injector
-  /// flips to permanent decay mid-run, reusing the kDecayed semantics of
-  /// provider-retired modules. NOTE: counts invocations in arrival order,
-  /// so mid-batch decay under a multi-threaded engine is schedule-
-  /// dependent; reserve this knob for sequential paths (workflow
-  /// enactment) when byte-identical runs matter.
-  uint64_t decay_after = 0;
 };
 
 /// Where, relative to a durable commit, an injected crash lands. The crash
@@ -77,16 +62,12 @@ enum class CrashPoint {
 /// A deterministic crash plan for one durable run: crash at `point`
 /// relative to the commit of the unit keyed `key` (a module id for
 /// annotation runs, a module id of a processor for enactments). The torn
-/// variant draws its damage positions from `seed`, truncating
-/// `torn_truncate_bytes` and flipping `torn_flips` bytes near the journal
-/// tail. kNone plans are inert, so the plan can be threaded through
-/// unconditionally.
+/// variant truncates and flips a fixed, seeded set of journal-tail bytes
+/// (the kTorn* constants in durability/run_api.cc). kNone plans are inert,
+/// so the plan can be threaded through unconditionally.
 struct CrashPlan {
   CrashPoint point = CrashPoint::kNone;
   std::string key;
-  uint64_t seed = 0xC4A5;
-  int torn_flips = 2;
-  size_t torn_truncate_bytes = 5;
 
   bool armed() const { return point != CrashPoint::kNone; }
   bool Matches(const std::string& unit_key) const {

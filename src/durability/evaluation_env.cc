@@ -43,8 +43,9 @@ Result<EvaluationEnv> BuildEvaluationEnv(const CorpusOptions& options,
   auto provenance = BuildProvenanceCorpus(env.corpus, env.workflows);
   if (!provenance.ok()) return provenance.status();
   env.provenance = std::move(provenance).value();
-  env.pool = std::make_unique<AnnotatedInstancePool>(HarvestPool(
-      env.provenance, *env.corpus.registry, *env.corpus.ontology));
+  env.pool = std::make_unique<AnnotatedInstancePool>(
+      HarvestPool(env.provenance, *env.corpus.registry, *env.corpus.ontology,
+                  env.cache));
   return env;
 }
 

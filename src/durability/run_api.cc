@@ -55,6 +55,12 @@ void ExportObservability(const obs::RunObservability& obs,
   if (obs.tracer != nullptr) obs.metrics->ImportTrace(*obs.tracer);
 }
 
+/// How a torn-write crash damages the journal tail: the flip positions
+/// are drawn from kTornSeed, so every torn journal is the same bytes.
+constexpr uint64_t kTornSeed = 0xC4A5;
+constexpr int kTornFlips = 2;
+constexpr size_t kTornTruncateBytes = 5;
+
 /// The write-ahead side of one durable run: appends its records to the
 /// run's own journal. Each run has its own DurableCommits and commits
 /// sequentially, so concurrent durable runs sharing one engine cannot
@@ -98,8 +104,8 @@ class DurableCommits {
       // tail the way an interrupted flush would.
       Status torn = journal_.Seal();
       if (torn.ok()) {
-        torn = TearJournalTail(journal_.dir(), crash_.seed, crash_.torn_flips,
-                               crash_.torn_truncate_bytes);
+        torn = TearJournalTail(journal_.dir(), kTornSeed, kTornFlips,
+                               kTornTruncateBytes);
       }
       if (!torn.ok()) return CommitVerdict{std::move(torn), true};
       return crashed("torn-write crash injected at commit of ", true);

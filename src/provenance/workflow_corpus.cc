@@ -1,6 +1,7 @@
 #include "provenance/workflow_corpus.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/strings.h"
 #include "core/instance_classifier.h"
@@ -485,9 +486,10 @@ Result<ProvenanceCorpus> BuildProvenanceCorpus(
 
 AnnotatedInstancePool HarvestPool(const ProvenanceCorpus& provenance,
                                   const ModuleRegistry& registry,
-                                  const Ontology& ontology) {
+                                  const Ontology& ontology,
+                                  std::shared_ptr<const ConceptCache> cache) {
   AnnotatedInstancePool pool(&ontology);
-  InstanceClassifier classifier(&ontology);
+  InstanceClassifier classifier(std::move(cache));
 
   auto add_value = [&](const Parameter& param, const Value& value) {
     if (value.is_null()) return;

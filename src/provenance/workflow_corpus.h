@@ -1,11 +1,13 @@
 #ifndef DEXA_PROVENANCE_WORKFLOW_CORPUS_H_
 #define DEXA_PROVENANCE_WORKFLOW_CORPUS_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "corpus/corpus.h"
+#include "engine/concept_cache.h"
 #include "pool/instance_pool.h"
 #include "provenance/seed_catalog.h"
 #include "provenance/trace.h"
@@ -60,10 +62,12 @@ struct WorkflowCorpus {
 /// every value that flowed through an annotated parameter is added under
 /// the most specific concept it instantiates (coarse annotations are
 /// refined by format/grammar classification; list values contribute their
-/// elements).
+/// elements). Classification reasons through `cache`; the pool keeps
+/// `ontology` for its concept names.
 AnnotatedInstancePool HarvestPool(const ProvenanceCorpus& provenance,
                                   const ModuleRegistry& registry,
-                                  const Ontology& ontology);
+                                  const Ontology& ontology,
+                                  std::shared_ptr<const ConceptCache> cache);
 
 }  // namespace dexa
 

@@ -1,6 +1,7 @@
 #include "repair/repair.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "workflow/enactor.h"
 
@@ -75,21 +76,19 @@ int RelationRank(BehaviorRelation relation, bool contextual) {
 
 }  // namespace
 
-Result<MatchingReport> MatchRetiredModules(const Corpus& corpus,
-                                           const ProvenanceCorpus& provenance,
-                                           bool allow_contextual) {
+Result<MatchingReport> MatchRetiredModules(
+    const Corpus& corpus, const ProvenanceCorpus& provenance,
+    std::shared_ptr<const ConceptCache> cache, bool allow_contextual) {
   MatchingReport report;
   report.retired_total = corpus.retired_ids.size();
 
   // The matcher needs an ExampleGenerator only for its Compare() entry
   // point, which we do not use here (retired modules cannot be invoked);
   // pass a minimal generator over an empty pool. Generator and matcher
-  // share one concept cache: the 72 retired × 252 candidate sweep re-asks
-  // the same subsumption pairs constantly.
+  // reason through the caller's concept cache.
   AnnotatedInstancePool empty_pool(corpus.ontology.get());
-  auto cache = std::make_shared<ConceptCache>(corpus.ontology.get());
   ExampleGenerator generator(cache, &empty_pool);
-  ModuleMatcher matcher(cache, &generator);
+  ModuleMatcher matcher(std::move(cache), &generator);
 
   std::vector<ModulePtr> candidates = corpus.registry->AvailableModules();
 

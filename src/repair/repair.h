@@ -1,6 +1,7 @@
 #ifndef DEXA_REPAIR_REPAIR_H_
 #define DEXA_REPAIR_REPAIR_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -69,11 +70,12 @@ DataExampleSet ExamplesFromProvenance(const ProvenanceCorpus& provenance,
 /// whose aligned examples all agree under an exact mapping is equivalent; a
 /// candidate agreeing on part of the examples — or on all of them but only
 /// under a generalizing (contextual) mapping — is overlapping.
-/// `allow_contextual=false` restricts matching to exact-concept parameter
-/// mappings (an ablation of the Figure 7 mechanism).
-[[nodiscard]] Result<MatchingReport> MatchRetiredModules(const Corpus& corpus,
-                                           const ProvenanceCorpus& provenance,
-                                           bool allow_contextual = true);
+/// Subsumption reasons through `cache`. `allow_contextual=false` restricts
+/// matching to exact-concept parameter mappings (an ablation of the
+/// Figure 7 mechanism).
+[[nodiscard]] Result<MatchingReport> MatchRetiredModules(
+    const Corpus& corpus, const ProvenanceCorpus& provenance,
+    std::shared_ptr<const ConceptCache> cache, bool allow_contextual = true);
 
 /// Outcome of repairing the decayed workflow corpus.
 struct RepairOutcome {

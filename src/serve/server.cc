@@ -363,10 +363,22 @@ size_t Server::ReadConnection(Connection& connection) {
 
 void Server::FlushConnection(Connection& connection) {
   while (!connection.out.empty()) {
-    ssize_t n = ::write(connection.fd, connection.out.data(),
-                        connection.out.size());
-    if (n <= 0) break;
-    connection.out.erase(0, static_cast<size_t>(n));
+    // MSG_NOSIGNAL: a client that hung up yields EPIPE here instead of a
+    // SIGPIPE that would kill the daemon.
+    ssize_t n = ::send(connection.fd, connection.out.data(),
+                       connection.out.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      connection.out.erase(0, static_cast<size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
+      // The peer is gone: nothing pending can be delivered, so shed the
+      // connection in this poll.
+      connection.out.clear();
+      connection.closing = true;
+    }
+    break;
   }
 }
 

@@ -157,9 +157,11 @@ Result<ShardRunReport> RunShard(const ModuleRegistry& registry,
   out.shard = shard;
   out.journal_dir = ShardDir(options.root, shard);
 
+  // Each shard owns its engine and the reasoner that counts into it, as a
+  // separate worker process would.
   auto engine = config.BuildEngine();
-  ExampleGenerator generator = config.MakeGenerator(&ontology, &pool,
-                                                    engine.get());
+  auto cache = std::make_shared<ConceptCache>(&ontology, &engine->metrics());
+  ExampleGenerator generator = config.MakeGenerator(cache, &pool, engine.get());
 
   // Auto-resume: a valid journal prefix in the shard directory means a
   // prior attempt ran here — replay it. An environmental error (directory

@@ -111,7 +111,9 @@ struct ShardedAnnotateReport {
 /// automatically when the shard's journal directory holds a valid prefix
 /// (crash-resume); starts fresh otherwise. The registry is the FULL
 /// registry — the shard's sub-registry is derived internally from the
-/// pinned manifest.
+/// pinned manifest. The shard compiles `ontology` into its own reasoner,
+/// whose lookups count into the shard's engine (its report's
+/// `cache_queries`).
 [[nodiscard]] Result<ShardRunReport> RunShard(const ModuleRegistry& registry,
                                               const Ontology& ontology,
                                               const AnnotatedInstancePool& pool,

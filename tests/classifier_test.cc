@@ -17,7 +17,7 @@ using testing_env::GetEnvironment;
 class ClassifierTest : public ::testing::Test {
  protected:
   ClassifierTest()
-      : env_(GetEnvironment()), classifier_(env_.corpus.ontology.get()) {}
+      : env_(GetEnvironment()), classifier_(env_.cache) {}
 
   ConceptId C(const char* name) { return env_.corpus.ontology->Find(name); }
 

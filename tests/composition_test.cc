@@ -16,8 +16,7 @@ class CompositionTest : public ::testing::Test {
  protected:
   CompositionTest()
       : env_(GetEnvironment()),
-        composer_(env_.corpus.ontology.get(), env_.corpus.registry.get(),
-                  env_.pool.get()) {}
+        composer_(env_.cache, env_.corpus.registry.get(), env_.pool.get()) {}
 
   ConceptId C(const char* name) { return env_.corpus.ontology->Find(name); }
 
@@ -107,7 +106,7 @@ class DiscoveryTest : public ::testing::Test {
  protected:
   DiscoveryTest()
       : env_(GetEnvironment()),
-        discovery_(env_.corpus.ontology.get(), env_.corpus.registry.get()) {}
+        discovery_(env_.cache, env_.corpus.registry.get()) {}
 
   ConceptId C(const char* name) { return env_.corpus.ontology->Find(name); }
 

@@ -1,3 +1,4 @@
+#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 #include "corpus/corpus.h"
 #include "corpus/scale.h"
 #include "corpus/term_values.h"
+#include "engine/concept_cache.h"
 #include "kb/accessions.h"
 #include "repair/repair.h"
 
@@ -300,8 +302,10 @@ TEST_F(ScaleCorpusTest, EveryKindRoundTripsThroughAnnotation) {
   }
   EngineConfig config = EngineConfig().Threads(1).Seed(0xA11).MaxAttempts(4);
   auto engine = config.BuildEngine();
-  ExampleGenerator generator = config.MakeGenerator(
-      scale().ontology.get(), scale().pool.get(), engine.get());
+  auto cache = std::make_shared<ConceptCache>(scale().ontology.get(),
+                                              &engine->metrics());
+  ExampleGenerator generator =
+      config.MakeGenerator(cache, scale().pool.get(), engine.get());
   auto report = AnnotateRegistry(generator, *registry);
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_TRUE(report->complete()) << report->run_status;

@@ -310,7 +310,7 @@ std::unique_ptr<ModuleRegistry> UninterruptedRun(size_t threads,
   EngineConfig config = EngineConfig().Threads(threads).Seed(0xD0D0);
   auto engine = config.BuildEngine();
   ExampleGenerator generator = config.MakeGenerator(
-      env.corpus.ontology.get(), env.pool.get(), engine.get());
+      env.cache, env.pool.get(), engine.get());
   auto registry = FreshRegistry();
   auto journal = RunJournal::Create(dir, {}, &engine->metrics());
   EXPECT_TRUE(journal.ok()) << journal.status();
@@ -351,7 +351,7 @@ TEST_P(CrashResumeTest, ResumedRunIsByteIdenticalToUninterrupted) {
   {
     auto engine = config.BuildEngine();
     ExampleGenerator generator = config.MakeGenerator(
-        env.corpus.ontology.get(), env.pool.get(), engine.get());
+        env.cache, env.pool.get(), engine.get());
     auto journal = RunJournal::Create(dir, {}, &engine->metrics());
     ASSERT_TRUE(journal.ok()) << journal.status();
     const auto modules = crashed_registry->AvailableModules();
@@ -394,7 +394,7 @@ TEST_P(CrashResumeTest, ResumedRunIsByteIdenticalToUninterrupted) {
   // Phase 2: a new process recovers the journal and resumes.
   auto engine = config.BuildEngine();
   ExampleGenerator generator = config.MakeGenerator(
-      env.corpus.ontology.get(), env.pool.get(), engine.get());
+      env.cache, env.pool.get(), engine.get());
   auto resumed_registry = FreshRegistry();
   auto recovery = RecoverJournal(dir, &engine->metrics());
   ASSERT_TRUE(recovery.ok()) << recovery.status();
@@ -466,7 +466,7 @@ TEST(DurableAnnotateTest, CrashBeforeFirstCommitResumesWithoutSecondHeader) {
   {
     auto engine = config.BuildEngine();
     ExampleGenerator generator = config.MakeGenerator(
-        env.corpus.ontology.get(), env.pool.get(), engine.get());
+        env.cache, env.pool.get(), engine.get());
     auto registry = FreshRegistry();
     auto journal = RunJournal::Create(dir, {}, &engine->metrics());
     ASSERT_TRUE(journal.ok()) << journal.status();
@@ -485,7 +485,7 @@ TEST(DurableAnnotateTest, CrashBeforeFirstCommitResumesWithoutSecondHeader) {
   {
     auto engine = config.BuildEngine();
     ExampleGenerator generator = config.MakeGenerator(
-        env.corpus.ontology.get(), env.pool.get(), engine.get());
+        env.cache, env.pool.get(), engine.get());
     auto registry = FreshRegistry();
     auto recovery = RecoverJournal(dir, &engine->metrics());
     ASSERT_TRUE(recovery.ok()) << recovery.status();
@@ -505,7 +505,7 @@ TEST(DurableAnnotateTest, CrashBeforeFirstCommitResumesWithoutSecondHeader) {
   // completes, replaying the four committed modules.
   auto engine = config.BuildEngine();
   ExampleGenerator generator = config.MakeGenerator(
-      env.corpus.ontology.get(), env.pool.get(), engine.get());
+      env.cache, env.pool.get(), engine.get());
   auto registry = FreshRegistry();
   auto recovery = RecoverJournal(dir, &engine->metrics());
   ASSERT_TRUE(recovery.ok()) << recovery.status();
@@ -523,7 +523,7 @@ TEST(DurableAnnotateTest, ResumeRejectsForeignJournals) {
   EngineConfig config = EngineConfig().Threads(1);
   auto engine = config.BuildEngine();
   ExampleGenerator generator = config.MakeGenerator(
-      env.corpus.ontology.get(), env.pool.get(), engine.get());
+      env.cache, env.pool.get(), engine.get());
   auto registry = FreshRegistry();
   auto journal = RunJournal::Create(dir);
   ASSERT_TRUE(journal.ok()) << journal.status();
@@ -533,7 +533,7 @@ TEST(DurableAnnotateTest, ResumeRejectsForeignJournals) {
   // A generator with different options has a different fingerprint.
   EngineConfig other = EngineConfig().Threads(1).MaxCombinations(7);
   ExampleGenerator other_generator = other.MakeGenerator(
-      env.corpus.ontology.get(), env.pool.get(), engine.get());
+      env.cache, env.pool.get(), engine.get());
   auto recovery = RecoverJournal(dir);
   ASSERT_TRUE(recovery.ok()) << recovery.status();
   auto resumed_registry = FreshRegistry();
@@ -543,6 +543,78 @@ TEST(DurableAnnotateTest, ResumeRejectsForeignJournals) {
                                   *resumed_journal, &*recovery);
   ASSERT_FALSE(rejected.ok());
   EXPECT_TRUE(rejected.status().IsInvalidArgument()) << rejected.status();
+}
+
+TEST(DurableAnnotateTest, ResumeRefusesAJournalPinnedToAnotherKb) {
+  const auto& env = GetEnvironment();
+  EngineConfig config = EngineConfig().Threads(1).Seed(0xD0D0);
+  auto engine = config.BuildEngine();
+  ExampleGenerator generator =
+      config.MakeGenerator(env.cache, env.pool.get(), engine.get());
+
+  // Starts a durable annotate in `dir`, pinned to `kb_checksum`, that
+  // crashes right after its fourth module commits.
+  auto start_crashed = [&](const std::string& dir, uint64_t kb_checksum) {
+    auto registry = FreshRegistry();
+    auto journal = RunJournal::Create(dir);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    CrashPlan crash;
+    crash.point = CrashPoint::kCrashAfterCommit;
+    crash.key = registry->AvailableModules()[3]->spec().id;
+    RunRequest request = MakeDurableAnnotateRun(
+        generator, *registry, *env.corpus.ontology, *journal);
+    request.kb_checksum = kb_checksum;
+    request.crash = &crash;
+    auto result = SubmitRun(request);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_TRUE(result->run_status.IsCancelled()) << result->run_status;
+  };
+  // Resumes the journal in `dir` into `registry` under `kb_checksum`.
+  auto resume = [&](const std::string& dir, uint64_t kb_checksum,
+                    ModuleRegistry& registry) -> Result<RunResult> {
+    auto recovery = RecoverJournal(dir);
+    if (!recovery.ok()) return recovery.status();
+    auto journal = RunJournal::Resume(dir, *recovery);
+    if (!journal.ok()) return journal.status();
+    RunRequest request = MakeDurableAnnotateRun(
+        generator, registry, *env.corpus.ontology, *journal);
+    request.kb_checksum = kb_checksum;
+    request.resume = &*recovery;
+    return SubmitRun(request);
+  };
+
+  const std::string image_dir = FreshDir("kb-pin-7");
+  start_crashed(image_dir, 7);
+  auto registry = FreshRegistry();
+  auto refused = resume(image_dir, 0, *registry);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsInvalidArgument()) << refused.status();
+  EXPECT_NE(refused.status().message().find(
+                "journal is pinned to a different knowledge base "
+                "(kb_checksum 7 vs 0)"),
+            std::string::npos)
+      << refused.status();
+
+  const std::string memory_dir = FreshDir("kb-pin-0");
+  start_crashed(memory_dir, 0);
+  auto refused_image = resume(memory_dir, 7, *registry);
+  ASSERT_FALSE(refused_image.ok());
+  EXPECT_TRUE(refused_image.status().IsInvalidArgument())
+      << refused_image.status();
+  EXPECT_NE(refused_image.status().message().find("(kb_checksum 0 vs 7)"),
+            std::string::npos)
+      << refused_image.status();
+
+  // Under the KB it was pinned to, the refused journal still resumes, to
+  // the uninterrupted run's annotations.
+  auto resumed_registry = FreshRegistry();
+  auto resumed = resume(image_dir, 7, *resumed_registry);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_TRUE(resumed->complete()) << resumed->run_status;
+  EXPECT_EQ(resumed->annotate.replayed, 4u);
+  EXPECT_EQ(SaveAnnotations(*resumed_registry, *env.corpus.ontology),
+            SaveAnnotations(*UninterruptedRun(1, FreshDir("kb-pin-baseline")),
+                            *env.corpus.ontology));
 }
 
 TEST(CommitCodecTest, DecodersRejectValuesTheyCannotRepresent) {
@@ -598,7 +670,7 @@ TEST(CommitCodecTest, DecodersRejectValuesTheyCannotRepresent) {
 TEST(DurableAnnotateTest, ResumeRefusesACommitItCannotRepresent) {
   const auto& env = GetEnvironment();
   const std::string dir = FreshDir("decayed-yes");
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator generator(env.cache, env.pool.get());
   auto registry = FreshRegistry();
   {
     // A CRC-valid journal: this run's header, then module 0 with a decayed

@@ -91,9 +91,9 @@ TEST(InvocationEngineTest, GenerationIsDeterministicAcrossThreadCounts) {
   const auto& env = testing_env::GetEnvironment();
   InvocationEngine serial(EngineOptions{.threads = 1});
   InvocationEngine pooled(EngineOptions{.threads = 8});
-  ExampleGenerator serial_generator(env.corpus.ontology.get(), env.pool.get(),
+  ExampleGenerator serial_generator(env.cache, env.pool.get(),
                                     GeneratorOptions{}, &serial);
-  ExampleGenerator pooled_generator(env.corpus.ontology.get(), env.pool.get(),
+  ExampleGenerator pooled_generator(env.cache, env.pool.get(),
                                     GeneratorOptions{}, &pooled);
 
   size_t modules_checked = 0;
@@ -124,8 +124,7 @@ TEST(InvocationEngineTest, GeneratorRecordsSkippedCombinations) {
   const auto& env = testing_env::GetEnvironment();
   GeneratorOptions capped;
   capped.max_combinations = 1;
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get(),
-                             capped);
+  ExampleGenerator generator(env.cache, env.pool.get(), capped);
 
   // CompareSequences is multi-input, so its cartesian product exceeds a cap
   // of one; everything past the cap must be accounted as skipped, never
@@ -137,7 +136,7 @@ TEST(InvocationEngineTest, GeneratorRecordsSkippedCombinations) {
   EXPECT_GT(outcome->stats.combinations_skipped, 0u);
 
   // With the default cap nothing in the corpus is truncated.
-  ExampleGenerator uncapped(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator uncapped(env.cache, env.pool.get());
   auto full = uncapped.Generate(*module);
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full->stats.combinations_skipped, 0u);

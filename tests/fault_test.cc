@@ -317,9 +317,9 @@ TEST(FaultToleranceTest, RetriesRecoverAnnotationsUnderTransientFaults) {
   ASSERT_TRUE(pooled_wrapped.ok()) << pooled_wrapped.status();
 
   ExampleGenerator serial_generator = config.MakeGenerator(
-      env.corpus.ontology.get(), env.pool.get(), serial_engine.get());
+      env.cache, env.pool.get(), serial_engine.get());
   ExampleGenerator pooled_generator = config.MakeGenerator(
-      env.corpus.ontology.get(), env.pool.get(), pooled_engine.get());
+      env.cache, env.pool.get(), pooled_engine.get());
 
   auto serial_report = AnnotateRegistry(serial_generator, **serial_wrapped);
   ASSERT_TRUE(serial_report.ok()) << serial_report.status();
@@ -379,7 +379,7 @@ TEST(FaultToleranceTest, AnnotateRegistryReportsPartialResults) {
   const std::string down_id = env.corpus.available_ids.front();
   auto wrapped = WrapWithOneModuleDown(*env.corpus.registry, down_id);
 
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator generator(env.cache, env.pool.get());
   auto report = AnnotateRegistry(generator, *wrapped);
   ASSERT_TRUE(report.ok()) << report.status();
 

@@ -17,7 +17,7 @@ using testing_env::GetEnvironment;
 
 TEST(PartitionerTest, ModulePartitionCounts) {
   const auto& env = GetEnvironment();
-  DomainPartitioner partitioner(env.corpus.ontology.get());
+  DomainPartitioner partitioner(env.cache);
   ModulePtr normalize = *env.corpus.registry->FindByName("NormalizeAccession");
   ModulePartitions partitions = partitioner.PartitionModule(normalize->spec());
   EXPECT_EQ(partitions.InputCount(), 10u);   // Accession.
@@ -31,7 +31,7 @@ TEST(PartitionerTest, ModulePartitionCounts) {
 
 TEST(ClassifierTest, ClassifiesPooledValues) {
   const auto& env = GetEnvironment();
-  InstanceClassifier classifier(env.corpus.ontology.get());
+  InstanceClassifier classifier(env.cache);
   const Ontology& onto = *env.corpus.ontology;
   const KnowledgeBase& kb = *env.corpus.kb;
 
@@ -59,7 +59,7 @@ TEST(ClassifierTest, ClassifiesPooledValues) {
 
 TEST(GeneratorTest, SingleInputLeafModule) {
   const auto& env = GetEnvironment();
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator generator(env.cache, env.pool.get());
   ModulePtr module = *env.corpus.registry->FindByName("EBI_GetUniprotRecord");
   auto outcome = generator.Generate(*module);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
@@ -76,7 +76,7 @@ TEST(GeneratorTest, SingleInputLeafModule) {
 
 TEST(GeneratorTest, MultiPartitionInputYieldsOneExamplePerPartition) {
   const auto& env = GetEnvironment();
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator generator(env.cache, env.pool.get());
   ModulePtr module = *env.corpus.registry->FindByName("NormalizeAccession");
   auto outcome = generator.Generate(*module);
   ASSERT_TRUE(outcome.ok());
@@ -85,7 +85,7 @@ TEST(GeneratorTest, MultiPartitionInputYieldsOneExamplePerPartition) {
 
 TEST(GeneratorTest, DiscardsAbnormalCombinations) {
   const auto& env = GetEnvironment();
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator generator(env.cache, env.pool.get());
   // CompareSequences: 2x2 combinations, DNA/RNA mixes terminate abnormally.
   ModulePtr module = *env.corpus.registry->FindByName("CompareSequences");
   auto outcome = generator.Generate(*module);
@@ -97,7 +97,7 @@ TEST(GeneratorTest, DiscardsAbnormalCombinations) {
 
 TEST(GeneratorTest, OptionalInputGetsNullCandidate) {
   const auto& env = GetEnvironment();
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator generator(env.cache, env.pool.get());
   ModulePtr module = *env.corpus.registry->FindByName("Identify");
   auto outcome = generator.Generate(*module);
   ASSERT_TRUE(outcome.ok());
@@ -114,8 +114,7 @@ TEST(GeneratorTest, PinnedStrategyReducesCombinations) {
   const auto& env = GetEnvironment();
   GeneratorOptions options;
   options.full_cartesian = false;
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get(),
-                             options);
+  ExampleGenerator generator(env.cache, env.pool.get(), options);
   ModulePtr module = *env.corpus.registry->FindByName("CompareSequences");
   auto outcome = generator.Generate(*module);
   ASSERT_TRUE(outcome.ok());
@@ -124,7 +123,7 @@ TEST(GeneratorTest, PinnedStrategyReducesCombinations) {
 
 TEST(GeneratorTest, ReplayInputsRunsReferenceExamples) {
   const auto& env = GetEnvironment();
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator generator(env.cache, env.pool.get());
   ModulePtr reference = *env.corpus.registry->FindByName("EBI_GetUniprotRecord");
   ModulePtr twin = *env.corpus.registry->FindByName("DDBJ_GetUniprotRecord");
   auto outcome = generator.Generate(*reference);
@@ -180,7 +179,7 @@ TEST(MetricsTest, RequiresGroundTruth) {
 
 TEST(CoverageTest, OutputExceptionHasUncoveredPartitions) {
   const auto& env = GetEnvironment();
-  CoverageAnalyzer analyzer(env.corpus.ontology.get());
+  CoverageAnalyzer analyzer(env.cache);
   ModulePtr module = *env.corpus.registry->FindByName("EBI_GetBiologicalSequence");
   CoverageReport report = analyzer.Analyze(
       module->spec(), env.corpus.registry->DataExamplesOf(module->spec().id));
@@ -196,7 +195,7 @@ TEST(CoverageTest, OutputExceptionHasUncoveredPartitions) {
 
 TEST(CoverageTest, FullyCoveredModule) {
   const auto& env = GetEnvironment();
-  CoverageAnalyzer analyzer(env.corpus.ontology.get());
+  CoverageAnalyzer analyzer(env.cache);
   ModulePtr module = *env.corpus.registry->FindByName("EBI_GetUniprotRecord");
   CoverageReport report = analyzer.Analyze(
       module->spec(), env.corpus.registry->DataExamplesOf(module->spec().id));
@@ -209,8 +208,7 @@ TEST(GeneratorTest, RealizationAblationStillCoversLeaves) {
   const auto& env = GetEnvironment();
   GeneratorOptions options;
   options.use_realization = false;
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get(),
-                             options);
+  ExampleGenerator generator(env.cache, env.pool.get(), options);
   ModulePtr module = *env.corpus.registry->FindByName("NormalizeAccession");
   auto outcome = generator.Generate(*module);
   ASSERT_TRUE(outcome.ok());

@@ -139,7 +139,7 @@ TEST(IntegrationTest, BrokenWorkflowsFailBeforeRepairAndRunAfter) {
         << processor.name;
   }
 
-  auto matching = MatchRetiredModules(env.corpus, env.provenance);
+  auto matching = MatchRetiredModules(env.corpus, env.provenance, env.cache);
   ASSERT_TRUE(matching.ok());
   Workflow repaired = broken->workflow;
   for (Processor& processor : repaired.processors) {
@@ -157,7 +157,7 @@ TEST(IntegrationTest, BrokenWorkflowsFailBeforeRepairAndRunAfter) {
 
 TEST(IntegrationTest, CoverageSummaryOverWholeCorpus) {
   const auto& env = GetEnvironment();
-  CoverageAnalyzer analyzer(env.corpus.ontology.get());
+  CoverageAnalyzer analyzer(env.cache);
   size_t fully_covered_outputs = 0;
   for (const std::string& id : env.corpus.available_ids) {
     ModulePtr module = *env.corpus.registry->Find(id);

@@ -12,8 +12,8 @@ class MatcherTest : public ::testing::Test {
  protected:
   MatcherTest()
       : env_(GetEnvironment()),
-        generator_(env_.corpus.ontology.get(), env_.pool.get()),
-        matcher_(env_.corpus.ontology.get(), &generator_) {}
+        generator_(env_.cache, env_.pool.get()),
+        matcher_(env_.cache, &generator_) {}
 
   ModulePtr Find(const std::string& name) {
     auto module = env_.corpus.registry->FindByName(name);

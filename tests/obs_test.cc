@@ -517,7 +517,7 @@ std::string TracedAnnotate(size_t threads, const FaultProfile& profile,
   auto engine = config.BuildEngine();
   auto registry = WrappedRegistry(profile, &engine->metrics());
   ExampleGenerator generator = config.MakeGenerator(
-      env.corpus.ontology.get(), env.pool.get(), engine.get());
+      env.cache, env.pool.get(), engine.get());
 
   obs::Tracer tracer(&engine->clock());
   auto report = AnnotateRegistry(generator, *registry, &tracer);
@@ -620,7 +620,7 @@ std::string TracedResume(size_t threads, const std::string& dir,
     auto engine = config.BuildEngine();
     auto registry = WrappedRegistry(FaultProfile{}, &engine->metrics());
     ExampleGenerator generator = config.MakeGenerator(
-        env.corpus.ontology.get(), env.pool.get(), engine.get());
+        env.cache, env.pool.get(), engine.get());
     auto journal = RunJournal::Create(dir, {}, &engine->metrics());
     EXPECT_TRUE(journal.ok()) << journal.status();
     const auto modules = registry->AvailableModules();
@@ -639,7 +639,7 @@ std::string TracedResume(size_t threads, const std::string& dir,
   auto engine = config.BuildEngine();
   auto registry = WrappedRegistry(FaultProfile{}, &engine->metrics());
   ExampleGenerator generator = config.MakeGenerator(
-      env.corpus.ontology.get(), env.pool.get(), engine.get());
+      env.cache, env.pool.get(), engine.get());
   auto recovery = RecoverJournal(dir, &engine->metrics());
   EXPECT_TRUE(recovery.ok()) << recovery.status();
   auto journal = RunJournal::Resume(dir, *recovery, {}, &engine->metrics());

@@ -83,7 +83,7 @@ TEST_P(ModuleAnnotationProperty, AnnotationInvariantsHold) {
   EXPECT_LT(metrics->redundant_examples, metrics->num_examples);
 
   // Coverage bounds; inputs always fully covered on this corpus.
-  CoverageAnalyzer analyzer(env.corpus.ontology.get());
+  CoverageAnalyzer analyzer(env.cache);
   CoverageReport report = analyzer.Analyze(spec, examples);
   EXPECT_TRUE(report.inputs_fully_covered()) << spec.name;
   EXPECT_LE(report.coverage(), 1.0);
@@ -374,7 +374,7 @@ TEST(JournalAccountingProperty, CommitsJournalRecordsAndReplayBalance) {
                                         &engine->metrics());
   ASSERT_TRUE(wrapped.ok()) << wrapped.status();
   ExampleGenerator generator = config.MakeGenerator(
-      env.corpus.ontology.get(), env.pool.get(), engine.get());
+      env.cache, env.pool.get(), engine.get());
   auto journal = RunJournal::Create(dir.string(), {}, &engine->metrics());
   ASSERT_TRUE(journal.ok()) << journal.status();
   auto result = SubmitRun(MakeDurableAnnotateRun(
@@ -429,8 +429,10 @@ TEST_P(ShardConservationProperty, ShardSumsMatchOneShotTotals) {
   AnnotateReport one;
   {
     auto engine = config.BuildEngine();
-    ExampleGenerator generator = config.MakeGenerator(
-        corpus->ontology.get(), corpus->pool.get(), engine.get());
+    auto cache = std::make_shared<ConceptCache>(corpus->ontology.get(),
+                                                &engine->metrics());
+    ExampleGenerator generator =
+        config.MakeGenerator(cache, corpus->pool.get(), engine.get());
     auto journal =
         RunJournal::Create((root / "oneshot").string(), {}, &engine->metrics());
     ASSERT_TRUE(journal.ok()) << journal.status();

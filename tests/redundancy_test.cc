@@ -14,8 +14,7 @@ using testing_env::GetEnvironment;
 
 class RedundancyTest : public ::testing::Test {
  protected:
-  RedundancyTest()
-      : env_(GetEnvironment()), detector_(env_.corpus.ontology.get()) {}
+  RedundancyTest() : env_(GetEnvironment()) {}
 
   ModulePtr Find(const std::string& name) {
     return *env_.corpus.registry->FindByName(name);
@@ -110,7 +109,7 @@ struct CorpusQuality {
 
 CorpusQuality MeasureCorpusQuality(const EvaluationEnv& env,
                                    const RedundancyOptions& options) {
-  RedundancyDetector detector(env.corpus.ontology.get(), options);
+  RedundancyDetector detector(options);
   size_t tp = 0, fp = 0, fn = 0;
   for (const std::string& id : env.corpus.available_ids) {
     ModulePtr module = *env.corpus.registry->Find(id);

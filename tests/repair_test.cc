@@ -16,7 +16,7 @@ class RepairFixture : public ::testing::Test {
   static const MatchingReport& Matching() {
     static const MatchingReport* report = [] {
       const auto& env = GetEnvironment();
-      auto matched = MatchRetiredModules(env.corpus, env.provenance);
+      auto matched = MatchRetiredModules(env.corpus, env.provenance, env.cache);
       EXPECT_TRUE(matched.ok()) << matched.status();
       return new MatchingReport(std::move(matched).value());
     }();
@@ -93,7 +93,7 @@ TEST_F(RepairFixture, ContextualAblationLosesTheFigure7Match) {
   // With contextual (super-concept) mappings disabled, GetGeneSequence has
   // no candidate left: Figure 7's mechanism is what finds it a substitute.
   const auto& env = GetEnvironment();
-  auto strict = MatchRetiredModules(env.corpus, env.provenance,
+  auto strict = MatchRetiredModules(env.corpus, env.provenance, env.cache,
                                     /*allow_contextual=*/false);
   ASSERT_TRUE(strict.ok()) << strict.status();
   EXPECT_EQ(strict->with_equivalent, 16u);

@@ -104,7 +104,7 @@ TEST(RunApiTest, ValidatesRequiredFieldsPerKind) {
   expect_invalid(RunRequest{}, "annotate with no generator/registry");
 
   const auto& env = GetEnvironment();
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator generator(env.cache, env.pool.get());
   auto registry = FreshRegistry();
   auto journal = RunJournal::Create(FreshDir("validate"));
   ASSERT_TRUE(journal.ok()) << journal.status();
@@ -137,7 +137,7 @@ TEST(RunApiTest, ValidatesRequiredFieldsPerKind) {
 
 TEST(RunApiTest, AnnotateFacadeMatchesDirectEntry) {
   const auto& env = GetEnvironment();
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator generator(env.cache, env.pool.get());
 
   auto direct_registry = FreshRegistry();
   auto direct = AnnotateRegistry(generator, *direct_registry);
@@ -162,7 +162,7 @@ TEST(RunApiTest, AnnotateFacadeByteIdenticalAcrossThreadCounts) {
     EngineConfig config = EngineConfig().Threads(threads);
     auto engine = config.BuildEngine();
     ExampleGenerator generator = config.MakeGenerator(
-        env.corpus.ontology.get(), env.pool.get(), engine.get());
+        env.cache, env.pool.get(), engine.get());
     auto registry = FreshRegistry();
     auto result = SubmitRun(MakeAnnotateRun(generator, *registry));
     ASSERT_TRUE(result.ok()) << result.status();
@@ -180,7 +180,7 @@ TEST(RunApiTest, DurableAnnotateJournalByteIdenticalAcrossThreadCounts) {
     EngineConfig config = EngineConfig().Threads(threads);
     auto engine = config.BuildEngine();
     ExampleGenerator generator = config.MakeGenerator(
-        env.corpus.ontology.get(), env.pool.get(), engine.get());
+        env.cache, env.pool.get(), engine.get());
     const std::string dir =
         FreshDir("threads" + std::to_string(threads));
     auto registry = FreshRegistry();
@@ -199,7 +199,7 @@ TEST(RunApiTest, DurableAnnotateJournalByteIdenticalAcrossThreadCounts) {
 
 TEST(RunApiTest, DurableAnnotateCrashResumesThroughFacade) {
   const auto& env = GetEnvironment();
-  ExampleGenerator generator(env.corpus.ontology.get(), env.pool.get());
+  ExampleGenerator generator(env.cache, env.pool.get());
 
   // Uninterrupted facade run: the baseline annotations.
   const std::string baseline_dir = FreshDir("crash_baseline");
@@ -294,7 +294,7 @@ TracedAnnotate RunTracedAnnotate(size_t threads,
   auto engine = config.BuildEngine();
   auto registry = FaultyRegistry(&engine->metrics());
   ExampleGenerator generator = config.MakeGenerator(
-      env.corpus.ontology.get(), env.pool.get(), engine.get());
+      env.cache, env.pool.get(), engine.get());
   std::optional<RunJournal> journal;
   RunRequest request = MakeAnnotateRun(generator, *registry);
   if (!journal_dir.empty()) {
@@ -435,7 +435,7 @@ TEST(RunApiTest, ExportsObservabilityIntoTheRequestRegistries) {
   EngineConfig config;
   auto engine = config.BuildEngine();
   ExampleGenerator generator = config.MakeGenerator(
-      env.corpus.ontology.get(), env.pool.get(), engine.get());
+      env.cache, env.pool.get(), engine.get());
   auto registry = FreshRegistry();
 
   obs::Tracer tracer(&engine->clock());

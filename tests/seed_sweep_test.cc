@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <map>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "core/metrics.h"
 #include "corpus/scale.h"
 #include "durability/evaluation_env.h"
+#include "engine/concept_cache.h"
 #include "repair/repair.h"
 
 namespace dexa {
@@ -77,7 +79,7 @@ TEST_P(SeedSweepTest, StructuralResultsHoldAcrossSeeds) {
 
   // Figure 8 matching and the repair outcome.
   ASSERT_TRUE(RetireDecayedModules(corpus).ok());
-  auto matching = MatchRetiredModules(corpus, env->provenance);
+  auto matching = MatchRetiredModules(corpus, env->provenance, env->cache);
   ASSERT_TRUE(matching.ok()) << matching.status();
   EXPECT_EQ(matching->with_equivalent, 16u);
   EXPECT_EQ(matching->with_overlapping, 23u);
@@ -114,8 +116,10 @@ TEST_P(ScaleSweepTest, ScaleCorpusAnnotatesCleanlyAcrossSeeds) {
   EngineConfig config = EngineConfig().Threads(8).Seed(GetParam())
                             .MaxAttempts(4);
   auto engine = config.BuildEngine();
-  ExampleGenerator generator = config.MakeGenerator(
-      corpus->ontology.get(), corpus->pool.get(), engine.get());
+  auto cache = std::make_shared<ConceptCache>(corpus->ontology.get(),
+                                              &engine->metrics());
+  ExampleGenerator generator =
+      config.MakeGenerator(cache, corpus->pool.get(), engine.get());
   auto report = AnnotateRegistry(generator, *corpus->registry);
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_TRUE(report->complete()) << report->run_status;

@@ -601,6 +601,36 @@ TEST(ServerTest, ServesOverUnixSocket) {
   EXPECT_EQ((*second)["executed"], "1");
 }
 
+TEST(ServerTest, ClientThatHangsUpBeforeItsResponseIsShed) {
+  ServeEnv& env = SharedEnv();
+  ServerOptions options;
+  options.unix_path = FreshDir("hangup") + "/dexa.sock";
+  options.idle_timeout_ms = 1;
+  Server server(env, options);
+  ASSERT_TRUE(server.Listen().ok());
+
+  int client = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, options.unix_path.c_str(),
+               sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(
+      ::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const std::string request = "{\"op\":\"health\"}\n";
+  ASSERT_EQ(::write(client, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  ::close(client);
+
+  // The first poll accepts, the second reads the request and answers into
+  // a closed socket: the daemon survives and sheds the connection.
+  server.PollOnce();
+  server.PollOnce();
+  auto health = ParseWire(server.HandleLine("{\"op\":\"health\"}"));
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_EQ((*health)["connections"], "0");
+}
+
 // -- Crash-resume across a daemon restart -----------------------------------
 
 TEST(ServerTest, ResumesInFlightDurableRunsAfterRestart) {

@@ -29,6 +29,7 @@
 #include "corpus/fault_injector.h"
 #include "corpus/scale.h"
 #include "durability/journal.h"
+#include "engine/concept_cache.h"
 #include "modules/registry_io.h"
 #include "obs/export.h"
 #include "obs/trace.h"
@@ -107,7 +108,8 @@ struct OneShot {
 };
 
 /// The single-process reference: one durable annotate run over the full
-/// registry, exactly what the sharded run must reproduce byte for byte.
+/// registry, exactly what the sharded run must reproduce byte for byte. Its
+/// reasoner counts into its engine, as each shard's does.
 OneShot RunOneShot(const ModuleRegistry& source, size_t threads,
                    const std::string& dir) {
   const ScaleCorpus& corpus = TestCorpus();
@@ -116,8 +118,10 @@ OneShot RunOneShot(const ModuleRegistry& source, size_t threads,
   result.registry = FreshRegistry(source);
   EngineConfig config = Config(threads);
   auto engine = config.BuildEngine();
-  ExampleGenerator generator = config.MakeGenerator(
-      corpus.ontology.get(), corpus.pool.get(), engine.get());
+  auto cache = std::make_shared<ConceptCache>(corpus.ontology.get(),
+                                              &engine->metrics());
+  ExampleGenerator generator =
+      config.MakeGenerator(cache, corpus.pool.get(), engine.get());
   auto journal = RunJournal::Create(dir, {}, &engine->metrics());
   EXPECT_TRUE(journal.ok()) << journal.status();
   auto run = SubmitRun(MakeDurableAnnotateRun(generator, *result.registry,
@@ -211,6 +215,12 @@ TEST(ShardManifestTest, InitPinsAndValidates) {
                              Config(1).MaxCombinations(7), options)
                   .status()
                   .IsInvalidArgument());
+  // And so is another knowledge base: the pin covers the KB seal.
+  ShardOptions other_kb = options;
+  other_kb.kb_checksum = 7;
+  EXPECT_TRUE(InitShardedRun(*corpus.registry, Config(1), other_kb)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(ShardMergeTest, RejectsMissingAndIncompleteShards) {
@@ -271,6 +281,15 @@ TEST_P(ShardEqualityTest, MergedRunIsByteIdenticalToOneShot) {
             reference.report.transient_exhausted);
   EXPECT_EQ(sharded->merged.decayed_ids, reference.report.decayed_ids);
   EXPECT_EQ(sharded->merged_records, corpus.module_ids.size() + 1);
+
+  // Every shard's reasoner counts into its own engine, so the shards'
+  // lookups add up to the one-shot run's.
+  uint64_t shard_queries = 0;
+  for (const ShardRunReport& shard : sharded->shards) {
+    shard_queries += shard.report.metrics.cache_queries;
+  }
+  EXPECT_GT(reference.report.metrics.cache_queries, 0u);
+  EXPECT_EQ(shard_queries, reference.report.metrics.cache_queries);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -496,8 +515,10 @@ std::string ReplayTrace(const std::string& dir) {
   auto registry = FreshRegistry(*corpus.registry);
   EngineConfig config = Config(1);
   auto engine = config.BuildEngine();
-  ExampleGenerator generator = config.MakeGenerator(
-      corpus.ontology.get(), corpus.pool.get(), engine.get());
+  auto cache = std::make_shared<ConceptCache>(corpus.ontology.get(),
+                                              &engine->metrics());
+  ExampleGenerator generator =
+      config.MakeGenerator(cache, corpus.pool.get(), engine.get());
   auto recovery = RecoverJournal(dir, &engine->metrics());
   EXPECT_TRUE(recovery.ok()) << recovery.status();
   auto journal = RunJournal::Resume(dir, *recovery, {}, &engine->metrics());

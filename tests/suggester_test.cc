@@ -13,7 +13,7 @@ using testing_env::GetEnvironment;
 class SuggesterTest : public ::testing::Test {
  protected:
   SuggesterTest()
-      : env_(GetEnvironment()), suggester_(env_.corpus.ontology.get()) {}
+      : env_(GetEnvironment()), suggester_(env_.cache) {}
 
   std::string TopSuggestion(const std::string& name,
                             const Value& sample = Value::Null()) {

@@ -20,7 +20,6 @@
 // Every run routes through the RunRequest facade (core/run_api.h): the
 // annotate/resume/serve commands all build a RunRequest and call SubmitRun.
 
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <limits>
@@ -30,6 +29,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/io_env.h"
 #include "common/strings.h"
 #include "common/table.h"
 #include "core/composition.h"
@@ -128,10 +128,14 @@ Status BuildEnv(CliContext& ctx, bool retire, bool annotate) {
   return Status::OK();
 }
 
+/// Writes `content` to `path` in place (never via a temp-file rename, so
+/// device paths work), failing with the IoEnv seam's typed status.
 int WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) return Fail(Status::InvalidArgument("cannot open " + path));
-  out << content;
+  auto file = IoEnv::Real().NewWritableFile(path);
+  if (!file.ok()) return Fail(file.status());
+  Status written = (*file)->Append(content);
+  if (written.ok()) written = (*file)->Close();
+  if (!written.ok()) return Fail(written);
   std::cout << "wrote " << content.size() << " bytes to " << path << "\n";
   return 0;
 }
@@ -516,7 +520,7 @@ int CmdStudy(CliContext& ctx, const std::vector<std::string>&) {
 
 int CmdRepair(CliContext& ctx, const std::vector<std::string>&) {
   EvaluationEnv& env = *ctx.env;
-  auto matching = MatchRetiredModules(env.corpus, env.provenance);
+  auto matching = MatchRetiredModules(env.corpus, env.provenance, env.cache);
   if (!matching.ok()) return Fail(matching.status());
   std::cout << "retired modules: " << matching->retired_total
             << "; equivalent: " << matching->with_equivalent

@@ -210,11 +210,16 @@ Result<DataExampleSet> ExampleGenerator::ReplayInputs(
   return out;
 }
 
-Status ApplyCommit(ModuleCommit commit, ModuleRegistry& registry,
-                   AnnotateReport& report) {
+Status ApplyCommit(ModuleCommit commit, ModuleIndex index,
+                   ModuleRegistry& registry, AnnotateReport& report) {
+  if (index >= registry.size() ||
+      registry.At(index)->spec().id != commit.module_id) {
+    return Status::Internal("commit of module '" + commit.module_id +
+                            "' applied at registry index " +
+                            std::to_string(index) + ", which holds another");
+  }
   const size_t examples = commit.examples.size();
-  DEXA_RETURN_IF_ERROR(
-      registry.SetDataExamples(commit.module_id, std::move(commit.examples)));
+  registry.SetDataExamplesAt(index, std::move(commit.examples));
   report.transient_exhausted += commit.transient_exhausted;
   report.examples += examples;
   if (commit.decayed) {
@@ -230,7 +235,7 @@ Result<AnnotateReport> AnnotateRegistry(const ExampleGenerator& generator,
                                         ModuleRegistry& registry,
                                         obs::Tracer* tracer,
                                         const AnnotateHooks& hooks) {
-  const std::vector<ModulePtr> modules = registry.AvailableModules();
+  const std::vector<ModuleIndex> modules = registry.AvailableIndices();
   EngineMetrics& metrics = generator.engine().metrics();
   const bool durable = static_cast<bool>(hooks.on_commit);
 
@@ -251,7 +256,8 @@ Result<AnnotateReport> AnnotateRegistry(const ExampleGenerator& generator,
     // marked `replayed` and carry only the counters a commit preserves —
     // no live invocation deltas, because no invocation happened.
     obs::ScopedSpan replay(tracer, obs::SpanKind::kPhase, "replay", run.id());
-    for (const ModuleCommit& commit : *hooks.replayed) {
+    for (size_t k = 0; k < hooks.replayed->size(); ++k) {
+      const ModuleCommit& commit = (*hooks.replayed)[k];
       obs::ScopedSpan module_span(tracer, obs::SpanKind::kBatch,
                                   commit.module_id, replay.id());
       module_span.MarkReplayed();
@@ -266,7 +272,7 @@ Result<AnnotateReport> AnnotateRegistry(const ExampleGenerator& generator,
                               commit.transient_exhausted);
       }
       module_span.Counters(std::move(counters));
-      DEXA_RETURN_IF_ERROR(ApplyCommit(commit, registry, report));
+      DEXA_RETURN_IF_ERROR(ApplyCommit(commit, modules[k], registry, report));
       ++report.replayed;
       metrics.Add(EngineCounter::modules_replayed);
     }
@@ -282,7 +288,8 @@ Result<AnnotateReport> AnnotateRegistry(const ExampleGenerator& generator,
                              run.id());
     const EngineMetricsSnapshot before = metrics.Snapshot();
     generator.engine().ForEach(modules.size() - start, [&](size_t k) {
-      outcomes[start + k] = generator.Generate(*modules[start + k]);
+      outcomes[start + k] =
+          generator.Generate(*registry.At(modules[start + k]));
     });
     generate.CounterDeltas(before, metrics.Snapshot());
   }
@@ -303,7 +310,7 @@ Result<AnnotateReport> AnnotateRegistry(const ExampleGenerator& generator,
     // annotation still supports matching and repair (Sections 5-6), and the
     // module is reported as a repair candidate instead of aborting the run.
     ModuleCommit commit;
-    commit.module_id = modules[i]->spec().id;
+    commit.module_id = registry.At(modules[i])->spec().id;
     commit.decayed = outcome->stats.decayed;
     commit.transient_exhausted = outcome->stats.transient_exhausted;
     commit.examples = std::move(outcome->examples);
@@ -320,7 +327,8 @@ Result<AnnotateReport> AnnotateRegistry(const ExampleGenerator& generator,
     obs::ScopedSpan module_span(tracer, obs::SpanKind::kBatch,
                                 commit.module_id, commit_phase.id());
     AnnotateBatchSpan(module_span, outcome->stats);
-    Status applied = ApplyCommit(std::move(commit), registry, report);
+    Status applied =
+        ApplyCommit(std::move(commit), modules[i], registry, report);
     if (!applied.ok()) {
       report.run_status = std::move(applied);
       break;

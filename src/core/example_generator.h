@@ -164,10 +164,12 @@ struct AnnotateReport {
   bool complete() const { return run_status.ok(); }
 };
 
-/// Makes `commit` take effect: stores its examples into `registry` and
-/// counts the module into `report`. Live, replayed and shard-merged commits
-/// all go through here.
-[[nodiscard]] Status ApplyCommit(ModuleCommit commit, ModuleRegistry& registry,
+/// Makes `commit` take effect: stores its examples into the module at
+/// `index` of `registry` and counts the module into `report`. Live,
+/// replayed and shard-merged commits all go through here, each with the
+/// index of the module it names; Internal if `index` holds another module.
+[[nodiscard]] Status ApplyCommit(ModuleCommit commit, ModuleIndex index,
+                                 ModuleRegistry& registry,
                                  AnnotateReport& report);
 
 /// What a write-ahead commit callback decided for one module.
@@ -185,8 +187,8 @@ struct CommitVerdict {
 /// it and serves a recovered prefix from it, while the loop itself stays
 /// storage-agnostic. A run is durable exactly when `on_commit` is set.
 struct AnnotateHooks {
-  /// Modules committed by a previous run, in registration order: they must
-  /// be the first `replayed->size()` available modules. Each takes effect
+  /// Modules committed by a previous run, in registration order: commit k
+  /// must name available module k (AvailableIndices()[k]). Each takes effect
   /// (registry and report) under a "replay" phase without invoking the
   /// module; generation starts after the prefix. Null opens no replay
   /// phase; durable runs always pass one, empty when they start fresh.

@@ -74,9 +74,10 @@ struct RunRequest {
 
   // -- Observability (all kinds) -----------------------------------------
   /// Where the run's span tree and metrics go. When `obs.metrics` is set,
-  /// SubmitRun imports the engine snapshot (and the trace, when `obs.tracer`
-  /// is also set) into it after the run finishes. Durable runs add a
-  /// "replay" phase whose spans are marked replayed.
+  /// SubmitRun imports what the engine counted from the call's start to its
+  /// end (and the trace, when `obs.tracer` is also set) into it after the
+  /// run finishes; other work on a shared engine in that window counts too.
+  /// Durable runs add a "replay" phase whose spans are marked replayed.
   obs::RunObservability obs;
 };
 

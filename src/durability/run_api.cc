@@ -47,11 +47,13 @@ Status ValidateRequest(const RunRequest& request) {
 }
 
 /// Exports the finished run into `obs.metrics` when the caller attached a
-/// registry: the engine snapshot, and the trace when one was recorded.
+/// registry: what the engine counted since `start` (the run's share, not
+/// the engine's lifetime totals), and the trace when one was recorded.
 void ExportObservability(const obs::RunObservability& obs,
-                         const EngineMetricsSnapshot& snapshot) {
+                         const EngineMetricsSnapshot& start,
+                         const EngineMetricsSnapshot& end) {
   if (obs.metrics == nullptr) return;
-  obs.metrics->ImportEngineSnapshot(snapshot);
+  obs.metrics->ImportEngineSnapshot(CountedSince(start, end));
   if (obs.tracer != nullptr) obs.metrics->ImportTrace(*obs.tracer);
 }
 
@@ -344,6 +346,10 @@ Result<RunResult> SubmitRun(const RunRequest& request) {
 
   RunResult result;
   result.kind = request.kind;
+  const EngineMetrics& engine_metrics =
+      request.kind == RunKind::kAnnotate ? request.generator->engine().metrics()
+                                         : request.engine->metrics();
+  const EngineMetricsSnapshot start = engine_metrics.Snapshot();
 
   switch (request.kind) {
     case RunKind::kAnnotate: {
@@ -354,7 +360,7 @@ Result<RunResult> SubmitRun(const RunRequest& request) {
       if (!report.ok()) return report.status();
       result.annotate = std::move(report).value();
       result.run_status = result.annotate.run_status;
-      ExportObservability(request.obs, result.annotate.metrics);
+      ExportObservability(request.obs, start, result.annotate.metrics);
       return result;
     }
     case RunKind::kEnact: {
@@ -366,7 +372,7 @@ Result<RunResult> SubmitRun(const RunRequest& request) {
                           request.inputs, *request.engine, hooks);
       if (!enacted.ok()) return enacted.status();
       result.enact = std::move(enacted).value();
-      ExportObservability(request.obs, request.engine->metrics().Snapshot());
+      ExportObservability(request.obs, start, engine_metrics.Snapshot());
       return result;
     }
   }

@@ -19,6 +19,10 @@ uint64_t InvocationKey(const Module& module,
   return key;
 }
 
+/// The engine whose batch the current thread is draining, or null outside
+/// any task. ForEach reads it to tell a nested batch from a top-level one.
+thread_local const InvocationEngine* running_engine = nullptr;
+
 }  // namespace
 
 uint64_t RetryBackoffNanos(const RetryPolicy& policy, uint64_t seed,
@@ -65,10 +69,14 @@ InvocationEngine::~InvocationEngine() {
   // jthread joins on destruction.
 }
 
-void InvocationEngine::DrainBatch(Batch& batch) {
+void InvocationEngine::DrainBatch(Batch& batch) const {
+  // Restored on return, so a task draining another engine's batch inside
+  // one of ours (a shard engine under the orchestrator) nests correctly.
+  const InvocationEngine* const outer = running_engine;
+  running_engine = this;
   for (;;) {
     const size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= batch.n) return;
+    if (i >= batch.n) break;
     batch.fn(i);
     if (batch.done.fetch_add(1, std::memory_order_acq_rel) + 1 == batch.n) {
       // Last index: wake the submitter. Taking the mutex orders the notify
@@ -78,6 +86,7 @@ void InvocationEngine::DrainBatch(Batch& batch) {
       batch.completed.notify_all();
     }
   }
+  running_engine = outer;
 }
 
 void InvocationEngine::WorkerLoop(const std::stop_token& stop) {
@@ -85,8 +94,14 @@ void InvocationEngine::WorkerLoop(const std::stop_token& stop) {
     std::shared_ptr<Batch> batch;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
-      if (!queue_cv_.wait(lock, stop, [&] { return !queue_.empty(); })) {
-        return;  // Stop requested.
+      if (queue_.empty()) {
+        // Idle only while blocked on an empty queue: a worker passing
+        // through to pop an exhausted entry is not free to take a batch.
+        idle_workers_.fetch_add(1, std::memory_order_relaxed);
+        const bool woken =
+            queue_cv_.wait(lock, stop, [&] { return !queue_.empty(); });
+        idle_workers_.fetch_sub(1, std::memory_order_relaxed);
+        if (!woken) return;  // Stop requested.
       }
       batch = queue_.front();
       if (batch->next.load(std::memory_order_relaxed) >= batch->n) {
@@ -104,7 +119,10 @@ void InvocationEngine::ForEach(size_t n,
                                const std::function<void(size_t)>& fn) {
   if (n == 0) return;
   metrics_.Add(EngineCounter::batches);
-  if (threads_ <= 1 || n == 1) {
+  // Inline when there is no pool, nothing to share, or (nested in one of
+  // our tasks) no idle worker to share it with.
+  if (threads_ <= 1 || n == 1 ||
+      (running_engine == this && idle_workers() == 0)) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -289,11 +307,12 @@ std::vector<Result<std::vector<Value>>> InvocationEngine::InvokeBatch(
     return results;
   }
 
+  const uint64_t module_key = StableHash64(module_id);
   ForEach(input_vectors.size(), [&](size_t i) {
     // Jitter keyed on the batch index: stable in enumeration order, so the
     // retry schedule of combination i is the same at any thread count.
     results[i] = InvokeWithRetries(module, input_vectors[i],
-                                   HashCombine(StableHash64(module_id), i));
+                                   HashCombine(module_key, i));
   });
 
   // Fold the outcomes into the breaker in input order — deterministic

@@ -1,6 +1,7 @@
 #ifndef DEXA_ENGINE_INVOCATION_ENGINE_H_
 #define DEXA_ENGINE_INVOCATION_ENGINE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -120,7 +121,9 @@ struct EngineOptions {
 ///  * Re-entrancy — a task running on a worker may itself call ForEach /
 ///    InvokeBatch; the inner caller participates in executing its own batch
 ///    (it does not merely wait), so nested batches cannot deadlock the pool
-///    even when every worker is busy.
+///    even when every worker is busy. When no worker is idle, a nested
+///    batch of the same engine runs inline on its caller instead of being
+///    queued for nobody (see ForEach).
 ///  * Module thread-safety — Module::Invoke is const and dexa modules are
 ///    pure functions over immutable state (closures over a const
 ///    KnowledgeBase); an engine with threads > 1 requires that purity of
@@ -188,7 +191,18 @@ class InvocationEngine {
   /// Runs `fn(0) .. fn(n-1)` across the pool; the calling thread
   /// participates. Blocks until every index completed. `fn` must be safe to
   /// call concurrently from multiple threads for distinct indices.
+  ///
+  /// Called from inside a task of this engine while no worker is idle (the
+  /// pool is saturated by the outer batch), it runs `fn(0) .. fn(n-1)`
+  /// inline on the caller: queueing the batch would only cost a lock, a
+  /// wakeup and a reap with nobody to take it. Either way the call counts
+  /// as one batch.
   void ForEach(size_t n, const std::function<void(size_t)>& fn);
+
+  /// Workers currently blocked on an empty queue, waiting for a batch.
+  size_t idle_workers() const {
+    return idle_workers_.load(std::memory_order_relaxed);
+  }
 
   /// A process-wide serial engine (threads = 1): the default every
   /// refactored constructor falls back to, so call sites migrate to the
@@ -219,9 +233,10 @@ class InvocationEngine {
     uint64_t trips = 0;
   };
 
-  /// Claims and runs indices of `batch` until none are left. Returns after
-  /// the last index it completed (not necessarily the batch's last).
-  static void DrainBatch(Batch& batch);
+  /// Claims and runs indices of `batch` until none are left, marking the
+  /// thread as running this engine's tasks meanwhile. Returns after the
+  /// last index it completed (not necessarily the batch's last).
+  void DrainBatch(Batch& batch) const;
 
   void WorkerLoop(const std::stop_token& stop);
 
@@ -260,6 +275,8 @@ class InvocationEngine {
   std::mutex queue_mutex_;
   std::condition_variable_any queue_cv_;
   std::deque<std::shared_ptr<Batch>> queue_ DEXA_GUARDED_BY(queue_mutex_);
+  // dexa-lint: allow(guarded-field) — atomic, read only as a hint.
+  std::atomic<size_t> idle_workers_{0};
   // dexa-lint: allow(guarded-field) — written once in the ctor, joined in the dtor.
   std::vector<std::jthread> workers_;
 };

@@ -87,11 +87,21 @@ inline constexpr EngineCounterInfo kEngineCounters[] = {
 };
 inline constexpr size_t kNumEngineCounters = std::size(kEngineCounters);
 
+/// What `after` counted since `before`, counter by counter and phase by
+/// phase; `before` must be an earlier snapshot of the same metrics.
+EngineMetricsSnapshot CountedSince(const EngineMetricsSnapshot& before,
+                                   const EngineMetricsSnapshot& after);
+
 /// Thread-safe run counters for the invocation engine: plain atomics bumped
 /// from worker threads, snapshotted into EngineMetricsSnapshot for
 /// reporting. Per-module GenerationStats is a projection of these counters
 /// over one Generate() call, so bench output stays unchanged while the
 /// engine-wide totals become observable.
+///
+/// Every counter and phase slot sits on its own cache line: concurrent
+/// generate tasks bump different counters (cache lookups, invocations,
+/// batches) at once, and slots sharing a line would bounce it between
+/// cores on every bump.
 class EngineMetrics {
  public:
   EngineMetrics() = default;
@@ -100,19 +110,24 @@ class EngineMetrics {
   EngineMetrics& operator=(const EngineMetrics&) = delete;
 
   void Add(EngineCounter counter, uint64_t n = 1) {
-    counters_[static_cast<size_t>(counter)].fetch_add(
+    counters_[static_cast<size_t>(counter)].value.fetch_add(
         n, std::memory_order_relaxed);
   }
   void AddPhaseNanos(EnginePhase phase, uint64_t nanos) {
-    phase_nanos_[static_cast<size_t>(phase)].fetch_add(
+    phase_nanos_[static_cast<size_t>(phase)].value.fetch_add(
         nanos, std::memory_order_relaxed);
   }
 
   EngineMetricsSnapshot Snapshot() const;
 
  private:
-  std::atomic<uint64_t> counters_[kNumEngineCounters] = {};
-  std::atomic<uint64_t> phase_nanos_[kNumEnginePhases] = {};
+  /// One atomic alone on a 64-byte cache line.
+  struct alignas(64) Slot {
+    std::atomic<uint64_t> value{0};
+  };
+
+  Slot counters_[kNumEngineCounters];
+  Slot phase_nanos_[kNumEnginePhases];
 };
 
 /// RAII wall-clock accumulator: adds the scope's duration to the metrics'

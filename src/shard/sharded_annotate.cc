@@ -289,15 +289,15 @@ Result<MergeReport> MergeShards(ModuleRegistry& registry,
   DEXA_RETURN_IF_ERROR(merged->Append(EncodeAnnotateRunHeader(header)));
 
   std::vector<size_t> cursor(manifest->shards, 0);
-  for (const ModulePtr& module : registry.AvailableModules()) {
-    const std::string& id = module->spec().id;
-    const uint32_t k =
-        ShardOfModule(id, manifest->shards, manifest->partition_salt);
+  for (const ModuleIndex index : registry.AvailableIndices()) {
+    const uint32_t k = ShardOfModule(registry.At(index)->spec().id,
+                                     manifest->shards,
+                                     manifest->partition_salt);
     // records[k][0] is the shard header; commits[k][i] decodes
     // records[k][i + 1] (ids already verified against the partition above).
     DEXA_RETURN_IF_ERROR(merged->Append(records[k][cursor[k] + 1]));
     DEXA_RETURN_IF_ERROR(ApplyCommit(std::move(commits[k][cursor[k]++]),
-                                     registry, out.merged));
+                                     index, registry, out.merged));
   }
   // Flush the batched tail segment through to disk. Sealing writes no
   // bytes, so the merged journal still compares byte-identical to a

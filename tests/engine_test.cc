@@ -3,8 +3,11 @@
 // concept cache's agreement with the ontology's own DFS.
 
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -40,6 +43,70 @@ TEST(InvocationEngineTest, NestedForEachDoesNotDeadlock) {
     });
   });
   EXPECT_EQ(total.load(), 64u);
+}
+
+/// Spins until `engine` reports a worker waiting for a batch.
+void WaitForIdleWorker(const InvocationEngine& engine) {
+  while (engine.idle_workers() == 0) std::this_thread::yield();
+}
+
+TEST(InvocationEngineTest, NestedForEachRunsInlineOnASaturatedPool) {
+  InvocationEngine engine(EngineOptions{.threads = 4});
+  const std::thread::id main_thread = std::this_thread::get_id();
+  const uint64_t batches_before = engine.metrics().Snapshot().batches;
+  std::latch claimed(4);
+  std::latch issued(4);
+  std::atomic<bool> leaver_taken{false};
+  std::atomic<size_t> foreign{0};
+  engine.ForEach(4, [&](size_t) {
+    // All four claimants (three workers and the caller) hold an outer
+    // index, so no worker is idle when the inner batches are issued.
+    claimed.arrive_and_wait();
+    const std::thread::id caller = std::this_thread::get_id();
+    // One worker finishes and goes idle while the other inner batches
+    // still have indices left, which a queued batch would hand it.
+    const bool leaver = caller != main_thread && !leaver_taken.exchange(true);
+    engine.ForEach(16, [&](size_t i) {
+      if (std::this_thread::get_id() != caller) {
+        foreign.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+      if (i == 0) issued.arrive_and_wait();
+      if (i == 1 && !leaver) WaitForIdleWorker(engine);
+    });
+  });
+  EXPECT_EQ(foreign.load(), 0u);
+  EXPECT_EQ(engine.metrics().Snapshot().batches - batches_before, 1u + 4u);
+}
+
+TEST(InvocationEngineTest, NestedForEachReachesAnIdleWorker) {
+  InvocationEngine engine(EngineOptions{.threads = 3});
+  std::latch claimed(3);
+  std::atomic<size_t> foreign{0};
+  engine.ForEach(3, [&](size_t outer) {
+    // Every claimant has taken its outer index, so the two that return
+    // at once include a worker with nothing left to take: it blocks idle
+    // until the inner batch below arrives. Wait until the engine reports it.
+    claimed.arrive_and_wait();
+    if (outer != 0) return;
+    WaitForIdleWorker(engine);
+    const std::thread::id caller = std::this_thread::get_id();
+    engine.ForEach(2, [&](size_t) {
+      if (std::this_thread::get_id() != caller) {
+        foreign.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+      // Hold the caller's index until another thread has taken one, with
+      // a bound so an inline run fails the test instead of hanging it.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (foreign.load() == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    });
+  });
+  EXPECT_GT(foreign.load(), 0u);
 }
 
 TEST(InvocationEngineTest, RngStreamsAreStablePerTask) {

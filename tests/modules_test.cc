@@ -1,3 +1,6 @@
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "corpus/synthetic_module.h"
@@ -153,6 +156,58 @@ TEST(RegistryTest, DataExampleStorage) {
   EXPECT_TRUE(registry.HasDataExamples("m1"));
   EXPECT_EQ(registry.DataExamplesOf("m1").size(), 1u);
   EXPECT_TRUE(registry.SetDataExamples("nope", {}).IsNotFound());
+}
+
+TEST(RegistryTest, IndexesFollowRegistrationOrder) {
+  Ontology onto = BuildMyGridOntology();
+  ModuleRegistry registry;
+  std::vector<ModulePtr> modules;
+  for (int k = 0; k < 6; ++k) {
+    modules.push_back(MakeEchoModule(onto, "m" + std::to_string(k),
+                                     "Echo" + std::to_string(k)));
+    ASSERT_TRUE(registry.Register(modules.back()).ok());
+  }
+
+  // IndexOf is the registration position, and At the module there.
+  for (ModuleIndex k = 0; k < modules.size(); ++k) {
+    auto index = registry.IndexOf(modules[k]->spec().id);
+    ASSERT_TRUE(index.ok()) << index.status();
+    EXPECT_EQ(*index, k);
+    EXPECT_EQ(registry.At(k), modules[k]);
+  }
+  EXPECT_TRUE(registry.IndexOf("nope").status().IsNotFound());
+
+  // The index and string setters and getters reach the same slot.
+  DataExample example;
+  example.inputs = {Value::Str("x")};
+  example.outputs = {Value::Str("x")};
+  registry.SetDataExamplesAt(2, {example});
+  EXPECT_EQ(registry.DataExamplesOf("m2"), DataExampleSet{example});
+  EXPECT_TRUE(registry.HasDataExamples("m2"));
+  ASSERT_TRUE(registry.SetDataExamples("m4", {example, example}).ok());
+  EXPECT_EQ(registry.DataExamplesAt(4).size(), 2u);
+  EXPECT_TRUE(registry.DataExamplesAt(3).empty());
+  EXPECT_FALSE(registry.HasDataExamples("m3"));
+
+  // Retired modules drop out of both availability views, in order.
+  modules[1]->Retire();
+  modules[4]->Retire();
+  EXPECT_EQ(registry.AvailableIndices(),
+            (std::vector<ModuleIndex>{0, 2, 3, 5}));
+  std::vector<std::string> available;
+  for (const ModulePtr& module : registry.AvailableModules()) {
+    available.push_back(module->spec().id);
+  }
+  EXPECT_EQ(available, (std::vector<std::string>{"m0", "m2", "m3", "m5"}));
+
+  // Duplicate ids and names are refused and take no slot.
+  EXPECT_TRUE(registry.Register(MakeEchoModule(onto, "m3", "Other"))
+                  .IsAlreadyExists());
+  EXPECT_TRUE(registry.Register(MakeEchoModule(onto, "m9", "Echo3"))
+                  .IsAlreadyExists());
+  ASSERT_TRUE(registry.Register(MakeEchoModule(onto, "m6", "Echo6")).ok());
+  EXPECT_EQ(registry.size(), 7u);
+  EXPECT_EQ(*registry.IndexOf("m6"), 6u);
 }
 
 }  // namespace

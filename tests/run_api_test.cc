@@ -2,8 +2,9 @@
 // entry point: request validation, runs byte-identical to the direct
 // in-memory calls and across thread counts (annotations, journal bytes,
 // enactment outputs), in-memory and durable annotate committing the same
-// modules, crash-resume through the facade, and the kind names serve
-// prints.
+// modules, crash-resume through the facade (also with retired modules
+// interleaved in the registry), exported counters scoped to their run,
+// and the kind names serve prints.
 
 #include <filesystem>
 #include <memory>
@@ -18,7 +19,9 @@
 #include "core/engine_config.h"
 #include "core/run_api.h"
 #include "corpus/fault_injector.h"
+#include "corpus/scale.h"
 #include "durability/journal.h"
+#include "engine/concept_cache.h"
 #include "modules/registry_io.h"
 #include "obs/export.h"
 #include "obs/metrics_registry.h"
@@ -451,6 +454,161 @@ TEST(RunApiTest, ExportsObservabilityIntoTheRequestRegistries) {
   EXPECT_FALSE(tracer.spans().empty());
   obs::MetricsRegistry empty;
   EXPECT_NE(obs::WriteMetricsJson(metrics), obs::WriteMetricsJson(empty));
+}
+
+TEST(RunApiTest, ExportedCountersCoverOnlyTheRun) {
+  // Two identical runs on one engine export identical counters: each
+  // export holds what its own run counted, not the engine's totals.
+  const auto& env = GetEnvironment();
+  EngineConfig config;
+  auto engine = config.BuildEngine();
+  auto cache = std::make_shared<ConceptCache>(env.corpus.ontology.get(),
+                                              &engine->metrics());
+  ExampleGenerator generator =
+      config.MakeGenerator(cache, env.pool.get(), engine.get());
+  auto exported = [&]() {
+    auto registry = FreshRegistry();
+    obs::MetricsRegistry metrics;
+    RunRequest request = MakeAnnotateRun(generator, *registry);
+    request.obs.metrics = &metrics;
+    auto result = SubmitRun(request);
+    EXPECT_TRUE(result.ok()) << result.status();
+    EXPECT_TRUE(result->complete()) << result->run_status;
+    auto parsed = obs::ReadMetricsJson(obs::WriteMetricsJson(metrics));
+    EXPECT_TRUE(parsed.ok()) << parsed.status();
+    return std::move(parsed).value();
+  };
+  const obs::ParsedMetrics first = exported();
+  const obs::ParsedMetrics second = exported();
+
+  const uint64_t invocations = first.stable_counters.at("engine.invocations");
+  const uint64_t queries = first.volatile_counters.at("engine.cache_queries");
+  EXPECT_GT(invocations, 0u);
+  EXPECT_GT(queries, 0u);
+  EXPECT_EQ(second.stable_counters.at("engine.invocations"), invocations);
+  EXPECT_EQ(second.volatile_counters.at("engine.cache_queries"), queries);
+}
+
+/// A 27-module scale corpus with every fifth module retired, so from the
+/// first retired module on, available index k is not registry position k.
+ScaleCorpus InterleavedRetiredCorpus() {
+  auto built = BuildScaleCorpus({/*seed=*/11, /*modules=*/27});
+  EXPECT_TRUE(built.ok()) << built.status();
+  for (size_t k = 4; k < built->module_ids.size(); k += 5) {
+    (*built->registry->Find(built->module_ids[k]))->Retire();
+  }
+  return std::move(built).value();
+}
+
+/// A fresh, unannotated registry of every module of `corpus`.
+std::unique_ptr<ModuleRegistry> FreshScaleRegistry(const ScaleCorpus& corpus) {
+  auto registry = std::make_unique<ModuleRegistry>();
+  for (const ModulePtr& module : corpus.registry->AllModules()) {
+    Status registered = registry->Register(module);
+    EXPECT_TRUE(registered.ok()) << registered;
+  }
+  return registry;
+}
+
+/// A generator over `corpus` on `engine`, reasoning into its metrics.
+ExampleGenerator ScaleGenerator(const ScaleCorpus& corpus,
+                                const EngineConfig& config,
+                                InvocationEngine& engine) {
+  return config.MakeGenerator(
+      std::make_shared<ConceptCache>(corpus.ontology.get(), &engine.metrics()),
+      corpus.pool.get(), &engine);
+}
+
+void ExpectRetiredUnannotated(const ModuleRegistry& registry) {
+  const std::vector<ModulePtr> retired = registry.RetiredModules();
+  EXPECT_EQ(retired.size(), 5u);
+  for (const ModulePtr& module : retired) {
+    EXPECT_TRUE(registry.DataExamplesOf(module->spec().id).empty())
+        << module->spec().id;
+  }
+}
+
+TEST(RunApiTest, InterleavedRetiredModulesAnnotateIdenticallyAtT1AndT8) {
+  const ScaleCorpus corpus = InterleavedRetiredCorpus();
+  std::string annotations_t1, annotations_t8;
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EngineConfig config = EngineConfig().Threads(threads);
+    auto engine = config.BuildEngine();
+    ExampleGenerator generator = ScaleGenerator(corpus, config, *engine);
+    auto registry = FreshScaleRegistry(corpus);
+    auto result = SubmitRun(MakeAnnotateRun(generator, *registry));
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_TRUE(result->complete()) << result->run_status;
+    EXPECT_EQ(result->annotate.annotated + result->annotate.decayed, 22u);
+    ExpectRetiredUnannotated(*registry);
+    (threads == 1 ? annotations_t1 : annotations_t8) =
+        SaveAnnotations(*registry, *corpus.ontology);
+  }
+  EXPECT_EQ(annotations_t1, annotations_t8);
+  EXPECT_FALSE(annotations_t1.empty());
+}
+
+TEST(RunApiTest, InterleavedRetiredModulesResumeToTheFreshRun) {
+  const ScaleCorpus corpus = InterleavedRetiredCorpus();
+  EngineConfig config = EngineConfig().Threads(4);
+  auto engine = config.BuildEngine();
+  ExampleGenerator generator = ScaleGenerator(corpus, config, *engine);
+
+  const std::string fresh_dir = FreshDir("retired-fresh");
+  auto fresh = FreshScaleRegistry(corpus);
+  {
+    auto journal = RunJournal::Create(fresh_dir);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    auto result = SubmitRun(MakeDurableAnnotateRun(
+        generator, *fresh, *corpus.ontology, *journal));
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_TRUE(result->complete()) << result->run_status;
+  }
+
+  // Crash right after the 10th commit, whose module sits at registry
+  // position 11: positions 4 and 9 before it are retired.
+  const std::vector<ModuleIndex> available = fresh->AvailableIndices();
+  ASSERT_EQ(available[9], 11u);
+  const std::string dir = FreshDir("retired-crash");
+  {
+    auto registry = FreshScaleRegistry(corpus);
+    auto journal = RunJournal::Create(dir);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    CrashPlan crash;
+    crash.point = CrashPoint::kCrashAfterCommit;
+    crash.key = registry->At(available[9])->spec().id;
+    RunRequest request = MakeDurableAnnotateRun(
+        generator, *registry, *corpus.ontology, *journal);
+    request.crash = &crash;
+    auto crashed = SubmitRun(request);
+    ASSERT_TRUE(crashed.ok()) << crashed.status();
+    EXPECT_TRUE(crashed->run_status.IsCancelled()) << crashed->run_status;
+    EXPECT_EQ(crashed->annotate.annotated + crashed->annotate.decayed, 10u);
+  }
+
+  auto resumed = FreshScaleRegistry(corpus);
+  auto recovery = RecoverJournal(dir);
+  ASSERT_TRUE(recovery.ok()) << recovery.status();
+  auto journal = RunJournal::Resume(dir, *recovery);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  RunRequest request =
+      MakeDurableAnnotateRun(generator, *resumed, *corpus.ontology, *journal);
+  request.resume = &*recovery;
+  auto result = SubmitRun(request);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_TRUE(result->complete()) << result->run_status;
+  EXPECT_EQ(result->annotate.replayed, 10u);
+
+  EXPECT_EQ(SaveAnnotations(*resumed, *corpus.ontology),
+            SaveAnnotations(*fresh, *corpus.ontology));
+  ExpectRetiredUnannotated(*resumed);
+  auto resumed_frames = RecoverJournal(dir);
+  auto fresh_frames = RecoverJournal(fresh_dir);
+  ASSERT_TRUE(resumed_frames.ok()) << resumed_frames.status();
+  ASSERT_TRUE(fresh_frames.ok()) << fresh_frames.status();
+  EXPECT_EQ(resumed_frames->records, fresh_frames->records);
+  EXPECT_EQ(fresh_frames->records.size(), 1u + 22u);
 }
 
 }  // namespace

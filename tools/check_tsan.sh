@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
 # Builds the engine-facing tests under ThreadSanitizer and runs them.
 # The invocation engine is the only place dexa shares mutable state across
-# threads (work queue, metrics, virtual clock, breaker map, commit hook),
-# so engine_test and fault_test (retries, breakers and fault injection
-# under the pooled engine) plus generator_test (which drives the engine
-# through AnnotateRegistry) cover the racy surface. durability_test
-# exercises the journaled commit path under the 8-thread engine, io_test
-# the corruption-hardened readers it recovers through, and obs_test the
-# Tracer (mutex-guarded span log) riding along pooled annotate runs.
+# threads (work queue, idle-worker count, metrics, virtual clock, breaker
+# map, commit hook), so engine_test and fault_test (retries, breakers and
+# fault injection under the pooled engine) plus generator_test (which
+# drives the engine through AnnotateRegistry) cover the racy surface.
+# durability_test exercises the journaled commit path under the 8-thread
+# engine, io_test the corruption-hardened readers it recovers through, and
+# obs_test the Tracer (mutex-guarded span log) riding along pooled annotate
+# runs.
 #
 # This is the ThreadSanitizer leg of the three-sanitizer gate; the
 # one-command entry point is tools/check_static.sh, which runs dexa-lint
-# plus the tier-1 suite under ASan and UBSan. This script stays as-is for
-# compatibility with existing CI wiring.
+# plus the tier-1 suite under ASan and UBSan. CI runs this script as its
+# own `tsan` job.
 #
 # Usage: tools/check_tsan.sh [build-dir]   (default: build-tsan)
 

@@ -140,12 +140,13 @@ int RunBench() {
   for (; restarts < 5; ++restarts) {
     auto restarted = serve::ServeEnv::Create(env_options);
     if (!restarted.ok()) Die("restart ServeEnv::Create", restarted.status());
-    std::vector<std::string> dirs = (*restarted)->UnfinishedJournalDirs();
-    if (dirs.empty()) break;
+    auto dirs = (*restarted)->UnfinishedJournalDirs();
+    if (!dirs.ok()) Die("UnfinishedJournalDirs", dirs.status());
+    if (dirs->empty()) break;
     serve::RunManager manager((*restarted)->engine(), manager_options);
     std::vector<uint64_t> ids;
     const Clock::time_point start = Clock::now();
-    for (const std::string& dir : dirs) {
+    for (const std::string& dir : *dirs) {
       auto run = (*restarted)->PrepareResume(dir);
       if (!run.ok()) Die("PrepareResume", run.status());
       auto id = manager.Submit("recovery", std::move(*run));

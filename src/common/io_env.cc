@@ -1,10 +1,12 @@
 #include "common/io_env.h"
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -167,6 +169,46 @@ class RealIoEnv final : public IoEnv {
     }
     return Status::OK();
   }
+
+  Result<std::vector<DirEntry>> ListDir(const std::string& dir) override {
+    DIR* handle = ::opendir(dir.c_str());
+    if (handle == nullptr) {
+      const int err = errno;
+      if (err == ENOTDIR) {
+        return Status::NotFound("'" + dir + "' is not a directory");
+      }
+      return StatusFromErrno("opendir", dir, err);
+    }
+    std::vector<DirEntry> entries;
+    while (true) {
+      errno = 0;
+      const dirent* raw = ::readdir(handle);
+      if (raw == nullptr) break;
+      DirEntry entry;
+      entry.name = raw->d_name;
+      if (entry.name == "." || entry.name == "..") continue;
+      struct stat st;
+      if (::fstatat(::dirfd(handle), raw->d_name, &st, 0) == 0) {
+        entry.is_dir = S_ISDIR(st.st_mode);
+        if (!entry.is_dir) entry.size = static_cast<uint64_t>(st.st_size);
+      } else if (errno != ENOENT) {
+        // ENOENT is a dangling symlink (or an entry removed since readdir):
+        // an empty non-directory, as std::filesystem classifies it.
+        const int err = errno;
+        ::closedir(handle);
+        return StatusFromErrno("stat", JoinPath(dir, entry.name), err);
+      }
+      entries.push_back(std::move(entry));
+    }
+    const int err = errno;
+    ::closedir(handle);
+    if (err != 0) return StatusFromErrno("readdir", dir, err);
+    std::sort(entries.begin(), entries.end(),
+              [](const DirEntry& a, const DirEntry& b) {
+                return a.name < b.name;
+              });
+    return entries;
+  }
 };
 
 /// Wraps a base WritableIoFile and routes every Append/Sync through the
@@ -247,9 +289,20 @@ void MmapRegion::Release() {
 
 // -- IoEnv ------------------------------------------------------------
 
+std::string JoinPath(std::string_view dir, std::string_view name) {
+  std::string path(dir);
+  if (!path.empty() && path.back() != '/') path += '/';
+  path += name;
+  return path;
+}
+
 IoEnv& IoEnv::Real() {
   static RealIoEnv real;
   return real;
+}
+
+Result<std::vector<DirEntry>> IoEnv::ListDir(const std::string& dir) {
+  return Real().ListDir(dir);
 }
 
 Status WriteFileAtomic(IoEnv& io, const std::string& path,
@@ -374,6 +427,10 @@ Status FaultyIoEnv::Truncate(const std::string& path, uint64_t size) {
 
 Status FaultyIoEnv::CreateDirs(const std::string& dir) {
   return base_->CreateDirs(dir);
+}
+
+Result<std::vector<DirEntry>> FaultyIoEnv::ListDir(const std::string& dir) {
+  return base_->ListDir(dir);
 }
 
 }  // namespace dexa

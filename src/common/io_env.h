@@ -5,15 +5,17 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/result.h"
 
 namespace dexa {
 
 /// The injectable I/O seam. Every durable byte the system writes or maps —
-/// journal segments, snapshots, KB images, run descriptors — goes through an
-/// `IoEnv` instead of calling open/write/fsync/rename/mmap directly (the
-/// `raw-io` dexa-lint rule polices this). Production uses `IoEnv::Real()`;
+/// journal segments, snapshots, KB images, run descriptors — and every
+/// directory it lists goes through an `IoEnv` instead of calling
+/// open/write/fsync/rename/mmap or std::filesystem directly (the `raw-io`
+/// dexa-lint rule polices this). Production uses `IoEnv::Real()`;
 /// tests and the chaos harness wrap it in a `FaultyIoEnv` whose seed-driven
 /// profile injects ENOSPC, EIO, short writes, and fsync failures
 /// deterministically, so "the disk filled up mid-journal" is a reproducible
@@ -64,9 +66,20 @@ class MmapRegion {
   bool unmap_ = false;
 };
 
-/// The seam interface. All paths are plain filesystem paths; directory
-/// *listing* stays on std::filesystem (read-only metadata — not a fault
-/// surface worth modeling), but every data-plane byte goes through here.
+/// One entry of a directory listing (IoEnv::ListDir).
+struct DirEntry {
+  std::string name;     ///< The entry's name within the directory.
+  bool is_dir = false;  ///< A directory, symlinks followed.
+  uint64_t size = 0;    ///< Byte size of a file; 0 for a directory.
+};
+
+/// `dir/name`, joined as std::filesystem::path's operator/ joins a relative
+/// name: no separator is added after an empty `dir` or a trailing '/'.
+std::string JoinPath(std::string_view dir, std::string_view name);
+
+/// The seam interface. All paths are plain filesystem paths; data bytes and
+/// directory metadata both go through here, so an env that relocates or
+/// rewrites the file system sees every access.
 class IoEnv {
  public:
   virtual ~IoEnv() = default;
@@ -89,6 +102,14 @@ class IoEnv {
   [[nodiscard]] virtual Status Truncate(const std::string& path,
                                         uint64_t size) = 0;
   [[nodiscard]] virtual Status CreateDirs(const std::string& dir) = 0;
+
+  /// The entries of `dir` ("." and ".." excluded), sorted by name. kNotFound
+  /// when `dir` is missing or not a directory; an entry whose type cannot be
+  /// read (a symlink loop) fails the listing with a status naming it. The
+  /// default lists the real file system, so envs that only wrap the data
+  /// calls keep working; an env that relocates paths must override it.
+  [[nodiscard]] virtual Result<std::vector<DirEntry>> ListDir(
+      const std::string& dir);
 
   /// The process-wide real (POSIX) environment.
   static IoEnv& Real();
@@ -162,6 +183,9 @@ class FaultyIoEnv final : public IoEnv {
   [[nodiscard]] Status Truncate(const std::string& path,
                                 uint64_t size) override;
   [[nodiscard]] Status CreateDirs(const std::string& dir) override;
+  /// Forwarded to the base env; consumes no fault counter.
+  [[nodiscard]] Result<std::vector<DirEntry>> ListDir(
+      const std::string& dir) override;
 
   const IoFaultProfile& profile() const { return profile_; }
   uint64_t writes() const { return writes_; }

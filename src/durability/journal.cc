@@ -1,7 +1,6 @@
 #include "durability/journal.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <utility>
 
 #include "common/rng.h"
@@ -9,8 +8,6 @@
 #include "common/crc32.h"
 
 namespace dexa {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -25,8 +22,7 @@ IoEnv& EnvOrReal(IoEnv* io) { return io != nullptr ? *io : IoEnv::Real(); }
 
 /// Parses the numeric index out of a segment filename ("wal-00012.seg").
 /// Returns false for names that do not follow the scheme.
-bool ParseSegmentIndex(const fs::path& path, size_t* index) {
-  const std::string name = path.filename().string();
+bool ParseSegmentIndex(const std::string& name, size_t* index) {
   constexpr size_t kPrefixLen = 4;  // "wal-"
   constexpr size_t kSuffixLen = 4;  // ".seg"
   if (name.size() <= kPrefixLen + kSuffixLen) return false;
@@ -44,36 +40,37 @@ bool ParseSegmentIndex(const fs::path& path, size_t* index) {
 /// index. Positions in the sorted list are not usable: recovery may have
 /// removed a header-damaged segment whole, leaving a numbering gap, after
 /// which `segments.size()` names a live segment.
-size_t NextSegmentIndex(const std::vector<fs::path>& segments) {
+size_t NextSegmentIndex(const std::vector<DirEntry>& segments) {
   size_t next = 0;
-  for (const fs::path& segment : segments) {
+  for (const DirEntry& segment : segments) {
     size_t index = 0;
-    if (ParseSegmentIndex(segment, &index) && index + 1 > next) {
+    if (ParseSegmentIndex(segment.name, &index) && index + 1 > next) {
       next = index + 1;
     }
   }
   return next;
 }
 
-/// Sorted paths of the journal segments in `dir` (lexicographic order of
-/// the zero-padded names is append order).
-Result<std::vector<fs::path>> ListSegments(const std::string& dir) {
-  std::error_code ec;
-  if (!fs::is_directory(dir, ec)) {
-    return Status::NotFound("journal directory '" + dir + "' does not exist");
+/// The journal segments in `dir`, listed through `env` and sorted by name
+/// (lexicographic order of the zero-padded names is append order).
+Result<std::vector<DirEntry>> ListSegments(IoEnv& env,
+                                           const std::string& dir) {
+  auto entries = env.ListDir(dir);
+  if (!entries.ok()) {
+    if (entries.status().IsNotFound()) {
+      return Status::NotFound("journal directory '" + dir +
+                              "' does not exist");
+    }
+    return Status(entries.status().code(),
+                  "cannot list journal directory '" + dir +
+                      "': " + entries.status().message());
   }
-  std::vector<fs::path> segments;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (StartsWith(name, "wal-") && EndsWith(name, ".seg")) {
-      segments.push_back(entry.path());
+  std::vector<DirEntry> segments;
+  for (DirEntry& entry : *entries) {
+    if (StartsWith(entry.name, "wal-") && EndsWith(entry.name, ".seg")) {
+      segments.push_back(std::move(entry));
     }
   }
-  if (ec) {
-    return Status::Internal("cannot list journal directory '" + dir +
-                            "': " + ec.message());
-  }
-  std::sort(segments.begin(), segments.end());
   return segments;
 }
 
@@ -143,12 +140,12 @@ SegmentScan ScanSegment(std::string_view bytes) {
 Result<JournalRecovery> RecoverJournal(const std::string& dir,
                                        EngineMetrics* metrics, IoEnv* io) {
   IoEnv& env = EnvOrReal(io);
-  auto segments = ListSegments(dir);
+  auto segments = ListSegments(env, dir);
   if (!segments.ok()) return segments.status();
 
   JournalRecovery recovery;
   for (size_t s = 0; s < segments->size(); ++s) {
-    auto bytes = env.ReadFile((*segments)[s].string());
+    auto bytes = env.ReadFile(JoinPath(dir, (*segments)[s].name));
     if (!bytes.ok()) return bytes.status();
     ++recovery.segments_scanned;
     SegmentScan scan = ScanSegment(*bytes);
@@ -160,15 +157,12 @@ Result<JournalRecovery> RecoverJournal(const std::string& dir,
     // Damage: everything from the first bad byte on — including any later
     // segments — is the discarded tail.
     recovery.tail_status = Status::Corrupted(
-        "segment '" + (*segments)[s].filename().string() +
-        "': " + scan.status.message());
+        "segment '" + (*segments)[s].name + "': " + scan.status.message());
     recovery.damaged_segment = s;
     recovery.damaged_segment_valid_bytes = scan.valid_bytes;
     recovery.bytes_discarded = bytes->size() - scan.valid_bytes;
     for (size_t later = s + 1; later < segments->size(); ++later) {
-      std::error_code ec;
-      const uintmax_t later_size = fs::file_size((*segments)[later], ec);
-      if (!ec) recovery.bytes_discarded += later_size;
+      recovery.bytes_discarded += (*segments)[later].size;
       ++recovery.segments_scanned;
     }
     if (metrics != nullptr) metrics->Add(EngineCounter::torn_tails_discarded);
@@ -178,8 +172,7 @@ Result<JournalRecovery> RecoverJournal(const std::string& dir,
 }
 
 Status RunJournal::OpenSegment(size_t index) {
-  const fs::path path = fs::path(dir_) / SegmentName(index);
-  auto file = io_->NewWritableFile(path.string());
+  auto file = io_->NewWritableFile(JoinPath(dir_, SegmentName(index)));
   if (!file.ok()) return file.status();
   out_ = std::move(*file);
   Status header = out_->Append(
@@ -202,10 +195,10 @@ Result<RunJournal> RunJournal::Create(const std::string& dir,
   DEXA_RETURN_IF_ERROR(env.CreateDirs(dir));
   // A fresh journal owns the directory's WAL namespace: stale segments of a
   // previous run would otherwise replay into this one.
-  auto stale = ListSegments(dir);
+  auto stale = ListSegments(env, dir);
   if (!stale.ok()) return stale.status();
-  for (const fs::path& segment : *stale) {
-    DEXA_RETURN_IF_ERROR(env.RemoveFile(segment.string()));
+  for (const DirEntry& segment : *stale) {
+    DEXA_RETURN_IF_ERROR(env.RemoveFile(JoinPath(dir, segment.name)));
   }
 
   RunJournal journal;
@@ -222,38 +215,41 @@ Result<RunJournal> RunJournal::Resume(const std::string& dir,
                                       JournalOptions options,
                                       EngineMetrics* metrics, IoEnv* io) {
   IoEnv& env = EnvOrReal(io);
-  auto segments = ListSegments(dir);
+  auto segments = ListSegments(env, dir);
   if (!segments.ok()) return segments.status();
   if (segments->empty()) {
     return Status::NotFound("no journal segments in '" + dir + "' to resume");
   }
 
-  std::error_code ec;
+  // Opening fresh truncates, so a collision with a listed segment would
+  // destroy committed records — refuse, before the journal is touched,
+  // rather than trust the numbering.
   const size_t next_index = NextSegmentIndex(*segments);
+  const std::string next_name = SegmentName(next_index);
+  for (const DirEntry& segment : *segments) {
+    if (segment.name == next_name) {
+      return Status::Internal("refusing to resume: next segment '" +
+                              JoinPath(dir, next_name) + "' already exists");
+    }
+  }
+
   if (recovery.tail_discarded()) {
     // Truncate the damaged segment back to its valid prefix and drop every
     // segment after it — the journal must be a valid prefix before new
     // records land behind it.
-    const fs::path& damaged = (*segments)[recovery.damaged_segment];
+    const std::string damaged =
+        JoinPath(dir, (*segments)[recovery.damaged_segment].name);
     if (recovery.damaged_segment_valid_bytes < kJournalSegmentMagicLen) {
       // Even the header is damaged: the segment holds no valid records, and
       // a truncated stub would read as damage forever. Drop it whole.
-      DEXA_RETURN_IF_ERROR(env.RemoveFile(damaged.string()));
+      DEXA_RETURN_IF_ERROR(env.RemoveFile(damaged));
     } else {
       DEXA_RETURN_IF_ERROR(
-          env.Truncate(damaged.string(), recovery.damaged_segment_valid_bytes));
+          env.Truncate(damaged, recovery.damaged_segment_valid_bytes));
     }
     for (size_t s = recovery.damaged_segment + 1; s < segments->size(); ++s) {
-      DEXA_RETURN_IF_ERROR(env.RemoveFile((*segments)[s].string()));
+      DEXA_RETURN_IF_ERROR(env.RemoveFile(JoinPath(dir, (*segments)[s].name)));
     }
-  }
-
-  // Opening fresh truncates, so a collision with a live segment would
-  // destroy committed records — refuse rather than trust the numbering.
-  const fs::path next_path = fs::path(dir) / SegmentName(next_index);
-  if (fs::exists(next_path, ec)) {
-    return Status::Internal("refusing to resume: next segment '" +
-                            next_path.string() + "' already exists");
   }
 
   RunJournal journal;
@@ -353,16 +349,16 @@ Status RunJournal::Seal() {
 }
 
 Status TearJournalTail(const std::string& dir, uint64_t seed, int flips,
-                       size_t truncate_bytes) {
-  IoEnv& env = IoEnv::Real();
-  auto segments = ListSegments(dir);
+                       size_t truncate_bytes, IoEnv* io) {
+  IoEnv& env = EnvOrReal(io);
+  auto segments = ListSegments(env, dir);
   if (!segments.ok()) return segments.status();
   if (segments->empty()) {
     return Status::NotFound("no journal segments in '" + dir + "' to tear");
   }
-  const fs::path& last = segments->back();
+  const std::string last = JoinPath(dir, segments->back().name);
 
-  auto bytes = env.ReadFile(last.string());
+  auto bytes = env.ReadFile(last);
   if (!bytes.ok()) return bytes.status();
   std::string content = std::move(bytes).value();
 
@@ -377,7 +373,7 @@ Status TearJournalTail(const std::string& dir, uint64_t seed, int flips,
     content[pos] = static_cast<char>(content[pos] ^ 0x5A);
   }
 
-  auto out = env.NewWritableFile(last.string());
+  auto out = env.NewWritableFile(last);
   if (!out.ok()) return out.status();
   Status written = (*out)->Append(content);
   if (written.ok()) written = (*out)->Close();

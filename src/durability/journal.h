@@ -92,6 +92,8 @@ class RunJournal {
   [[nodiscard]] Status Seal();
 
   const std::string& dir() const { return dir_; }
+  /// The env every byte of this journal goes through.
+  IoEnv* io() const { return io_; }
   uint64_t records_appended() const { return records_appended_; }
   uint64_t segments_sealed() const { return segments_sealed_; }
   size_t current_segment_index() const { return segment_index_; }
@@ -168,10 +170,12 @@ SegmentScan ScanSegment(std::string_view bytes);
 /// Deliberately damages the journal tail in `dir` — the in-process stand-in
 /// for a crash landing mid-write: truncates `truncate_bytes` off the last
 /// segment, then flips `flips` bytes near its end, positions drawn from
-/// `seed`. Used by crash-point injection (kTornWrite) and the recovery
-/// tests.
-[[nodiscard]] Status TearJournalTail(const std::string& dir, uint64_t seed, int flips,
-                       size_t truncate_bytes);
+/// `seed`. Every byte goes through `io` (nullptr = the real filesystem), so
+/// the damage lands on the file system the journal writes to. Used by
+/// crash-point injection (kTornWrite) and the recovery tests.
+[[nodiscard]] Status TearJournalTail(const std::string& dir, uint64_t seed,
+                                     int flips, size_t truncate_bytes,
+                                     IoEnv* io = nullptr);
 
 }  // namespace dexa
 

@@ -107,7 +107,7 @@ class DurableCommits {
       Status torn = journal_.Seal();
       if (torn.ok()) {
         torn = TearJournalTail(journal_.dir(), kTornSeed, kTornFlips,
-                               kTornTruncateBytes);
+                               kTornTruncateBytes, journal_.io());
       }
       if (!torn.ok()) return CommitVerdict{std::move(torn), true};
       return crashed("torn-write crash injected at commit of ", true);

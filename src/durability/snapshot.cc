@@ -1,6 +1,5 @@
 #include "durability/snapshot.h"
 
-#include <filesystem>
 #include <utility>
 
 #include "durability/trace_io.h"
@@ -9,8 +8,6 @@
 
 namespace dexa {
 
-namespace fs = std::filesystem;
-
 Status WriteRunStateSnapshot(const std::string& dir,
                              const AnnotatedInstancePool& pool,
                              const ModuleRegistry& registry,
@@ -18,28 +15,25 @@ Status WriteRunStateSnapshot(const std::string& dir,
                              const ProvenanceCorpus& provenance, IoEnv* io) {
   IoEnv& env = io != nullptr ? *io : IoEnv::Real();
   DEXA_RETURN_IF_ERROR(env.CreateDirs(dir));
-  const fs::path base(dir);
-  DEXA_RETURN_IF_ERROR(WriteFileAtomic(
-      env, (base / kSnapshotPoolFile).string(), SavePool(pool)));
+  DEXA_RETURN_IF_ERROR(WriteFileAtomic(env, JoinPath(dir, kSnapshotPoolFile),
+                                       SavePool(pool)));
   DEXA_RETURN_IF_ERROR(
-      WriteFileAtomic(env, (base / kSnapshotAnnotationsFile).string(),
+      WriteFileAtomic(env, JoinPath(dir, kSnapshotAnnotationsFile),
                       SaveAnnotations(registry, ontology)));
-  DEXA_RETURN_IF_ERROR(WriteFileAtomic(
-      env, (base / kSnapshotTracesFile).string(), SaveTraces(provenance)));
+  DEXA_RETURN_IF_ERROR(WriteFileAtomic(env, JoinPath(dir, kSnapshotTracesFile),
+                                       SaveTraces(provenance)));
   return Status::OK();
 }
 
 Result<RestoredRunState> RestoreRunState(const std::string& dir,
                                          const Ontology& ontology,
                                          ModuleRegistry& registry) {
-  const fs::path base(dir);
   IoEnv& io = IoEnv::Real();
-  auto pool_text = io.ReadFile((base / kSnapshotPoolFile).string());
+  auto pool_text = io.ReadFile(JoinPath(dir, kSnapshotPoolFile));
   if (!pool_text.ok()) return pool_text.status();
-  auto annotations_text =
-      io.ReadFile((base / kSnapshotAnnotationsFile).string());
+  auto annotations_text = io.ReadFile(JoinPath(dir, kSnapshotAnnotationsFile));
   if (!annotations_text.ok()) return annotations_text.status();
-  auto traces_text = io.ReadFile((base / kSnapshotTracesFile).string());
+  auto traces_text = io.ReadFile(JoinPath(dir, kSnapshotTracesFile));
   if (!traces_text.ok()) return traces_text.status();
 
   RestoredRunState state(&ontology);

@@ -1,6 +1,5 @@
 #include "serve/run_manager.h"
 
-#include <filesystem>
 #include <utility>
 
 namespace dexa::serve {
@@ -14,9 +13,7 @@ namespace {
 Status WriteDoneMarker(IoEnv& io, const std::string& journal_dir) {
   if (journal_dir.empty()) return Status::OK();
   DEXA_RETURN_IF_ERROR(io.CreateDirs(journal_dir));
-  const std::string path =
-      (std::filesystem::path(journal_dir) / "DONE").string();
-  return WriteFileAtomic(io, path, "done\n");
+  return WriteFileAtomic(io, JoinPath(journal_dir, kDoneMarker), "done\n");
 }
 
 /// Executes one prepared run: sharded annotate runs go through the shard

@@ -14,7 +14,6 @@
 #include "durability/journal.h"
 #include "engine/invocation_engine.h"
 #include "modules/registry.h"
-#include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "shard/sharded_annotate.h"
 
@@ -49,6 +48,10 @@ std::string WireKindName(RunKind kind, bool durable);
 /// The submit kind and RUN descriptor kind of a sharded annotate run.
 inline constexpr char kShardWireKind[] = "shard";
 
+/// The file a completed durable run leaves in its journal directory; the
+/// startup crash-resume scan skips directories that hold it.
+inline constexpr char kDoneMarker[] = "DONE";
+
 /// One run, fully prepared: the RunRequest plus ownership of everything the
 /// request points at. The request's pointers target the owned members below
 /// (or longer-lived shared state such as the ServeEnv corpus), so a
@@ -67,7 +70,6 @@ struct PreparedRun {
   std::unique_ptr<JournalRecovery> recovery;
   std::unique_ptr<CrashPlan> crash;
   std::unique_ptr<obs::Tracer> tracer;
-  std::unique_ptr<obs::MetricsRegistry> metrics;
 
   /// Set for sharded annotate runs: ExecuteBatch routes the run through
   /// RunShardedAnnotate (shard/sharded_annotate.h) instead of SubmitRun;

@@ -1,7 +1,6 @@
 #include "serve/serve_env.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <utility>
 
 #include "common/rng.h"
@@ -14,7 +13,6 @@ namespace dexa::serve {
 namespace {
 
 constexpr char kRunDescriptor[] = "RUN";
-constexpr char kDoneMarker[] = "DONE";
 constexpr char kRunDirPrefix[] = "run-";
 
 /// Parses the numeric suffix of a `run-<n>` directory name; returns false
@@ -23,6 +21,33 @@ bool ParseRunDirIndex(const std::string& name, uint64_t& index) {
   const std::string_view prefix = kRunDirPrefix;
   return StartsWith(name, prefix) &&
          ParseU64(std::string_view(name).substr(prefix.size()), &index);
+}
+
+/// A `run-<n>` directory under the journal root.
+struct RunDir {
+  std::string path;
+  uint64_t index = 0;
+};
+
+/// The `run-<n>` directories under `root`, in name order, listed through
+/// the real env. A root that cannot be listed — or holds an entry whose
+/// type cannot be read — fails with a status naming it: a run-<n> the scan
+/// skipped could be reused by a new run or left unresumed.
+Result<std::vector<RunDir>> ListRunDirs(const std::string& root) {
+  auto entries = IoEnv::Real().ListDir(root);
+  if (!entries.ok()) {
+    return Status(entries.status().code(),
+                  "cannot list journal root '" + root +
+                      "': " + entries.status().message());
+  }
+  std::vector<RunDir> dirs;
+  for (const DirEntry& entry : *entries) {
+    uint64_t index = 0;
+    if (entry.is_dir && ParseRunDirIndex(entry.name, index)) {
+      dirs.push_back({JoinPath(root, entry.name), index});
+    }
+  }
+  return dirs;
 }
 
 /// True for the kinds that journal under a `run-<n>` directory.
@@ -132,23 +157,13 @@ Result<std::unique_ptr<ServeEnv>> ServeEnv::Create(ServeEnvOptions options) {
 
   // Durable runs journal under run-<n> directories; continue the numbering
   // after whatever a previous daemon instance left behind. A root that
-  // cannot be created or listed fails startup: unlisted run-<n> dirs could
-  // be reused by new runs.
+  // cannot be created or listed fails startup.
   const std::string& root = serve->options_.journal_root;
   if (!root.empty()) {
     DEXA_RETURN_IF_ERROR(IoEnv::Real().CreateDirs(root));
-    std::error_code ec;
-    for (std::filesystem::directory_iterator it(root, ec), end;
-         !ec && it != end; it.increment(ec)) {
-      uint64_t index = 0;
-      if (it->is_directory() &&
-          ParseRunDirIndex(it->path().filename().string(), index)) {
-        serve->next_run_dir_ = std::max(serve->next_run_dir_, index + 1);
-      }
-    }
-    if (ec) {
-      return Status::Internal("cannot list journal root '" + root +
-                              "': " + ec.message());
+    DEXA_ASSIGN_OR_RETURN(const std::vector<RunDir> dirs, ListRunDirs(root));
+    for (const RunDir& dir : dirs) {
+      serve->next_run_dir_ = std::max(serve->next_run_dir_, dir.index + 1);
     }
   }
 
@@ -164,9 +179,8 @@ Result<std::unique_ptr<ServeEnv>> ServeEnv::Create(ServeEnvOptions options) {
 }
 
 std::string ServeEnv::NextRunDir() {
-  return (std::filesystem::path(options_.journal_root) /
-          (kRunDirPrefix + std::to_string(next_run_dir_++)))
-      .string();
+  return JoinPath(options_.journal_root,
+                  kRunDirPrefix + std::to_string(next_run_dir_++));
 }
 
 Result<std::unique_ptr<ModuleRegistry>> ServeEnv::SubsetRegistry(
@@ -212,10 +226,8 @@ Result<PreparedRun> ServeEnv::PrepareAnnotate(size_t offset, size_t count,
   PreparedRun run;
   run.registry = std::move(*registry);
   run.generator = MakeGenerator();
-  run.metrics = std::make_unique<obs::MetricsRegistry>();
   if (traced) run.tracer = std::make_unique<obs::Tracer>(&engine_->clock());
   run.request = MakeAnnotateRun(*run.generator, *run.registry);
-  run.request.obs.metrics = run.metrics.get();
   run.request.obs.tracer = run.tracer.get();
   run.label = "annotate[" + std::to_string(offset) + "," +
               std::to_string(offset + run.registry->size()) + ")";
@@ -227,10 +239,8 @@ Result<PreparedRun> ServeEnv::Prepare(const RunSpec& spec) {
 }
 
 Result<PreparedRun> ServeEnv::PrepareResume(const std::string& dir) {
-  DEXA_ASSIGN_OR_RETURN(
-      const std::string text,
-      IoEnv::Real().ReadFile((std::filesystem::path(dir) / kRunDescriptor)
-                                 .string()));
+  DEXA_ASSIGN_OR_RETURN(const std::string text,
+                        IoEnv::Real().ReadFile(JoinPath(dir, kRunDescriptor)));
   auto spec = DecodeRunDescriptor(text);
   if (!spec.ok()) {
     return Status::Corrupted("RUN descriptor in " + dir + ": " +
@@ -259,12 +269,10 @@ Result<PreparedRun> ServeEnv::Build(const RunSpec& spec,
       enact ? &env_.workflows.items[spec.workflow] : nullptr;
 
   PreparedRun run;
-  run.metrics = std::make_unique<obs::MetricsRegistry>();
   run.deadline_ns = spec.deadline_ns;
   if (spec.kind == "enact") {
     run.request = MakeEnactRun(item->workflow, *env_.corpus.registry,
                                item->seeds, *engine_);
-    run.request.obs.metrics = run.metrics.get();
     run.label = "enact " + item->workflow.id;
     return run;
   }
@@ -308,9 +316,9 @@ Result<PreparedRun> ServeEnv::Build(const RunSpec& spec,
     run.journal = std::make_unique<RunJournal>(std::move(*journal));
   }
   if (!resume) {
-    DEXA_RETURN_IF_ERROR(WriteFileAtomic(
-        io, (std::filesystem::path(run.journal_dir) / kRunDescriptor).string(),
-        EncodeRunDescriptor(spec)));
+    DEXA_RETURN_IF_ERROR(
+        WriteFileAtomic(io, JoinPath(run.journal_dir, kRunDescriptor),
+                        EncodeRunDescriptor(spec)));
   }
 
   if (shard) {
@@ -340,28 +348,27 @@ Result<PreparedRun> ServeEnv::Build(const RunSpec& spec,
     run.label = "annotate-durable " + run.journal_dir;
   }
   run.request.resume = run.recovery.get();
-  run.request.obs.metrics = run.metrics.get();
   if (resume) run.label = "resume " + run.journal_dir;
   return run;
 }
 
-std::vector<std::string> ServeEnv::UnfinishedJournalDirs() const {
-  std::vector<std::string> dirs;
-  if (options_.journal_root.empty()) return dirs;
-  std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(options_.journal_root, ec)) {
-    uint64_t index = 0;
-    if (!entry.is_directory() ||
-        !ParseRunDirIndex(entry.path().filename().string(), index)) {
-      continue;
+Result<std::vector<std::string>> ServeEnv::UnfinishedJournalDirs() const {
+  std::vector<std::string> unfinished;
+  if (options_.journal_root.empty()) return unfinished;
+  DEXA_ASSIGN_OR_RETURN(const std::vector<RunDir> dirs,
+                        ListRunDirs(options_.journal_root));
+  for (const RunDir& dir : dirs) {
+    DEXA_ASSIGN_OR_RETURN(const std::vector<DirEntry> entries,
+                          IoEnv::Real().ListDir(dir.path));
+    const auto holds = [&](const char* name) {
+      return std::any_of(entries.begin(), entries.end(),
+                         [&](const DirEntry& e) { return e.name == name; });
+    };
+    if (holds(kRunDescriptor) && !holds(kDoneMarker)) {
+      unfinished.push_back(dir.path);
     }
-    if (!std::filesystem::exists(entry.path() / kRunDescriptor)) continue;
-    if (std::filesystem::exists(entry.path() / kDoneMarker)) continue;
-    dirs.push_back(entry.path().string());
   }
-  std::sort(dirs.begin(), dirs.end());
-  return dirs;
+  return unfinished;
 }
 
 uint64_t ServeEnv::AnnotationsDigest(const ModuleRegistry& registry) const {

@@ -68,8 +68,8 @@ struct RunSpec {
 /// Isolation model: runs share the immutable state (KB, ontology, cache,
 /// pool, modules) and the engine, but each PreparedRun gets its own
 /// ModuleRegistry (annotations land per-run), its own ExampleGenerator,
-/// journal, tracer and MetricsRegistry — concurrent tenants cannot observe
-/// each other's annotations or journals.
+/// journal and tracer — concurrent tenants cannot observe each other's
+/// annotations or journals.
 class ServeEnv {
  public:
   [[nodiscard]] static Result<std::unique_ptr<ServeEnv>> Create(
@@ -102,8 +102,11 @@ class ServeEnv {
 
   /// Journal directories under journal_root holding an unfinished durable
   /// run (RUN descriptor present, DONE marker absent), sorted. These are
-  /// the runs a restarted daemon resumes at startup.
-  std::vector<std::string> UnfinishedJournalDirs() const;
+  /// the runs a restarted daemon resumes at startup. A root or run
+  /// directory that cannot be listed fails typed, never reads as "nothing
+  /// to resume".
+  [[nodiscard]] Result<std::vector<std::string>> UnfinishedJournalDirs()
+      const;
 
   // -- Shared state --------------------------------------------------------
 

@@ -109,7 +109,9 @@ Status Server::Listen() {
 
 Result<size_t> Server::ResumeInFlightRuns() {
   size_t resumed = 0;
-  for (const std::string& dir : env_.UnfinishedJournalDirs()) {
+  DEXA_ASSIGN_OR_RETURN(const std::vector<std::string> dirs,
+                        env_.UnfinishedJournalDirs());
+  for (const std::string& dir : dirs) {
     auto run = env_.PrepareResume(dir);
     if (!run.ok()) return run.status();
     auto id = manager_.Submit("recovery", std::move(*run));

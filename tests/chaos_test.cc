@@ -52,6 +52,13 @@ std::unique_ptr<ServeEnv> MakeEnv(const std::string& journal_dir,
   return std::move(env).value();
 }
 
+/// The unfinished-run scan of `env`; a scan failure fails the test.
+std::vector<std::string> UnfinishedDirs(const ServeEnv& env) {
+  auto dirs = env.UnfinishedJournalDirs();
+  EXPECT_TRUE(dirs.ok()) << dirs.status();
+  return dirs.ok() ? std::move(dirs).value() : std::vector<std::string>{};
+}
+
 /// One environment shared by the suites that never restart a daemon.
 ServeEnv& SharedEnv() {
   static ServeEnv* env =
@@ -309,7 +316,7 @@ TEST(ChaosTest, DiskFaultDegradesTypedAndResumeIsByteIdentical) {
   // completes it to the baseline bytes.
   {
     auto env = MakeEnv(root + "/live", 2);
-    EXPECT_EQ(env->UnfinishedJournalDirs(),
+    EXPECT_EQ(UnfinishedDirs(*env),
               std::vector<std::string>{faulted_dir});
     Server server(*env, {});
     auto resumed = server.ResumeInFlightRuns();
@@ -327,7 +334,7 @@ TEST(ChaosTest, DiskFaultDegradesTypedAndResumeIsByteIdentical) {
     EXPECT_EQ(std::to_string(env->AnnotationsDigest(*(*run)->registry)),
               baseline_digest);
     EXPECT_TRUE(fs::exists(fs::path(faulted_dir) / "DONE"));
-    EXPECT_TRUE(env->UnfinishedJournalDirs().empty());
+    EXPECT_TRUE(UnfinishedDirs(*env).empty());
   }
 }
 
@@ -445,7 +452,7 @@ TEST(ChaosTest, ConcurrentTenantsUnderRandomFaultsConverge) {
   bool converged = false;
   for (int restart = 0; restart < 5 && !converged; ++restart) {
     auto env = MakeEnv(root + "/live", 4);
-    if (env->UnfinishedJournalDirs().empty()) {
+    if (UnfinishedDirs(*env).empty()) {
       converged = true;
       break;
     }
@@ -472,7 +479,7 @@ TEST(ChaosTest, ConcurrentTenantsUnderRandomFaultsConverge) {
                   enact_baseline);
       }
     }
-    converged = env->UnfinishedJournalDirs().empty();
+    converged = UnfinishedDirs(*env).empty();
   }
   EXPECT_TRUE(converged) << "faulted runs did not converge in 5 restarts";
 }
@@ -524,7 +531,7 @@ TEST(ChaosTest, KillRestartLoopsConverge) {
       EXPECT_EQ(std::to_string(env->AnnotationsDigest(*(*run)->registry)),
                 baseline_digest);
     }
-    EXPECT_EQ(env->UnfinishedJournalDirs().size(), 1u);
+    EXPECT_EQ(UnfinishedDirs(*env).size(), 1u);
   }
 
   // The final daemon mops up: everything converges to the baseline bytes.
@@ -543,7 +550,7 @@ TEST(ChaosTest, KillRestartLoopsConverge) {
     EXPECT_EQ(std::to_string(env->AnnotationsDigest(*(*run)->registry)),
               baseline_digest);
   }
-  EXPECT_TRUE(env->UnfinishedJournalDirs().empty());
+  EXPECT_TRUE(UnfinishedDirs(*env).empty());
 }
 
 // -- Quotas and deadlines ---------------------------------------------------

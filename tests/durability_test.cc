@@ -214,6 +214,29 @@ TEST(RunJournalTest, ResumeNumberingSurvivesSegmentGaps) {
             (std::vector<std::string>{"one", "two", "three", "four"}));
 }
 
+TEST(RunJournalTest, ResumeRefusesANextSegmentTheListingHolds) {
+  // wal-<2^64-1> parses, but its successor wraps and is not counted, so the
+  // next index names that very segment: resume must refuse, not truncate.
+  const std::string dir = FreshDir("collision");
+  const std::string last = dir + "/wal-18446744073709551615.seg";
+  std::ofstream(dir + "/wal-18446744073709551614.seg", std::ios::binary)
+      << kJournalSegmentMagic;
+  std::ofstream(last, std::ios::binary) << kJournalSegmentMagic << "DR";
+  auto recovery = RecoverJournal(dir);
+  ASSERT_TRUE(recovery.ok()) << recovery.status();
+  EXPECT_TRUE(recovery->tail_discarded());
+
+  auto resumed = RunJournal::Resume(dir, *recovery);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_TRUE(resumed.status().IsInternal()) << resumed.status();
+  EXPECT_NE(resumed.status().message().find("refusing to resume: next "
+                                            "segment '" + last + "'"),
+            std::string::npos)
+      << resumed.status();
+  // Refused before the damaged tail was truncated.
+  EXPECT_EQ(fs::file_size(last), kJournalSegmentMagicLen + 2);
+}
+
 TEST(RunJournalTest, DamagedHeaderEndsTheJournalBeforeAnyRecord) {
   SegmentScan scan = ScanSegment("GARBAGE!not a segment");
   EXPECT_TRUE(scan.status.IsCorrupted());

@@ -1,15 +1,36 @@
-// Persistence round-trips: structural types, registry annotations, the
-// annotated instance pool and the workflow DSL.
+// Persistence round-trips — structural types, registry annotations, the
+// annotated instance pool and the workflow DSL — and the I/O seam itself:
+// IoEnv::ListDir, a fault wrapper's listing, and whole durable runs served
+// from a relocated file system.
+
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/io_env.h"
+#include "core/engine_config.h"
+#include "core/run_api.h"
+#include "corpus/fault_injector.h"
+#include "corpus/scale.h"
+#include "durability/journal.h"
+#include "engine/concept_cache.h"
 #include "modules/registry_io.h"
 #include "pool/pool_io.h"
+#include "shard/sharded_annotate.h"
 #include "tests/test_util.h"
 #include "workflow/workflow_io.h"
 
 namespace dexa {
 namespace {
+
+namespace fs = std::filesystem;
 
 using testing_env::GetEnvironment;
 
@@ -222,6 +243,293 @@ TEST(WorkflowIoTest, RejectsCorruptDsl) {
                        onto)
           .status()
           .IsParseError());  // Wire before processor.
+}
+
+// -- The I/O seam ----------------------------------------------------------
+
+/// A fresh directory under the test temp root, wiped on creation.
+std::string FreshDir(const std::string& name) {
+  fs::path dir = fs::path(::testing::TempDir()) / "dexa_io_seam" / name;
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir.string();
+}
+
+/// Every file under `root`, keyed by its path relative to `root`.
+std::map<std::string, std::string> TreeBytes(const std::string& root) {
+  std::map<std::string, std::string> tree;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    tree[fs::relative(entry.path(), root).string()] = bytes.str();
+  }
+  return tree;
+}
+
+/// Serves the virtual directory `virtual_root` from the real directory
+/// `backing`: every path under the virtual root is rewritten onto the
+/// backing directory before it reaches IoEnv::Real(), and any other path
+/// fails. Callers put the virtual root under a regular file, so a call that
+/// bypasses the seam sees a path that cannot exist.
+class RelocatedIoEnv final : public IoEnv {
+ public:
+  RelocatedIoEnv(std::string virtual_root, std::string backing)
+      : virtual_root_(std::move(virtual_root)), backing_(std::move(backing)) {}
+
+  Result<std::unique_ptr<WritableIoFile>> NewWritableFile(
+      const std::string& path) override {
+    DEXA_ASSIGN_OR_RETURN(const std::string real, Map(path));
+    return IoEnv::Real().NewWritableFile(real);
+  }
+  Result<std::string> ReadFile(const std::string& path) override {
+    DEXA_ASSIGN_OR_RETURN(const std::string real, Map(path));
+    return IoEnv::Real().ReadFile(real);
+  }
+  Result<MmapRegion> MapReadOnly(const std::string& path) override {
+    DEXA_ASSIGN_OR_RETURN(const std::string real, Map(path));
+    return IoEnv::Real().MapReadOnly(real);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    DEXA_ASSIGN_OR_RETURN(const std::string real_from, Map(from));
+    DEXA_ASSIGN_OR_RETURN(const std::string real_to, Map(to));
+    return IoEnv::Real().Rename(real_from, real_to);
+  }
+  Status RemoveFile(const std::string& path) override {
+    DEXA_ASSIGN_OR_RETURN(const std::string real, Map(path));
+    return IoEnv::Real().RemoveFile(real);
+  }
+  Status Truncate(const std::string& path, uint64_t size) override {
+    DEXA_ASSIGN_OR_RETURN(const std::string real, Map(path));
+    return IoEnv::Real().Truncate(real, size);
+  }
+  Status CreateDirs(const std::string& dir) override {
+    DEXA_ASSIGN_OR_RETURN(const std::string real, Map(dir));
+    return IoEnv::Real().CreateDirs(real);
+  }
+  Result<std::vector<DirEntry>> ListDir(const std::string& dir) override {
+    DEXA_ASSIGN_OR_RETURN(const std::string real, Map(dir));
+    return IoEnv::Real().ListDir(real);
+  }
+
+ private:
+  Result<std::string> Map(const std::string& path) const {
+    if (path == virtual_root_) return backing_;
+    if (path.rfind(virtual_root_ + "/", 0) == 0) {
+      return backing_ + path.substr(virtual_root_.size());
+    }
+    return Status::InvalidArgument("'" + path +
+                                   "' is outside the virtual root");
+  }
+
+  std::string virtual_root_;
+  std::string backing_;
+};
+
+/// A relocated file system for one test: files land under `backing`, and
+/// `root` is the virtual path the code under test is given.
+struct Relocation {
+  std::string backing;
+  std::string root;
+  std::unique_ptr<RelocatedIoEnv> io;
+};
+
+Relocation Relocate(const std::string& name) {
+  Relocation relocation;
+  const std::string base = FreshDir(name);
+  relocation.backing = base + "/backing";
+  fs::create_directories(relocation.backing);
+  // A regular file: nothing under `root` exists on the real file system.
+  std::ofstream(base + "/not-a-directory") << "x";
+  relocation.root = base + "/not-a-directory/root";
+  relocation.io =
+      std::make_unique<RelocatedIoEnv>(relocation.root, relocation.backing);
+  return relocation;
+}
+
+/// The scale corpus the relocation runs annotate.
+const ScaleCorpus& SeamCorpus() {
+  static const ScaleCorpus corpus = [] {
+    auto built = BuildScaleCorpus({/*seed=*/7, /*modules=*/96});
+    EXPECT_TRUE(built.ok()) << built.status();
+    return std::move(built).value();
+  }();
+  return corpus;
+}
+
+std::unique_ptr<ModuleRegistry> FreshScaleRegistry() {
+  auto registry = std::make_unique<ModuleRegistry>();
+  for (const ModulePtr& module : SeamCorpus().registry->AllModules()) {
+    EXPECT_TRUE(registry->Register(module).ok());
+  }
+  return registry;
+}
+
+EngineConfig SeamConfig() { return EngineConfig().Threads(1).Seed(0xD5); }
+
+/// One durable annotate attempt of the scale corpus journaled in `dir`
+/// through `io`: a fresh run armed with `crash`, or the resume of the
+/// journal a crashed attempt left. Returns the run's annotations.
+std::string DurableAttempt(const std::string& dir, IoEnv* io,
+                           const CrashPlan* crash) {
+  const ScaleCorpus& corpus = SeamCorpus();
+  JournalOptions options;
+  options.segment_bytes = 2048;  // Several segments for 96 modules.
+  const EngineConfig config = SeamConfig();
+  auto engine = config.BuildEngine();
+  auto cache = std::make_shared<ConceptCache>(corpus.ontology.get(),
+                                              &engine->metrics());
+  ExampleGenerator generator =
+      config.MakeGenerator(cache, corpus.pool.get(), engine.get());
+  auto registry = FreshScaleRegistry();
+
+  std::unique_ptr<JournalRecovery> recovery;
+  auto journal = [&]() -> Result<RunJournal> {
+    if (crash != nullptr) {
+      return RunJournal::Create(dir, options, &engine->metrics(), io);
+    }
+    DEXA_ASSIGN_OR_RETURN(JournalRecovery recovered,
+                          RecoverJournal(dir, &engine->metrics(), io));
+    recovery = std::make_unique<JournalRecovery>(std::move(recovered));
+    return RunJournal::Resume(dir, *recovery, options, &engine->metrics(), io);
+  }();
+  EXPECT_TRUE(journal.ok()) << journal.status();
+  if (!journal.ok()) return "";
+
+  RunRequest request = MakeDurableAnnotateRun(generator, *registry,
+                                              *corpus.ontology, *journal);
+  request.crash = crash;
+  request.resume = recovery.get();
+  auto run = SubmitRun(request);
+  EXPECT_TRUE(run.ok()) << run.status();
+  if (!run.ok()) return "";
+  if (crash != nullptr) {
+    EXPECT_TRUE(run->run_status.IsCancelled()) << run->run_status;
+  } else {
+    EXPECT_TRUE(run->complete()) << run->run_status;
+  }
+  return SaveAnnotations(*registry, *corpus.ontology);
+}
+
+TEST(IoSeamTest, ListDirSortsClassifiesAndTypesFailures) {
+  const std::string dir = FreshDir("list");
+  std::ofstream(dir + "/b") << "bbb";
+  std::ofstream(dir + "/a") << "a";
+  fs::create_directories(dir + "/c");
+
+  auto listed = IoEnv::Real().ListDir(dir);
+  ASSERT_TRUE(listed.ok()) << listed.status();
+  ASSERT_EQ(listed->size(), 3u);
+  EXPECT_EQ((*listed)[0].name, "a");
+  EXPECT_EQ((*listed)[0].size, 1u);
+  EXPECT_FALSE((*listed)[0].is_dir);
+  EXPECT_EQ((*listed)[1].name, "b");
+  EXPECT_EQ((*listed)[1].size, 3u);
+  EXPECT_EQ((*listed)[2].name, "c");
+  EXPECT_TRUE((*listed)[2].is_dir);
+  EXPECT_EQ((*listed)[2].size, 0u);
+
+  EXPECT_TRUE(IoEnv::Real().ListDir(dir + "/missing").status().IsNotFound());
+  EXPECT_TRUE(IoEnv::Real().ListDir(dir + "/a").status().IsNotFound());
+
+  // An entry whose type cannot be read fails the listing, naming it.
+  fs::create_directory_symlink("loop", dir + "/loop");
+  auto looped = IoEnv::Real().ListDir(dir);
+  ASSERT_FALSE(looped.ok());
+  EXPECT_FALSE(looped.status().IsNotFound());
+  EXPECT_NE(looped.status().message().find(dir + "/loop"), std::string::npos)
+      << looped.status();
+}
+
+TEST(IoSeamTest, FaultyListingConsumesNoFaultCounter) {
+  const std::string dir = FreshDir("faulty_listing");
+  {
+    auto journal = RunJournal::Create(dir);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    ASSERT_TRUE(journal->Append("first").ok());
+    ASSERT_TRUE(journal->Seal().ok());
+  }
+  IoFaultProfile profile;
+  profile.eio_read_at = 1;
+  FaultyIoEnv faulty(profile);
+  auto listed = faulty.ListDir(dir);
+  ASSERT_TRUE(listed.ok()) << listed.status();
+  ASSERT_EQ(listed->size(), 1u);
+  EXPECT_EQ((*listed)[0].name, "wal-00000.seg");
+  EXPECT_EQ((*listed)[0].size,
+            kJournalSegmentMagicLen + kJournalFrameOverhead + 5);
+  EXPECT_EQ(faulty.faults_injected(), 0u);
+
+  // RecoverJournal lists the directory first; the first read is still the
+  // segment's, so it takes the injected EIO.
+  auto recovery = RecoverJournal(dir, nullptr, &faulty);
+  ASSERT_FALSE(recovery.ok());
+  EXPECT_TRUE(recovery.status().IsCorrupted()) << recovery.status();
+  EXPECT_EQ(recovery.status().message(),
+            "injected EIO reading '" + dir + "/wal-00000.seg' (read #1)");
+  EXPECT_EQ(faulty.faults_injected(), 1u);
+  EXPECT_EQ(faulty.writes(), 0u);
+}
+
+/// A durable annotate crashed at each point, then recovered and resumed,
+/// leaves the same bytes whether it runs on the real file system or on a
+/// relocated one that only the seam can reach.
+TEST(IoSeamTest, CrashedDurableAnnotateRelocatesByteIdentically) {
+  const ScaleCorpus& corpus = SeamCorpus();
+  for (CrashPoint point :
+       {CrashPoint::kCrashAfterCommit, CrashPoint::kTornWrite}) {
+    SCOPED_TRACE(CrashPointName(point));
+    const CrashPlan crash{point, corpus.module_ids[60]};
+
+    const std::string real = FreshDir(std::string("real-") +
+                                      CrashPointName(point));
+    DurableAttempt(real, nullptr, &crash);
+    const std::string real_annotations = DurableAttempt(real, nullptr, nullptr);
+
+    Relocation relocated =
+        Relocate(std::string("relocated-") + CrashPointName(point));
+    const std::string dir = relocated.root + "/run";
+    DurableAttempt(dir, relocated.io.get(), &crash);
+    const std::string annotations =
+        DurableAttempt(dir, relocated.io.get(), nullptr);
+
+    const auto expected = TreeBytes(real);
+    EXPECT_GE(expected.size(), 3u) << "the run should span 3+ segments";
+    EXPECT_EQ(TreeBytes(relocated.backing + "/run"), expected);
+    EXPECT_FALSE(real_annotations.empty());
+    EXPECT_EQ(annotations, real_annotations);
+  }
+}
+
+/// A 3-shard run and its merge leave the same bytes on a relocated file
+/// system as on the real one.
+TEST(IoSeamTest, ShardedAnnotateRelocatesByteIdentically) {
+  const ScaleCorpus& corpus = SeamCorpus();
+  ShardOptions options;
+  options.shards = 3;
+
+  options.root = FreshDir("real-sharded");
+  auto real_registry = FreshScaleRegistry();
+  auto real = RunShardedAnnotate(*real_registry, *corpus.ontology,
+                                 *corpus.pool, SeamConfig(), options);
+  ASSERT_TRUE(real.ok()) << real.status();
+  ASSERT_TRUE(real->merged.run_status.ok()) << real->merged.run_status;
+  const auto expected = TreeBytes(options.root);
+
+  Relocation relocated = Relocate("relocated-sharded");
+  options.root = relocated.root + "/sharded";
+  auto registry = FreshScaleRegistry();
+  auto sharded =
+      RunShardedAnnotate(*registry, *corpus.ontology, *corpus.pool,
+                         SeamConfig(), options, relocated.io.get());
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+  ASSERT_TRUE(sharded->merged.run_status.ok()) << sharded->merged.run_status;
+
+  EXPECT_GE(expected.size(), 5u);  // MANIFEST, 3 shards, the merge.
+  EXPECT_EQ(TreeBytes(relocated.backing + "/sharded"), expected);
+  EXPECT_EQ(SaveAnnotations(*registry, *corpus.ontology),
+            SaveAnnotations(*real_registry, *corpus.ontology));
 }
 
 }  // namespace

@@ -588,6 +588,37 @@ TEST(RawIoRuleTest, FiresOnFilesystemRename) {
   EXPECT_NE(report.findings[0].message.find("IoEnv::Rename"), std::string::npos);
 }
 
+TEST(RawIoRuleTest, FiresOnFilesystemAndFstreamInSrc) {
+  LintReport report = Lint(
+      {{"src/durability/list.cc",
+        "#include <filesystem>\n"
+        "#include <fstream>\n"
+        "namespace fs = std::filesystem;\n"
+        "bool F(const std::string& d, std::error_code& ec) {\n"
+        "  return std::filesystem::exists(d, ec) || fs::is_directory(d, ec);\n"
+        "}\n"}});
+  ASSERT_EQ(report.findings.size(), 4u) << Describe(report);
+  EXPECT_EQ(RuleSet(report), std::set<std::string>{"raw-io"});
+  EXPECT_EQ(report.findings[0].line, 1);
+  EXPECT_EQ(report.findings[1].line, 2);
+  EXPECT_NE(report.findings[2].message.find("IoEnv::ListDir"),
+            std::string::npos);
+}
+
+TEST(RawIoRuleTest, FilesystemIsExemptInTheSeamTestsAndBenches) {
+  const std::string code =
+      "#include <filesystem>\n"
+      "#include <fstream>\n"
+      "namespace fs = std::filesystem;\n"
+      "bool F(const std::string& d) {\n"
+      "  return std::filesystem::exists(d) && fs::is_directory(d);\n"
+      "}\n";
+  LintReport report = Lint({{"src/common/io_env.cc", code},
+                            {"tests/x_test.cc", code},
+                            {"bench/bench_x.cc", code}});
+  EXPECT_TRUE(report.findings.empty()) << Describe(report);
+}
+
 TEST(RawIoRuleTest, SeamSocketLoopTestsAndQualifiedCallsAreExempt) {
   LintReport report = Lint(
       {// The seam implementation itself owns the raw syscalls.

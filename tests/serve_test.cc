@@ -52,6 +52,13 @@ std::unique_ptr<ServeEnv> MakeEnv(const std::string& journal_dir,
   return std::move(env).value();
 }
 
+/// The unfinished-run scan of `env`; a scan failure fails the test.
+std::vector<std::string> UnfinishedDirs(const ServeEnv& env) {
+  auto dirs = env.UnfinishedJournalDirs();
+  EXPECT_TRUE(dirs.ok()) << dirs.status();
+  return dirs.ok() ? std::move(dirs).value() : std::vector<std::string>{};
+}
+
 /// One environment shared by the suites that don't restart the daemon
 /// (building the corpus + workflow corpus is the expensive part).
 ServeEnv& SharedEnv() {
@@ -675,7 +682,7 @@ TEST(ServerTest, ResumesInFlightDurableRunsAfterRestart) {
   // unfinished run, resumes it, and completes it to the baseline bytes.
   {
     auto env = MakeEnv(journal_root + "/live", 2);
-    EXPECT_EQ(env->UnfinishedJournalDirs(),
+    EXPECT_EQ(UnfinishedDirs(*env),
               std::vector<std::string>{crashed_dir});
     Server server(*env, {});
     auto resumed = server.ResumeInFlightRuns();
@@ -694,7 +701,7 @@ TEST(ServerTest, ResumesInFlightDurableRunsAfterRestart) {
 
     // The resumed run is now finished: DONE written, nothing left to scan.
     EXPECT_TRUE(fs::exists(fs::path(crashed_dir) / "DONE"));
-    EXPECT_TRUE(env->UnfinishedJournalDirs().empty());
+    EXPECT_TRUE(UnfinishedDirs(*env).empty());
   }
 }
 
@@ -767,7 +774,7 @@ TEST(ServerTest, ShardRunMatchesTheDurableRunAndResumesAfterRestart) {
   // Daemon 3 on the same root: the startup scan resumes the shard run from
   // its RUN descriptor, without the crash plan, to the baseline bytes.
   auto env = MakeEnv(root, 2);
-  EXPECT_EQ(env->UnfinishedJournalDirs(),
+  EXPECT_EQ(UnfinishedDirs(*env),
             std::vector<std::string>{crashed_dir});
   Server server(*env, {});
   auto resumed = server.ResumeInFlightRuns();

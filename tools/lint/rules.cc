@@ -508,16 +508,27 @@ void CheckUncachedReasoning(const SourceFile& f, const GlobalContext&,
 
 /// Production code does its file I/O through the IoEnv seam
 /// (src/common/io_env.h), so disk faults are injectable and surface as the
-/// typed taxonomy (kResourceExhausted/kCorrupted) instead of a raw errno.
-/// Direct global-qualified POSIX calls and std/filesystem renames in src/
-/// are findings. Exempt: the seam implementation itself, and the serve
-/// socket loop (sockets are a network transport, not durable-byte I/O).
-/// tests/, bench/ and tools/ drive sockets and fixtures freely.
+/// typed taxonomy (kResourceExhausted/kCorrupted) instead of a raw errno,
+/// and directory metadata is one more seam call rather than a second path
+/// to the disk. Findings in src/: direct global-qualified POSIX calls,
+/// `std::rename`, any `filesystem::` or `fs::` qualification, and
+/// `#include <filesystem>` / `<fstream>`. Exempt: the seam implementation
+/// itself (common/io_env.cc), and for the POSIX calls the serve socket loop
+/// (sockets are a network transport, not durable-byte I/O). tests/, bench/
+/// and tools/ drive sockets and fixtures freely.
 void CheckRawIo(const SourceFile& f, const GlobalContext&,
                 std::vector<Finding>& out) {
   if (f.layer.empty()) return;
-  if (f.path.find("common/io_env") != std::string::npos) return;
-  if (f.path == "src/serve/server.cc") return;
+  if (f.path == "src/common/io_env.cc") return;
+  for (const IncludeDirective& inc : f.lex.includes) {
+    if (inc.angled && (inc.path == "filesystem" || inc.path == "fstream")) {
+      out.push_back({"raw-io", f.path, inc.line,
+                     "#include <" + inc.path +
+                         "> outside the I/O seam; read, write and list "
+                         "through an IoEnv (src/common/io_env.h)"});
+    }
+  }
+  const bool socket_loop = f.path == "src/serve/server.cc";
   static const std::set<std::string> kPosixIo = {
       "open",  "read",   "write", "close",     "fsync", "fdatasync",
       "pread", "pwrite", "mmap",  "munmap",    "rename"};
@@ -525,7 +536,7 @@ void CheckRawIo(const SourceFile& f, const GlobalContext&,
   for (size_t i = 0; i + 1 < t.size(); ++i) {
     // Global-qualified POSIX call: `::write(...)` where the `::` is not the
     // tail of a longer qualification (`std::`, `fs::`, `SomeClass::`).
-    if (IsPunct(t[i], "::") && i + 2 < t.size() &&
+    if (!socket_loop && IsPunct(t[i], "::") && i + 2 < t.size() &&
         t[i + 1].kind == TokenKind::kIdentifier &&
         kPosixIo.count(t[i + 1].text) != 0 && IsPunct(t[i + 2], "(")) {
       bool qualified = i > 0 && (t[i - 1].kind == TokenKind::kIdentifier ||
@@ -540,17 +551,31 @@ void CheckRawIo(const SourceFile& f, const GlobalContext&,
       }
       continue;
     }
-    // Namespaced renames bypass the seam's Rename just as thoroughly.
-    if (t[i].kind == TokenKind::kIdentifier &&
-        (t[i].text == "std" || t[i].text == "fs" ||
-         t[i].text == "filesystem") &&
-        IsPunct(t[i + 1], "::") && i + 3 < t.size() &&
-        IsIdent(t[i + 2], "rename") && IsPunct(t[i + 3], "(")) {
+    if (t[i].kind != TokenKind::kIdentifier || !IsPunct(t[i + 1], "::")) {
+      continue;
+    }
+    // std::filesystem (spelled out or through an `fs` alias) is a second
+    // path to the disk that no IoEnv sees.
+    if (t[i].text == "filesystem" || t[i].text == "fs") {
+      const std::string member =
+          i + 2 < t.size() && t[i + 2].kind == TokenKind::kIdentifier
+              ? t[i + 2].text
+              : "";
+      out.push_back({"raw-io", f.path, t[i].line,
+                     "`" + t[i].text + "::" + member +
+                         "` outside the I/O seam; use IoEnv::Rename, "
+                         "IoEnv::ListDir, IoEnv::CreateDirs or JoinPath "
+                         "(src/common/io_env.h) so every disk access is "
+                         "injectable and typed"});
+      continue;
+    }
+    // std::rename bypasses the seam's Rename just as thoroughly.
+    if (t[i].text == "std" && i + 3 < t.size() && IsIdent(t[i + 2], "rename") &&
+        IsPunct(t[i + 3], "(")) {
       out.push_back({"raw-io", f.path, t[i + 2].line,
-                     "`" + t[i].text +
-                         "::rename` outside the I/O seam; use "
-                         "IoEnv::Rename (src/common/io_env.h) so the "
-                         "swap is fault-injectable and typed"});
+                     "`std::rename` outside the I/O seam; use "
+                     "IoEnv::Rename (src/common/io_env.h) so the "
+                     "swap is fault-injectable and typed"});
     }
   }
 }
@@ -817,8 +842,9 @@ const std::vector<RuleInfo>& Rules() {
        "through ConceptCache's compiled tables, never the raw ontology",
        &CheckUncachedReasoning},
       {"raw-io", "io",
-       "src/ file I/O goes through the IoEnv seam (common/io_env.h), never "
-       "raw ::open/::write/::fsync/rename",
+       "src/ file I/O and directory listing go through the IoEnv seam "
+       "(common/io_env.h), never raw ::open/::write/::fsync/rename or "
+       "std::filesystem",
        &CheckRawIo},
   };
   return kRules;

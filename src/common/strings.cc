@@ -20,21 +20,25 @@ std::vector<std::string> Split(std::string_view s, char sep) {
   return out;
 }
 
+bool LineReader::Next(std::string_view* line) {
+  if (rest_.empty()) return false;
+  const size_t newline = rest_.find('\n');
+  if (newline == std::string_view::npos) {
+    *line = rest_;
+    rest_ = {};
+    return true;
+  }
+  size_t end = newline;
+  if (end > 0 && rest_[end - 1] == '\r') --end;
+  *line = rest_.substr(0, end);
+  rest_.remove_prefix(newline + 1);
+  return true;
+}
+
 std::vector<std::string> SplitLines(std::string_view s) {
   std::vector<std::string> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size()) {
-      if (start < i) out.emplace_back(s.substr(start, i - start));
-      break;
-    }
-    if (s[i] == '\n') {
-      size_t end = i;
-      if (end > start && s[end - 1] == '\r') --end;
-      out.emplace_back(s.substr(start, end - start));
-      start = i + 1;
-    }
-  }
+  LineReader lines(s);
+  for (std::string_view line; lines.Next(&line);) out.emplace_back(line);
   return out;
 }
 

@@ -11,7 +11,23 @@ namespace dexa {
 /// Splits `s` on `sep`, keeping empty fields.
 std::vector<std::string> Split(std::string_view s, char sep);
 
-/// Splits `s` into lines, accepting both "\n" and "\r\n".
+/// Reads `text` one line at a time without copying it: each line is a view
+/// into `text`, which must outlive the reader. Accepts both "\n" and "\r\n"
+/// terminators. An unterminated last line is a line, and a '\r' at its end
+/// stays; text that ends in a terminator has no empty line after it.
+class LineReader {
+ public:
+  explicit LineReader(std::string_view text) : rest_(text) {}
+
+  /// Sets `*line` to the next line and returns true; false once every line
+  /// has been read.
+  bool Next(std::string_view* line);
+
+ private:
+  std::string_view rest_;
+};
+
+/// Splits `s` into lines, as LineReader reads them.
 std::vector<std::string> SplitLines(std::string_view s);
 
 /// Joins `parts` with `sep`.

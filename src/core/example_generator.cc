@@ -257,22 +257,25 @@ Result<AnnotateReport> AnnotateRegistry(const ExampleGenerator& generator,
     // no live invocation deltas, because no invocation happened.
     obs::ScopedSpan replay(tracer, obs::SpanKind::kPhase, "replay", run.id());
     for (size_t k = 0; k < hooks.replayed->size(); ++k) {
-      const ModuleCommit& commit = (*hooks.replayed)[k];
+      ModuleCommit& commit = (*hooks.replayed)[k];
       obs::ScopedSpan module_span(tracer, obs::SpanKind::kBatch,
                                   commit.module_id, replay.id());
       module_span.MarkReplayed();
-      std::vector<std::pair<std::string, uint64_t>> counters;
-      counters.reserve(3);
-      if (!commit.examples.empty()) {
-        counters.emplace_back("examples", commit.examples.size());
+      if (tracer != nullptr) {  // Untraced replays allocate no counters.
+        std::vector<std::pair<std::string, uint64_t>> counters;
+        counters.reserve(3);
+        if (!commit.examples.empty()) {
+          counters.emplace_back("examples", commit.examples.size());
+        }
+        if (commit.decayed) counters.emplace_back("decayed", 1);
+        if (commit.transient_exhausted != 0) {
+          counters.emplace_back("transient_exhausted",
+                                commit.transient_exhausted);
+        }
+        module_span.Counters(std::move(counters));
       }
-      if (commit.decayed) counters.emplace_back("decayed", 1);
-      if (commit.transient_exhausted != 0) {
-        counters.emplace_back("transient_exhausted",
-                              commit.transient_exhausted);
-      }
-      module_span.Counters(std::move(counters));
-      DEXA_RETURN_IF_ERROR(ApplyCommit(commit, modules[k], registry, report));
+      DEXA_RETURN_IF_ERROR(
+          ApplyCommit(std::move(commit), modules[k], registry, report));
       ++report.replayed;
       metrics.Add(EngineCounter::modules_replayed);
     }

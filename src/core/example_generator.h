@@ -190,9 +190,11 @@ struct AnnotateHooks {
   /// Modules committed by a previous run, in registration order: commit k
   /// must name available module k (AvailableIndices()[k]). Each takes effect
   /// (registry and report) under a "replay" phase without invoking the
-  /// module; generation starts after the prefix. Null opens no replay
-  /// phase; durable runs always pass one, empty when they start fresh.
-  const std::vector<ModuleCommit>* replayed = nullptr;
+  /// module; generation starts after the prefix. The replay consumes the
+  /// prefix: each commit's examples move into the registry, so the vector
+  /// holds moved-from commits afterwards. Null opens no replay phase;
+  /// durable runs always pass one, empty when they start fresh.
+  std::vector<ModuleCommit>* replayed = nullptr;
 
   /// Runs once, before the replay, inside the run span: a fresh durable
   /// run appends its journal header here.

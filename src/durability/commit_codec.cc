@@ -1,6 +1,7 @@
 #include "durability/commit_codec.h"
 
 #include <limits>
+#include <string_view>
 #include <utility>
 
 #include "common/rng.h"
@@ -16,22 +17,31 @@ constexpr const char* kModuleCommitKind = "commit module";
 constexpr const char* kEnactHeaderKind = "run enact";
 constexpr const char* kStepCommitKind = "commit step";
 
-Result<uint64_t> ParseU64Field(const std::string& text, const char* what) {
+Result<uint64_t> ParseU64Field(std::string_view text, const char* what) {
   uint64_t value = 0;
   if (!ParseU64(text, &value)) {
     return Status::ParseError(std::string("malformed ") + what + " '" +
-                              text + "'");
+                              std::string(text) + "'");
   }
   return value;
 }
 
-/// `key value` line with the given key, or ParseError.
-Result<std::string> ExpectField(const std::vector<std::string>& lines,
-                                size_t index, const std::string& key) {
-  if (index >= lines.size() || !StartsWith(lines[index], key + " ")) {
-    return Status::ParseError("journal record missing '" + key + "' field");
+/// True if the next line of `lines` is `kind`, the line opening a record.
+bool ReadKind(LineReader& lines, std::string_view kind) {
+  std::string_view line;
+  return lines.Next(&line) && line == kind;
+}
+
+/// The value of the next line of `lines`, which must read `key value`;
+/// ParseError if it does not or the record has no line left.
+Result<std::string_view> ExpectField(LineReader& lines, std::string_view key) {
+  std::string_view line;
+  if (!lines.Next(&line) || line.size() <= key.size() ||
+      !StartsWith(line, key) || line[key.size()] != ' ') {
+    return Status::ParseError("journal record missing '" + std::string(key) +
+                              "' field");
   }
-  return lines[index].substr(key.size() + 1);
+  return line.substr(key.size() + 1);
 }
 
 }  // namespace
@@ -39,8 +49,8 @@ Result<std::string> ExpectField(const std::vector<std::string>& lines,
 uint64_t AnnotateConfigFingerprint(const ModuleRegistry& registry,
                                    const GeneratorOptions& options) {
   uint64_t fp = StableHash64("dexa annotate v1");
-  for (const ModulePtr& module : registry.AvailableModules()) {
-    fp = HashCombine(fp, StableHash64(module->spec().id));
+  for (const ModuleIndex index : registry.AvailableIndices()) {
+    fp = HashCombine(fp, StableHash64(registry.At(index)->spec().id));
   }
   fp = HashCombine(fp, static_cast<uint64_t>(options.max_combinations));
   fp = HashCombine(fp, static_cast<uint64_t>(options.use_realization));
@@ -62,26 +72,24 @@ std::string EncodeAnnotateRunHeader(const AnnotateRunHeader& header) {
   return out;
 }
 
-Result<AnnotateRunHeader> DecodeAnnotateRunHeader(const std::string& payload) {
-  std::vector<std::string> lines = SplitLines(payload);
-  if (lines.empty() || lines[0] != kAnnotateHeaderKind) {
+Result<AnnotateRunHeader> DecodeAnnotateRunHeader(std::string_view payload) {
+  LineReader lines(payload);
+  if (!ReadKind(lines, kAnnotateHeaderKind)) {
     return Status::ParseError("not an annotate run header record");
   }
   AnnotateRunHeader header;
-  auto modules = ExpectField(lines, 1, "modules");
-  if (!modules.ok()) return modules.status();
-  auto count = ParseU64Field(*modules, "module count");
-  if (!count.ok()) return count.status();
-  header.modules = *count;
-  auto fingerprint = ExpectField(lines, 2, "fingerprint");
-  if (!fingerprint.ok()) return fingerprint.status();
-  auto fp = ParseU64Field(*fingerprint, "fingerprint");
-  if (!fp.ok()) return fp.status();
-  header.fingerprint = *fp;
-  if (lines.size() > 3 && StartsWith(lines[3], "kb_checksum ")) {
-    auto checksum = ParseU64Field(lines[3].substr(12), "kb checksum");
-    if (!checksum.ok()) return checksum.status();
-    header.kb_checksum = *checksum;
+  DEXA_ASSIGN_OR_RETURN(const std::string_view modules,
+                        ExpectField(lines, "modules"));
+  DEXA_ASSIGN_OR_RETURN(header.modules,
+                        ParseU64Field(modules, "module count"));
+  DEXA_ASSIGN_OR_RETURN(const std::string_view fingerprint,
+                        ExpectField(lines, "fingerprint"));
+  DEXA_ASSIGN_OR_RETURN(header.fingerprint,
+                        ParseU64Field(fingerprint, "fingerprint"));
+  std::string_view line;
+  if (lines.Next(&line) && StartsWith(line, "kb_checksum ")) {
+    DEXA_ASSIGN_OR_RETURN(header.kb_checksum,
+                          ParseU64Field(line.substr(12), "kb checksum"));
   }
   return header;
 }
@@ -97,35 +105,37 @@ std::string EncodeModuleCommit(const ModuleCommit& commit,
   return out;
 }
 
-Result<ModuleCommit> DecodeModuleCommit(const std::string& payload,
+Result<ModuleCommit> DecodeModuleCommit(std::string_view payload,
                                         const Ontology& ontology) {
-  std::vector<std::string> lines = SplitLines(payload);
-  if (lines.empty() || lines[0] != kModuleCommitKind) {
+  LineReader lines(payload);
+  if (!ReadKind(lines, kModuleCommitKind)) {
     return Status::ParseError("not a module commit record");
   }
   ModuleCommit commit;
-  auto id = ExpectField(lines, 1, "id");
-  if (!id.ok()) return id.status();
-  commit.module_id = *id;
-  auto decayed = ExpectField(lines, 2, "decayed");
-  if (!decayed.ok()) return decayed.status();
-  if (*decayed != "0" && *decayed != "1") {
-    return Status::ParseError("malformed decayed flag '" + *decayed + "'");
+  DEXA_ASSIGN_OR_RETURN(const std::string_view id, ExpectField(lines, "id"));
+  commit.module_id = id;
+  DEXA_ASSIGN_OR_RETURN(const std::string_view decayed,
+                        ExpectField(lines, "decayed"));
+  if (decayed != "0" && decayed != "1") {
+    return Status::ParseError("malformed decayed flag '" +
+                              std::string(decayed) + "'");
   }
-  commit.decayed = *decayed == "1";
-  auto exhausted = ExpectField(lines, 3, "transient_exhausted");
-  if (!exhausted.ok()) return exhausted.status();
-  auto count = ParseU64Field(*exhausted, "transient_exhausted");
-  if (!count.ok()) return count.status();
-  commit.transient_exhausted = *count;
+  commit.decayed = decayed == "1";
+  DEXA_ASSIGN_OR_RETURN(const std::string_view exhausted,
+                        ExpectField(lines, "transient_exhausted"));
+  DEXA_ASSIGN_OR_RETURN(commit.transient_exhausted,
+                        ParseU64Field(exhausted, "transient_exhausted"));
 
+  // The data-example blocks start on the record's fifth line.
   DataExampleParser parser(ontology);
-  for (size_t n = 4; n < lines.size(); ++n) {
-    if (lines[n].empty()) continue;
-    Status parsed = parser.ParseLine(lines[n]);
+  std::string_view line;
+  for (size_t number = 5; lines.Next(&line); ++number) {
+    if (line.empty()) continue;
+    Status parsed = parser.ParseLine(line);
     if (!parsed.ok()) {
-      return Status::ParseError("module commit line " + std::to_string(n + 1) +
-                                ": " + parsed.message());
+      return Status::ParseError("module commit line " +
+                                std::to_string(number) + ": " +
+                                parsed.message());
     }
   }
   if (parser.in_example()) {
@@ -151,25 +161,23 @@ std::string EncodeEnactRunHeader(const EnactRunHeader& header) {
   return out;
 }
 
-Result<EnactRunHeader> DecodeEnactRunHeader(const std::string& payload) {
-  std::vector<std::string> lines = SplitLines(payload);
-  if (lines.empty() || lines[0] != kEnactHeaderKind) {
+Result<EnactRunHeader> DecodeEnactRunHeader(std::string_view payload) {
+  LineReader lines(payload);
+  if (!ReadKind(lines, kEnactHeaderKind)) {
     return Status::ParseError("not an enact run header record");
   }
   EnactRunHeader header;
-  auto workflow = ExpectField(lines, 1, "workflow");
-  if (!workflow.ok()) return workflow.status();
-  header.workflow_id = *workflow;
-  auto processors = ExpectField(lines, 2, "processors");
-  if (!processors.ok()) return processors.status();
-  auto count = ParseU64Field(*processors, "processor count");
-  if (!count.ok()) return count.status();
-  header.processors = *count;
-  auto fingerprint = ExpectField(lines, 3, "fingerprint");
-  if (!fingerprint.ok()) return fingerprint.status();
-  auto fp = ParseU64Field(*fingerprint, "fingerprint");
-  if (!fp.ok()) return fp.status();
-  header.fingerprint = *fp;
+  DEXA_ASSIGN_OR_RETURN(const std::string_view workflow,
+                        ExpectField(lines, "workflow"));
+  header.workflow_id = workflow;
+  DEXA_ASSIGN_OR_RETURN(const std::string_view processors,
+                        ExpectField(lines, "processors"));
+  DEXA_ASSIGN_OR_RETURN(header.processors,
+                        ParseU64Field(processors, "processor count"));
+  DEXA_ASSIGN_OR_RETURN(const std::string_view fingerprint,
+                        ExpectField(lines, "fingerprint"));
+  DEXA_ASSIGN_OR_RETURN(header.fingerprint,
+                        ParseU64Field(fingerprint, "fingerprint"));
   return header;
 }
 
@@ -188,32 +196,32 @@ std::string EncodeStepCommit(const StepCommit& commit) {
   return out;
 }
 
-Result<StepCommit> DecodeStepCommit(const std::string& payload) {
-  std::vector<std::string> lines = SplitLines(payload);
-  if (lines.empty() || lines[0] != kStepCommitKind) {
+Result<StepCommit> DecodeStepCommit(std::string_view payload) {
+  LineReader lines(payload);
+  if (!ReadKind(lines, kStepCommitKind)) {
     return Status::ParseError("not a step commit record");
   }
   StepCommit commit;
-  auto processor = ExpectField(lines, 1, "processor");
-  if (!processor.ok()) return processor.status();
-  auto index = ParseU64Field(*processor, "processor index");
-  if (!index.ok()) return index.status();
-  if (*index > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-    return Status::ParseError("processor index " + *processor +
+  DEXA_ASSIGN_OR_RETURN(const std::string_view processor,
+                        ExpectField(lines, "processor"));
+  DEXA_ASSIGN_OR_RETURN(const uint64_t index,
+                        ParseU64Field(processor, "processor index"));
+  if (index > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    return Status::ParseError("processor index " + std::string(processor) +
                               " out of range");
   }
-  commit.processor = static_cast<int>(*index);
-  auto workflow = ExpectField(lines, 2, "workflow");
-  if (!workflow.ok()) return workflow.status();
-  commit.record.workflow_id = *workflow;
-  auto name = ExpectField(lines, 3, "name");
-  if (!name.ok()) return name.status();
-  commit.record.processor_name = *name;
-  auto module = ExpectField(lines, 4, "module");
-  if (!module.ok()) return module.status();
-  commit.record.module_id = *module;
-  for (size_t n = 5; n < lines.size(); ++n) {
-    const std::string& line = lines[n];
+  commit.processor = static_cast<int>(index);
+  DEXA_ASSIGN_OR_RETURN(const std::string_view workflow,
+                        ExpectField(lines, "workflow"));
+  commit.record.workflow_id = workflow;
+  DEXA_ASSIGN_OR_RETURN(const std::string_view name,
+                        ExpectField(lines, "name"));
+  commit.record.processor_name = name;
+  DEXA_ASSIGN_OR_RETURN(const std::string_view module,
+                        ExpectField(lines, "module"));
+  commit.record.module_id = module;
+  std::string_view line;
+  while (lines.Next(&line)) {
     if (line.empty()) continue;
     if (StartsWith(line, "in ")) {
       auto value = Value::Parse(line.substr(3));
@@ -224,8 +232,8 @@ Result<StepCommit> DecodeStepCommit(const std::string& payload) {
       if (!value.ok()) return value.status();
       commit.record.outputs.push_back(std::move(value).value());
     } else {
-      return Status::ParseError("step commit: unrecognized line '" + line +
-                                "'");
+      return Status::ParseError("step commit: unrecognized line '" +
+                                std::string(line) + "'");
     }
   }
   return commit;

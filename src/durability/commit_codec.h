@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -18,7 +19,9 @@ namespace dexa {
 /// line-oriented text document whose first line names the record kind;
 /// the journal framing (length + CRC32) guarantees each decoded payload is
 /// byte-exact, so the codec never has to defend against truncation — only
-/// against records from a different run (fingerprint mismatch).
+/// against records from a different run (fingerprint mismatch). Decoders
+/// read the payload as views into it, one line at a time (LineReader,
+/// common/strings.h), and copy only the fields a record keeps.
 
 /// First record of every annotation journal: identifies the run so a resume
 /// against a different registry or generator configuration is rejected
@@ -42,15 +45,16 @@ uint64_t AnnotateConfigFingerprint(const ModuleRegistry& registry,
                                    const GeneratorOptions& options);
 
 std::string EncodeAnnotateRunHeader(const AnnotateRunHeader& header);
-[[nodiscard]] Result<AnnotateRunHeader> DecodeAnnotateRunHeader(const std::string& payload);
+[[nodiscard]] Result<AnnotateRunHeader> DecodeAnnotateRunHeader(
+    std::string_view payload);
 
 /// One committed module annotation (ModuleCommit, core/example_generator.h):
 /// an id/decayed/transient_exhausted preamble, then the data-example blocks
 /// of modules/registry_io.h. `decayed` decodes from `0` or `1` only.
 std::string EncodeModuleCommit(const ModuleCommit& commit,
                                const Ontology& ontology);
-[[nodiscard]] Result<ModuleCommit> DecodeModuleCommit(const std::string& payload,
-                                        const Ontology& ontology);
+[[nodiscard]] Result<ModuleCommit> DecodeModuleCommit(
+    std::string_view payload, const Ontology& ontology);
 
 /// First record of every enactment journal.
 struct EnactRunHeader {
@@ -63,7 +67,8 @@ uint64_t EnactConfigFingerprint(const std::string& workflow_id,
                                 const std::vector<Value>& inputs);
 
 std::string EncodeEnactRunHeader(const EnactRunHeader& header);
-[[nodiscard]] Result<EnactRunHeader> DecodeEnactRunHeader(const std::string& payload);
+[[nodiscard]] Result<EnactRunHeader> DecodeEnactRunHeader(
+    std::string_view payload);
 
 /// One committed enactment step: the processor index in the workflow's
 /// processor list plus the full invocation record, so a resumed enactment
@@ -75,7 +80,7 @@ struct StepCommit {
 };
 
 std::string EncodeStepCommit(const StepCommit& commit);
-[[nodiscard]] Result<StepCommit> DecodeStepCommit(const std::string& payload);
+[[nodiscard]] Result<StepCommit> DecodeStepCommit(std::string_view payload);
 
 }  // namespace dexa
 

@@ -145,7 +145,7 @@ Result<std::vector<ModuleCommit>> ValidateAnnotateResume(
     return Status::Corrupted("journal's first record is not a run header: " +
                              header.status().message());
   }
-  const std::vector<ModulePtr> modules = registry.AvailableModules();
+  const std::vector<ModuleIndex> modules = registry.AvailableIndices();
   const uint64_t fingerprint = AnnotateConfigFingerprint(registry, options);
   if (header->fingerprint != fingerprint ||
       header->modules != modules.size()) {
@@ -172,7 +172,7 @@ Result<std::vector<ModuleCommit>> ValidateAnnotateResume(
     }
     const size_t index = committed.size();
     if (index >= modules.size() ||
-        commit->module_id != modules[index]->spec().id) {
+        commit->module_id != registry.At(modules[index])->spec().id) {
       return Status::Corrupted(
           "journal commit order diverges from registration order at record " +
           std::to_string(r) + " ('" + commit->module_id + "')");
@@ -209,7 +209,7 @@ Result<AnnotateReport> AnnotateDurable(const RunRequest& request) {
   if (fresh) {
     hooks.on_begin = [&]() {
       AnnotateRunHeader header;
-      header.modules = registry.AvailableModules().size();
+      header.modules = registry.AvailableIndices().size();
       header.fingerprint =
           AnnotateConfigFingerprint(registry, generator.options());
       header.kb_checksum = request.kb_checksum;

@@ -41,12 +41,13 @@ Status DataExampleParser::ParseLine(std::string_view line) {
     if (space == std::string_view::npos) {
       return Status::ParseError("malformed 'in' line");
     }
-    std::string concept_name(rest.substr(0, space));
+    const std::string_view concept_name = rest.substr(0, space);
     ConceptId partition = kInvalidConcept;
     if (concept_name != "-") {
       partition = ontology_.Find(concept_name);
       if (partition == kInvalidConcept) {
-        return Status::ParseError("unknown concept '" + concept_name + "'");
+        return Status::ParseError("unknown concept '" +
+                                  std::string(concept_name) + "'");
       }
     }
     auto value = Value::Parse(rest.substr(space + 1));

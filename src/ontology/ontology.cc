@@ -49,7 +49,7 @@ Status Ontology::SetCovered(ConceptId c, bool covered) {
   return Status::OK();
 }
 
-ConceptId Ontology::Find(const std::string& name) const {
+ConceptId Ontology::Find(std::string_view name) const {
   auto it = by_name_.find(name);
   return it == by_name_.end() ? kInvalidConcept : it->second;
 }

@@ -2,7 +2,9 @@
 #define DEXA_ONTOLOGY_ONTOLOGY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -64,7 +66,7 @@ class Ontology {
   const Concept& Get(ConceptId id) const { return concepts_.at(static_cast<size_t>(id)); }
 
   /// Looks a concept up by name; kInvalidConcept if absent.
-  ConceptId Find(const std::string& name) const;
+  ConceptId Find(std::string_view name) const;
 
   /// Like Find but fails loudly; convenient for builders over known schemas.
   [[nodiscard]] Result<ConceptId> Require(const std::string& name) const;
@@ -124,7 +126,16 @@ class Ontology {
  private:
   std::string name_;
   std::vector<Concept> concepts_;
-  std::unordered_map<std::string, ConceptId> by_name_;
+  /// std::hash<std::string>'s hash, also over views, so Find looks a view
+  /// up without building a string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  std::unordered_map<std::string, ConceptId, NameHash, std::equal_to<>>
+      by_name_;
 };
 
 }  // namespace dexa

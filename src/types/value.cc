@@ -344,36 +344,39 @@ class ValueParser {
     }
     ++pos_;
     std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return Err("dangling escape");
-        char e = text_[pos_++];
-        switch (e) {
-          case '"':
-            out.push_back('"');
-            break;
-          case '\\':
-            out.push_back('\\');
-            break;
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          default:
-            return Err(std::string("unknown escape '\\") + e + "'");
-        }
-      } else {
-        out.push_back(c);
+    for (;;) {
+      // Copy the run up to the next quote or escape in one step.
+      size_t stop = pos_;
+      while (stop < text_.size() && text_[stop] != '"' &&
+             text_[stop] != '\\') {
+        ++stop;
+      }
+      out.append(text_, pos_, stop - pos_);
+      pos_ = stop;
+      if (pos_ == text_.size()) return Err("unterminated string");
+      if (text_[pos_++] == '"') return out;
+      if (pos_ >= text_.size()) return Err("dangling escape");
+      char e = text_[pos_++];
+      switch (e) {
+        case '"':
+          out.push_back('"');
+          break;
+        case '\\':
+          out.push_back('\\');
+          break;
+        case 'n':
+          out.push_back('\n');
+          break;
+        case 't':
+          out.push_back('\t');
+          break;
+        case 'r':
+          out.push_back('\r');
+          break;
+        default:
+          return Err(std::string("unknown escape '\\") + e + "'");
       }
     }
-    return Err("unterminated string");
   }
 
   Result<Value> ParseNumber() {

@@ -1,5 +1,7 @@
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -136,6 +138,38 @@ TEST(StringsTest, SplitLinesHandlesCrLf) {
   EXPECT_EQ(SplitLines("a\nb\r\nc"),
             (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_EQ(SplitLines("x\n"), (std::vector<std::string>{"x"}));
+}
+
+// LineReader and SplitLines agree on every edge case: "\n" and "\r\n" end
+// a line, a '\r' ending an unterminated last line stays, and a final
+// terminator is followed by no empty line.
+TEST(StringsTest, LineReaderSplitsEdgeCasesLikeSplitLines) {
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases =
+      {
+          {"", {}},
+          {"a", {"a"}},
+          {"a\n", {"a"}},
+          {"a\r\n", {"a"}},
+          {"a\r", {"a\r"}},  // An unterminated last line keeps its '\r'.
+          {"\n\n", {"", ""}},
+          {"a\n\nb\r\n", {"a", "", "b"}},
+          {"\r\n", {""}},
+          {"a\r\r\n", {"a\r"}},  // Only the '\r' before the '\n' goes.
+      };
+  for (const auto& [text, expected] : cases) {
+    EXPECT_EQ(SplitLines(text), expected) << "'" << text << "'";
+    std::vector<std::string> read;
+    LineReader lines(text);
+    for (std::string_view line; lines.Next(&line);) {
+      // Each line is a view into the text, not a copy.
+      EXPECT_GE(line.data(), text.data());
+      EXPECT_LE(line.data() + line.size(), text.data() + text.size());
+      read.emplace_back(line);
+    }
+    EXPECT_EQ(read, expected) << "'" << text << "'";
+    std::string_view past_end;
+    EXPECT_FALSE(lines.Next(&past_end));
+  }
 }
 
 TEST(StringsTest, JoinAndTrim) {

@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,12 +17,15 @@
 #include "core/engine_config.h"
 #include "core/run_api.h"
 #include "corpus/fault_injector.h"
+#include "corpus/scale.h"
 #include "common/crc32.h"
+#include "common/strings.h"
 #include "durability/commit_codec.h"
 #include "durability/evaluation_env.h"
 #include "durability/journal.h"
 #include "durability/snapshot.h"
 #include "durability/trace_io.h"
+#include "engine/concept_cache.h"
 #include "modules/registry_io.h"
 #include "pool/pool_io.h"
 #include "tests/test_util.h"
@@ -436,7 +440,12 @@ TEST_P(CrashResumeTest, ResumedRunIsByteIdenticalToUninterrupted) {
 
   // The committed prefix was served from the journal, never re-invoked.
   EXPECT_GT(report->replayed, 0u);
-  EXPECT_EQ(report->replayed, engine->metrics().Snapshot().modules_replayed);
+  const EngineMetricsSnapshot resumed_metrics = engine->metrics().Snapshot();
+  EXPECT_EQ(report->replayed, resumed_metrics.modules_replayed);
+  // Every other module ran live and was journaled once: the replayed and
+  // the re-invoked modules together cover the registry.
+  EXPECT_EQ(report->replayed + resumed_metrics.modules_reinvoked,
+            resumed_registry->AvailableModules().size());
   switch (crash_case.point) {
     case CrashPoint::kCrashBeforeCommit:
       // The crash module's own commit did not survive.
@@ -719,6 +728,147 @@ TEST(DurableAnnotateTest, ResumeRefusesACommitItCannotRepresent) {
   auto resumed = AnnotateDurable(generator, *registry, *journal, &*recovery);
   ASSERT_FALSE(resumed.ok());
   EXPECT_TRUE(resumed.status().IsCorrupted()) << resumed.status();
+}
+
+TEST(DurableAnnotateTest, ResumeRefusesCommitsOutOfRegistrationOrder) {
+  const auto& env = GetEnvironment();
+  const std::string dir = FreshDir("out-of-order");
+  ExampleGenerator generator(env.cache, env.pool.get());
+  auto registry = FreshRegistry();
+  const std::vector<ModulePtr> modules = registry->AvailableModules();
+  ASSERT_GT(modules.size(), 2u);
+  {
+    // A CRC-valid journal: this run's header, module 0's commit, then the
+    // commit of module 2 where module 1's belongs.
+    auto journal = RunJournal::Create(dir);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    AnnotateRunHeader header;
+    header.modules = modules.size();
+    header.fingerprint =
+        AnnotateConfigFingerprint(*registry, generator.options());
+    ASSERT_TRUE(journal->Append(EncodeAnnotateRunHeader(header)).ok());
+    for (const size_t k : {0, 2}) {
+      ModuleCommit commit;
+      commit.module_id = modules[k]->spec().id;
+      ASSERT_TRUE(
+          journal->Append(EncodeModuleCommit(commit, *env.corpus.ontology))
+              .ok());
+    }
+  }
+  auto recovery = RecoverJournal(dir);
+  ASSERT_TRUE(recovery.ok()) << recovery.status();
+  ASSERT_EQ(recovery->records.size(), 3u);
+  auto journal = RunJournal::Resume(dir, *recovery);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  auto resumed = AnnotateDurable(generator, *registry, *journal, &*recovery);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_TRUE(resumed.status().IsCorrupted()) << resumed.status();
+  EXPECT_EQ(resumed.status().message(),
+            "journal commit order diverges from registration order at "
+            "record 2 ('" +
+                modules[2]->spec().id + "')");
+}
+
+// Every record of a durable run re-encodes to the payload it decoded from:
+// the 96-module scale corpus, whose commits carry decayed modules, partial
+// example sets and every value shape the corpus generates.
+TEST(CommitCodecTest, DurableRunRecordsRoundTripByteForByte) {
+  auto corpus = BuildScaleCorpus({/*seed=*/7, /*modules=*/96});
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  const Ontology& ontology = *corpus->ontology;
+  EngineConfig config = EngineConfig().Threads(1);
+  auto engine = config.BuildEngine();
+  auto cache = std::make_shared<ConceptCache>(&ontology, &engine->metrics());
+  ExampleGenerator generator =
+      config.MakeGenerator(cache, corpus->pool.get(), engine.get());
+  const std::string dir = FreshDir("codec-round-trip");
+  {
+    auto journal = RunJournal::Create(dir);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    auto run = SubmitRun(MakeDurableAnnotateRun(generator, *corpus->registry,
+                                                ontology, *journal));
+    ASSERT_TRUE(run.ok()) << run.status();
+    ASSERT_TRUE(run->complete()) << run->run_status;
+  }
+  auto recovery = RecoverJournal(dir);
+  ASSERT_TRUE(recovery.ok()) << recovery.status();
+  ASSERT_EQ(recovery->records.size(), 1 + corpus->module_ids.size());
+
+  auto header = DecodeAnnotateRunHeader(recovery->records[0]);
+  ASSERT_TRUE(header.ok()) << header.status();
+  EXPECT_EQ(EncodeAnnotateRunHeader(*header), recovery->records[0]);
+  size_t examples = 0;
+  for (size_t r = 1; r < recovery->records.size(); ++r) {
+    const std::string& payload = recovery->records[r];
+    auto commit = DecodeModuleCommit(payload, ontology);
+    ASSERT_TRUE(commit.ok()) << "record " << r << ": " << commit.status();
+    EXPECT_EQ(commit->module_id, corpus->module_ids[r - 1]);
+    EXPECT_EQ(EncodeModuleCommit(*commit, ontology), payload)
+        << "record " << r;
+    examples += commit->examples.size();
+  }
+  EXPECT_GT(examples, 0u);
+}
+
+// Decode failures name what broke: the kind line, the missing or malformed
+// field, or the record line (counted from 1, blank lines included) a
+// data-example block breaks on.
+TEST(CommitCodecTest, DecodeErrorsNameTheFieldOrLine) {
+  const Ontology& ontology = *GetEnvironment().corpus.ontology;
+  const std::string preamble =
+      "commit module\nid m001\ndecayed 0\ntransient_exhausted 0\n";
+  const std::vector<std::pair<std::string, std::string>> module_cases = {
+      {"", "not a module commit record"},
+      {"commit module", "journal record missing 'id' field"},
+      {"commit module\nid\n", "journal record missing 'id' field"},
+      {"commit module\nid m001\n\ndecayed 0\n",
+       "journal record missing 'decayed' field"},
+      {"commit module\nid m001\ndecayed 2\n", "malformed decayed flag '2'"},
+      {"commit module\nid m001\ndecayed 0\ntransient_exhausted -1\n",
+       "malformed transient_exhausted '-1'"},
+      {preamble + "\nexample\nin Nope \"x\"\nend\n",
+       "module commit line 7: unknown concept 'Nope'"},
+      {preamble + "example\nout \"x\nend\n",
+       "module commit line 6: ParseError: unterminated string at offset 2"},
+      {preamble + "end\n", "module commit line 5: 'end' outside an example"},
+      {preamble + "example\r\nbogus\r\n",
+       "module commit line 6: unrecognized line 'bogus'"},
+      {preamble + "example\n", "module commit record ends inside an example"},
+  };
+  for (const auto& [payload, message] : module_cases) {
+    auto decoded = DecodeModuleCommit(payload, ontology);
+    ASSERT_FALSE(decoded.ok()) << payload;
+    EXPECT_TRUE(decoded.status().IsParseError()) << decoded.status();
+    EXPECT_EQ(decoded.status().message(), message) << payload;
+  }
+
+  const std::vector<std::pair<std::string, std::string>> other_cases = {
+      {"run annotate\nmodules 3\n", "journal record missing 'fingerprint' field"},
+      {"run annotate\nmodules x3\nfingerprint 9\n",
+       "malformed module count 'x3'"},
+      {"run annotate\nmodules 3\nfingerprint 9\nkb_checksum z\n",
+       "malformed kb checksum 'z'"},
+      {"run enact\nworkflow w\nprocessors 1 2\n",
+       "malformed processor count '1 2'"},
+      {"commit step\nprocessor 2147483648\n",
+       "processor index 2147483648 out of range"},
+      {"commit step\nprocessor 1\nworkflow w\nname n\nmodule m\nin 1\nbad\n",
+       "step commit: unrecognized line 'bad'"},
+      {"commit step\nprocessor 1\nworkflow w\nname n\nmodule m\nout [1,\n",
+       "unexpected end of input at offset 3"},
+  };
+  for (const auto& [payload, message] : other_cases) {
+    Status status;
+    if (StartsWith(payload, "run annotate")) {
+      status = DecodeAnnotateRunHeader(payload).status();
+    } else if (StartsWith(payload, "run enact")) {
+      status = DecodeEnactRunHeader(payload).status();
+    } else {
+      status = DecodeStepCommit(payload).status();
+    }
+    EXPECT_TRUE(status.IsParseError()) << payload << ": " << status;
+    EXPECT_EQ(status.message(), message) << payload;
+  }
 }
 
 /// Picks a still-enactable corpus workflow with at least three processors

@@ -6,15 +6,24 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/json.h"
 #include "common/rng.h"
+#include "core/engine_config.h"
+#include "core/run_api.h"
 #include "corpus/behaviors.h"
+#include "corpus/scale.h"
+#include "durability/commit_codec.h"
 #include "durability/journal.h"
 #include "durability/trace_io.h"
+#include "engine/concept_cache.h"
 #include "formats/entity_records.h"
 #include "formats/kegg_flat.h"
 #include "formats/reports.h"
@@ -250,6 +259,129 @@ TEST_P(ParserFuzzTest, JournalRecoveryNeverCrashes) {
         << recovery->tail_status;
     EXPECT_EQ(recovery->records.size(), scan.records.size());
     EXPECT_EQ(recovery->tail_discarded(), !scan.status.ok());
+  }
+}
+
+/// Real payloads of the four journal record kinds: the records of a durable
+/// annotate over a 96-module scale corpus, and of a durable enactment of a
+/// corpus workflow. Each list starts with its run header.
+struct CommitCodecSubstrate {
+  ScaleCorpus corpus;
+  std::vector<std::string> annotate;
+  std::vector<std::string> enact;
+};
+
+/// The records of the journal in `dir`.
+std::vector<std::string> JournalRecords(const std::string& dir) {
+  auto recovery = RecoverJournal(dir);
+  EXPECT_TRUE(recovery.ok()) << recovery.status();
+  return recovery.ok() ? std::move(recovery->records)
+                       : std::vector<std::string>{};
+}
+
+const CommitCodecSubstrate& CodecSubstrate() {
+  static const CommitCodecSubstrate* substrate = [] {
+    namespace fs = std::filesystem;
+    auto out = std::make_unique<CommitCodecSubstrate>();
+    const fs::path root = fs::path(::testing::TempDir()) / "dexa_fuzz_codec";
+    fs::remove_all(root);
+
+    auto corpus = BuildScaleCorpus({/*seed=*/7, /*modules=*/96});
+    EXPECT_TRUE(corpus.ok()) << corpus.status();
+    out->corpus = std::move(corpus).value();
+    EngineConfig config = EngineConfig().Threads(1);
+    auto engine = config.BuildEngine();
+    auto cache = std::make_shared<ConceptCache>(out->corpus.ontology.get(),
+                                                &engine->metrics());
+    ExampleGenerator generator =
+        config.MakeGenerator(cache, out->corpus.pool.get(), engine.get());
+    const std::string annotate_dir = (root / "annotate").string();
+    {
+      auto journal = RunJournal::Create(annotate_dir);
+      EXPECT_TRUE(journal.ok()) << journal.status();
+      auto run = SubmitRun(MakeDurableAnnotateRun(
+          generator, *out->corpus.registry, *out->corpus.ontology, *journal));
+      EXPECT_TRUE(run.ok() && run->complete());
+    }
+    out->annotate = JournalRecords(annotate_dir);
+
+    const auto& env = GetEnvironment();
+    const std::string enact_dir = (root / "enact").string();
+    for (const GeneratedWorkflow& item : env.workflows.items) {
+      if (item.workflow.processors.size() < 3 ||
+          !IsEnactable(item.workflow, *env.corpus.registry)) {
+        continue;
+      }
+      auto journal = RunJournal::Create(enact_dir);
+      EXPECT_TRUE(journal.ok()) << journal.status();
+      InvocationEngine enact_engine;
+      auto run = SubmitRun(MakeDurableEnactRun(
+          item.workflow, *env.corpus.registry, item.seeds, enact_engine,
+          *journal));
+      EXPECT_TRUE(run.ok()) << run.status();
+      break;
+    }
+    out->enact = JournalRecords(enact_dir);
+    return out.release();
+  }();
+  return *substrate;
+}
+
+/// Decoding `payload` either fails with kParseError or yields a record
+/// whose encoding decodes back to that same encoding.
+template <typename Encode, typename Decode>
+void ExpectParseErrorOrFixedPoint(std::string_view payload, Encode encode,
+                                  Decode decode) {
+  auto decoded = decode(payload);
+  if (!decoded.ok()) {
+    EXPECT_TRUE(decoded.status().IsParseError()) << decoded.status();
+    return;
+  }
+  const std::string encoded = encode(*decoded);
+  auto again = decode(encoded);
+  ASSERT_TRUE(again.ok()) << again.status() << " decoding " << encoded;
+  EXPECT_EQ(encode(*again), encoded);
+}
+
+TEST_P(ParserFuzzTest, CommitCodecNeverCrashes) {
+  const CommitCodecSubstrate& substrate = CodecSubstrate();
+  const Ontology& ontology = *substrate.corpus.ontology;
+  ASSERT_EQ(substrate.annotate.size(), 97u);
+  ASSERT_GE(substrate.enact.size(), 3u);  // Header and two steps or more.
+  Rng rng(GetParam());
+  auto encode_commit = [&](const ModuleCommit& commit) {
+    return EncodeModuleCommit(commit, ontology);
+  };
+  auto decode_commit = [&](std::string_view payload) {
+    return DecodeModuleCommit(payload, ontology);
+  };
+  auto pick_commit = [&](const std::vector<std::string>& records) {
+    return records[1 + rng.NextIndex(records.size() - 1)];
+  };
+
+  for (int i = 0; i < 100; ++i) {
+    const int rounds = 1 + static_cast<int>(rng.NextBelow(8));
+    ExpectParseErrorOrFixedPoint(Mutate(substrate.annotate[0], rng, rounds),
+                                 EncodeAnnotateRunHeader,
+                                 DecodeAnnotateRunHeader);
+    ExpectParseErrorOrFixedPoint(
+        Mutate(pick_commit(substrate.annotate), rng, rounds), encode_commit,
+        decode_commit);
+    ExpectParseErrorOrFixedPoint(Mutate(substrate.enact[0], rng, rounds),
+                                 EncodeEnactRunHeader, DecodeEnactRunHeader);
+    ExpectParseErrorOrFixedPoint(
+        Mutate(pick_commit(substrate.enact), rng, rounds), EncodeStepCommit,
+        DecodeStepCommit);
+  }
+
+  // Raw random bytes behind a genuine kind line.
+  for (int i = 0; i < 100; ++i) {
+    std::string garbage(rng.NextIndex(200), '\0');
+    for (char& byte : garbage) byte = static_cast<char>(rng.NextBelow(256));
+    ExpectParseErrorOrFixedPoint("commit module\n" + garbage, encode_commit,
+                                 decode_commit);
+    ExpectParseErrorOrFixedPoint("commit step\n" + garbage, EncodeStepCommit,
+                                 DecodeStepCommit);
   }
 }
 

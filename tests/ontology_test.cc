@@ -1,5 +1,6 @@
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,20 @@ TEST(OntologyTest, AddAndFind) {
   EXPECT_EQ(onto.Find("Nope"), kInvalidConcept);
   EXPECT_TRUE(onto.Require("DNA").ok());
   EXPECT_TRUE(onto.Require("Nope").status().IsNotFound());
+}
+
+TEST(OntologyTest, FindLooksUpViewsByTheirOwnLength) {
+  Ontology onto = SmallOntology();
+  const std::string_view line = "in DNA \"ACGT\"";
+  EXPECT_EQ(onto.Find(line.substr(3, 3)), onto.Find("DNA"));
+  EXPECT_NE(onto.Find(line.substr(3, 3)), kInvalidConcept);
+  // Views that name no concept: a prefix, an overlong view and the empty
+  // view.
+  EXPECT_EQ(onto.Find(line.substr(3, 2)), kInvalidConcept);
+  EXPECT_EQ(onto.Find(line.substr(3, 4)), kInvalidConcept);
+  EXPECT_EQ(onto.Find(std::string_view()), kInvalidConcept);
+  EXPECT_EQ(onto.Find(std::string_view("Protein").substr(0, 4)),
+            kInvalidConcept);
 }
 
 TEST(OntologyTest, RejectsDuplicatesAndMissingParents) {

@@ -1,3 +1,7 @@
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "types/structural_type.h"
@@ -127,6 +131,48 @@ TEST(ValueTest, ParseRejectsMalformedInput) {
   EXPECT_TRUE(Value::Parse("\"unterminated").status().IsParseError());
   EXPECT_TRUE(Value::Parse("12 34").status().IsParseError());
   EXPECT_TRUE(Value::Parse("nulll").status().IsParseError());
+}
+
+// Strings parse run by run between escapes. Values and error texts, offsets
+// included, are pinned: journal decode failures quote them.
+TEST(ValueTest, ParseStringsEscapesAndErrorOffsets) {
+  const std::vector<std::pair<std::string, std::string>> parsed = {
+      {R"("abc")", "abc"},
+      {R"("")", ""},
+      {R"(  "spaced"  )", "spaced"},
+      {R"("a\"b")", "a\"b"},
+      {R"("a\\b")", "a\\b"},
+      {R"("a\nb")", "a\nb"},
+      {R"("\t")", "\t"},
+      {R"("x\r")", "x\r"},
+      {R"("\"\\\n\t\r")", "\"\\\n\t\r"},
+  };
+  for (const auto& [text, expected] : parsed) {
+    auto value = Value::Parse(text);
+    ASSERT_TRUE(value.ok()) << text << ": " << value.status();
+    EXPECT_EQ(*value, Value::Str(expected)) << text;
+  }
+  auto record = Value::Parse(R"({"k\"": ["p", "q\\r"]})");
+  ASSERT_TRUE(record.ok()) << record.status();
+  EXPECT_EQ(*record,
+            Value::RecordOf({{"k\"", Value::ListOf({Value::Str("p"),
+                                                    Value::Str("q\\r")})}}));
+
+  const std::vector<std::pair<std::string, std::string>> rejected = {
+      {R"("a\qb")", "unknown escape '\\q' at offset 4"},
+      {R"("ab\)", "dangling escape at offset 4"},
+      {R"("a\)", "dangling escape at offset 3"},
+      {R"("abc)", "unterminated string at offset 4"},
+      {R"(")", "unterminated string at offset 1"},
+      {R"({"k": "v)", "unterminated string at offset 8"},
+      {R"("a"b")", "trailing characters after value at offset 3"},
+  };
+  for (const auto& [text, message] : rejected) {
+    auto value = Value::Parse(text);
+    ASSERT_FALSE(value.ok()) << text << " parsed as " << value->ToString();
+    EXPECT_TRUE(value.status().IsParseError()) << value.status();
+    EXPECT_EQ(value.status().message(), message) << text;
+  }
 }
 
 }  // namespace

@@ -27,13 +27,14 @@ Status WriteRunStateSnapshot(const std::string& dir,
 
 Result<RestoredRunState> RestoreRunState(const std::string& dir,
                                          const Ontology& ontology,
-                                         ModuleRegistry& registry) {
-  IoEnv& io = IoEnv::Real();
-  auto pool_text = io.ReadFile(JoinPath(dir, kSnapshotPoolFile));
+                                         ModuleRegistry& registry,
+                                         IoEnv* io) {
+  IoEnv& env = io != nullptr ? *io : IoEnv::Real();
+  auto pool_text = env.ReadFile(JoinPath(dir, kSnapshotPoolFile));
   if (!pool_text.ok()) return pool_text.status();
-  auto annotations_text = io.ReadFile(JoinPath(dir, kSnapshotAnnotationsFile));
+  auto annotations_text = env.ReadFile(JoinPath(dir, kSnapshotAnnotationsFile));
   if (!annotations_text.ok()) return annotations_text.status();
-  auto traces_text = io.ReadFile(JoinPath(dir, kSnapshotTracesFile));
+  auto traces_text = env.ReadFile(JoinPath(dir, kSnapshotTracesFile));
   if (!traces_text.ok()) return traces_text.status();
 
   RestoredRunState state(&ontology);

@@ -39,14 +39,16 @@ struct RestoredRunState {
   explicit RestoredRunState(const Ontology* ontology) : pool(ontology) {}
 };
 
-/// Restores a WriteRunStateSnapshot directory: parses the pool and trace
-/// artifacts and loads the annotations back into `registry`. Corrupt or
-/// truncated artifacts surface as typed errors (kCorrupted / kParseError)
-/// from the underlying readers — never partial state: `registry` is only
-/// mutated after every artifact parsed cleanly.
+/// Restores a WriteRunStateSnapshot directory, reading through `io`
+/// (nullptr = the real filesystem): parses the pool and trace artifacts and
+/// loads the annotations back into `registry`. Corrupt or truncated
+/// artifacts surface as typed errors (kCorrupted / kParseError) from the
+/// underlying readers — never partial state: `registry` is only mutated
+/// after every artifact parsed cleanly.
 [[nodiscard]] Result<RestoredRunState> RestoreRunState(const std::string& dir,
                                          const Ontology& ontology,
-                                         ModuleRegistry& registry);
+                                         ModuleRegistry& registry,
+                                         IoEnv* io = nullptr);
 
 }  // namespace dexa
 

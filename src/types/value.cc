@@ -1,9 +1,7 @@
 #include "types/value.h"
 
-#include <cassert>
+#include <bit>
 #include <cctype>
-#include <cmath>
-#include <cstring>
 
 #include "common/json.h"
 #include "common/rng.h"
@@ -11,85 +9,11 @@
 
 namespace dexa {
 
-Value Value::Bool(bool v) {
-  Value out;
-  out.kind_ = Kind::kBool;
-  out.bool_ = v;
-  return out;
-}
-
-Value Value::Int(int64_t v) {
-  Value out;
-  out.kind_ = Kind::kInt;
-  out.int_ = v;
-  return out;
-}
-
-Value Value::Real(double v) {
-  Value out;
-  out.kind_ = Kind::kDouble;
-  out.double_ = v;
-  return out;
-}
-
-Value Value::Str(std::string v) {
-  Value out;
-  out.kind_ = Kind::kString;
-  out.string_ = std::make_shared<const std::string>(std::move(v));
-  return out;
-}
-
-Value Value::ListOf(std::vector<Value> items) {
-  Value out;
-  out.kind_ = Kind::kList;
-  out.list_ = std::make_shared<const std::vector<Value>>(std::move(items));
-  return out;
-}
-
-Value Value::RecordOf(std::vector<std::pair<std::string, Value>> fields) {
-  Value out;
-  out.kind_ = Kind::kRecord;
-  out.record_ =
-      std::make_shared<const std::vector<std::pair<std::string, Value>>>(
-          std::move(fields));
-  return out;
-}
-
-bool Value::AsBool() const {
-  assert(is_bool());
-  return bool_;
-}
-
-int64_t Value::AsInt() const {
-  assert(is_int());
-  return int_;
-}
-
-double Value::AsDouble() const {
-  assert(is_double());
-  return double_;
-}
-
-const std::string& Value::AsString() const {
-  assert(is_string());
-  return *string_;
-}
-
-const std::vector<Value>& Value::AsList() const {
-  assert(is_list());
-  return *list_;
-}
-
-const std::vector<std::pair<std::string, Value>>& Value::AsRecord() const {
-  assert(is_record());
-  return *record_;
-}
-
 Result<Value> Value::Field(std::string_view name) const {
   if (!is_record()) {
     return Status::InvalidArgument("Field() on a non-record value");
   }
-  for (const auto& [field_name, value] : *record_) {
+  for (const auto& [field_name, value] : AsRecord()) {
     if (field_name == name) return value;
   }
   return Status::NotFound("record has no field '" + std::string(name) + "'");
@@ -97,7 +21,7 @@ Result<Value> Value::Field(std::string_view name) const {
 
 bool Value::HasField(std::string_view name) const {
   if (!is_record()) return false;
-  for (const auto& [field_name, value] : *record_) {
+  for (const auto& [field_name, value] : AsRecord()) {
     (void)value;
     if (field_name == name) return true;
   }
@@ -105,63 +29,37 @@ bool Value::HasField(std::string_view name) const {
 }
 
 bool Value::Equals(const Value& other) const {
-  if (kind_ != other.kind_) return false;
-  switch (kind_) {
-    case Kind::kNull:
-      return true;
-    case Kind::kBool:
-      return bool_ == other.bool_;
-    case Kind::kInt:
-      return int_ == other.int_;
-    case Kind::kDouble:
-      return double_ == other.double_;
-    case Kind::kString:
-      return string_ == other.string_ || *string_ == *other.string_;
-    case Kind::kList: {
-      if (list_ == other.list_) return true;
-      if (list_->size() != other.list_->size()) return false;
-      for (size_t i = 0; i < list_->size(); ++i) {
-        if (!(*list_)[i].Equals((*other.list_)[i])) return false;
-      }
-      return true;
-    }
-    case Kind::kRecord: {
-      if (record_ == other.record_) return true;
-      if (record_->size() != other.record_->size()) return false;
-      for (size_t i = 0; i < record_->size(); ++i) {
-        if ((*record_)[i].first != (*other.record_)[i].first) return false;
-        if (!(*record_)[i].second.Equals((*other.record_)[i].second)) {
-          return false;
-        }
-      }
-      return true;
-    }
+  // The variant's own == settles the same shape holding an equal scalar or
+  // the very same shared payload; unequal shared payloads compare deeply.
+  if (data_ == other.data_) return true;
+  if (data_.index() != other.data_.index()) return false;
+  switch (data_.index()) {
+    case kString:
+      return AsString() == other.AsString();
+    case kList:
+      return AsList() == other.AsList();
+    case kRecord:
+      return AsRecord() == other.AsRecord();
   }
   return false;
 }
 
 uint64_t Value::Hash() const {
-  uint64_t h = static_cast<uint64_t>(kind_) * 0x9e3779b97f4a7c15ULL + 1;
-  switch (kind_) {
-    case Kind::kNull:
+  uint64_t h = static_cast<uint64_t>(data_.index()) * 0x9e3779b97f4a7c15ULL + 1;
+  switch (data_.index()) {
+    case kBool:
+      return HashCombine(h, AsBool() ? 2 : 1);
+    case kInt:
+      return HashCombine(h, static_cast<uint64_t>(AsInt()));
+    case kDouble:
+      return HashCombine(h, std::bit_cast<uint64_t>(AsDouble()));
+    case kString:
+      return HashCombine(h, StableHash64(AsString()));
+    case kList:
+      for (const Value& v : AsList()) h = HashCombine(h, v.Hash());
       return h;
-    case Kind::kBool:
-      return HashCombine(h, bool_ ? 2 : 1);
-    case Kind::kInt:
-      return HashCombine(h, static_cast<uint64_t>(int_));
-    case Kind::kDouble: {
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(double_));
-      std::memcpy(&bits, &double_, sizeof(bits));
-      return HashCombine(h, bits);
-    }
-    case Kind::kString:
-      return HashCombine(h, StableHash64(*string_));
-    case Kind::kList:
-      for (const Value& v : *list_) h = HashCombine(h, v.Hash());
-      return h;
-    case Kind::kRecord:
-      for (const auto& [name, v] : *record_) {
+    case kRecord:
+      for (const auto& [name, v] : AsRecord()) {
         h = HashCombine(h, StableHash64(name));
         h = HashCombine(h, v.Hash());
       }
@@ -183,7 +81,7 @@ bool Value::MatchesType(const StructuralType& type) const {
       return is_bool();
     case TypeKind::kList: {
       if (!is_list()) return false;
-      for (const Value& v : *list_) {
+      for (const Value& v : AsList()) {
         if (!v.MatchesType(type.element())) return false;
       }
       return true;
@@ -191,10 +89,11 @@ bool Value::MatchesType(const StructuralType& type) const {
     case TypeKind::kRecord: {
       if (!is_record()) return false;
       const auto& fields = type.fields();
-      if (record_->size() != fields.size()) return false;
+      const auto& record = AsRecord();
+      if (record.size() != fields.size()) return false;
       for (size_t i = 0; i < fields.size(); ++i) {
-        if ((*record_)[i].first != fields[i].first) return false;
-        if (!(*record_)[i].second.MatchesType(fields[i].second)) return false;
+        if (record[i].first != fields[i].first) return false;
+        if (!record[i].second.MatchesType(fields[i].second)) return false;
       }
       return true;
     }

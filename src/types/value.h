@@ -6,6 +6,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/result.h"
@@ -23,31 +24,43 @@ namespace dexa {
 class Value {
  public:
   /// Null value (absent optional parameter).
-  Value() : kind_(Kind::kNull) {}
+  Value() = default;
 
   static Value Null() { return Value(); }
-  static Value Bool(bool v);
-  static Value Int(int64_t v);
-  static Value Real(double v);
-  static Value Str(std::string v);
-  static Value ListOf(std::vector<Value> items);
-  static Value RecordOf(std::vector<std::pair<std::string, Value>> fields);
+  static Value Bool(bool v) { return {std::in_place_index<kBool>, v}; }
+  static Value Int(int64_t v) { return {std::in_place_index<kInt>, v}; }
+  static Value Real(double v) { return {std::in_place_index<kDouble>, v}; }
+  static Value Str(std::string v) {
+    return {std::in_place_index<kString>,
+            std::make_shared<const std::string>(std::move(v))};
+  }
+  static Value ListOf(std::vector<Value> items) {
+    return {std::in_place_index<kList>,
+            std::make_shared<const std::vector<Value>>(std::move(items))};
+  }
+  static Value RecordOf(std::vector<std::pair<std::string, Value>> fields) {
+    return {std::in_place_index<kRecord>,
+            std::make_shared<const Record>(std::move(fields))};
+  }
 
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
-  bool is_int() const { return kind_ == Kind::kInt; }
-  bool is_double() const { return kind_ == Kind::kDouble; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_list() const { return kind_ == Kind::kList; }
-  bool is_record() const { return kind_ == Kind::kRecord; }
+  bool is_null() const { return data_.index() == kNull; }
+  bool is_bool() const { return data_.index() == kBool; }
+  bool is_int() const { return data_.index() == kInt; }
+  bool is_double() const { return data_.index() == kDouble; }
+  bool is_string() const { return data_.index() == kString; }
+  bool is_list() const { return data_.index() == kList; }
+  bool is_record() const { return data_.index() == kRecord; }
 
-  /// Typed accessors; the value must hold the requested shape.
-  bool AsBool() const;
-  int64_t AsInt() const;
-  double AsDouble() const;
-  const std::string& AsString() const;
-  const std::vector<Value>& AsList() const;
-  const std::vector<std::pair<std::string, Value>>& AsRecord() const;
+  /// Typed accessors; the value must hold the requested shape
+  /// (std::bad_variant_access otherwise).
+  bool AsBool() const { return std::get<kBool>(data_); }
+  int64_t AsInt() const { return std::get<kInt>(data_); }
+  double AsDouble() const { return std::get<kDouble>(data_); }
+  const std::string& AsString() const { return *std::get<kString>(data_); }
+  const std::vector<Value>& AsList() const { return *std::get<kList>(data_); }
+  const std::vector<std::pair<std::string, Value>>& AsRecord() const {
+    return *std::get<kRecord>(data_);
+  }
 
   /// Record field lookup; NotFound if absent (requires is_record()).
   [[nodiscard]] Result<Value> Field(std::string_view name) const;
@@ -76,15 +89,21 @@ class Value {
   [[nodiscard]] static Result<Value> Parse(std::string_view text);
 
  private:
-  enum class Kind { kNull, kBool, kInt, kDouble, kString, kList, kRecord };
+  using Record = std::vector<std::pair<std::string, Value>>;
 
-  Kind kind_;
-  bool bool_ = false;
-  int64_t int_ = 0;
-  double double_ = 0.0;
-  std::shared_ptr<const std::string> string_;
-  std::shared_ptr<const std::vector<Value>> list_;
-  std::shared_ptr<const std::vector<std::pair<std::string, Value>>> record_;
+  /// Alternative indices, in the order Hash() mixes in as the shape.
+  enum : size_t { kNull, kBool, kInt, kDouble, kString, kList, kRecord };
+
+  template <size_t I, typename T>
+  Value(std::in_place_index_t<I> shape, T&& payload)
+      : data_(shape, std::forward<T>(payload)) {}
+
+  /// The one payload. Strings, lists and records are shared on copy.
+  std::variant<std::monostate, bool, int64_t, double,
+               std::shared_ptr<const std::string>,
+               std::shared_ptr<const std::vector<Value>>,
+               std::shared_ptr<const Record>>
+      data_;
 };
 
 inline bool operator==(const Value& a, const Value& b) { return a.Equals(b); }

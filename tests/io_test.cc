@@ -1,7 +1,7 @@
 // Persistence round-trips — structural types, registry annotations, the
 // annotated instance pool and the workflow DSL — and the I/O seam itself:
-// IoEnv::ListDir, a fault wrapper's listing, and whole durable runs served
-// from a relocated file system.
+// IoEnv::ListDir, a fault wrapper's listing, and whole durable runs and a
+// run-state snapshot served from a relocated file system.
 
 #include <filesystem>
 #include <fstream>
@@ -20,6 +20,8 @@
 #include "corpus/fault_injector.h"
 #include "corpus/scale.h"
 #include "durability/journal.h"
+#include "durability/snapshot.h"
+#include "durability/trace_io.h"
 #include "engine/concept_cache.h"
 #include "modules/registry_io.h"
 #include "pool/pool_io.h"
@@ -470,6 +472,57 @@ TEST(IoSeamTest, FaultyListingConsumesNoFaultCounter) {
             "injected EIO reading '" + dir + "/wal-00000.seg' (read #1)");
   EXPECT_EQ(faulty.faults_injected(), 1u);
   EXPECT_EQ(faulty.writes(), 0u);
+}
+
+/// A run-state snapshot written through a relocated file system restores
+/// through the same env, artifact for artifact.
+TEST(IoSeamTest, SnapshotRestoresThroughTheEnvThatWroteIt) {
+  const auto& env = GetEnvironment();
+  Relocation relocated = Relocate("relocated-snapshot");
+  const std::string dir = relocated.root + "/state";
+  ASSERT_TRUE(WriteRunStateSnapshot(dir, *env.pool, *env.corpus.registry,
+                                    *env.corpus.ontology, env.provenance,
+                                    relocated.io.get())
+                  .ok());
+  EXPECT_EQ(TreeBytes(relocated.backing + "/state").size(), 3u);
+
+  auto fresh = BuildCorpus();
+  ASSERT_TRUE(fresh.ok());
+  auto restored = RestoreRunState(dir, *fresh->ontology, *fresh->registry,
+                                  relocated.io.get());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_GT(restored->modules_restored, 0u);
+  EXPECT_EQ(SavePool(restored->pool), SavePool(*env.pool));
+  EXPECT_EQ(SaveTraces(restored->provenance), SaveTraces(env.provenance));
+  EXPECT_EQ(SaveAnnotations(*fresh->registry, *fresh->ontology),
+            SaveAnnotations(*env.corpus.registry, *env.corpus.ontology));
+}
+
+/// A read fault injected by the restoring env fails the restore typed and
+/// leaves the registry untouched.
+TEST(IoSeamTest, SnapshotRestoreReportsAnInjectedReadFault) {
+  const auto& env = GetEnvironment();
+  const std::string dir = FreshDir("faulty-snapshot");
+  ASSERT_TRUE(WriteRunStateSnapshot(dir, *env.pool, *env.corpus.registry,
+                                    *env.corpus.ontology, env.provenance)
+                  .ok());
+
+  IoFaultProfile profile;
+  profile.eio_read_at = 1;
+  FaultyIoEnv faulty(profile);
+  auto fresh = BuildCorpus();
+  ASSERT_TRUE(fresh.ok());
+  auto restored =
+      RestoreRunState(dir, *fresh->ontology, *fresh->registry, &faulty);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_TRUE(restored.status().IsCorrupted()) << restored.status();
+  EXPECT_EQ(restored.status().message(), "injected EIO reading '" + dir +
+                                             "/" + kSnapshotPoolFile +
+                                             "' (read #1)");
+  EXPECT_EQ(faulty.faults_injected(), 1u);
+  for (const ModulePtr& module : fresh->registry->AllModules()) {
+    EXPECT_TRUE(fresh->registry->DataExamplesOf(module->spec().id).empty());
+  }
 }
 
 /// A durable annotate crashed at each point, then recovered and resumed,

@@ -1,3 +1,4 @@
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,6 +81,44 @@ TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_NE(a.Hash(), Value::ListOf({Value::Str("y"), Value::Int(4)}).Hash());
   EXPECT_NE(Value::Null().Hash(), Value::Int(0).Hash());
 }
+
+// Hash() is persisted: enact journal headers carry it in their config
+// fingerprint, and it keys fault fates, retry jitter and the pool index. So
+// the literal hash and rendering of each shape are pinned, not just their
+// consistency with each other.
+TEST(ValueTest, HashAndRenderingArePinnedPerShape) {
+  struct Pinned {
+    Value value;
+    uint64_t hash;
+    std::string text;
+  };
+  const std::vector<Pinned> cases = {
+      {Value::Null(), 0x0000000000000001ULL, "null"},
+      {Value::Bool(true), 0x8181f0f0c04affceULL, "true"},
+      {Value::Bool(false), 0x8181f0f0c04affc1ULL, "false"},
+      {Value::Int(-42), 0xad5b6bab00228346ULL, "-42"},
+      {Value::Real(5.0), 0x886ec54643b30719ULL, "5.0"},
+      {Value::Real(0.1), 0x88c82f2fa5d978b3ULL, "0.10000000000000001"},
+      {Value::Str("a\"b\\c\n\t\r"), 0x0799305d47052c00ULL,
+       R"("a\"b\\c\n\t\r")"},
+      {Value::ListOf({}), 0x1715609f7c746c6aULL, "[]"},
+      {Value::ListOf({Value::Int(1),
+                      Value::ListOf({Value::Str("x"), Value::Null()})}),
+       0x6fd66a96e0a889b4ULL, R"([1, ["x", null]])"},
+      {Value::RecordOf({{"id", Value::Str("P12345")},
+                        {"mass", Value::Real(11.5)},
+                        {"ok", Value::Bool(true)}}),
+       0xf6819d264a925c10ULL, R"({"id": "P12345", "mass": 11.5, "ok": true})"},
+  };
+  for (const Pinned& c : cases) {
+    EXPECT_EQ(c.value.Hash(), c.hash) << c.text;
+    EXPECT_EQ(c.value.ToString(), c.text);
+  }
+}
+
+// One payload per value: the 16-byte shared pointer, the largest
+// alternative, plus the alternative index, padded to 8 bytes.
+TEST(ValueTest, HoldsOnePayload) { EXPECT_EQ(sizeof(Value), 24u); }
 
 TEST(ValueTest, MatchesType) {
   EXPECT_TRUE(Value::Str("x").MatchesType(StructuralType::String()));

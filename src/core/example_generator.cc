@@ -329,7 +329,8 @@ Result<AnnotateReport> AnnotateRegistry(const ExampleGenerator& generator,
     }
     obs::ScopedSpan module_span(tracer, obs::SpanKind::kBatch,
                                 commit.module_id, commit_phase.id());
-    AnnotateBatchSpan(module_span, outcome->stats);
+    // Untraced commits build no counter vector.
+    if (tracer != nullptr) AnnotateBatchSpan(module_span, outcome->stats);
     Status applied =
         ApplyCommit(std::move(commit), modules[i], registry, report);
     if (!applied.ok()) {

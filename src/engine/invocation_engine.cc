@@ -75,11 +75,15 @@ void InvocationEngine::DrainBatch(Batch& batch) const {
   const InvocationEngine* const outer = running_engine;
   running_engine = this;
   for (;;) {
-    const size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= batch.n) break;
-    batch.fn(i);
-    if (batch.done.fetch_add(1, std::memory_order_acq_rel) + 1 == batch.n) {
-      // Last index: wake the submitter. Taking the mutex orders the notify
+    const size_t begin =
+        batch.next.fetch_add(batch.claim, std::memory_order_relaxed);
+    if (begin >= batch.n) break;
+    const size_t end = std::min(batch.n, begin + batch.claim);
+    for (size_t i = begin; i < end; ++i) batch.fn(i);
+    const size_t ran = end - begin;
+    if (batch.done.fetch_add(ran, std::memory_order_acq_rel) + ran ==
+        batch.n) {
+      // Last completion: wake the submitter. Taking the mutex orders the notify
       // after the submitter's wait registration, so the wakeup cannot be
       // missed.
       std::lock_guard<std::mutex> lock(batch.mutex);
@@ -127,7 +131,8 @@ void InvocationEngine::ForEach(size_t n,
     return;
   }
 
-  auto batch = std::make_shared<Batch>(n, fn);
+  auto batch = std::make_shared<Batch>(
+      n, std::max<size_t>(1, n / (threads_ * kClaimsPerThread)), fn);
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     queue_.push_back(batch);

@@ -192,12 +192,21 @@ class InvocationEngine {
   /// participates. Blocks until every index completed. `fn` must be safe to
   /// call concurrently from multiple threads for distinct indices.
   ///
+  /// Each claim takes max(1, n / (threads() * kClaimsPerThread)) consecutive
+  /// indices, so a large batch costs each thread about kClaimsPerThread
+  /// writes to the shared cursor, while a batch of fewer than
+  /// threads() * kClaimsPerThread indices hands them out one at a time.
+  ///
   /// Called from inside a task of this engine while no worker is idle (the
   /// pool is saturated by the outer batch), it runs `fn(0) .. fn(n-1)`
   /// inline on the caller: queueing the batch would only cost a lock, a
   /// wakeup and a reap with nobody to take it. Either way the call counts
   /// as one batch.
   void ForEach(size_t n, const std::function<void(size_t)>& fn);
+
+  /// Claims per thread a large ForEach is cut into: enough to even out
+  /// uneven tasks, few enough that the claim cursor is rarely contended.
+  static constexpr size_t kClaimsPerThread = 64;
 
   /// Workers currently blocked on an empty queue, waiting for a batch.
   size_t idle_workers() const {
@@ -210,15 +219,19 @@ class InvocationEngine {
   static InvocationEngine& Serial();
 
  private:
-  /// One fan-out in flight: workers and the submitting caller claim indices
-  /// from `next` until exhausted; `done` counts completions.
+  /// One fan-out in flight: workers and the submitting caller claim `claim`
+  /// indices at a time from `next` until exhausted; `done` counts
+  /// completions. Each counter has its own cache line, apart from the
+  /// read-only fields every claimant reads.
   struct Batch {
-    explicit Batch(size_t size, const std::function<void(size_t)>& body)
-        : n(size), fn(body) {}
+    Batch(size_t size, size_t claim_size,
+          const std::function<void(size_t)>& body)
+        : n(size), claim(claim_size), fn(body) {}
     const size_t n;
+    const size_t claim;
     const std::function<void(size_t)>& fn;
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> done{0};
+    alignas(64) std::atomic<size_t> next{0};
+    alignas(64) std::atomic<size_t> done{0};
     std::mutex mutex;
     std::condition_variable completed;
   };

@@ -24,7 +24,7 @@ Result<RunResult> ExecutePrepared(PreparedRun& run) {
   if (run.sharded == nullptr) return SubmitRun(run.request);
   const ShardedRunSpec& spec = *run.sharded;
   auto sharded = RunShardedAnnotate(*run.registry, *spec.ontology, *spec.pool,
-                                    spec.config, spec.options, run.io.get());
+                                    spec.config, spec.options, run.io);
   if (!sharded.ok()) return sharded.status();
   RunResult result;
   result.kind = RunKind::kAnnotate;

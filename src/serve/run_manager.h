@@ -77,10 +77,14 @@ struct PreparedRun {
   /// views read. The spec's registry is this PreparedRun's `registry`.
   std::unique_ptr<ShardedRunSpec> sharded;
 
-  /// The run's I/O environment when it carries an injected fault profile
-  /// (a FaultyIoEnv the journal and DONE marker route through); nullptr
-  /// means the real filesystem. Owned here so the seam outlives execution.
-  std::unique_ptr<IoEnv> io;
+  /// The file system the run's journal and DONE marker route through:
+  /// `faulty` when the run carries an injected fault profile, otherwise the
+  /// ServeEnv's. nullptr means the real file system.
+  IoEnv* io = nullptr;
+
+  /// The run's injected-fault env, over the ServeEnv's file system. Owned
+  /// here so the seam outlives execution.
+  std::unique_ptr<FaultyIoEnv> faulty;
 
   /// Journal directory of a durable run ("" otherwise); a run is reported
   /// durable exactly when this is set. On successful completion the manager

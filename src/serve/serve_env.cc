@@ -30,11 +30,11 @@ struct RunDir {
 };
 
 /// The `run-<n>` directories under `root`, in name order, listed through
-/// the real env. A root that cannot be listed — or holds an entry whose
-/// type cannot be read — fails with a status naming it: a run-<n> the scan
-/// skipped could be reused by a new run or left unresumed.
-Result<std::vector<RunDir>> ListRunDirs(const std::string& root) {
-  auto entries = IoEnv::Real().ListDir(root);
+/// `io`. A root that cannot be listed — or holds an entry whose type cannot
+/// be read — fails with a status naming it: a run-<n> the scan skipped
+/// could be reused by a new run or left unresumed.
+Result<std::vector<RunDir>> ListRunDirs(IoEnv& io, const std::string& root) {
+  auto entries = io.ListDir(root);
   if (!entries.ok()) {
     return Status(entries.status().code(),
                   "cannot list journal root '" + root +
@@ -160,8 +160,9 @@ Result<std::unique_ptr<ServeEnv>> ServeEnv::Create(ServeEnvOptions options) {
   // cannot be created or listed fails startup.
   const std::string& root = serve->options_.journal_root;
   if (!root.empty()) {
-    DEXA_RETURN_IF_ERROR(IoEnv::Real().CreateDirs(root));
-    DEXA_ASSIGN_OR_RETURN(const std::vector<RunDir> dirs, ListRunDirs(root));
+    DEXA_RETURN_IF_ERROR(serve->io().CreateDirs(root));
+    DEXA_ASSIGN_OR_RETURN(const std::vector<RunDir> dirs,
+                          ListRunDirs(serve->io(), root));
     for (const RunDir& dir : dirs) {
       serve->next_run_dir_ = std::max(serve->next_run_dir_, dir.index + 1);
     }
@@ -240,7 +241,7 @@ Result<PreparedRun> ServeEnv::Prepare(const RunSpec& spec) {
 
 Result<PreparedRun> ServeEnv::PrepareResume(const std::string& dir) {
   DEXA_ASSIGN_OR_RETURN(const std::string text,
-                        IoEnv::Real().ReadFile(JoinPath(dir, kRunDescriptor)));
+                        io().ReadFile(JoinPath(dir, kRunDescriptor)));
   auto spec = DecodeRunDescriptor(text);
   if (!spec.ok()) {
     return Status::Corrupted("RUN descriptor in " + dir + ": " +
@@ -291,8 +292,10 @@ Result<PreparedRun> ServeEnv::Build(const RunSpec& spec,
   }
   run.journal_dir = resume ? resume_dir : NextRunDir();
   if (spec.crash.armed()) run.crash = std::make_unique<CrashPlan>(spec.crash);
+  run.io = options_.io;
   if (spec.io_fault.armed()) {
-    run.io = std::make_unique<FaultyIoEnv>(spec.io_fault);
+    run.faulty = std::make_unique<FaultyIoEnv>(spec.io_fault, options_.io);
+    run.io = run.faulty.get();
   }
   IoEnv& io = run.io != nullptr ? *run.io : IoEnv::Real();
 
@@ -356,10 +359,10 @@ Result<std::vector<std::string>> ServeEnv::UnfinishedJournalDirs() const {
   std::vector<std::string> unfinished;
   if (options_.journal_root.empty()) return unfinished;
   DEXA_ASSIGN_OR_RETURN(const std::vector<RunDir> dirs,
-                        ListRunDirs(options_.journal_root));
+                        ListRunDirs(io(), options_.journal_root));
   for (const RunDir& dir : dirs) {
     DEXA_ASSIGN_OR_RETURN(const std::vector<DirEntry> entries,
-                          IoEnv::Real().ListDir(dir.path));
+                          io().ListDir(dir.path));
     const auto holds = [&](const char* name) {
       return std::any_of(entries.begin(), entries.end(),
                          [&](const DirEntry& e) { return e.name == name; });

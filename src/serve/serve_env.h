@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/io_env.h"
 #include "common/result.h"
 #include "core/engine_config.h"
 #include "corpus/corpus.h"
@@ -30,6 +31,12 @@ struct ServeEnvOptions {
   /// Engine seed — per-task RNG streams fork from it, so it pins the whole
   /// run output.
   uint64_t seed = 0x5eed;
+
+  /// The file system the journal root lives on: its scans, every durable
+  /// run's RUN descriptor, journal and DONE marker, and the base of a run's
+  /// injected FaultyIoEnv. nullptr means the real file system. Not owned;
+  /// it must outlive the ServeEnv and every run it prepares.
+  IoEnv* io = nullptr;
 };
 
 /// One run as a client asks for it: the fields of a submit request, parsed
@@ -146,6 +153,11 @@ class ServeEnv {
   [[nodiscard]] Result<std::unique_ptr<ModuleRegistry>> FullRegistry() const;
 
   std::unique_ptr<ExampleGenerator> MakeGenerator() const;
+
+  /// options_.io, or the real file system.
+  IoEnv& io() const {
+    return options_.io != nullptr ? *options_.io : IoEnv::Real();
+  }
 
   ServeEnvOptions options_;
   EngineConfig config_;

@@ -29,12 +29,14 @@ bool Value::HasField(std::string_view name) const {
 }
 
 bool Value::Equals(const Value& other) const {
-  // The variant's own == settles the same shape holding an equal scalar or
-  // the very same shared payload; unequal shared payloads compare deeply.
+  // The variant's own == settles the same alternative holding an equal
+  // scalar or short string, or the very same shared payload; unequal shared
+  // payloads compare deeply. Str() splits strings by length, so a short and
+  // a long string are never equal.
   if (data_ == other.data_) return true;
   if (data_.index() != other.data_.index()) return false;
   switch (data_.index()) {
-    case kString:
+    case kSharedString:
       return AsString() == other.AsString();
     case kList:
       return AsList() == other.AsList();
@@ -45,8 +47,8 @@ bool Value::Equals(const Value& other) const {
 }
 
 uint64_t Value::Hash() const {
-  uint64_t h = static_cast<uint64_t>(data_.index()) * 0x9e3779b97f4a7c15ULL + 1;
-  switch (data_.index()) {
+  uint64_t h = static_cast<uint64_t>(shape()) * 0x9e3779b97f4a7c15ULL + 1;
+  switch (shape()) {
     case kBool:
       return HashCombine(h, AsBool() ? 2 : 1);
     case kInt:

@@ -16,13 +16,18 @@ namespace dexa {
 
 /// A dynamically-typed data value flowing between modules: the `ins` of a
 /// data example (Section 2). Values are immutable after construction and
-/// value-semantic (lists/records share state on copy).
+/// value-semantic (long strings, lists and records share state on copy).
 ///
 /// Supported shapes mirror StructuralType: null (used for optional module
 /// inputs, Section 2), booleans, 64-bit integers, doubles, strings,
 /// homogeneous lists and named-field records.
 class Value {
  public:
+  /// The longest string a Value holds inline, in std::string's own buffer
+  /// (libstdc++ keeps 15 chars without a heap block). Copies of a short
+  /// string touch no shared state; a longer one is shared on copy.
+  static constexpr size_t kInlineStringMax = 15;
+
   /// Null value (absent optional parameter).
   Value() = default;
 
@@ -31,7 +36,12 @@ class Value {
   static Value Int(int64_t v) { return {std::in_place_index<kInt>, v}; }
   static Value Real(double v) { return {std::in_place_index<kDouble>, v}; }
   static Value Str(std::string v) {
-    return {std::in_place_index<kString>,
+    if (v.size() <= kInlineStringMax) {
+      // Copied, not moved: a short string built with a larger capacity
+      // leaves its heap block behind.
+      return {std::in_place_index<kString>, std::string(v.data(), v.size())};
+    }
+    return {std::in_place_index<kSharedString>,
             std::make_shared<const std::string>(std::move(v))};
   }
   static Value ListOf(std::vector<Value> items) {
@@ -47,7 +57,7 @@ class Value {
   bool is_bool() const { return data_.index() == kBool; }
   bool is_int() const { return data_.index() == kInt; }
   bool is_double() const { return data_.index() == kDouble; }
-  bool is_string() const { return data_.index() == kString; }
+  bool is_string() const { return shape() == kString; }
   bool is_list() const { return data_.index() == kList; }
   bool is_record() const { return data_.index() == kRecord; }
 
@@ -56,7 +66,14 @@ class Value {
   bool AsBool() const { return std::get<kBool>(data_); }
   int64_t AsInt() const { return std::get<kInt>(data_); }
   double AsDouble() const { return std::get<kDouble>(data_); }
-  const std::string& AsString() const { return *std::get<kString>(data_); }
+  /// A short string lives in this Value: the reference is valid while the
+  /// Value is, and moves with it.
+  const std::string& AsString() const {
+    if (const std::string* inline_string = std::get_if<kString>(&data_)) {
+      return *inline_string;
+    }
+    return *std::get<kSharedString>(data_);
+  }
   const std::vector<Value>& AsList() const { return *std::get<kList>(data_); }
   const std::vector<std::pair<std::string, Value>>& AsRecord() const {
     return *std::get<kRecord>(data_);
@@ -91,18 +108,33 @@ class Value {
  private:
   using Record = std::vector<std::pair<std::string, Value>>;
 
-  /// Alternative indices, in the order Hash() mixes in as the shape.
-  enum : size_t { kNull, kBool, kInt, kDouble, kString, kList, kRecord };
+  /// Alternative indices. The first seven are the shapes, in the order
+  /// Hash() mixes them in; a string longer than kInlineStringMax is the
+  /// last alternative and has the string shape.
+  enum : size_t {
+    kNull,
+    kBool,
+    kInt,
+    kDouble,
+    kString,
+    kList,
+    kRecord,
+    kSharedString
+  };
+
+  size_t shape() const {
+    return data_.index() == kSharedString ? kString : data_.index();
+  }
 
   template <size_t I, typename T>
-  Value(std::in_place_index_t<I> shape, T&& payload)
-      : data_(shape, std::forward<T>(payload)) {}
+  Value(std::in_place_index_t<I> alternative, T&& payload)
+      : data_(alternative, std::forward<T>(payload)) {}
 
-  /// The one payload. Strings, lists and records are shared on copy.
-  std::variant<std::monostate, bool, int64_t, double,
-               std::shared_ptr<const std::string>,
+  /// The one payload. Long strings, lists and records are shared on copy.
+  std::variant<std::monostate, bool, int64_t, double, std::string,
                std::shared_ptr<const std::vector<Value>>,
-               std::shared_ptr<const Record>>
+               std::shared_ptr<const Record>,
+               std::shared_ptr<const std::string>>
       data_;
 };
 

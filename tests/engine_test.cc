@@ -22,16 +22,47 @@
 namespace dexa {
 namespace {
 
+// At four threads the batch sizes straddle one-index claims (fewer than
+// 4 x 64 indices), the first two-index claims and a last claim cut short;
+// 100,003 indices claim 390 or 195 at a time at four or eight threads.
 TEST(InvocationEngineTest, ForEachRunsEveryIndexExactlyOnce) {
-  InvocationEngine engine(EngineOptions{.threads = 4});
-  constexpr size_t kTasks = 1000;
-  std::vector<std::atomic<int>> runs(kTasks);
-  engine.ForEach(kTasks, [&](size_t i) {
-    runs[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    InvocationEngine engine(EngineOptions{.threads = threads});
+    for (size_t tasks : {1u, 2u, 511u, 512u, 513u, 1'000u, 100'003u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " tasks=" + std::to_string(tasks));
+      std::vector<std::atomic<int>> runs(tasks);
+      engine.ForEach(tasks, [&](size_t i) {
+        runs[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      size_t wrong = 0;
+      for (size_t i = 0; i < tasks; ++i) {
+        if (runs[i].load() != 1) ++wrong;
+      }
+      EXPECT_EQ(wrong, 0u);
+    }
   }
+}
+
+TEST(InvocationEngineTest, NestedForEachRunsInsideAChunkedBatch) {
+  InvocationEngine engine(EngineOptions{.threads = 4});
+  // Eight outer indices per claim.
+  constexpr size_t kOuter = 4 * InvocationEngine::kClaimsPerThread * 8;
+  constexpr size_t kInner = 5;
+  const uint64_t batches_before = engine.metrics().Snapshot().batches;
+  std::vector<std::atomic<int>> runs(kOuter * kInner);
+  engine.ForEach(kOuter, [&](size_t outer) {
+    engine.ForEach(kInner, [&](size_t inner) {
+      runs[outer * kInner + inner].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  size_t wrong = 0;
+  for (const std::atomic<int>& count : runs) {
+    if (count.load() != 1) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_EQ(engine.metrics().Snapshot().batches - batches_before,
+            1u + kOuter);
 }
 
 TEST(InvocationEngineTest, NestedForEachDoesNotDeadlock) {

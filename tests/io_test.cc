@@ -1,7 +1,8 @@
 // Persistence round-trips — structural types, registry annotations, the
 // annotated instance pool and the workflow DSL — and the I/O seam itself:
-// IoEnv::ListDir, a fault wrapper's listing, and whole durable runs and a
-// run-state snapshot served from a relocated file system.
+// IoEnv::ListDir, a fault wrapper's listing, and whole durable runs, a
+// run-state snapshot and a serve restart served from a relocated file
+// system.
 
 #include <filesystem>
 #include <fstream>
@@ -25,6 +26,8 @@
 #include "engine/concept_cache.h"
 #include "modules/registry_io.h"
 #include "pool/pool_io.h"
+#include "serve/run_manager.h"
+#include "serve/serve_env.h"
 #include "shard/sharded_annotate.h"
 #include "tests/test_util.h"
 #include "workflow/workflow_io.h"
@@ -583,6 +586,86 @@ TEST(IoSeamTest, ShardedAnnotateRelocatesByteIdentically) {
   EXPECT_EQ(TreeBytes(relocated.backing + "/sharded"), expected);
   EXPECT_EQ(SaveAnnotations(*registry, *corpus.ontology),
             SaveAnnotations(*real_registry, *corpus.ontology));
+}
+
+/// A serve daemon on `root`, reaching the disk through `io`, runs a durable
+/// annotate that crashes before its 8th commit; a second daemon on the same
+/// root finds the unfinished run, resumes it and marks it DONE. Returns the
+/// resumed run's annotations digest (0 on a failure the test reports).
+uint64_t ServeCrashThenResume(const std::string& root, IoEnv* io) {
+  serve::ServeEnvOptions options;
+  options.journal_root = root;
+  options.io = io;
+  {
+    auto env = serve::ServeEnv::Create(options);
+    EXPECT_TRUE(env.ok()) << env.status();
+    if (!env.ok()) return 0;
+    serve::RunSpec spec;
+    spec.kind = "annotate_durable";
+    spec.crash = {CrashPoint::kCrashBeforeCommit,
+                  (*env)->corpus().available_ids[7]};
+    auto run = (*env)->Prepare(spec);
+    EXPECT_TRUE(run.ok()) << run.status();
+    if (!run.ok()) return 0;
+    serve::RunManager manager((*env)->engine(), {});
+    auto id = manager.Submit("tenant", std::move(*run));
+    EXPECT_TRUE(id.ok()) << id.status();
+    EXPECT_EQ(manager.Drain(), 1u);
+    if (!id.ok()) return 0;
+    auto status = manager.StatusOf(*id);
+    EXPECT_TRUE(status.ok()) << status.status();
+    if (status.ok()) {
+      EXPECT_EQ(status->state, serve::RunState::kFailed);
+    }
+  }
+
+  auto env = serve::ServeEnv::Create(options);
+  EXPECT_TRUE(env.ok()) << env.status();
+  if (!env.ok()) return 0;
+  auto unfinished = (*env)->UnfinishedJournalDirs();
+  EXPECT_TRUE(unfinished.ok()) << unfinished.status();
+  if (!unfinished.ok() || unfinished->size() != 1) {
+    ADD_FAILURE() << "expected one unfinished run under " << root;
+    return 0;
+  }
+  auto run = (*env)->PrepareResume(unfinished->front());
+  EXPECT_TRUE(run.ok()) << run.status();
+  if (!run.ok()) return 0;
+  serve::RunManager manager((*env)->engine(), {});
+  auto id = manager.Submit("tenant", std::move(*run));
+  EXPECT_TRUE(id.ok()) << id.status();
+  EXPECT_EQ(manager.Drain(), 1u);
+  if (!id.ok()) return 0;
+  auto result = manager.ResultOf(*id);
+  EXPECT_TRUE(result.ok()) << result.status();
+  if (!result.ok()) return 0;
+  EXPECT_TRUE((*result)->complete()) << (*result)->run_status;
+  EXPECT_GT((*result)->annotate.replayed, 0u);
+  auto resumed = (*env)->UnfinishedJournalDirs();
+  EXPECT_TRUE(resumed.ok() && resumed->empty()) << "the resumed run is DONE";
+  auto finished = manager.RunOf(*id);
+  EXPECT_TRUE(finished.ok()) << finished.status();
+  if (!finished.ok()) return 0;
+  return (*env)->AnnotationsDigest(*(*finished)->registry);
+}
+
+/// A serve daemon's journal-root scan, RUN descriptor, journal and DONE
+/// marker all go through its env: a crashed durable run resumes after a
+/// restart on a relocated file system to the digest and the bytes the real
+/// file system gives.
+TEST(IoSeamTest, ServeRestartResumesThroughItsEnv) {
+  const std::string real_root = FreshDir("real-serve");
+  const uint64_t real_digest = ServeCrashThenResume(real_root, nullptr);
+
+  Relocation relocated = Relocate("relocated-serve");
+  const uint64_t digest =
+      ServeCrashThenResume(relocated.root + "/runs", relocated.io.get());
+
+  EXPECT_NE(real_digest, 0u);
+  EXPECT_EQ(digest, real_digest);
+  const auto expected = TreeBytes(real_root);
+  EXPECT_EQ(expected.count("run-0/DONE"), 1u);
+  EXPECT_EQ(TreeBytes(relocated.backing + "/runs"), expected);
 }
 
 }  // namespace

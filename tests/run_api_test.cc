@@ -489,10 +489,11 @@ TEST(RunApiTest, ExportedCountersCoverOnlyTheRun) {
   EXPECT_EQ(second.volatile_counters.at("engine.cache_queries"), queries);
 }
 
-/// A 27-module scale corpus with every fifth module retired, so from the
-/// first retired module on, available index k is not registry position k.
-ScaleCorpus InterleavedRetiredCorpus() {
-  auto built = BuildScaleCorpus({/*seed=*/11, /*modules=*/27});
+/// A scale corpus of `modules` modules with every fifth one retired
+/// (modules / 5 in all), so from the first retired module on, available
+/// index k is not registry position k.
+ScaleCorpus InterleavedRetiredCorpus(size_t modules = 27) {
+  auto built = BuildScaleCorpus({/*seed=*/11, modules});
   EXPECT_TRUE(built.ok()) << built.status();
   for (size_t k = 4; k < built->module_ids.size(); k += 5) {
     (*built->registry->Find(built->module_ids[k]))->Retire();
@@ -519,9 +520,10 @@ ExampleGenerator ScaleGenerator(const ScaleCorpus& corpus,
       corpus.pool.get(), &engine);
 }
 
-void ExpectRetiredUnannotated(const ModuleRegistry& registry) {
+void ExpectRetiredUnannotated(const ModuleRegistry& registry,
+                              size_t retired_count = 5) {
   const std::vector<ModulePtr> retired = registry.RetiredModules();
-  EXPECT_EQ(retired.size(), 5u);
+  EXPECT_EQ(retired.size(), retired_count);
   for (const ModulePtr& module : retired) {
     EXPECT_TRUE(registry.DataExamplesOf(module->spec().id).empty())
         << module->spec().id;
@@ -529,24 +531,31 @@ void ExpectRetiredUnannotated(const ModuleRegistry& registry) {
 }
 
 TEST(RunApiTest, InterleavedRetiredModulesAnnotateIdenticallyAtT1AndT8) {
-  const ScaleCorpus corpus = InterleavedRetiredCorpus();
-  std::string annotations_t1, annotations_t8;
-  for (size_t threads : {size_t{1}, size_t{8}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    EngineConfig config = EngineConfig().Threads(threads);
-    auto engine = config.BuildEngine();
-    ExampleGenerator generator = ScaleGenerator(corpus, config, *engine);
-    auto registry = FreshScaleRegistry(corpus);
-    auto result = SubmitRun(MakeAnnotateRun(generator, *registry));
-    ASSERT_TRUE(result.ok()) << result.status();
-    ASSERT_TRUE(result->complete()) << result->run_status;
-    EXPECT_EQ(result->annotate.annotated + result->annotate.decayed, 22u);
-    ExpectRetiredUnannotated(*registry);
-    (threads == 1 ? annotations_t1 : annotations_t8) =
-        SaveAnnotations(*registry, *corpus.ontology);
+  // At t8 the 22 available modules of 27 are claimed one at a time; the
+  // 3,280 of 4,099 six at a time.
+  for (size_t modules : {size_t{27}, size_t{4'099}}) {
+    SCOPED_TRACE("modules=" + std::to_string(modules));
+    const ScaleCorpus corpus = InterleavedRetiredCorpus(modules);
+    const size_t retired = modules / 5;
+    std::string annotations_t1, annotations_t8;
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      EngineConfig config = EngineConfig().Threads(threads);
+      auto engine = config.BuildEngine();
+      ExampleGenerator generator = ScaleGenerator(corpus, config, *engine);
+      auto registry = FreshScaleRegistry(corpus);
+      auto result = SubmitRun(MakeAnnotateRun(generator, *registry));
+      ASSERT_TRUE(result.ok()) << result.status();
+      ASSERT_TRUE(result->complete()) << result->run_status;
+      EXPECT_EQ(result->annotate.annotated + result->annotate.decayed,
+                modules - retired);
+      ExpectRetiredUnannotated(*registry, retired);
+      (threads == 1 ? annotations_t1 : annotations_t8) =
+          SaveAnnotations(*registry, *corpus.ontology);
+    }
+    EXPECT_EQ(annotations_t1, annotations_t8);
+    EXPECT_FALSE(annotations_t1.empty());
   }
-  EXPECT_EQ(annotations_t1, annotations_t8);
-  EXPECT_FALSE(annotations_t1.empty());
 }
 
 TEST(RunApiTest, InterleavedRetiredModulesResumeToTheFreshRun) {

@@ -92,6 +92,9 @@ TEST(ValueTest, HashAndRenderingArePinnedPerShape) {
     uint64_t hash;
     std::string text;
   };
+  // 120 chars: a string Value shares rather than holds inline.
+  std::string sequence;
+  for (int i = 0; i < 30; ++i) sequence += "ACGT";
   const std::vector<Pinned> cases = {
       {Value::Null(), 0x0000000000000001ULL, "null"},
       {Value::Bool(true), 0x8181f0f0c04affceULL, "true"},
@@ -101,6 +104,14 @@ TEST(ValueTest, HashAndRenderingArePinnedPerShape) {
       {Value::Real(0.1), 0x88c82f2fa5d978b3ULL, "0.10000000000000001"},
       {Value::Str("a\"b\\c\n\t\r"), 0x0799305d47052c00ULL,
        R"("a\"b\\c\n\t\r")"},
+      {Value::Str("fifteen-chars-x"), 0xb823e66e5f3be3b4ULL,
+       R"("fifteen-chars-x")"},
+      {Value::Str("sixteen-chars-xy"), 0x525e97ef0453b2e6ULL,
+       R"("sixteen-chars-xy")"},
+      {Value::Str(sequence), 0x3b3d4a68edde9c5eULL, "\"" + sequence + "\""},
+      {Value::ListOf({Value::Str("fifteen-chars-x"),
+                      Value::Str("sixteen-chars-xy")}),
+       0x83db79f28d02ab4cULL, R"(["fifteen-chars-x", "sixteen-chars-xy"])"},
       {Value::ListOf({}), 0x1715609f7c746c6aULL, "[]"},
       {Value::ListOf({Value::Int(1),
                       Value::ListOf({Value::Str("x"), Value::Null()})}),
@@ -116,9 +127,42 @@ TEST(ValueTest, HashAndRenderingArePinnedPerShape) {
   }
 }
 
-// One payload per value: the 16-byte shared pointer, the largest
-// alternative, plus the alternative index, padded to 8 bytes.
-TEST(ValueTest, HoldsOnePayload) { EXPECT_EQ(sizeof(Value), 24u); }
+// One payload per value: the 32-byte std::string that holds a short string
+// inline, the largest alternative, plus the alternative index, padded to 8
+// bytes.
+TEST(ValueTest, HoldsOnePayload) { EXPECT_EQ(sizeof(Value), 40u); }
+
+// A string of at most kInlineStringMax chars lives in its Value, so copies
+// own separate buffers; a longer one is shared, so copies read one buffer.
+// Parsing a rendering lands each length in the same representation.
+TEST(ValueTest, ShortStringsAreInlineAndLongStringsShared) {
+  std::string sequence;
+  for (int i = 0; i < 30; ++i) sequence += "ACGT";
+  const struct {
+    std::string text;
+    bool shared;
+  } cases[] = {
+      {"", false},
+      {std::string(Value::kInlineStringMax, 's'), false},
+      {std::string(Value::kInlineStringMax + 1, 'l'), true},
+      {sequence, true},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE("length " + std::to_string(c.text.size()));
+    const Value original = Value::Str(c.text);
+    const Value copy = original;
+    EXPECT_EQ(&original.AsString() == &copy.AsString(), c.shared);
+    EXPECT_EQ(copy.AsString(), c.text);
+
+    auto parsed = Value::Parse(original.ToString());
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    const Value parsed_copy = *parsed;
+    EXPECT_EQ(&parsed->AsString() == &parsed_copy.AsString(), c.shared);
+    EXPECT_TRUE(parsed->is_string());
+    EXPECT_EQ(*parsed, original);
+    EXPECT_EQ(parsed->Hash(), original.Hash());
+  }
+}
 
 TEST(ValueTest, MatchesType) {
   EXPECT_TRUE(Value::Str("x").MatchesType(StructuralType::String()));

@@ -83,7 +83,8 @@ Result<GenerationOutcome> ExampleGenerator::Generate(
       candidates[i].push_back(
           Candidate{partition, std::move(instance).value()});
     }
-    if (param.optional && options_.include_null_for_optional) {
+    if (param.optional) {
+      // Section 2: optional parameters may carry null values.
       candidates[i].push_back(Candidate{kInvalidConcept, Value::Null()});
     }
     if (candidates[i].empty()) {

@@ -45,10 +45,6 @@ struct GeneratorOptions {
   /// strategy) instead of the full cartesian product. Ablation knob for the
   /// cost/completeness trade-off of combination enumeration.
   bool full_cartesian = true;
-
-  /// Also try null for optional inputs (Section 2: optional parameters may
-  /// carry null values).
-  bool include_null_for_optional = true;
 };
 
 /// Statistics the generator reports alongside the examples: the per-call

@@ -55,8 +55,10 @@ uint64_t AnnotateConfigFingerprint(const ModuleRegistry& registry,
   fp = HashCombine(fp, static_cast<uint64_t>(options.max_combinations));
   fp = HashCombine(fp, static_cast<uint64_t>(options.use_realization));
   fp = HashCombine(fp, static_cast<uint64_t>(options.full_cartesian));
-  fp = HashCombine(fp,
-                   static_cast<uint64_t>(options.include_null_for_optional));
+  // Generate always tries null for optional inputs. Fingerprints have always
+  // mixed in 1 for that behaviour; keeping it keeps the journal headers and
+  // shard manifests already on disk valid.
+  fp = HashCombine(fp, uint64_t{1});
   return fp;
 }
 

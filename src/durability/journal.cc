@@ -295,17 +295,11 @@ Status RunJournal::Append(std::string_view payload) {
   PutU32Le(frame, Crc32(payload));
   frame.append(payload);
 
-  Status written = Status::OK();
-  if (options_.sync_each_record) {
-    written = out_->Append(frame);
-    if (written.ok()) written = out_->Sync();
-  } else {
-    // Batched-sync journals stage frames in memory and write the whole
-    // segment at once when it rolls or seals: the buffer is bounded by the
-    // segment cap, and the bytes on disk are identical to the per-record
-    // path's.
-    pending_.append(frame);
-  }
+  // Every frame reaches the env before Append returns, so a process that
+  // dies loses nothing acknowledged; batched journals defer only the fsync,
+  // to the segment's Seal.
+  Status written = out_->Append(frame);
+  if (written.ok() && options_.sync_each_record) written = out_->Sync();
   if (!written.ok()) {
     failed_ = true;
     return written;
@@ -318,28 +312,15 @@ Status RunJournal::Append(std::string_view payload) {
 
 Status RunJournal::Seal() {
   if (!segment_open_) return Status::OK();
-  // Batched-sync journals flush the whole segment here instead of per
-  // record; a failure is a disk fault like any other.
-  if (!options_.sync_each_record) {
-    Status synced = Status::OK();
-    if (!pending_.empty()) {
-      synced = out_->Append(pending_);
-      pending_.clear();
-    }
-    if (synced.ok()) synced = out_->Sync();
-    if (!synced.ok()) {
-      failed_ = true;
-      out_.reset();
-      segment_open_ = false;
-      return synced;
-    }
-  }
-  Status closed = out_->Close();
+  // Batched-sync journals fsync the segment here instead of per record; a
+  // failure is a disk fault like any other.
+  Status sealed = options_.sync_each_record ? Status::OK() : out_->Sync();
+  if (sealed.ok()) sealed = out_->Close();
   out_.reset();
   segment_open_ = false;
-  if (!closed.ok()) {
+  if (!sealed.ok()) {
     failed_ = true;
-    return closed;
+    return sealed;
   }
   ++segments_sealed_;
   if (metrics_ != nullptr) {

@@ -20,13 +20,16 @@ struct JournalOptions {
   /// exercise multi-segment recovery; the default keeps a 252-module
   /// annotation run in a handful of segments.
   size_t segment_bytes = 64 * 1024;
-  /// When true (the default, and the right setting for every live durable
-  /// run), each Append fsyncs before the commit is acknowledged. Bulk
-  /// writers of *derived* journals — the shard merge, whose output is
-  /// deterministically rebuildable from the per-shard journals that were
-  /// themselves synced record-by-record — may clear this to sync once per
-  /// segment (at Seal) instead. The on-disk bytes are identical either
-  /// way; only the crash-durability granularity changes.
+  /// Every Append writes its frame through the env before it returns; this
+  /// decides only when the fsync follows. When true (the default, and the
+  /// right setting for every live durable run), each Append fsyncs before
+  /// the commit is acknowledged. Bulk writers of *derived* journals — the
+  /// shard merge, whose output is deterministically rebuildable from the
+  /// per-shard journals that were themselves synced record-by-record — may
+  /// clear this to fsync once per segment, at its Seal (roll or explicit).
+  /// The on-disk bytes are identical either way, and a process that dies
+  /// loses nothing acknowledged in either mode; a power cut can lose a
+  /// batched journal's unsynced open segment.
   bool sync_each_record = true;
 };
 
@@ -45,7 +48,8 @@ inline constexpr size_t kJournalFrameOverhead = 10;  // magic+length+crc.
 
 /// A checksummed, segmented write-ahead journal for one annotation (or
 /// enactment) run. Every committed unit of work is appended as one framed
-/// record and flushed before the commit is acknowledged, so a process that
+/// record and written through the env before the commit is acknowledged
+/// (fsynced too, unless the journal batches its syncs), so a process that
 /// dies mid-run loses at most the record being written — and a torn or
 /// bit-flipped tail is detected, not trusted.
 ///
@@ -81,14 +85,16 @@ class RunJournal {
   RunJournal(RunJournal&&) = default;
   RunJournal& operator=(RunJournal&&) = default;
 
-  /// Appends one record (frame + CRC32) and flushes it to the OS. Rolls to
-  /// a new segment first when the current one is past the size cap. On a
-  /// disk fault the typed seam status comes back verbatim
-  /// (kResourceExhausted / kCorrupted) and the journal refuses further
-  /// appends — the valid prefix on disk is the contract.
+  /// Appends one record (frame + CRC32) and writes it to the OS, fsyncing it
+  /// when sync_each_record is set. Rolls to a new segment first when the
+  /// current one is past the size cap. On a disk fault the typed seam
+  /// status comes back verbatim (kResourceExhausted / kCorrupted) and the
+  /// journal refuses further appends — the valid prefix on disk is the
+  /// contract.
   [[nodiscard]] Status Append(std::string_view payload);
 
-  /// Seals the current segment; the next Append opens a new one. Idempotent.
+  /// Seals the current segment (fsyncing it first when the journal batches
+  /// its syncs) and closes it; the next Append opens a new one. Idempotent.
   [[nodiscard]] Status Seal();
 
   const std::string& dir() const { return dir_; }
@@ -108,10 +114,6 @@ class RunJournal {
   EngineMetrics* metrics_ = nullptr;
   IoEnv* io_ = nullptr;
   std::unique_ptr<WritableIoFile> out_;
-  /// Frames staged for the batched-sync path (!sync_each_record): written
-  /// and synced as one unit when the segment rolls or seals. Bounded by
-  /// the segment size cap.
-  std::string pending_;
   bool segment_open_ = false;
   bool failed_ = false;
   size_t segment_index_ = 0;

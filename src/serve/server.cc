@@ -17,6 +17,11 @@ namespace dexa::serve {
 
 namespace {
 
+/// Cap on buffered response bytes per connection. A client that stops
+/// reading is shed (connection closed, buffer dropped) once its pending
+/// output exceeds this — slow readers cannot balloon daemon memory.
+constexpr size_t kMaxPendingOutBytes = 1 << 20;
+
 WireMessage ErrorResponse(const Status& status) {
   WireMessage response;
   response["ok"] = "0";
@@ -416,7 +421,7 @@ size_t Server::PollOnce() {
     FlushConnection(it->second);
   }
   for (auto it = connections_.begin(); it != connections_.end();) {
-    if (it->second.out.size() > options_.max_pending_out_bytes) {
+    if (it->second.out.size() > kMaxPendingOutBytes) {
       // The client stopped reading; drop the buffered responses and shed
       // the connection rather than let one slow reader grow daemon memory.
       it->second.out.clear();

@@ -31,11 +31,6 @@ struct ServerOptions {
   /// the connection is closed: the read buffer never grows unboundedly.
   size_t max_line_bytes = 64 * 1024;
 
-  /// Cap on buffered response bytes per connection. A client that stops
-  /// reading is shed (connection closed, buffer dropped) once its pending
-  /// output exceeds this — slow readers cannot balloon daemon memory.
-  size_t max_pending_out_bytes = 1 << 20;
-
   RunManagerOptions manager;
 };
 

@@ -164,11 +164,15 @@ Result<ShardRunReport> RunShard(const ModuleRegistry& registry,
   ExampleGenerator generator = config.MakeGenerator(cache, &pool, engine.get());
 
   // Auto-resume: a valid journal prefix in the shard directory means a
-  // prior attempt ran here — replay it. An environmental error (directory
-  // does not exist yet) or an empty prefix means fresh.
+  // prior attempt ran here — replay it. No journal directory yet or an
+  // empty prefix means fresh; any other failure is returned as it is,
+  // since starting fresh would remove the shard's committed segments.
   JournalRecovery recovery;
   bool resume = false;
   auto recovered = RecoverJournal(out.journal_dir, &engine->metrics(), io);
+  if (!recovered.ok() && !recovered.status().IsNotFound()) {
+    return recovered.status();
+  }
   if (recovered.ok() && !recovered->records.empty()) {
     recovery = std::move(*recovered);
     resume = true;
@@ -213,8 +217,11 @@ Result<MergeReport> MergeShards(ModuleRegistry& registry,
     auto recovered = RecoverJournal(ShardDir(options.root, k), nullptr, io);
     if (!recovered.ok()) {
       shard_status[k] =
-          Status::Unavailable("shard " + std::to_string(k) +
-                              " has no journal yet; run it before merging");
+          recovered.status().IsNotFound()
+              ? Status::Unavailable("shard " + std::to_string(k) +
+                                    " has no journal yet; run it before "
+                                    "merging")
+              : recovered.status();
       return;
     }
     const size_t expected = 1 + partition[k].size();
@@ -270,8 +277,9 @@ Result<MergeReport> MergeShards(ModuleRegistry& registry,
   out.merged_dir = MergedDir(options.root);
   // The merged journal is derived data — rebuildable from the per-shard
   // journals, which were synced record-by-record as they were written — so
-  // it batches its fsyncs per segment instead of per record. Framing (and
-  // therefore the byte-equality contract) is unaffected.
+  // it fsyncs once per segment, at its seal, instead of per record; every
+  // frame still reaches the file as it is appended. Framing (and therefore
+  // the byte-equality contract) is unaffected.
   JournalOptions merged_options;
   merged_options.sync_each_record = false;
   auto merged = RunJournal::Create(out.merged_dir, merged_options,
@@ -299,9 +307,9 @@ Result<MergeReport> MergeShards(ModuleRegistry& registry,
     DEXA_RETURN_IF_ERROR(ApplyCommit(std::move(commits[k][cursor[k]++]),
                                      index, registry, out.merged));
   }
-  // Flush the batched tail segment through to disk. Sealing writes no
-  // bytes, so the merged journal still compares byte-identical to a
-  // completed one-shot run (which leaves its tail segment unsealed).
+  // Fsync the batched tail segment. Sealing writes no bytes, so the merged
+  // journal still compares byte-identical to a completed one-shot run
+  // (which leaves its tail segment unsealed).
   out.records = merged->records_appended();
   DEXA_RETURN_IF_ERROR(merged->Seal());
   return out;

@@ -1,5 +1,6 @@
 // Tests for the durability layer: journal framing and CRC32, segment
-// rolling, torn-tail detection and discard, crash-point injection,
+// rolling, batched-sync journals (every acknowledged record on disk before
+// any seal), torn-tail detection and discard, crash-point injection,
 // crash-resume determinism (byte-identical state at any thread count),
 // journal record decoding, atomic snapshot/restore, and durable workflow
 // enactment.
@@ -246,6 +247,90 @@ TEST(RunJournalTest, DamagedHeaderEndsTheJournalBeforeAnyRecord) {
   EXPECT_TRUE(scan.status.IsCorrupted());
   EXPECT_TRUE(scan.records.empty());
   EXPECT_EQ(scan.valid_bytes, 0u);
+}
+
+/// Batched-sync journal options: fsync once per segment, at its seal.
+JournalOptions Batched(size_t segment_bytes = 64 * 1024) {
+  JournalOptions options;
+  options.segment_bytes = segment_bytes;
+  options.sync_each_record = false;
+  return options;
+}
+
+std::string BatchedPayload(int i) {
+  return "batched-" + std::to_string(i) + "-" + std::string(100, 'b');
+}
+
+// A batched journal that dies without Seal() (a process exit or kill) keeps
+// every record Append acknowledged, in every segment, the open one too.
+TEST(RunJournalTest, BatchedJournalDroppedUnsealedKeepsEveryRecord) {
+  const std::string dir = FreshDir("batched-unsealed");
+  std::vector<std::string> payloads;
+  {
+    auto journal = RunJournal::Create(dir, Batched(/*segment_bytes=*/512));
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    for (int i = 0; i < 40; ++i) {
+      payloads.push_back(BatchedPayload(i));
+      ASSERT_TRUE(journal->Append(payloads.back()).ok());
+    }
+    ASSERT_GE(journal->segments_sealed(), 3u);
+  }
+  auto recovery = RecoverJournal(dir);
+  ASSERT_TRUE(recovery.ok()) << recovery.status();
+  EXPECT_TRUE(recovery->tail_status.ok()) << recovery->tail_status;
+  EXPECT_GE(recovery->segments_scanned, 4u);
+  ASSERT_EQ(recovery->records.size(), payloads.size());
+  EXPECT_EQ(recovery->records, payloads);
+}
+
+// Nothing is staged above the env: each acknowledged record is already
+// readable through the journal's own env before any Seal().
+TEST(RunJournalTest, BatchedAppendIsReadableBeforeSeal) {
+  const std::string dir = FreshDir("batched-visible");
+  auto journal = RunJournal::Create(dir, Batched());
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  std::vector<std::string> payloads;
+  for (int i = 0; i < 12; ++i) {
+    payloads.push_back(BatchedPayload(i));
+    ASSERT_TRUE(journal->Append(payloads.back()).ok());
+    auto recovery = RecoverJournal(dir, nullptr, journal->io());
+    ASSERT_TRUE(recovery.ok()) << recovery.status();
+    EXPECT_TRUE(recovery->tail_status.ok()) << recovery->tail_status;
+    ASSERT_EQ(recovery->records.size(), payloads.size())
+        << "after append " << i;
+    EXPECT_EQ(recovery->records, payloads);
+  }
+  ASSERT_TRUE(journal->Seal().ok());
+}
+
+// A fault profile counts a batched journal's writes as it does a
+// per-record one's: the header is write 1, so the 6th write is the 5th
+// Append, which fails typed and leaves the first four records on disk.
+TEST(RunJournalTest, BatchedJournalFaultsAtTheRecordThatHitsEio) {
+  const std::string dir = FreshDir("batched-eio");
+  IoFaultProfile profile;
+  profile.eio_write_at = 6;
+  FaultyIoEnv io(profile);
+  auto journal = RunJournal::Create(dir, Batched(), nullptr, &io);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  int acknowledged = 0;
+  Status failed;
+  for (int i = 0; i < 40 && failed.ok(); ++i) {
+    failed = journal->Append(BatchedPayload(i));
+    if (failed.ok()) ++acknowledged;
+  }
+  EXPECT_EQ(acknowledged, 4);
+  EXPECT_TRUE(failed.IsCorrupted()) << failed;
+  EXPECT_EQ(io.faults_injected(), 1u);
+  const Status refused = journal->Append(BatchedPayload(99));
+  EXPECT_TRUE(refused.IsUnavailable()) << refused;
+
+  auto recovery = RecoverJournal(dir, nullptr, &io);
+  ASSERT_TRUE(recovery.ok()) << recovery.status();
+  ASSERT_EQ(recovery->records.size(), 4u);
+  for (size_t i = 0; i < recovery->records.size(); ++i) {
+    EXPECT_EQ(recovery->records[i], BatchedPayload(static_cast<int>(i)));
+  }
 }
 
 TEST(SnapshotTest, AtomicWriteLeavesNoTemporaries) {
@@ -808,6 +893,16 @@ TEST(CommitCodecTest, DurableRunRecordsRoundTripByteForByte) {
     examples += commit->examples.size();
   }
   EXPECT_GT(examples, 0u);
+}
+
+// The run fingerprint journal headers and shard manifests pin: a fixed
+// registry under the default generator options hashes to the same value
+// in every build, so journals written by earlier builds still resume.
+TEST(CommitCodecTest, DefaultFingerprintIsPinned) {
+  auto corpus = BuildScaleCorpus({/*seed=*/7, /*modules=*/96});
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  EXPECT_EQ(AnnotateConfigFingerprint(*corpus->registry, GeneratorOptions{}),
+            16994948232443710029ull);
 }
 
 // Decode failures name what broke: the kind line, the missing or malformed

@@ -1,5 +1,6 @@
 // Serve-layer suite: wire codec round-trips, multi-tenant fair scheduling,
-// admission control (typed kOverloaded backpressure), concurrent runs
+// admission control (typed kOverloaded backpressure), the per-tenant
+// concurrency cap and the default run deadline, concurrent runs
 // byte-identical to the one-shot facade path, graceful drain, the line
 // protocol (in-process and over a unix socket), and crash-resume of
 // durable runs across a daemon restart.
@@ -236,6 +237,58 @@ TEST(RunManagerTest, EvictsOldestRetainedResults) {
   EXPECT_FALSE(manager.StatusOf(ids[1]).ok());
   EXPECT_TRUE(manager.StatusOf(ids[2]).ok());
   EXPECT_TRUE(manager.StatusOf(ids[3]).ok());
+}
+
+TEST(RunManagerTest, TenantConcurrencyCapLeavesSlotsEmptyRatherThanExceedIt) {
+  ServeEnv& env = SharedEnv();
+  RunManagerOptions options;
+  options.execute_batch = 8;
+  options.per_tenant_max_concurrent = 2;
+  RunManager manager(env.engine(), options);
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 5; ++i) {
+    auto run = env.PrepareAnnotate(static_cast<size_t>(i), 1, false);
+    ASSERT_TRUE(run.ok()) << run.status();
+    auto id = manager.Submit("a", std::move(*run));
+    ASSERT_TRUE(id.ok()) << id.status();
+    ids.push_back(*id);
+  }
+
+  // No other tenant has a run, so six of the batch's eight slots stay
+  // empty: the cap holds even when nobody else could use the slots.
+  EXPECT_EQ(manager.ExecuteBatch().size(), 2u);
+  EXPECT_EQ(manager.started_order(),
+            (std::vector<uint64_t>{ids[0], ids[1]}));
+  EXPECT_EQ(manager.Drain(), 3u);
+  EXPECT_EQ(manager.started_order(), ids);
+  EXPECT_EQ(manager.counters().completed, 5u);
+}
+
+TEST(RunManagerTest, DefaultDeadlineExpiresARunSubmittedWithoutOne) {
+  ServeEnv& env = SharedEnv();
+  RunManagerOptions options;
+  options.execute_batch = 1;
+  options.default_deadline_ns = 1;
+  RunManager manager(env.engine(), options);
+  auto first = env.PrepareAnnotate(0, 1, false);
+  auto second = env.PrepareAnnotate(1, 1, false);
+  ASSERT_TRUE(first.ok() && second.ok());
+  ASSERT_EQ(second->deadline_ns, 0u);
+  auto runs = manager.Submit("t", std::move(*first));
+  auto expires = manager.Submit("t", std::move(*second));
+  ASSERT_TRUE(runs.ok() && expires.ok());
+
+  // The first run executes before the clock moves; the batch charges the
+  // clock past the second run's default deadline while it waits.
+  EXPECT_EQ(manager.Drain(), 1u);
+  EXPECT_EQ(manager.started_order(), (std::vector<uint64_t>{*runs}));
+  auto expired = manager.StatusOf(*expires);
+  ASSERT_TRUE(expired.ok()) << expired.status();
+  EXPECT_EQ(expired->state, RunState::kFailed);
+  EXPECT_TRUE(manager.ResultOf(*expires).status().IsTimeout())
+      << manager.ResultOf(*expires).status();
+  EXPECT_EQ(manager.counters().deadline_expired, 1u);
+  EXPECT_EQ(manager.StatusOf(*runs)->state, RunState::kDone);
 }
 
 /// The headline acceptance test: >= 32 concurrent annotate runs from four

@@ -6,7 +6,8 @@
 //    annotations, report totals) at {1,2,4,8} shards × {1,8} threads;
 //  * merge determinism under permuted shard completion order;
 //  * crash-resume of a killed shard subset converging to the one-shot
-//    bytes (crash-after-commit and torn-write);
+//    bytes (crash-after-commit and torn-write), and an unreadable shard
+//    journal failing typed with every segment kept;
 //  * fault-injected shards (deterministic flaky-first-attempt profile)
 //    converging to the fault-free digest;
 //  * golden-trace equality when replaying the merged journal vs the
@@ -24,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/io_env.h"
 #include "core/engine_config.h"
 #include "core/run_api.h"
 #include "corpus/fault_injector.h"
@@ -471,6 +473,89 @@ TEST(ShardCrashResumeSuite, TwoKilledShardsResumeIndependently) {
   auto merge = MergeShards(*target, *corpus.ontology, Config(1), options);
   ASSERT_TRUE(merge.ok()) << merge.status();
   EXPECT_EQ(JournalBytes(merge->merged_dir), JournalBytes(reference.dir));
+}
+
+/// The real file system, except that the first ReadFile of a path holding
+/// `needle` fails kCorrupted, as an EIO does at the seam.
+class FailFirstReadIoEnv final : public IoEnv {
+ public:
+  explicit FailFirstReadIoEnv(std::string needle)
+      : needle_(std::move(needle)) {}
+
+  Result<std::unique_ptr<WritableIoFile>> NewWritableFile(
+      const std::string& path) override {
+    return IoEnv::Real().NewWritableFile(path);
+  }
+  Result<std::string> ReadFile(const std::string& path) override {
+    if (!failed_ && path.find(needle_) != std::string::npos) {
+      failed_ = true;
+      return Status::Corrupted("injected EIO reading '" + path + "'");
+    }
+    return IoEnv::Real().ReadFile(path);
+  }
+  Result<MmapRegion> MapReadOnly(const std::string& path) override {
+    return IoEnv::Real().MapReadOnly(path);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return IoEnv::Real().Rename(from, to);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return IoEnv::Real().RemoveFile(path);
+  }
+  Status Truncate(const std::string& path, uint64_t size) override {
+    return IoEnv::Real().Truncate(path, size);
+  }
+  Status CreateDirs(const std::string& dir) override {
+    return IoEnv::Real().CreateDirs(dir);
+  }
+
+ private:
+  std::string needle_;
+  bool failed_ = false;
+};
+
+TEST(ShardCrashResumeSuite, UnreadableShardJournalIsAnErrorNotAFreshStart) {
+  const ScaleCorpus& corpus = TestCorpus();
+  ShardOptions options;
+  options.shards = 2;
+  options.root = FreshDir("sharded_unreadable");
+
+  // Crash shard 1 after its 16th commit.
+  const auto partition = PartitionRegistry(*corpus.registry, options.shards,
+                                           kShardPartitionSalt);
+  ASSERT_GT(partition[1].size(), 16u);
+  CrashPlan crash;
+  crash.point = CrashPoint::kCrashAfterCommit;
+  crash.key = partition[1][15];
+  options.crash = &crash;
+  auto target = FreshRegistry(*corpus.registry);
+  auto crashed = RunShardedAnnotate(*target, *corpus.ontology, *corpus.pool,
+                                    Config(1), options);
+  ASSERT_TRUE(crashed.ok()) << crashed.status();
+  ASSERT_FALSE(crashed->merged.run_status.ok());
+
+  // Resubmit through an env that cannot read shard 1's journal: the run
+  // fails typed instead of starting the shard over, and every committed
+  // byte of the shard stays where it was.
+  options.crash = nullptr;
+  const std::string shard_dir = ShardDir(options.root, 1);
+  const std::string before = JournalBytes(shard_dir);
+  ASSERT_FALSE(before.empty());
+  FailFirstReadIoEnv unreadable("shard-1/wal-");
+  auto resumed = FreshRegistry(*corpus.registry);
+  auto rerun = RunShardedAnnotate(*resumed, *corpus.ontology, *corpus.pool,
+                                  Config(1), options, &unreadable);
+  EXPECT_TRUE(rerun.status().IsCorrupted()) << rerun.status();
+  EXPECT_TRUE(JournalBytes(shard_dir) == before)
+      << "a segment under " << shard_dir << " changed";
+
+  // The merge keeps the type too, so it reads as a disk fault rather than
+  // a shard that has not run.
+  FailFirstReadIoEnv unreadable_merge("shard-1/wal-");
+  EXPECT_TRUE(MergeShards(*resumed, *corpus.ontology, Config(1), options,
+                          &unreadable_merge)
+                  .status()
+                  .IsCorrupted());
 }
 
 // --------------------------------------------------------------------------

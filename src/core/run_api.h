@@ -6,8 +6,8 @@
 
 #include "common/result.h"
 #include "core/example_generator.h"
+#include "engine/metrics.h"
 #include "modules/registry.h"
-#include "obs/run_observability.h"
 #include "workflow/enactor.h"
 #include "workflow/workflow.h"
 
@@ -73,12 +73,11 @@ struct RunRequest {
   uint64_t kb_checksum = 0;
 
   // -- Observability (all kinds) -----------------------------------------
-  /// Where the run's span tree and metrics go. When `obs.metrics` is set,
-  /// SubmitRun imports what the engine counted from the call's start to its
-  /// end (and the trace, when `obs.tracer` is also set) into it after the
-  /// run finishes; other work on a shared engine in that window counts too.
-  /// Durable runs add a "replay" phase whose spans are marked replayed.
-  obs::RunObservability obs;
+  /// Span-tree sink (obs/trace.h), optional and non-owning. Spans are
+  /// recorded only at sequential points of a run, so the tree is
+  /// byte-identical at any thread count. Durable runs add a "replay" phase
+  /// whose spans are marked replayed.
+  obs::Tracer* tracer = nullptr;
 };
 
 /// What a run produced. Exactly one of the two payloads is meaningful,
@@ -92,6 +91,12 @@ struct RunResult {
 
   /// Payload of the enact family.
   EnactmentResult enact;
+
+  /// What the run's engine counted from SubmitRun's entry to its return:
+  /// the run's own counters, not the engine's lifetime totals. Other work
+  /// on a shared engine in that window counts too. obs::WriteMetricsJson
+  /// exports them.
+  EngineMetricsSnapshot counters;
 
   /// OK for runs that ran to completion; the abort cause otherwise
   /// (kCancelled for an injected crash of a durable annotate run, which
@@ -117,7 +122,7 @@ struct RunResult {
 
 // -- Convenience builders --------------------------------------------------
 // Fill the required fields of each kind; callers tweak the optional ones
-// (resume/crash/kb_checksum/obs) on the returned struct.
+// (resume/crash/kb_checksum/tracer) on the returned struct.
 
 RunRequest MakeAnnotateRun(const ExampleGenerator& generator,
                            ModuleRegistry& registry);

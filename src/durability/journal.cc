@@ -171,8 +171,8 @@ Result<JournalRecovery> RecoverJournal(const std::string& dir,
   return recovery;
 }
 
-Status RunJournal::OpenSegment(size_t index) {
-  auto file = io_->NewWritableFile(JoinPath(dir_, SegmentName(index)));
+Status RunJournal::OpenSegment() {
+  auto file = io_->NewWritableFile(JoinPath(dir_, SegmentName(next_segment_)));
   if (!file.ok()) return file.status();
   out_ = std::move(*file);
   Status header = out_->Append(
@@ -183,7 +183,7 @@ Status RunJournal::OpenSegment(size_t index) {
     return header;
   }
   segment_open_ = true;
-  segment_index_ = index;
+  ++next_segment_;
   segment_payload_bytes_ = 0;
   return Status::OK();
 }
@@ -206,7 +206,7 @@ Result<RunJournal> RunJournal::Create(const std::string& dir,
   journal.options_ = options;
   journal.metrics_ = metrics;
   journal.io_ = &env;
-  DEXA_RETURN_IF_ERROR(journal.OpenSegment(0));
+  DEXA_RETURN_IF_ERROR(journal.OpenSegment());
   return journal;
 }
 
@@ -221,7 +221,7 @@ Result<RunJournal> RunJournal::Resume(const std::string& dir,
     return Status::NotFound("no journal segments in '" + dir + "' to resume");
   }
 
-  // Opening fresh truncates, so a collision with a listed segment would
+  // Opening a segment truncates, so a collision with a listed segment would
   // destroy committed records — refuse, before the journal is touched,
   // rather than trust the numbering.
   const size_t next_index = NextSegmentIndex(*segments);
@@ -258,8 +258,10 @@ Result<RunJournal> RunJournal::Resume(const std::string& dir,
   journal.metrics_ = metrics;
   journal.io_ = &env;
   // Appends of the resumed run go into a fresh segment after the last valid
-  // one; the crashed run's segments are sealed history.
-  DEXA_RETURN_IF_ERROR(journal.OpenSegment(next_index));
+  // one; the crashed run's segments are sealed history. The first Append
+  // opens it, so a resume that appends nothing leaves the directory as it
+  // found it.
+  journal.next_segment_ = next_index;
   return journal;
 }
 
@@ -273,14 +275,14 @@ Status RunJournal::Append(std::string_view payload) {
         "' is failed after a disk fault; resume to continue");
   }
   if (!segment_open_) {
-    Status opened = OpenSegment(segment_index_ + 1);
+    Status opened = OpenSegment();
     if (!opened.ok()) {
       failed_ = true;
       return opened;
     }
   } else if (segment_payload_bytes_ >= options_.segment_bytes) {
     Status rolled = Seal();
-    if (rolled.ok()) rolled = OpenSegment(segment_index_ + 1);
+    if (rolled.ok()) rolled = OpenSegment();
     if (!rolled.ok()) {
       failed_ = true;
       return rolled;

@@ -75,7 +75,8 @@ class RunJournal {
   /// Re-opens the journal in `dir` for appending after a crash: truncates
   /// the damaged tail identified by `recovery` (RecoverJournal), removes
   /// any segments past the damage, and directs new records into a fresh
-  /// segment after the last valid one.
+  /// segment after the last valid one. The first Append creates that
+  /// segment, so a resume that appends nothing adds no file.
   [[nodiscard]] static Result<RunJournal> Resume(const std::string& dir,
                                    const struct JournalRecovery& recovery,
                                    JournalOptions options = {},
@@ -86,8 +87,9 @@ class RunJournal {
   RunJournal& operator=(RunJournal&&) = default;
 
   /// Appends one record (frame + CRC32) and writes it to the OS, fsyncing it
-  /// when sync_each_record is set. Rolls to a new segment first when the
-  /// current one is past the size cap. On a disk fault the typed seam
+  /// when sync_each_record is set. Opens a new segment first when none is
+  /// open (after a Seal or a Resume) and rolls to one when the current one
+  /// is past the size cap. On a disk fault the typed seam
   /// status comes back verbatim (kResourceExhausted / kCorrupted) and the
   /// journal refuses further appends — the valid prefix on disk is the
   /// contract.
@@ -102,12 +104,12 @@ class RunJournal {
   IoEnv* io() const { return io_; }
   uint64_t records_appended() const { return records_appended_; }
   uint64_t segments_sealed() const { return segments_sealed_; }
-  size_t current_segment_index() const { return segment_index_; }
 
  private:
   RunJournal() = default;
 
-  [[nodiscard]] Status OpenSegment(size_t index);
+  /// Creates segment `next_segment_` and writes and syncs its header.
+  [[nodiscard]] Status OpenSegment();
 
   std::string dir_;
   JournalOptions options_;
@@ -116,7 +118,7 @@ class RunJournal {
   std::unique_ptr<WritableIoFile> out_;
   bool segment_open_ = false;
   bool failed_ = false;
-  size_t segment_index_ = 0;
+  size_t next_segment_ = 0;  ///< Index of the segment OpenSegment creates.
   size_t segment_payload_bytes_ = 0;
   uint64_t records_appended_ = 0;
   uint64_t segments_sealed_ = 0;

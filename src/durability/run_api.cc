@@ -8,8 +8,6 @@
 #include "corpus/fault_injector.h"
 #include "durability/commit_codec.h"
 #include "durability/journal.h"
-#include "obs/metrics_registry.h"
-#include "obs/trace.h"
 
 namespace dexa {
 
@@ -44,17 +42,6 @@ Status ValidateRequest(const RunRequest& request) {
       return Status::OK();
   }
   return Status::InvalidArgument("unknown run kind");
-}
-
-/// Exports the finished run into `obs.metrics` when the caller attached a
-/// registry: what the engine counted since `start` (the run's share, not
-/// the engine's lifetime totals), and the trace when one was recorded.
-void ExportObservability(const obs::RunObservability& obs,
-                         const EngineMetricsSnapshot& start,
-                         const EngineMetricsSnapshot& end) {
-  if (obs.metrics == nullptr) return;
-  obs.metrics->ImportEngineSnapshot(CountedSince(start, end));
-  if (obs.tracer != nullptr) obs.metrics->ImportTrace(*obs.tracer);
 }
 
 /// How a torn-write crash damages the journal tail: the flip positions
@@ -220,7 +207,7 @@ Result<AnnotateReport> AnnotateDurable(const RunRequest& request) {
     return commits.Commit(commit.module_id, "module", commit.module_id,
                           EncodeModuleCommit(commit, ontology));
   };
-  return AnnotateRegistry(generator, registry, request.obs.tracer, hooks);
+  return AnnotateRegistry(generator, registry, request.tracer, hooks);
 }
 
 /// Decodes the committed steps of a recovered enactment journal into a
@@ -314,7 +301,7 @@ Result<EnactmentResult> EnactDurable(const RunRequest& request) {
 
   EnactHooks hooks;
   hooks.replayed = &replayed;
-  hooks.obs = request.obs;
+  hooks.tracer = request.tracer;
   hooks.on_commit = [&](int processor,
                         const InvocationRecord& record) -> Status {
     StepCommit commit;
@@ -356,27 +343,26 @@ Result<RunResult> SubmitRun(const RunRequest& request) {
       auto report = durable ? AnnotateDurable(request)
                             : AnnotateRegistry(*request.generator,
                                                *request.registry,
-                                               request.obs.tracer);
+                                               request.tracer);
       if (!report.ok()) return report.status();
       result.annotate = std::move(report).value();
       result.run_status = result.annotate.run_status;
-      ExportObservability(request.obs, start, result.annotate.metrics);
-      return result;
+      break;
     }
     case RunKind::kEnact: {
       EnactHooks hooks;
-      hooks.obs = request.obs;
+      hooks.tracer = request.tracer;
       auto enacted =
           durable ? EnactDurable(request)
                   : Enact(*request.workflow, *request.registry,
                           request.inputs, *request.engine, hooks);
       if (!enacted.ok()) return enacted.status();
       result.enact = std::move(enacted).value();
-      ExportObservability(request.obs, start, engine_metrics.Snapshot());
-      return result;
+      break;
     }
   }
-  return Status::InvalidArgument("unknown run kind");
+  result.counters = CountedSince(start, engine_metrics.Snapshot());
+  return result;
 }
 
 RunRequest MakeAnnotateRun(const ExampleGenerator& generator,

@@ -1,5 +1,6 @@
 #include "obs/export.h"
 
+#include <algorithm>
 #include <cctype>
 
 #include "common/json.h"
@@ -44,6 +45,85 @@ void AppendCounterFields(std::string& out,
     out += ':';
     out += std::to_string(value);
   }
+}
+
+void AppendNumberMap(std::string& out,
+                     const std::map<std::string, uint64_t>& numbers) {
+  out += '{';
+  bool first = true;
+  for (const auto& [name, value] : numbers) {
+    if (!first) out += ',';
+    first = false;
+    AppendJsonString(out, name);
+    out += ':';
+    out += std::to_string(value);
+  }
+  out += '}';
+}
+
+void AppendNumberArray(std::string& out, const std::vector<uint64_t>& numbers) {
+  out += '[';
+  for (size_t i = 0; i < numbers.size(); ++i) {
+    if (i != 0) out += ',';
+    out += std::to_string(numbers[i]);
+  }
+  out += ']';
+}
+
+void AppendMetricsSection(
+    std::string& out, const std::map<std::string, uint64_t>& counters,
+    const std::map<std::string, uint64_t>& gauges,
+    const std::map<std::string, HistogramSnapshot>& histograms) {
+  out += "{\"counters\":";
+  AppendNumberMap(out, counters);
+  out += ",\"gauges\":";
+  AppendNumberMap(out, gauges);
+  out += ",\"histograms\":{";
+  bool first = true;
+  for (const auto& [name, histogram] : histograms) {
+    if (!first) out += ',';
+    first = false;
+    AppendJsonString(out, name);
+    out += ":{\"bounds\":";
+    AppendNumberArray(out, histogram.bounds);
+    out += ",\"counts\":";
+    AppendNumberArray(out, histogram.counts);
+    out += ",\"total\":";
+    out += std::to_string(histogram.total);
+    out += ",\"observations\":";
+    out += std::to_string(histogram.observations);
+    out += '}';
+  }
+  out += "}}";
+}
+
+/// Files the span statistics of a recorded trace, all stable: span and
+/// replayed-span counts, the count per kind, and an examples-per-module
+/// histogram over batch spans' "examples" counters.
+void AddTraceMetrics(const Tracer& tracer, ParsedMetrics& metrics) {
+  const std::vector<TraceSpan> spans = tracer.spans();
+  HistogramSnapshot& examples =
+      metrics.stable_histograms["trace.examples_per_module"];
+  examples.bounds = {0, 1, 2, 4, 8, 16, 32, 64, 128};
+  examples.counts.assign(examples.bounds.size() + 1, 0);
+  uint64_t replayed = 0;
+  for (const TraceSpan& span : spans) {
+    metrics.stable_counters[std::string("trace.spans.") +
+                            SpanKindName(span.kind)] += 1;
+    if (span.replayed) ++replayed;
+    if (span.kind != SpanKind::kBatch) continue;
+    for (const auto& [name, value] : span.counters) {
+      if (name != "examples") continue;
+      // The first bucket whose bound holds the value, else the overflow.
+      examples.counts[std::lower_bound(examples.bounds.begin(),
+                                       examples.bounds.end(), value) -
+                      examples.bounds.begin()] += 1;
+      examples.total += value;
+      examples.observations += 1;
+    }
+  }
+  metrics.stable_counters["trace.spans"] = spans.size();
+  metrics.stable_counters["trace.spans_replayed"] = replayed;
 }
 
 // ---------------------------------------------------------------------------
@@ -240,56 +320,12 @@ Status DecodeMetricsSection(const JsonValue& root, const std::string& section,
   return Status::OK();
 }
 
-void AppendMetricsSection(std::string& out, const MetricsRegistry& registry,
-                          MetricStability stability) {
-  out += "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, entry] : registry.counters()) {
-    if (entry.second != stability) continue;
-    if (!first) out += ',';
-    first = false;
-    AppendJsonString(out, name);
-    out += ':';
-    out += std::to_string(entry.first);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, entry] : registry.gauges()) {
-    if (entry.second != stability) continue;
-    if (!first) out += ',';
-    first = false;
-    AppendJsonString(out, name);
-    out += ':';
-    out += std::to_string(entry.first);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, entry] : registry.histograms()) {
-    if (entry.second != stability) continue;
-    if (!first) out += ',';
-    first = false;
-    AppendJsonString(out, name);
-    out += ":{\"bounds\":[";
-    const HistogramSnapshot& histogram = entry.first;
-    for (size_t i = 0; i < histogram.bounds.size(); ++i) {
-      if (i != 0) out += ',';
-      out += std::to_string(histogram.bounds[i]);
-    }
-    out += "],\"counts\":[";
-    for (size_t i = 0; i < histogram.counts.size(); ++i) {
-      if (i != 0) out += ',';
-      out += std::to_string(histogram.counts[i]);
-    }
-    out += "],\"total\":";
-    out += std::to_string(histogram.total);
-    out += ",\"observations\":";
-    out += std::to_string(histogram.observations);
-    out += '}';
-  }
-  out += "}}";
-}
-
 }  // namespace
+
+uint64_t RatioPpm(uint64_t numerator, uint64_t denominator) {
+  if (denominator == 0) return 0;
+  return numerator * 1000000 / denominator;
+}
 
 std::string WriteChromeTrace(const Tracer& tracer) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -322,11 +358,32 @@ std::string WriteChromeTrace(const Tracer& tracer) {
   return SealWithChecksum(std::move(out));
 }
 
-std::string WriteMetricsJson(const MetricsRegistry& registry) {
+std::string WriteMetricsJson(const EngineMetricsSnapshot& counters,
+                             const Tracer* tracer) {
+  ParsedMetrics metrics;
+  for (const EngineCounterInfo& counter : kEngineCounters) {
+    std::map<std::string, uint64_t>& section =
+        counter.stability == CounterStability::kStable
+            ? metrics.stable_counters
+            : metrics.volatile_counters;
+    section[std::string("engine.") + counter.name] = counters.*counter.field;
+  }
+  // Phase timings are wall-clock: volatile, reporting-only.
+  for (size_t p = 0; p < kNumEnginePhases; ++p) {
+    metrics.volatile_counters[std::string("engine.phase_ns.") +
+                              EnginePhaseName(static_cast<EnginePhase>(p))] =
+        counters.phase_nanos[p];
+  }
+  metrics.stable_gauges["engine.invocation_error_rate_ppm"] =
+      RatioPpm(counters.invocation_errors, counters.invocations);
+  if (tracer != nullptr) AddTraceMetrics(*tracer, metrics);
+
   std::string out = "{\"stable\":";
-  AppendMetricsSection(out, registry, MetricStability::kStable);
+  AppendMetricsSection(out, metrics.stable_counters, metrics.stable_gauges,
+                       metrics.stable_histograms);
   out += ",\"volatile\":";
-  AppendMetricsSection(out, registry, MetricStability::kVolatile);
+  AppendMetricsSection(out, metrics.volatile_counters, metrics.volatile_gauges,
+                       metrics.volatile_histograms);
   out += '}';
   return SealWithChecksum(std::move(out));
 }

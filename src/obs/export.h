@@ -8,10 +8,24 @@
 #include <vector>
 
 #include "common/result.h"
-#include "obs/metrics_registry.h"
+#include "engine/metrics.h"
 #include "obs/trace.h"
 
 namespace dexa::obs {
+
+/// A fixed-bucket histogram: `counts[i]` holds observations <= bounds[i];
+/// the final slot counts overflows (> the last bound).
+struct HistogramSnapshot {
+  std::vector<uint64_t> bounds;  ///< Ascending upper bounds.
+  std::vector<uint64_t> counts;  ///< bounds.size() + 1 slots.
+  uint64_t total = 0;            ///< Sum of all observations' values.
+  uint64_t observations = 0;     ///< Number of observations.
+};
+
+/// `numerator * 1e6 / denominator`, 0 when the denominator is 0 — the
+/// fixed-point ratio representation used by gauges, so the export never
+/// touches float formatting.
+uint64_t RatioPpm(uint64_t numerator, uint64_t denominator);
 
 /// Serializes a recorded trace as a Chrome trace-event JSON document
 /// (loadable in chrome://tracing / Perfetto): one complete ("ph":"X") event
@@ -22,10 +36,17 @@ namespace dexa::obs {
 /// bytes.
 std::string WriteChromeTrace(const Tracer& tracer);
 
-/// Serializes a MetricsRegistry as a flat metrics.json with `stable` and
+/// Serializes one run's metrics as a flat metrics.json with `stable` and
 /// `volatile` sections (counters / gauges / histograms, sorted by name) and
-/// the same trailing checksum scheme as WriteChromeTrace.
-std::string WriteMetricsJson(const MetricsRegistry& registry);
+/// the same trailing checksum scheme as WriteChromeTrace. `counters` (a
+/// run's RunResult::counters) gives every `engine.<name>` counter, filed
+/// under its kEngineCounters tag, the volatile `engine.phase_ns.<phase>`
+/// timings and the stable `engine.invocation_error_rate_ppm` gauge. A
+/// `tracer` adds the stable span statistics: `trace.spans`,
+/// `trace.spans_replayed`, `trace.spans.<kind>` and the
+/// `trace.examples_per_module` histogram over batch spans' "examples".
+std::string WriteMetricsJson(const EngineMetricsSnapshot& counters,
+                             const Tracer* tracer = nullptr);
 
 /// A span decoded from a Chrome-trace export.
 struct ParsedSpan {
@@ -44,7 +65,8 @@ struct ParsedTrace {
   std::vector<ParsedSpan> spans;
 };
 
-/// A metrics.json decoded back into per-section maps.
+/// A metrics.json's content in per-section maps: what WriteMetricsJson
+/// lays out and ReadMetricsJson decodes.
 struct ParsedMetrics {
   std::map<std::string, uint64_t> stable_counters;
   std::map<std::string, uint64_t> stable_gauges;

@@ -6,6 +6,11 @@ namespace dexa::serve {
 
 namespace {
 
+/// Virtual nanoseconds the clock advances per executed run (1 ms), making
+/// queue-wait deadlines a deterministic function of the schedule rather
+/// than of wall time.
+constexpr uint64_t kRunCostNs = 1'000'000;
+
 /// Marks a durable run's journal directory as finished so the startup
 /// crash-resume scan skips it. Routed through the run's I/O env so an
 /// injected (or real) full disk fails typed — the caller keeps the result
@@ -235,7 +240,7 @@ std::vector<uint64_t> RunManager::ExecuteBatch() {
   }
   // Charge the batch to the virtual clock so queue-wait deadlines are a
   // deterministic function of the schedule, not of wall time.
-  engine_.clock().Advance(options_.run_cost_ns * batch.size());
+  engine_.clock().Advance(kRunCostNs * batch.size());
   EvictRetained();
   return batch;
 }

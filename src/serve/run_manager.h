@@ -127,11 +127,6 @@ struct RunManagerOptions {
   /// (0 = none). A run still queued when the clock passes its admission
   /// reading + deadline finishes typed kTimeout without executing.
   uint64_t default_deadline_ns = 0;
-
-  /// Virtual nanoseconds the clock advances per executed run, making
-  /// queue-wait deadlines a deterministic function of the schedule rather
-  /// than of wall time.
-  uint64_t run_cost_ns = 1'000'000;
 };
 
 /// Point-in-time view of one run for `status` responses.

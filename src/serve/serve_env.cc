@@ -229,7 +229,7 @@ Result<PreparedRun> ServeEnv::PrepareAnnotate(size_t offset, size_t count,
   run.generator = MakeGenerator();
   if (traced) run.tracer = std::make_unique<obs::Tracer>(&engine_->clock());
   run.request = MakeAnnotateRun(*run.generator, *run.registry);
-  run.request.obs.tracer = run.tracer.get();
+  run.request.tracer = run.tracer.get();
   run.label = "annotate[" + std::to_string(offset) + "," +
               std::to_string(offset + run.registry->size()) + ")";
   return run;

@@ -62,7 +62,7 @@ Result<EnactmentResult> Enact(const Workflow& workflow,
     result.decayed_modules.push_back(module_id);
   };
 
-  obs::Tracer* tracer = hooks.obs.tracer;
+  obs::Tracer* tracer = hooks.tracer;
   // The span keeps its historical name: it is trace format
   // (docs/OBSERVABILITY.md), and renaming it would change every enact trace.
   obs::ScopedSpan run(tracer, obs::SpanKind::kRun,

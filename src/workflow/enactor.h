@@ -8,10 +8,14 @@
 
 #include "common/result.h"
 #include "engine/invocation_engine.h"
-#include "obs/run_observability.h"
 #include "workflow/workflow.h"
 
 namespace dexa {
+
+namespace obs {
+class Tracer;  // obs/trace.h — optional run tracing, forward-declared so
+               // the workflow layer's header does not depend on obs.
+}  // namespace obs
 
 /// What one module invocation inside an enactment consumed and produced —
 /// the unit of workflow provenance (Section 4.1: "traces of past workflow
@@ -72,12 +76,12 @@ struct EnactHooks {
   std::function<Status(int processor, const InvocationRecord& record)>
       on_commit;
 
-  /// Optional run observability (obs/run_observability.h): a run span per
-  /// enactment, an "enact" phase, and one invocation span per processor —
-  /// replayed steps marked as such, live steps annotated with their stable
-  /// engine-counter deltas (the topological loop is sequential, so per-step
-  /// deltas are schedule-independent).
-  obs::RunObservability obs;
+  /// Optional span-tree sink (obs/trace.h): a run span per enactment, an
+  /// "enact" phase, and one invocation span per processor — replayed steps
+  /// marked as such, live steps annotated with their stable engine-counter
+  /// deltas (the topological loop is sequential, so per-step deltas are
+  /// schedule-independent).
+  obs::Tracer* tracer = nullptr;
 };
 
 /// Enacts `workflow` on `inputs` (one value per workflow input), invoking

@@ -608,7 +608,8 @@ TEST(ChaosTest, DeadlineExpiresQueuedRunTyped) {
   Server server(env, options);
 
   // Run 1 has no deadline; run 2's one-virtual-nanosecond deadline cannot
-  // survive the first batch (each executed run charges run_cost_ns).
+  // survive the first batch (each executed run charges kRunCostNs, 1 ms
+  // of virtual time, in run_manager.cc).
   WireMessage first = Response(
       server, "{\"op\":\"submit\",\"kind\":\"annotate\",\"count\":\"1\","
               "\"tenant\":\"a\"}");

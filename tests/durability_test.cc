@@ -1,10 +1,11 @@
 // Tests for the durability layer: journal framing and CRC32, segment
 // rolling, batched-sync journals (every acknowledged record on disk before
 // any seal), torn-tail detection and discard, crash-point injection,
-// crash-resume determinism (byte-identical state at any thread count),
-// journal record decoding, atomic snapshot/restore, and durable workflow
-// enactment.
+// crash-resume determinism (byte-identical state at any thread count), a
+// resume that appends nothing adding no file, journal record decoding,
+// atomic snapshot/restore, and durable workflow enactment.
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -632,6 +633,63 @@ TEST(DurableAnnotateTest, CrashBeforeFirstCommitResumesWithoutSecondHeader) {
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->complete()) << report->run_status;
   EXPECT_EQ(report->replayed, 4u);
+}
+
+/// Every entry of `dir` with its size, in name order.
+std::vector<std::pair<std::string, uintmax_t>> Listing(
+    const std::string& dir) {
+  std::vector<std::pair<std::string, uintmax_t>> listing;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    listing.emplace_back(entry.path().filename().string(),
+                         entry.is_regular_file() ? entry.file_size() : 0);
+  }
+  std::sort(listing.begin(), listing.end());
+  return listing;
+}
+
+TEST(DurableAnnotateTest, ResumingACompleteJournalAddsNoFile) {
+  const auto& env = GetEnvironment();
+  const std::string dir = FreshDir("complete-resume");
+  EngineConfig config = EngineConfig().Threads(1).Seed(0xD0D0);
+  size_t committed = 0;
+  {
+    auto engine = config.BuildEngine();
+    ExampleGenerator generator = config.MakeGenerator(
+        env.cache, env.pool.get(), engine.get());
+    auto registry = FreshRegistry();
+    auto journal = RunJournal::Create(dir, {}, &engine->metrics());
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    auto report = AnnotateDurable(generator, *registry, *journal);
+    ASSERT_TRUE(report.ok()) << report.status();
+    ASSERT_TRUE(report->complete()) << report->run_status;
+    committed = report->annotated + report->decayed;
+  }
+  const auto listing = Listing(dir);
+  ASSERT_FALSE(listing.empty());
+
+  // Two resumes in a row: each replays every commit and appends nothing,
+  // so neither may add a file, not even a header-only segment.
+  for (int attempt = 1; attempt <= 2; ++attempt) {
+    auto engine = config.BuildEngine();
+    ExampleGenerator generator = config.MakeGenerator(
+        env.cache, env.pool.get(), engine.get());
+    auto registry = FreshRegistry();
+    auto recovery = RecoverJournal(dir, &engine->metrics());
+    ASSERT_TRUE(recovery.ok()) << recovery.status();
+    auto journal = RunJournal::Resume(dir, *recovery, {}, &engine->metrics());
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    RunRequest request = MakeDurableAnnotateRun(
+        generator, *registry, *env.corpus.ontology, *journal);
+    request.resume = &*recovery;
+    auto result = SubmitRun(request);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_TRUE(result->complete()) << result->run_status;
+    EXPECT_EQ(result->annotate.replayed, committed);
+    EXPECT_EQ(result->counters.modules_replayed, committed);
+    EXPECT_EQ(result->counters.journal_records, 0u);
+    EXPECT_EQ(Listing(dir), listing)
+        << "resume " << attempt << " changed the journal directory";
+  }
 }
 
 TEST(DurableAnnotateTest, ResumeRejectsForeignJournals) {

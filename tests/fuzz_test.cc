@@ -36,7 +36,6 @@
 #include "modules/registry.h"
 #include "modules/registry_io.h"
 #include "obs/export.h"
-#include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "ontology/ontology_parser.h"
 #include "pool/pool_io.h"
@@ -498,14 +497,22 @@ TEST_P(ParserFuzzTest, TraceExportReaderNeverCrashes) {
 
 TEST_P(ParserFuzzTest, MetricsExportReaderNeverCrashes) {
   Rng rng(GetParam());
-  obs::MetricsRegistry registry;
-  registry.SetCounter("engine.commits", 42);
-  registry.SetCounter("engine.cache_hits", 7, obs::MetricStability::kVolatile);
-  registry.SetGauge("engine.invocation_error_rate_ppm", 1234);
-  registry.DefineHistogram("trace.examples_per_module", {0, 1, 2, 4});
-  registry.Observe("trace.examples_per_module", 3);
-  registry.Observe("trace.examples_per_module", 99);
-  const std::string pristine = obs::WriteMetricsJson(registry);
+  // Both sections' counters, the error-rate gauge, and the examples
+  // histogram with one bucketed and one overflow observation.
+  EngineMetricsSnapshot counters;
+  counters.commits = 42;
+  counters.cache_hits = 7;
+  counters.invocations = 810;
+  counters.invocation_errors = 1;
+  obs::Tracer tracer;
+  {
+    obs::ScopedSpan run(&tracer, obs::SpanKind::kRun, "run");
+    for (uint64_t examples : {3, 200}) {
+      obs::ScopedSpan batch(&tracer, obs::SpanKind::kBatch, "m", run.id());
+      batch.Counter("examples", examples);
+    }
+  }
+  const std::string pristine = obs::WriteMetricsJson(counters, &tracer);
 
   auto clean = obs::ReadMetricsJson(pristine);
   ASSERT_TRUE(clean.ok()) << clean.status();

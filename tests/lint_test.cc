@@ -337,7 +337,7 @@ TEST(LayeringRuleTest, ObsSlotsBelowItsConsumersOnly) {
   LintReport silent = Lint(
       {{"src/core/a.cc", "#include \"obs/trace.h\"\n"},
        {"src/workflow/b.cc", "#include \"obs/trace.h\"\n"},
-       {"src/durability/c.cc", "#include \"obs/metrics_registry.h\"\n"},
+       {"src/durability/c.cc", "#include \"obs/export.h\"\n"},
        {"src/obs/trace.cc",
         "#include \"engine/metrics.h\"\n"
         "#include \"common/status.h\"\n"}});

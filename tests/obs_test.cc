@@ -7,6 +7,7 @@
 // never re-traced as live work).
 
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -22,7 +23,6 @@
 #include "durability/journal.h"
 #include "modules/module.h"
 #include "obs/export.h"
-#include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "tests/test_util.h"
 #include "types/value.h"
@@ -180,56 +180,6 @@ TEST(StableCounterTest, DeltasOmitZeroesAndScheduleDependentCounters) {
 }
 
 // ---------------------------------------------------------------------------
-// MetricsRegistry
-// ---------------------------------------------------------------------------
-
-TEST(MetricsRegistryTest, HistogramBucketsAndOverflowSlot) {
-  obs::MetricsRegistry registry;
-  registry.DefineHistogram("h", {1, 4, 16});
-  for (uint64_t value : {0u, 1u, 2u, 4u, 5u, 16u, 17u, 1000u}) {
-    registry.Observe("h", value);
-  }
-  registry.Observe("unknown", 7);  // Ignored: define first.
-
-  const auto& snapshot = registry.histograms().at("h").first;
-  ASSERT_EQ(snapshot.counts.size(), 4u);
-  EXPECT_EQ(snapshot.counts[0], 2u);  // 0, 1
-  EXPECT_EQ(snapshot.counts[1], 2u);  // 2, 4
-  EXPECT_EQ(snapshot.counts[2], 2u);  // 5, 16
-  EXPECT_EQ(snapshot.counts[3], 2u);  // 17, 1000 overflow
-  EXPECT_EQ(snapshot.observations, 8u);
-  EXPECT_EQ(snapshot.total, 0u + 1 + 2 + 4 + 5 + 16 + 17 + 1000);
-}
-
-TEST(MetricsRegistryTest, RatioPpmIsFixedPoint) {
-  EXPECT_EQ(obs::RatioPpm(1, 2), 500'000u);
-  EXPECT_EQ(obs::RatioPpm(0, 5), 0u);
-  EXPECT_EQ(obs::RatioPpm(5, 0), 0u);  // No division by zero.
-  EXPECT_EQ(obs::RatioPpm(3, 3), 1'000'000u);
-}
-
-TEST(MetricsRegistryTest, EngineImportSplitsStableFromVolatile) {
-  EngineMetrics metrics;
-  metrics.Add(EngineCounter::invocations);
-  metrics.Add(EngineCounter::cache_queries);
-  metrics.Add(EngineCounter::cache_hits);
-  metrics.AddPhaseNanos(EnginePhase::kGenerate, 42);
-
-  obs::MetricsRegistry registry;
-  registry.ImportEngineSnapshot(metrics.Snapshot());
-
-  using obs::MetricStability;
-  EXPECT_EQ(registry.counters().at("engine.invocations").second,
-            MetricStability::kStable);
-  EXPECT_EQ(registry.counters().at("engine.cache_hits").second,
-            MetricStability::kVolatile);
-  EXPECT_EQ(registry.counters().at("engine.phase_ns.generate").second,
-            MetricStability::kVolatile);
-  EXPECT_EQ(registry.gauges().at("engine.invocation_error_rate_ppm").second,
-            MetricStability::kStable);
-}
-
-// ---------------------------------------------------------------------------
 // Exporters: round-trip, checksum seal, typed corruption
 // ---------------------------------------------------------------------------
 
@@ -271,37 +221,150 @@ TEST(ExportTest, ChromeTraceRoundTripsThroughTheReader) {
   }
 }
 
+/// A snapshot with every counter and phase slot set to a distinct nonzero
+/// value.
+EngineMetricsSnapshot DistinctSnapshot() {
+  EngineMetricsSnapshot snapshot;
+  for (size_t i = 0; i < kNumEngineCounters; ++i) {
+    snapshot.*kEngineCounters[i].field = 100 * (kNumEngineCounters - i) + i;
+  }
+  for (size_t p = 0; p < kNumEnginePhases; ++p) {
+    snapshot.phase_nanos[p] = 1'000'000 * (p + 1) + p;
+  }
+  return snapshot;
+}
+
+TEST(ExportTest, MetricsJsonBytesArePinned) {
+  // The document the registry-based writer this one replaced wrote for the
+  // same snapshot and trace: names, sort order, sections, gauge, histogram
+  // and seal stay as `--metrics-out` readers know them. A new row of the
+  // counter table adds its name here.
+  const std::string expected =
+      "{\"stable\":{\"counters\":{\"engine.batches\":1502,"
+      "\"engine.breaker_short_circuits\":1106,"
+      "\"engine.breaker_trips\":1205,\"engine.commits\":908,"
+      "\"engine.deadline_exhaustions\":1304,"
+      "\"engine.injected_faults\":1007,"
+      "\"engine.invocation_errors\":1601,\"engine.invocations\":1700,"
+      "\"engine.journal_records\":809,"
+      "\"engine.journal_segments_sealed\":710,"
+      "\"engine.modules_reinvoked\":413,\"engine.modules_replayed\":512,"
+      "\"engine.retries\":1403,\"engine.torn_tails_discarded\":611,"
+      "\"trace.spans\":3,\"trace.spans.batch\":1,"
+      "\"trace.spans.phase\":1,\"trace.spans.run\":1,"
+      "\"trace.spans_replayed\":1},"
+      "\"gauges\":{\"engine.invocation_error_rate_ppm\":941764},"
+      "\"histograms\":{\"trace.examples_per_module\":{\"bounds\":[0,1,2,"
+      "4,8,16,32,64,128],\"counts\":[0,0,1,0,0,0,0,0,0,0],\"total\":2,"
+      "\"observations\":1}}},"
+      "\"volatile\":{\"counters\":{\"engine.cache_hits\":314,"
+      "\"engine.cache_queries\":215,\"engine.kb_image_loads\":116,"
+      "\"engine.phase_ns.compare\":3000002,"
+      "\"engine.phase_ns.enact\":4000003,"
+      "\"engine.phase_ns.generate\":1000000,"
+      "\"engine.phase_ns.other\":5000004,"
+      "\"engine.phase_ns.replay\":2000001},\"gauges\":{},"
+      "\"histograms\":{}},\"checksum\":\"11e0714612dde006\"}";
+  obs::Tracer tracer;
+  RecordSampleTrace(tracer);
+  EXPECT_EQ(obs::WriteMetricsJson(DistinctSnapshot(), &tracer), expected);
+}
+
 TEST(ExportTest, MetricsJsonRoundTripsThroughTheReader) {
-  obs::MetricsRegistry registry;
-  registry.SetCounter("engine.commits", 12);
-  registry.SetCounter("engine.cache_hits", 99, obs::MetricStability::kVolatile);
-  registry.SetGauge("rate_ppm", 250'000);
-  registry.DefineHistogram("sizes", {1, 8});
-  registry.Observe("sizes", 0);
-  registry.Observe("sizes", 9);
+  const EngineMetricsSnapshot snapshot = DistinctSnapshot();
+  // Each counter sits in the section its table tag names, and the phase
+  // timings are volatile.
+  std::map<std::string, uint64_t> stable;
+  std::map<std::string, uint64_t> volatile_counters;
+  for (const EngineCounterInfo& counter : kEngineCounters) {
+    (counter.stability == CounterStability::kStable
+         ? stable
+         : volatile_counters)[std::string("engine.") + counter.name] =
+        snapshot.*counter.field;
+  }
+  for (size_t p = 0; p < kNumEnginePhases; ++p) {
+    volatile_counters[std::string("engine.phase_ns.") +
+                      EnginePhaseName(static_cast<EnginePhase>(p))] =
+        snapshot.phase_nanos[p];
+  }
+  const std::map<std::string, uint64_t> gauges = {
+      {"engine.invocation_error_rate_ppm",
+       obs::RatioPpm(snapshot.invocation_errors, snapshot.invocations)}};
 
-  const std::string text = obs::WriteMetricsJson(registry);
-  EXPECT_EQ(text, obs::WriteMetricsJson(registry));
+  auto untraced = obs::ReadMetricsJson(obs::WriteMetricsJson(snapshot));
+  ASSERT_TRUE(untraced.ok()) << untraced.status();
+  EXPECT_EQ(untraced->stable_counters, stable);
+  EXPECT_EQ(untraced->volatile_counters, volatile_counters);
+  EXPECT_EQ(untraced->stable_gauges, gauges);
+  EXPECT_TRUE(untraced->volatile_gauges.empty());
+  EXPECT_TRUE(untraced->stable_histograms.empty());
+  EXPECT_TRUE(untraced->volatile_histograms.empty());
 
-  auto parsed = obs::ReadMetricsJson(text);
+  // A trace adds its span statistics to the stable section.
+  obs::Tracer tracer;
+  RecordSampleTrace(tracer);
+  const std::string text = obs::WriteMetricsJson(snapshot, &tracer);
+  EXPECT_EQ(text, obs::WriteMetricsJson(snapshot, &tracer));
+  auto traced = obs::ReadMetricsJson(text);
+  ASSERT_TRUE(traced.ok()) << traced.status();
+  stable["trace.spans"] = 3;
+  stable["trace.spans_replayed"] = 1;
+  stable["trace.spans.run"] = 1;
+  stable["trace.spans.phase"] = 1;
+  stable["trace.spans.batch"] = 1;
+  EXPECT_EQ(traced->stable_counters, stable);
+  EXPECT_EQ(traced->volatile_counters, volatile_counters);
+  EXPECT_EQ(traced->stable_gauges, gauges);
+  EXPECT_TRUE(traced->volatile_histograms.empty());
+  ASSERT_EQ(traced->stable_histograms.size(), 1u);
+  const obs::HistogramSnapshot& h =
+      traced->stable_histograms.at("trace.examples_per_module");
+  EXPECT_EQ(h.bounds, (std::vector<uint64_t>{0, 1, 2, 4, 8, 16, 32, 64, 128}));
+  EXPECT_EQ(h.counts, (std::vector<uint64_t>{0, 0, 1, 0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(h.total, 2u);
+  EXPECT_EQ(h.observations, 1u);
+}
+
+TEST(ExportTest, ExamplesHistogramBucketsAndOverflowSlot) {
+  // Batch spans' "examples" counters fill the buckets; a value equal to a
+  // bound lands in that bound's bucket, one past the last bound overflows.
+  // Other spans' counters and other counter names are not observed.
+  obs::Tracer tracer;
+  {
+    obs::ScopedSpan run(&tracer, obs::SpanKind::kRun, "run");
+    run.Counter("examples", 5);
+    for (uint64_t value : {0u, 1u, 2u, 3u, 4u, 5u, 128u, 129u, 1000u}) {
+      obs::ScopedSpan batch(&tracer, obs::SpanKind::kBatch, "m", run.id());
+      batch.Counter("examples", value);
+      batch.Counter("combinations_tried", 7);
+    }
+    obs::ScopedSpan silent(&tracer, obs::SpanKind::kBatch, "n", run.id());
+  }
+  auto parsed =
+      obs::ReadMetricsJson(obs::WriteMetricsJson(EngineMetricsSnapshot{},
+                                                 &tracer));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->stable_counters.at("engine.commits"), 12u);
-  EXPECT_EQ(parsed->volatile_counters.at("engine.cache_hits"), 99u);
-  EXPECT_EQ(parsed->stable_gauges.at("rate_ppm"), 250'000u);
-  const obs::HistogramSnapshot& h = parsed->stable_histograms.at("sizes");
-  EXPECT_EQ(h.bounds, (std::vector<uint64_t>{1, 8}));
-  EXPECT_EQ(h.counts, (std::vector<uint64_t>{1, 0, 1}));
-  EXPECT_EQ(h.total, 9u);
-  EXPECT_EQ(h.observations, 2u);
+  const obs::HistogramSnapshot& h =
+      parsed->stable_histograms.at("trace.examples_per_module");
+  // Bounds 0, 1, 2, 4, 8, 16, 32, 64, 128, then the overflow slot.
+  EXPECT_EQ(h.counts, (std::vector<uint64_t>{1, 1, 1, 2, 1, 0, 0, 0, 1, 2}));
+  EXPECT_EQ(h.observations, 9u);
+  EXPECT_EQ(h.total, 0u + 1 + 2 + 3 + 4 + 5 + 128 + 129 + 1000);
+  EXPECT_EQ(parsed->stable_counters.at("trace.spans.batch"), 10u);
+}
+
+TEST(ExportTest, RatioPpmIsFixedPoint) {
+  EXPECT_EQ(obs::RatioPpm(1, 2), 500'000u);
+  EXPECT_EQ(obs::RatioPpm(0, 5), 0u);
+  EXPECT_EQ(obs::RatioPpm(5, 0), 0u);  // No division by zero.
+  EXPECT_EQ(obs::RatioPpm(3, 3), 1'000'000u);
 }
 
 TEST(ExportTest, DamagedExportsAreRejectedAsCorrupted) {
   obs::Tracer tracer;
   RecordSampleTrace(tracer);
   const std::string trace = obs::WriteChromeTrace(tracer);
-  obs::MetricsRegistry registry;
-  registry.SetCounter("c", 1);
-  const std::string metrics = obs::WriteMetricsJson(registry);
+  const std::string metrics = obs::WriteMetricsJson(DistinctSnapshot());
 
   // A flipped byte breaks the checksum; a truncated document breaks the
   // framing; garbage is garbage. All must come back kCorrupted — never a
@@ -342,23 +405,38 @@ std::string Reedit(const std::string& sealed, const std::string& from,
 TEST(ExportTest, ReadersAcceptEveryUint64TheWritersEmit) {
   for (uint64_t value :
        {uint64_t{0}, uint64_t{10'000'000'000'000'000'000u}, UINT64_MAX}) {
-    obs::MetricsRegistry registry;
-    registry.SetCounter("c", value);
-    registry.SetGauge("g", value);
-    registry.DefineHistogram("h", {1});
-    registry.Observe("h", value);
-    const std::string metrics = obs::WriteMetricsJson(registry);
+    EngineMetricsSnapshot counters;
+    counters.commits = value;
+    counters.phase_nanos[0] = value;
+    obs::Tracer examples;
+    {
+      obs::ScopedSpan run(&examples, obs::SpanKind::kRun, "run");
+      obs::ScopedSpan batch(&examples, obs::SpanKind::kBatch, "m", run.id());
+      batch.Counter("examples", value);
+    }
+    const std::string metrics = obs::WriteMetricsJson(counters, &examples);
     auto parsed = obs::ReadMetricsJson(metrics);
     ASSERT_TRUE(parsed.ok()) << value << ": " << parsed.status();
-    EXPECT_EQ(parsed->stable_counters.at("c"), value);
-    EXPECT_EQ(parsed->stable_gauges.at("g"), value);
-    EXPECT_EQ(parsed->stable_histograms.at("h").total, value);
-    // No run observes 2^64 - 1 times, so the count is edited in.
+    EXPECT_EQ(parsed->stable_counters.at("engine.commits"), value);
+    EXPECT_EQ(parsed->volatile_counters.at("engine.phase_ns.generate"), value);
+    EXPECT_EQ(parsed->stable_histograms.at("trace.examples_per_module").total,
+              value);
+    // No run has a ppm gauge or an observation count this large, so they
+    // are edited in.
+    auto gauged = obs::ReadMetricsJson(
+        Reedit(metrics, "\"engine.invocation_error_rate_ppm\":0",
+               "\"engine.invocation_error_rate_ppm\":" +
+                   std::to_string(value)));
+    ASSERT_TRUE(gauged.ok()) << value << ": " << gauged.status();
+    EXPECT_EQ(gauged->stable_gauges.at("engine.invocation_error_rate_ppm"),
+              value);
     auto observed = obs::ReadMetricsJson(
         Reedit(metrics, "\"observations\":1",
                "\"observations\":" + std::to_string(value)));
     ASSERT_TRUE(observed.ok()) << value << ": " << observed.status();
-    EXPECT_EQ(observed->stable_histograms.at("h").observations, value);
+    EXPECT_EQ(observed->stable_histograms.at("trace.examples_per_module")
+                  .observations,
+              value);
 
     obs::Tracer tracer;
     {
@@ -373,9 +451,7 @@ TEST(ExportTest, ReadersAcceptEveryUint64TheWritersEmit) {
   }
 
   // 2^64 and negatives are outside every field's range: damage.
-  obs::MetricsRegistry registry;
-  registry.SetCounter("c", 0);
-  const std::string metrics = obs::WriteMetricsJson(registry);
+  const std::string metrics = obs::WriteMetricsJson(EngineMetricsSnapshot{});
   obs::Tracer tracer;
   {
     obs::ScopedSpan span(&tracer, obs::SpanKind::kRun, "run");
@@ -385,7 +461,8 @@ TEST(ExportTest, ReadersAcceptEveryUint64TheWritersEmit) {
   ASSERT_TRUE(obs::ReadMetricsJson(metrics).ok());
   ASSERT_TRUE(obs::ReadChromeTrace(trace).ok());
   for (const std::string bad : {"18446744073709551616", "-1"}) {
-    EXPECT_TRUE(obs::ReadMetricsJson(Reedit(metrics, "\"c\":0", "\"c\":" + bad))
+    EXPECT_TRUE(obs::ReadMetricsJson(Reedit(metrics, "\"engine.commits\":0",
+                                            "\"engine.commits\":" + bad))
                     .status()
                     .IsCorrupted())
         << bad;
@@ -587,10 +664,7 @@ TEST(GoldenTraceTest, MetricsStableSectionIsIdenticalAcrossThreadCounts) {
   auto export_metrics = [](size_t threads) {
     EngineMetricsSnapshot snapshot;
     TracedAnnotate(threads, FaultProfile{}, &snapshot);
-    obs::MetricsRegistry registry;
-    registry.ImportEngineSnapshot(snapshot);
-    return obs::ReadMetricsJson(
-        obs::WriteMetricsJson(registry));
+    return obs::ReadMetricsJson(obs::WriteMetricsJson(snapshot));
   };
   auto serial = export_metrics(1);
   auto pooled = export_metrics(8);
@@ -649,7 +723,7 @@ std::string TracedResume(size_t threads, const std::string& dir,
   RunRequest request = MakeDurableAnnotateRun(generator, *registry,
                                               *env.corpus.ontology, *journal);
   request.resume = &*recovery;
-  request.obs.tracer = &tracer;
+  request.tracer = &tracer;
   auto result = SubmitRun(request);
   EXPECT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->complete()) << result->run_status;

@@ -24,7 +24,6 @@
 #include "engine/concept_cache.h"
 #include "modules/registry_io.h"
 #include "obs/export.h"
-#include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "serve/run_manager.h"
 #include "tests/test_util.h"
@@ -308,7 +307,7 @@ TracedAnnotate RunTracedAnnotate(size_t threads,
                                      *env.corpus.ontology, *journal);
   }
   obs::Tracer tracer(&engine->clock());
-  request.obs.tracer = &tracer;
+  request.tracer = &tracer;
   auto result = SubmitRun(request);
   EXPECT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->complete()) << result->run_status;
@@ -383,6 +382,13 @@ TEST(RunApiTest, EnactFacadeMatchesDirectEntry) {
   }
   EXPECT_EQ(facade->enact.invocations.size(), direct->invocations.size());
   EXPECT_EQ(facade->enact.missing_outputs, direct->missing_outputs);
+  // An enact run returns its counters too: on a fresh engine, everything
+  // the engine counted, which is what the direct entry counted.
+  EXPECT_GT(facade->counters.invocations, 0u);
+  EXPECT_EQ(facade->counters.invocations,
+            facade_engine.metrics().Snapshot().invocations);
+  EXPECT_EQ(facade->counters.invocations,
+            direct_engine.metrics().Snapshot().invocations);
 }
 
 TEST(RunApiTest, DurableEnactCrashResumesThroughFacade) {
@@ -433,7 +439,7 @@ TEST(RunApiTest, DurableEnactCrashResumesThroughFacade) {
   EXPECT_EQ(resumed->enact.invocations.size(), baseline->invocations.size());
 }
 
-TEST(RunApiTest, ExportsObservabilityIntoTheRequestRegistries) {
+TEST(RunApiTest, ResultCarriesTheRunsCountersBesideItsTrace) {
   const auto& env = GetEnvironment();
   EngineConfig config;
   auto engine = config.BuildEngine();
@@ -442,18 +448,20 @@ TEST(RunApiTest, ExportsObservabilityIntoTheRequestRegistries) {
   auto registry = FreshRegistry();
 
   obs::Tracer tracer(&engine->clock());
-  obs::MetricsRegistry metrics;
   RunRequest request = MakeAnnotateRun(generator, *registry);
-  request.obs.tracer = &tracer;
-  request.obs.metrics = &metrics;
+  request.tracer = &tracer;
   auto result = SubmitRun(request);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_TRUE(result->complete()) << result->run_status;
 
-  // The run produced spans and the facade imported snapshot + trace.
+  // The run produced spans, and on a fresh engine its counters are
+  // everything the engine counted.
   EXPECT_FALSE(tracer.spans().empty());
-  obs::MetricsRegistry empty;
-  EXPECT_NE(obs::WriteMetricsJson(metrics), obs::WriteMetricsJson(empty));
+  EXPECT_GT(result->counters.invocations, 0u);
+  EXPECT_EQ(result->counters.invocations,
+            engine->metrics().Snapshot().invocations);
+  EXPECT_NE(obs::WriteMetricsJson(result->counters, &tracer),
+            obs::WriteMetricsJson(EngineMetricsSnapshot{}, &tracer));
 }
 
 TEST(RunApiTest, ExportedCountersCoverOnlyTheRun) {
@@ -468,13 +476,10 @@ TEST(RunApiTest, ExportedCountersCoverOnlyTheRun) {
       config.MakeGenerator(cache, env.pool.get(), engine.get());
   auto exported = [&]() {
     auto registry = FreshRegistry();
-    obs::MetricsRegistry metrics;
-    RunRequest request = MakeAnnotateRun(generator, *registry);
-    request.obs.metrics = &metrics;
-    auto result = SubmitRun(request);
+    auto result = SubmitRun(MakeAnnotateRun(generator, *registry));
     EXPECT_TRUE(result.ok()) << result.status();
     EXPECT_TRUE(result->complete()) << result->run_status;
-    auto parsed = obs::ReadMetricsJson(obs::WriteMetricsJson(metrics));
+    auto parsed = obs::ReadMetricsJson(obs::WriteMetricsJson(result->counters));
     EXPECT_TRUE(parsed.ok()) << parsed.status();
     return std::move(parsed).value();
   };

@@ -6,8 +6,9 @@
 //    annotations, report totals) at {1,2,4,8} shards × {1,8} threads;
 //  * merge determinism under permuted shard completion order;
 //  * crash-resume of a killed shard subset converging to the one-shot
-//    bytes (crash-after-commit and torn-write), and an unreadable shard
-//    journal failing typed with every segment kept;
+//    bytes (crash-after-commit and torn-write), a resubmitted finished run
+//    leaving every shard file as it was, and an unreadable shard journal
+//    failing typed with every segment kept;
 //  * fault-injected shards (deterministic flaky-first-attempt profile)
 //    converging to the fault-free digest;
 //  * golden-trace equality when replaying the merged journal vs the
@@ -17,6 +18,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -475,6 +477,67 @@ TEST(ShardCrashResumeSuite, TwoKilledShardsResumeIndependently) {
   EXPECT_EQ(JournalBytes(merge->merged_dir), JournalBytes(reference.dir));
 }
 
+/// Every file under `dir`, recursively, keyed by its path relative to
+/// `dir`, with its bytes.
+std::map<std::string, std::string> TreeFiles(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    files[fs::relative(entry.path(), dir).string()] = buffer.str();
+  }
+  return files;
+}
+
+/// "name (size)" for every file of a TreeFiles map, for failure messages.
+std::string Names(const std::map<std::string, std::string>& files) {
+  std::string names;
+  for (const auto& [name, bytes] : files) {
+    names += " " + name + " (" + std::to_string(bytes.size()) + ")";
+  }
+  return names;
+}
+
+TEST(ShardCrashResumeSuite, ResubmittingAFinishedRunRewritesNoShardFile) {
+  const ScaleCorpus& corpus = TestCorpus();
+  OneShot reference =
+      RunOneShot(*corpus.registry, 1, FreshDir("oneshot_resubmit"));
+
+  ShardOptions options;
+  options.shards = 2;
+  options.root = FreshDir("sharded_resubmit");
+  auto first = FreshRegistry(*corpus.registry);
+  auto run = RunShardedAnnotate(*first, *corpus.ontology, *corpus.pool,
+                                Config(1), options);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ASSERT_TRUE(run->merged.run_status.ok()) << run->merged.run_status;
+  std::vector<std::map<std::string, std::string>> before;
+  for (uint32_t k = 0; k < options.shards; ++k) {
+    before.push_back(TreeFiles(ShardDir(options.root, k)));
+    ASSERT_FALSE(before.back().empty());
+  }
+
+  // The second submission resumes every shard, each of which already holds
+  // all of its records: no shard file may change or appear, and the merge
+  // still reproduces the one-shot journal.
+  auto again = FreshRegistry(*corpus.registry);
+  auto rerun = RunShardedAnnotate(*again, *corpus.ontology, *corpus.pool,
+                                  Config(1), options);
+  ASSERT_TRUE(rerun.ok()) << rerun.status();
+  ASSERT_TRUE(rerun->merged.run_status.ok()) << rerun->merged.run_status;
+  for (uint32_t k = 0; k < options.shards; ++k) {
+    EXPECT_TRUE(rerun->shards[k].resumed);
+    const auto after = TreeFiles(ShardDir(options.root, k));
+    EXPECT_TRUE(after == before[k])
+        << ShardDir(options.root, k) << " holds" << Names(after)
+        << "; before the resubmission it held" << Names(before[k]);
+  }
+  EXPECT_EQ(JournalBytes(rerun->merged_dir), JournalBytes(reference.dir));
+  EXPECT_EQ(Annotations(*again), Annotations(*reference.registry));
+}
+
 /// The real file system, except that the first ReadFile of a path holding
 /// `needle` fails kCorrupted, as an EIO does at the seam.
 class FailFirstReadIoEnv final : public IoEnv {
@@ -612,7 +675,7 @@ std::string ReplayTrace(const std::string& dir) {
   RunRequest request = MakeDurableAnnotateRun(generator, *registry,
                                               *corpus.ontology, *journal);
   request.resume = &*recovery;
-  request.obs.tracer = &tracer;
+  request.tracer = &tracer;
   auto run = SubmitRun(request);
   EXPECT_TRUE(run.ok()) << run.status();
   EXPECT_TRUE(run->complete());

@@ -50,7 +50,6 @@
 #include "kbimage/compiled_kb.h"
 #include "modules/registry_io.h"
 #include "obs/export.h"
-#include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "ontology/mygrid.h"
 #include "pool/pool_io.h"
@@ -216,11 +215,9 @@ int CmdAnnotateTraced(CliContext& ctx, const std::string& trace_path,
                       const std::string& metrics_path) {
   ExampleGenerator generator = ctx.MakeGenerator();
   obs::Tracer tracer(&generator.engine().clock());
-  obs::MetricsRegistry metrics;
   RunRequest request =
       MakeAnnotateRun(generator, *ctx.env->corpus.registry);
-  request.obs.tracer = &tracer;
-  request.obs.metrics = &metrics;
+  request.tracer = &tracer;
   auto result = SubmitRun(request);
   if (!result.ok()) return Fail(result.status());
   if (!result->complete()) return Fail(result->run_status);
@@ -234,16 +231,17 @@ int CmdAnnotateTraced(CliContext& ctx, const std::string& trace_path,
     failed |= WriteFile(trace_path, obs::WriteChromeTrace(tracer));
   }
   if (!metrics_path.empty()) {
-    failed |= WriteFile(metrics_path, obs::WriteMetricsJson(metrics));
+    failed |= WriteFile(metrics_path,
+                        obs::WriteMetricsJson(result->counters, &tracer));
   }
   return failed;
 }
 
-/// Prints a durable run's report and, when the run completed, writes the
-/// run-state snapshot (pool + annotations + provenance) next to the
-/// journal.
+/// Prints a durable run's report, with the records its journal gained,
+/// and, when the run completed, writes the run-state snapshot (pool +
+/// annotations + provenance) next to the journal.
 int FinishDurableRun(CliContext& ctx, const std::string& dir,
-                     const AnnotateReport& report) {
+                     const AnnotateReport& report, uint64_t journal_records) {
   EvaluationEnv& env = *ctx.env;
   TablePrinter table({"metric", "value"});
   table.AddRow({"modules annotated", std::to_string(report.annotated)});
@@ -251,8 +249,7 @@ int FinishDurableRun(CliContext& ctx, const std::string& dir,
   table.AddRow({"modules replayed from journal",
                 std::to_string(report.replayed)});
   table.AddRow({"data examples", std::to_string(report.examples)});
-  table.AddRow(
-      {"journal records", std::to_string(report.metrics.journal_records)});
+  table.AddRow({"journal records", std::to_string(journal_records)});
   table.Print(std::cout, "Durable annotation run:");
   if (!report.complete()) {
     std::cout << "run aborted: " << report.run_status << "\n"
@@ -281,7 +278,8 @@ int CmdAnnotateDurable(CliContext& ctx, const std::string& dir,
   request.kb_checksum = ctx.env->kb_checksum;
   auto result = SubmitRun(request);
   if (!result.ok()) return Fail(result.status());
-  return FinishDurableRun(ctx, dir, result->annotate);
+  return FinishDurableRun(ctx, dir, result->annotate,
+                          result->counters.journal_records);
 }
 
 /// Sharded durable annotation: `annotate --journal <dir> --shards=N`.
@@ -311,7 +309,7 @@ int CmdAnnotateSharded(CliContext& ctx, const std::string& dir,
   std::cout << "sharded annotate x" << shards << ": merged "
             << result->merged_records << " record(s) into "
             << result->merged_dir << "\n";
-  return FinishDurableRun(ctx, dir, result->merged);
+  return FinishDurableRun(ctx, dir, result->merged, result->merged_records);
 }
 
 /// The annotate modes share one subcommand: `annotate <module>` prints a
@@ -398,7 +396,8 @@ int CmdResume(CliContext& ctx, const std::vector<std::string>& args) {
   request.kb_checksum = ctx.env->kb_checksum;
   auto result = SubmitRun(request);
   if (!result.ok()) return Fail(result.status());
-  return FinishDurableRun(ctx, dir, result->annotate);
+  return FinishDurableRun(ctx, dir, result->annotate,
+                          result->counters.journal_records);
 }
 
 int CmdCompare(CliContext& ctx, const std::vector<std::string>& args) {

@@ -41,9 +41,12 @@ double ElapsedMs(Clock::time_point start) {
 }
 
 /// Draws a fault profile for run `i`. Budgets start past the run
-/// descriptor (journal magic = write #1 / sync #1, RUN descriptor =
-/// write #2 / sync #2 / rename #1) so faults land mid-run, and the last
-/// run always targets the DONE marker (rename #2).
+/// descriptor (journal magic = write #1, RUN descriptor = write #2 /
+/// rename #1; syncs #1-#4 are the run directory's entry, the first
+/// segment's entry, the RUN descriptor and its entry) so faults land
+/// mid-run. A run's journal then makes syncs #5-#13: four segment rolls,
+/// a seal and a new entry each, then the final seal. The last run always
+/// targets the DONE marker (rename #2).
 IoFaultProfile DrawProfile(Rng& rng, size_t i) {
   IoFaultProfile profile;
   profile.seed = 0xC4A05 + i;
@@ -59,7 +62,7 @@ IoFaultProfile DrawProfile(Rng& rng, size_t i) {
       profile.eio_write_at = 3 + rng.NextBelow(40);
       break;
     default:
-      profile.fsync_fail_at = 3 + rng.NextBelow(10);
+      profile.fsync_fail_at = 5 + rng.NextBelow(9);
       break;
   }
   return profile;

@@ -154,9 +154,17 @@ class RealIoEnv final : public IoEnv {
   }
 
   Status Truncate(const std::string& path, uint64_t size) override {
-    if (::truncate(path.c_str(), static_cast<off_t>(size)) != 0) {
-      return StatusFromErrno("truncate", path, errno);
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+    if (fd < 0) return StatusFromErrno("open", path, errno);
+    const char* failed = nullptr;
+    if (::ftruncate(fd, static_cast<off_t>(size)) != 0) {
+      failed = "truncate";
+    } else if (::fsync(fd) != 0) {
+      failed = "fsync";
     }
+    const int err = errno;
+    ::close(fd);
+    if (failed != nullptr) return StatusFromErrno(failed, path, err);
     return Status::OK();
   }
 
@@ -168,6 +176,17 @@ class RealIoEnv final : public IoEnv {
                               "': " + ec.message());
     }
     return Status::OK();
+  }
+
+  Status CreateDir(const std::string& dir) override {
+    if (::mkdir(dir.c_str(), 0777) == 0) return Status::OK();
+    const int err = errno;
+    struct stat st;
+    if (err == EEXIST && ::stat(dir.c_str(), &st) == 0 &&
+        S_ISDIR(st.st_mode)) {
+      return Status::AlreadyExists("directory '" + dir + "' exists");
+    }
+    return StatusFromErrno("mkdir", dir, err);
   }
 
   Result<std::vector<DirEntry>> ListDir(const std::string& dir) override {
@@ -208,6 +227,21 @@ class RealIoEnv final : public IoEnv {
                 return a.name < b.name;
               });
     return entries;
+  }
+
+  Status SyncDir(const std::string& dir) override {
+    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (fd < 0) {
+      if (errno == ENOTDIR) {
+        return Status::NotFound("'" + dir + "' is not a directory");
+      }
+      return StatusFromErrno("open directory", dir, errno);
+    }
+    const int synced = ::fsync(fd);
+    const int err = errno;
+    ::close(fd);
+    if (synced != 0) return StatusFromErrno("fsync directory", dir, err);
+    return Status::OK();
   }
 };
 
@@ -301,9 +335,23 @@ IoEnv& IoEnv::Real() {
   return real;
 }
 
+std::string ParentDir(std::string_view path) {
+  while (path.size() > 1 && path.back() == '/') path.remove_suffix(1);
+  const size_t slash = path.rfind('/');
+  if (slash == std::string_view::npos) return ".";
+  if (slash == 0) return "/";
+  return std::string(path.substr(0, slash));
+}
+
 Result<std::vector<DirEntry>> IoEnv::ListDir(const std::string& dir) {
   return Real().ListDir(dir);
 }
+
+Status IoEnv::CreateDir(const std::string& dir) {
+  return Real().CreateDir(dir);
+}
+
+Status IoEnv::SyncDir(const std::string& dir) { return Real().SyncDir(dir); }
 
 Status WriteFileAtomic(IoEnv& io, const std::string& path,
                        const std::string& content) {
@@ -322,7 +370,20 @@ Status WriteFileAtomic(IoEnv& io, const std::string& path,
     (void)io.RemoveFile(tmp);
     return renamed;
   }
-  return Status::OK();
+  return io.SyncDir(ParentDir(path));
+}
+
+Status CreateDurableDir(IoEnv& io, const std::string& dir) {
+  const std::string parent = ParentDir(dir);
+  Status created = io.CreateDir(dir);
+  if (created.IsNotFound() && parent != dir) {
+    // A missing parent is created first, the same way, so its entry is
+    // durable before `dir`'s lands in it.
+    DEXA_RETURN_IF_ERROR(CreateDurableDir(io, parent));
+    created = io.CreateDir(dir);
+  }
+  if (!created.ok() && !created.IsAlreadyExists()) return created;
+  return io.SyncDir(parent);
 }
 
 // -- FaultyIoEnv ------------------------------------------------------
@@ -422,15 +483,25 @@ Status FaultyIoEnv::RemoveFile(const std::string& path) {
 }
 
 Status FaultyIoEnv::Truncate(const std::string& path, uint64_t size) {
-  return base_->Truncate(path, size);
+  DEXA_RETURN_IF_ERROR(base_->Truncate(path, size));
+  return NextSyncFate();
 }
 
 Status FaultyIoEnv::CreateDirs(const std::string& dir) {
   return base_->CreateDirs(dir);
 }
 
+Status FaultyIoEnv::CreateDir(const std::string& dir) {
+  return base_->CreateDir(dir);
+}
+
 Result<std::vector<DirEntry>> FaultyIoEnv::ListDir(const std::string& dir) {
   return base_->ListDir(dir);
+}
+
+Status FaultyIoEnv::SyncDir(const std::string& dir) {
+  DEXA_RETURN_IF_ERROR(NextSyncFate());
+  return base_->SyncDir(dir);
 }
 
 }  // namespace dexa

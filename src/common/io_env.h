@@ -21,6 +21,11 @@ namespace dexa {
 /// deterministically, so "the disk filled up mid-journal" is a reproducible
 /// unit test rather than an ops incident.
 ///
+/// Durability: a byte is durable once a Sync of its file returns, and a
+/// directory entry (a create, rename or remove) once a SyncDir of its
+/// directory returns; until then a power cut may drop it. Callers sync
+/// whatever their acknowledgements depend on (docs/DURABILITY.md).
+///
 /// Error taxonomy at the seam (both real errno and injected faults):
 ///   - ENOSPC/EDQUOT-class  → kResourceExhausted (bytes on disk are valid;
 ///                            free space and resume byte-identically)
@@ -77,6 +82,10 @@ struct DirEntry {
 /// name: no separator is added after an empty `dir` or a trailing '/'.
 std::string JoinPath(std::string_view dir, std::string_view name);
 
+/// The directory holding `path`: "." for a bare name, "/" for a top-level
+/// entry. Trailing '/'s of `path` are ignored.
+std::string ParentDir(std::string_view path);
+
 /// The seam interface. All paths are plain filesystem paths; data bytes and
 /// directory metadata both go through here, so an env that relocates or
 /// rewrites the file system sees every access.
@@ -99,9 +108,16 @@ class IoEnv {
   [[nodiscard]] virtual Status Rename(const std::string& from,
                                       const std::string& to) = 0;
   [[nodiscard]] virtual Status RemoveFile(const std::string& path) = 0;
+  /// Shrinks `path` to `size` bytes and syncs it: the new length is
+  /// durable when Truncate returns.
   [[nodiscard]] virtual Status Truncate(const std::string& path,
                                         uint64_t size) = 0;
   [[nodiscard]] virtual Status CreateDirs(const std::string& dir) = 0;
+
+  /// Creates the one directory `dir`: kAlreadyExists when it exists as a
+  /// directory, kNotFound when its parent does not. The default creates it
+  /// on the real file system, as ListDir's lists it.
+  [[nodiscard]] virtual Status CreateDir(const std::string& dir);
 
   /// The entries of `dir` ("." and ".." excluded), sorted by name. kNotFound
   /// when `dir` is missing or not a directory; an entry whose type cannot be
@@ -111,17 +127,31 @@ class IoEnv {
   [[nodiscard]] virtual Result<std::vector<DirEntry>> ListDir(
       const std::string& dir);
 
+  /// Makes the entries of `dir` durable: every create, rename and remove
+  /// in it that happened before the call survives a power cut once this
+  /// returns (an fsync of the directory). kNotFound when `dir` is missing.
+  /// The default syncs the real file system, as ListDir's lists it.
+  [[nodiscard]] virtual Status SyncDir(const std::string& dir);
+
   /// The process-wide real (POSIX) environment.
   static IoEnv& Real();
 };
 
 /// Writes `content` to `path` atomically through `io`: bytes land in
-/// `<path>.tmp`, are synced, and the temp is renamed over the target — a
-/// crash (or injected fault) leaves the old file or the new one, never a
-/// torn hybrid. On failure the temp file is removed best-effort and the
+/// `<path>.tmp`, are synced, the temp is renamed over the target and the
+/// directory is synced — a crash (or injected fault) leaves the old file or
+/// the new one, never a torn hybrid, and the new one is durable when this
+/// returns OK. On failure the temp file is removed best-effort and the
 /// typed seam status is returned.
 [[nodiscard]] Status WriteFileAtomic(IoEnv& io, const std::string& path,
                                      const std::string& content);
+
+/// Creates `dir` and any missing parents through `io`, one at a time,
+/// syncing the parent of each directory it creates, so every one of them
+/// is durable when this returns OK; a directory that existed is taken as
+/// durable, except `dir`, whose parent is synced regardless (an earlier
+/// call may have died between its create and its sync).
+[[nodiscard]] Status CreateDurableDir(IoEnv& io, const std::string& dir);
 
 /// A deterministic, seed-driven fault plan for a FaultyIoEnv. All counters
 /// are 1-based and global across the env instance (each durable run owns
@@ -144,7 +174,9 @@ struct IoFaultProfile {
   /// Per-write probability of a random EIO, drawn from `seed`.
   double write_fault_rate = 0.0;
 
-  /// The Kth Sync fails kCorrupted — fsync reporting lost writeback.
+  /// The Kth Sync, SyncDir or Truncate fails kCorrupted — fsync reporting
+  /// lost writeback. File and directory syncs (and the sync a Truncate
+  /// makes) share one count.
   uint64_t fsync_fail_at = 0;
 
   /// The Kth ReadFile/MapReadOnly fails kCorrupted.
@@ -180,15 +212,24 @@ class FaultyIoEnv final : public IoEnv {
   [[nodiscard]] Status Rename(const std::string& from,
                               const std::string& to) override;
   [[nodiscard]] Status RemoveFile(const std::string& path) override;
+  /// Consumes the fsync fault counter after the base truncate: Truncate
+  /// syncs before it returns.
   [[nodiscard]] Status Truncate(const std::string& path,
                                 uint64_t size) override;
   [[nodiscard]] Status CreateDirs(const std::string& dir) override;
   /// Forwarded to the base env; consumes no fault counter.
+  [[nodiscard]] Status CreateDir(const std::string& dir) override;
+  /// Forwarded to the base env; consumes no fault counter.
   [[nodiscard]] Result<std::vector<DirEntry>> ListDir(
       const std::string& dir) override;
+  /// Consumes the fsync fault counter, as a file Sync does.
+  [[nodiscard]] Status SyncDir(const std::string& dir) override;
 
   const IoFaultProfile& profile() const { return profile_; }
   uint64_t writes() const { return writes_; }
+  /// File, directory and truncate syncs attempted, the fsync fault
+  /// counter's count.
+  uint64_t syncs() const { return syncs_; }
   uint64_t bytes_accepted() const { return bytes_accepted_; }
   uint64_t faults_injected() const { return faults_injected_; }
 

@@ -111,10 +111,12 @@ struct RunResult {
 /// shard runner all describe their runs as RunRequests.
 ///
 /// Runs are deterministic at any thread count. Durable runs append their
-/// commits, in order, to their own journal, and a resumed run (replaying
-/// the committed prefix, generating only the remainder) ends byte-identical
-/// to an uninterrupted one. Injected crashes surface as run_status=kCancelled
-/// (annotate) or an error Result (enact).
+/// commits, in order, to their own journal, and one that completes seals
+/// the journal before it returns, so all of it is durable (a failed seal
+/// fails the run typed). A resumed run (replaying the committed prefix,
+/// generating only the remainder) ends byte-identical to an uninterrupted
+/// one. Injected crashes surface as run_status=kCancelled (annotate) or an
+/// error Result (enact).
 ///
 /// Defined in the durability layer (durability/run_api.cc): the facade must
 /// reach the journal and crash machinery, which core cannot depend on.

@@ -98,11 +98,13 @@ Result<AnnotateRunHeader> DecodeAnnotateRunHeader(std::string_view payload) {
 
 std::string EncodeModuleCommit(const ModuleCommit& commit,
                                const Ontology& ontology) {
-  std::string out = std::string(kModuleCommitKind) + "\n";
-  out += "id " + commit.module_id + "\n";
-  out += "decayed " + std::to_string(commit.decayed ? 1 : 0) + "\n";
-  out += "transient_exhausted " + std::to_string(commit.transient_exhausted) +
-         "\n";
+  std::string out = kModuleCommitKind;
+  out += "\nid ";
+  out += commit.module_id;
+  out += commit.decayed ? "\ndecayed 1" : "\ndecayed 0";
+  out += "\ntransient_exhausted ";
+  out += std::to_string(commit.transient_exhausted);
+  out += '\n';
   AppendDataExamples(out, commit.examples, ontology);
   return out;
 }

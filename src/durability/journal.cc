@@ -175,9 +175,13 @@ Status RunJournal::OpenSegment() {
   auto file = io_->NewWritableFile(JoinPath(dir_, SegmentName(next_segment_)));
   if (!file.ok()) return file.status();
   out_ = std::move(*file);
+  // The header is synced with the segment's first group; the directory
+  // entry is synced now, so no group of this segment is acknowledged while
+  // its name could still vanish in a power cut. The same sync makes the
+  // removals Create and Resume made in `dir_` durable.
   Status header = out_->Append(
       std::string_view(kJournalSegmentMagic, kJournalSegmentMagicLen));
-  if (header.ok()) header = out_->Sync();
+  if (header.ok()) header = io_->SyncDir(dir_);
   if (!header.ok()) {
     out_.reset();
     return header;
@@ -192,9 +196,10 @@ Result<RunJournal> RunJournal::Create(const std::string& dir,
                                       JournalOptions options,
                                       EngineMetrics* metrics, IoEnv* io) {
   IoEnv& env = EnvOrReal(io);
-  DEXA_RETURN_IF_ERROR(env.CreateDirs(dir));
+  DEXA_RETURN_IF_ERROR(CreateDurableDir(env, dir));
   // A fresh journal owns the directory's WAL namespace: stale segments of a
-  // previous run would otherwise replay into this one.
+  // previous run would otherwise replay into this one. The first segment's
+  // directory sync makes their removal durable.
   auto stale = ListSegments(env, dir);
   if (!stale.ok()) return stale.status();
   for (const DirEntry& segment : *stale) {
@@ -233,23 +238,39 @@ Result<RunJournal> RunJournal::Resume(const std::string& dir,
     }
   }
 
+  // The last segment that stays, and the length of its valid prefix.
+  std::string last = JoinPath(dir, segments->back().name);
+  uint64_t last_valid_bytes = segments->back().size;
   if (recovery.tail_discarded()) {
-    // Truncate the damaged segment back to its valid prefix and drop every
-    // segment after it — the journal must be a valid prefix before new
-    // records land behind it.
-    const std::string damaged =
-        JoinPath(dir, (*segments)[recovery.damaged_segment].name);
-    if (recovery.damaged_segment_valid_bytes < kJournalSegmentMagicLen) {
+    // Drop every segment after the damaged one, then cut the damaged one
+    // back to its valid prefix — the journal must be a valid prefix before
+    // new records land behind it. The removals are synced before the cut,
+    // so no power cut can leave the cut segment followed by a later one
+    // whose records no longer continue it.
+    if (recovery.damaged_segment + 1 < segments->size()) {
+      for (size_t s = recovery.damaged_segment + 1; s < segments->size();
+           ++s) {
+        DEXA_RETURN_IF_ERROR(
+            env.RemoveFile(JoinPath(dir, (*segments)[s].name)));
+      }
+      DEXA_RETURN_IF_ERROR(env.SyncDir(dir));
+    }
+    last = JoinPath(dir, (*segments)[recovery.damaged_segment].name);
+    last_valid_bytes = recovery.damaged_segment_valid_bytes;
+    if (last_valid_bytes < kJournalSegmentMagicLen) {
       // Even the header is damaged: the segment holds no valid records, and
-      // a truncated stub would read as damage forever. Drop it whole.
-      DEXA_RETURN_IF_ERROR(env.RemoveFile(damaged));
-    } else {
-      DEXA_RETURN_IF_ERROR(
-          env.Truncate(damaged, recovery.damaged_segment_valid_bytes));
+      // a truncated stub would read as damage forever. Drop it whole; the
+      // segment before it was synced when its roll sealed it.
+      DEXA_RETURN_IF_ERROR(env.RemoveFile(last));
+      last.clear();
     }
-    for (size_t s = recovery.damaged_segment + 1; s < segments->size(); ++s) {
-      DEXA_RETURN_IF_ERROR(env.RemoveFile(JoinPath(dir, (*segments)[s].name)));
-    }
+  }
+  if (!last.empty()) {
+    // Truncate syncs: under group commit a killed run leaves its open
+    // segment written but unsynced, and this run acknowledges those records
+    // when it completes, perhaps without appending one of its own. Every
+    // earlier segment was synced when it was sealed.
+    DEXA_RETURN_IF_ERROR(env.Truncate(last, last_valid_bytes));
   }
 
   RunJournal journal;
@@ -298,8 +319,8 @@ Status RunJournal::Append(std::string_view payload) {
   frame.append(payload);
 
   // Every frame reaches the env before Append returns, so a process that
-  // dies loses nothing acknowledged; batched journals defer only the fsync,
-  // to the segment's Seal.
+  // dies loses nothing acknowledged; the fsync waits for the segment's Seal
+  // unless the journal syncs each record.
   Status written = out_->Append(frame);
   if (written.ok() && options_.sync_each_record) written = out_->Sync();
   if (!written.ok()) {
@@ -314,8 +335,8 @@ Status RunJournal::Append(std::string_view payload) {
 
 Status RunJournal::Seal() {
   if (!segment_open_) return Status::OK();
-  // Batched-sync journals fsync the segment here instead of per record; a
-  // failure is a disk fault like any other.
+  // The segment's group sync (a per-record journal synced each record
+  // already); a failure is a disk fault like any other.
   Status sealed = options_.sync_each_record ? Status::OK() : out_->Sync();
   if (sealed.ok()) sealed = out_->Close();
   out_.reset();

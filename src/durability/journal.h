@@ -21,16 +21,15 @@ struct JournalOptions {
   /// annotation run in a handful of segments.
   size_t segment_bytes = 64 * 1024;
   /// Every Append writes its frame through the env before it returns; this
-  /// decides only when the fsync follows. When true (the default, and the
-  /// right setting for every live durable run), each Append fsyncs before
-  /// the commit is acknowledged. Bulk writers of *derived* journals — the
-  /// shard merge, whose output is deterministically rebuildable from the
-  /// per-shard journals that were themselves synced record-by-record — may
-  /// clear this to fsync once per segment, at its Seal (roll or explicit).
-  /// The on-disk bytes are identical either way, and a process that dies
-  /// loses nothing acknowledged in either mode; a power cut can lose a
-  /// batched journal's unsynced open segment.
-  bool sync_each_record = true;
+  /// decides only when the fsync follows. False (the default) is group
+  /// commit: each segment is fsynced once, at its Seal (a roll, an explicit
+  /// Seal(), or the end of a completed SubmitRun), so a commit is durable
+  /// at its segment's seal and a power cut mid-run takes at most the open
+  /// segment, which a resume regenerates byte-identically. True fsyncs
+  /// every record before Append returns. The on-disk bytes are identical
+  /// either way, and a process that dies loses nothing Append returned in
+  /// either mode.
+  bool sync_each_record = false;
 };
 
 /// The on-disk framing of the journal (see docs/DURABILITY.md):
@@ -48,10 +47,11 @@ inline constexpr size_t kJournalFrameOverhead = 10;  // magic+length+crc.
 
 /// A checksummed, segmented write-ahead journal for one annotation (or
 /// enactment) run. Every committed unit of work is appended as one framed
-/// record and written through the env before the commit is acknowledged
-/// (fsynced too, unless the journal batches its syncs), so a process that
-/// dies mid-run loses at most the record being written — and a torn or
-/// bit-flipped tail is detected, not trusted.
+/// record and written through the env before the commit is acknowledged,
+/// so a process that dies mid-run loses at most the record being written;
+/// each segment is fsynced at its seal (group commit, the default) or each
+/// record at its append, so a power cut loses at most the unsealed
+/// segment — and a torn or bit-flipped tail is detected, not trusted.
 ///
 /// All bytes go through an IoEnv (default: IoEnv::Real()), so disk faults —
 /// injected by a FaultyIoEnv or real — surface as the seam's typed codes:
@@ -63,20 +63,24 @@ inline constexpr size_t kJournalFrameOverhead = 10;  // magic+length+crc.
 /// happen on the sequential-commit phase only).
 class RunJournal {
  public:
-  /// Starts a fresh journal in `dir` (created if missing); any segments of
-  /// a previous journal in the directory are removed. `metrics` (optional)
-  /// counts journal_records and journal_segments_sealed. `io` (optional)
-  /// carries every byte; nullptr means the real filesystem.
+  /// Starts a fresh journal in `dir` (created if missing, its entry synced
+  /// in the parent); any segments of a previous journal in the directory
+  /// are removed. `metrics` (optional) counts journal_records and
+  /// journal_segments_sealed. `io` (optional) carries every byte; nullptr
+  /// means the real filesystem.
   [[nodiscard]] static Result<RunJournal> Create(const std::string& dir,
                                    JournalOptions options = {},
                                    EngineMetrics* metrics = nullptr,
                                    IoEnv* io = nullptr);
 
-  /// Re-opens the journal in `dir` for appending after a crash: truncates
-  /// the damaged tail identified by `recovery` (RecoverJournal), removes
-  /// any segments past the damage, and directs new records into a fresh
-  /// segment after the last valid one. The first Append creates that
-  /// segment, so a resume that appends nothing adds no file.
+  /// Re-opens the journal in `dir` for appending after a crash: removes
+  /// any segments past the damage identified by `recovery`
+  /// (RecoverJournal) and syncs the directory, truncates the last segment
+  /// that stays durably to its valid prefix (so every recovered record is
+  /// durable when this returns, whatever the crashed run left unsynced),
+  /// and directs new records into a fresh segment after it. The first
+  /// Append creates that segment, so a resume that appends nothing adds no
+  /// file.
   [[nodiscard]] static Result<RunJournal> Resume(const std::string& dir,
                                    const struct JournalRecovery& recovery,
                                    JournalOptions options = {},
@@ -89,14 +93,16 @@ class RunJournal {
   /// Appends one record (frame + CRC32) and writes it to the OS, fsyncing it
   /// when sync_each_record is set. Opens a new segment first when none is
   /// open (after a Seal or a Resume) and rolls to one when the current one
-  /// is past the size cap. On a disk fault the typed seam
+  /// is past the size cap; a new segment's directory entry is synced before
+  /// any record lands in it. On a disk fault the typed seam
   /// status comes back verbatim (kResourceExhausted / kCorrupted) and the
   /// journal refuses further appends — the valid prefix on disk is the
   /// contract.
   [[nodiscard]] Status Append(std::string_view payload);
 
-  /// Seals the current segment (fsyncing it first when the journal batches
-  /// its syncs) and closes it; the next Append opens a new one. Idempotent.
+  /// Seals the current segment (fsyncing it first unless each record was
+  /// synced) and closes it; every record appended so far is then durable.
+  /// The next Append opens a new segment. Idempotent.
   [[nodiscard]] Status Seal();
 
   const std::string& dir() const { return dir_; }
@@ -108,7 +114,8 @@ class RunJournal {
  private:
   RunJournal() = default;
 
-  /// Creates segment `next_segment_` and writes and syncs its header.
+  /// Creates segment `next_segment_`, writes its header and syncs its
+  /// directory entry.
   [[nodiscard]] Status OpenSegment();
 
   std::string dir_;

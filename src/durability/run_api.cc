@@ -207,7 +207,13 @@ Result<AnnotateReport> AnnotateDurable(const RunRequest& request) {
     return commits.Commit(commit.module_id, "module", commit.module_id,
                           EncodeModuleCommit(commit, ontology));
   };
-  return AnnotateRegistry(generator, registry, request.tracer, hooks);
+  auto report = AnnotateRegistry(generator, registry, request.tracer, hooks);
+  if (report.ok() && report->run_status.ok()) {
+    // The group commit of the open segment: a completed run is durable
+    // when SubmitRun returns. A failed sync fails the run typed.
+    report->run_status = request.journal->Seal();
+  }
+  return report;
 }
 
 /// Decodes the committed steps of a recovered enactment journal into a
@@ -312,7 +318,12 @@ Result<EnactmentResult> EnactDurable(const RunRequest& request) {
                 EncodeStepCommit(commit))
         .status;
   };
-  return Enact(workflow, *request.registry, request.inputs, engine, hooks);
+  auto enacted =
+      Enact(workflow, *request.registry, request.inputs, engine, hooks);
+  if (!enacted.ok()) return enacted;
+  // As for annotate: a completed enactment is durable when it returns.
+  DEXA_RETURN_IF_ERROR(request.journal->Seal());
+  return enacted;
 }
 
 }  // namespace

@@ -14,7 +14,7 @@ Status WriteRunStateSnapshot(const std::string& dir,
                              const Ontology& ontology,
                              const ProvenanceCorpus& provenance, IoEnv* io) {
   IoEnv& env = io != nullptr ? *io : IoEnv::Real();
-  DEXA_RETURN_IF_ERROR(env.CreateDirs(dir));
+  DEXA_RETURN_IF_ERROR(CreateDurableDir(env, dir));
   DEXA_RETURN_IF_ERROR(WriteFileAtomic(env, JoinPath(dir, kSnapshotPoolFile),
                                        SavePool(pool)));
   DEXA_RETURN_IF_ERROR(

@@ -19,11 +19,19 @@ void AppendDataExamples(std::string& out, const DataExampleSet& examples,
                                 ? example.input_partitions[i]
                                 : kInvalidConcept;
       out += "in ";
-      out += partition == kInvalidConcept ? "-" : ontology.NameOf(partition);
-      out += " " + example.inputs[i].ToString() + "\n";
+      if (partition == kInvalidConcept) {
+        out += '-';
+      } else {
+        out += ontology.NameOf(partition);
+      }
+      out += ' ';
+      example.inputs[i].AppendTo(out);
+      out += '\n';
     }
     for (const Value& output : example.outputs) {
-      out += "out " + output.ToString() + "\n";
+      out += "out ";
+      output.AppendTo(out);
+      out += '\n';
     }
     out += "end\n";
   }
@@ -73,11 +81,15 @@ Status DataExampleParser::ParseLine(std::string_view line) {
 std::string SaveAnnotations(const ModuleRegistry& registry,
                             const Ontology& ontology) {
   std::string out = std::string(kHeader) + "\n";
-  for (const ModulePtr& module : registry.AllModules()) {
-    const std::string& id = module->spec().id;
-    const DataExampleSet& examples = registry.DataExamplesOf(id);
+  for (ModuleIndex index = 0; index < registry.size(); ++index) {
+    const DataExampleSet& examples = registry.DataExamplesAt(index);
     if (examples.empty()) continue;
-    out += "module " + id + " " + module->spec().name + "\n";
+    const ModuleSpec& spec = registry.At(index)->spec();
+    out += "module ";
+    out += spec.id;
+    out += ' ';
+    out += spec.name;
+    out += '\n';
     AppendDataExamples(out, examples, ontology);
   }
   return out;

@@ -157,10 +157,11 @@ Result<std::unique_ptr<ServeEnv>> ServeEnv::Create(ServeEnvOptions options) {
 
   // Durable runs journal under run-<n> directories; continue the numbering
   // after whatever a previous daemon instance left behind. A root that
-  // cannot be created or listed fails startup.
+  // cannot be created or listed fails startup; a new one is durable before
+  // any run is accepted into it.
   const std::string& root = serve->options_.journal_root;
   if (!root.empty()) {
-    DEXA_RETURN_IF_ERROR(serve->io().CreateDirs(root));
+    DEXA_RETURN_IF_ERROR(CreateDurableDir(serve->io(), root));
     DEXA_ASSIGN_OR_RETURN(const std::vector<RunDir> dirs,
                           ListRunDirs(serve->io(), root));
     for (const RunDir& dir : dirs) {
@@ -302,7 +303,7 @@ Result<PreparedRun> ServeEnv::Build(const RunSpec& spec,
   if (shard) {
     // The run root holds a MANIFEST and one journal per shard; the shard
     // runner resumes each shard from its own journal prefix.
-    if (!resume) DEXA_RETURN_IF_ERROR(io.CreateDirs(run.journal_dir));
+    if (!resume) DEXA_RETURN_IF_ERROR(CreateDurableDir(io, run.journal_dir));
   } else {
     if (resume) {
       DEXA_ASSIGN_OR_RETURN(

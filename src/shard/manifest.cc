@@ -130,7 +130,7 @@ std::string MergedDir(const std::string& root) { return root + "/merged"; }
 Status WriteShardManifest(const std::string& root,
                           const ShardManifest& manifest, IoEnv* io) {
   IoEnv& env = io != nullptr ? *io : IoEnv::Real();
-  DEXA_RETURN_IF_ERROR(env.CreateDirs(root));
+  DEXA_RETURN_IF_ERROR(CreateDurableDir(env, root));
   return WriteFileAtomic(env, ShardManifestPath(root),
                          EncodeShardManifest(manifest));
 }

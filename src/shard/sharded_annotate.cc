@@ -275,15 +275,11 @@ Result<MergeReport> MergeShards(ModuleRegistry& registry,
 
   MergeReport out;
   out.merged_dir = MergedDir(options.root);
-  // The merged journal is derived data — rebuildable from the per-shard
-  // journals, which were synced record-by-record as they were written — so
-  // it fsyncs once per segment, at its seal, instead of per record; every
-  // frame still reaches the file as it is appended. Framing (and therefore
-  // the byte-equality contract) is unaffected.
-  JournalOptions merged_options;
-  merged_options.sync_each_record = false;
-  auto merged = RunJournal::Create(out.merged_dir, merged_options,
-                                   /*metrics=*/nullptr, io);
+  // The merged journal takes the default group commit, as every journal
+  // does: each segment is fsynced at its seal, and every frame reaches the
+  // file as it is appended.
+  auto merged = RunJournal::Create(out.merged_dir, {}, /*metrics=*/nullptr,
+                                   io);
   if (!merged.ok()) return merged.status();
 
   // Synthesized one-shot run header, then the per-module commit payloads
@@ -307,9 +303,8 @@ Result<MergeReport> MergeShards(ModuleRegistry& registry,
     DEXA_RETURN_IF_ERROR(ApplyCommit(std::move(commits[k][cursor[k]++]),
                                      index, registry, out.merged));
   }
-  // Fsync the batched tail segment. Sealing writes no bytes, so the merged
-  // journal still compares byte-identical to a completed one-shot run
-  // (which leaves its tail segment unsealed).
+  // Fsync the tail segment, as a completed one-shot run does. Sealing writes
+  // no bytes, so the merged journal compares byte-identical to it.
   out.records = merged->records_appended();
   DEXA_RETURN_IF_ERROR(merged->Seal());
   return out;

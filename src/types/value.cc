@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cctype>
+#include <charconv>
+#include <cstdio>
 
 #include "common/json.h"
 #include "common/rng.h"
@@ -105,29 +107,36 @@ bool Value::MatchesType(const StructuralType& type) const {
 
 namespace {
 
-void EscapeInto(const std::string& s, std::string& out) {
+/// Quotes `s` into `out`, appending each escape-free run whole.
+void EscapeInto(std::string_view s, std::string& out) {
   out.push_back('"');
-  for (char c : s) {
-    switch (c) {
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char* escape = nullptr;
+    switch (s[i]) {
       case '"':
-        out += "\\\"";
+        escape = "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        escape = "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        escape = "\\n";
         break;
       case '\t':
-        out += "\\t";
+        escape = "\\t";
         break;
       case '\r':
-        out += "\\r";
+        escape = "\\r";
         break;
       default:
-        out.push_back(c);
+        continue;
     }
+    out.append(s.substr(run, i - run));
+    out += escape;
+    run = i + 1;
   }
+  out.append(s.substr(run));
   out.push_back('"');
 }
 
@@ -141,6 +150,8 @@ std::string Value::ToString() const {
   return out;
 }
 
+void Value::AppendTo(std::string& out) const { RenderInto(*this, out); }
+
 namespace {
 
 void RenderInto(const Value& v, std::string& out) {
@@ -149,13 +160,19 @@ void RenderInto(const Value& v, std::string& out) {
   } else if (v.is_bool()) {
     out += v.AsBool() ? "true" : "false";
   } else if (v.is_int()) {
-    out += std::to_string(v.AsInt());
+    char digits[24];
+    const auto end =
+        std::to_chars(digits, digits + sizeof(digits), v.AsInt()).ptr;
+    out.append(digits, end);
   } else if (v.is_double()) {
-    std::string rendered = StrFormat("%.17g", v.AsDouble());
+    char digits[40];
+    const int n =
+        std::snprintf(digits, sizeof(digits), "%.17g", v.AsDouble());
+    const std::string_view rendered(digits, static_cast<size_t>(n));
+    out += rendered;
     // Keep doubles distinguishable from integers across a round trip:
     // integral values get an explicit fraction.
-    if (rendered.find_first_of(".eE") == std::string::npos) rendered += ".0";
-    out += rendered;
+    if (rendered.find_first_of(".eE") == std::string_view::npos) out += ".0";
   } else if (v.is_string()) {
     EscapeInto(v.AsString(), out);
   } else if (v.is_list()) {

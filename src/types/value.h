@@ -98,6 +98,8 @@ class Value {
 
   /// JSON-style rendering: `"abc"`, `42`, `[1, 2]`, `{"id": "P12345"}`.
   std::string ToString() const;
+  /// Appends ToString()'s rendering to `out`, building no temporary.
+  void AppendTo(std::string& out) const;
 
   /// Parses the JSON-style rendering produced by ToString(). Round-trips
   /// all values except doubles with non-finite payloads (never produced).

@@ -173,6 +173,98 @@ TEST(FaultyIoEnvTest, EioAndFsyncFaultsAreTypedCorrupted) {
   }
 }
 
+// A directory sync is an fsync to the fault profile: it takes the next
+// number of the fsync counter, file syncs and directory syncs alike, and
+// the one the profile names fails kCorrupted without reaching the disk.
+TEST(FaultyIoEnvTest, DirectorySyncConsumesTheFsyncCounter) {
+  const std::string dir = FreshDir("sync_dir");
+  IoFaultProfile profile;
+  profile.fsync_fail_at = 2;
+  FaultyIoEnv env(profile);
+  auto file = env.NewWritableFile(dir + "/f");
+  ASSERT_TRUE(file.ok()) << file.status();
+  ASSERT_TRUE((*file)->Append("payload").ok());
+  EXPECT_TRUE((*file)->Sync().ok());  // Sync #1.
+  const Status failed = env.SyncDir(dir);  // Sync #2: the injected fault.
+  EXPECT_TRUE(failed.IsCorrupted()) << failed;
+  EXPECT_NE(failed.message().find("sync #2"), std::string::npos) << failed;
+  EXPECT_EQ(env.faults_injected(), 1u);
+  EXPECT_TRUE(env.SyncDir(dir).ok());  // Sync #3 goes through.
+  EXPECT_EQ(env.syncs(), 3u);
+  EXPECT_TRUE(env.SyncDir(dir + "/missing").IsNotFound());
+  EXPECT_EQ(env.faults_injected(), 1u);
+
+  // A failed directory sync fails an atomic write typed: the rename has
+  // happened, but its durability is unknown.
+  IoFaultProfile atomic_profile;
+  atomic_profile.fsync_fail_at = 2;  // #1 syncs the temp, #2 the directory.
+  FaultyIoEnv atomic_env(atomic_profile);
+  const Status written = WriteFileAtomic(atomic_env, dir + "/target", "x");
+  EXPECT_TRUE(written.IsCorrupted()) << written;
+  EXPECT_EQ(atomic_env.faults_injected(), 1u);
+}
+
+// Truncate syncs before it returns, so it takes the next number of the
+// fsync counter too; the one the profile names fails kCorrupted after the
+// cut. Resume cuts a damaged tail back that way: the failed sync fails it
+// typed, and a resume on a healthy disk recovers the same records.
+TEST(FaultyIoEnvTest, TruncateSyncConsumesTheFsyncCounter) {
+  const std::string dir = FreshDir("truncate_sync");
+  IoFaultProfile profile;
+  profile.fsync_fail_at = 2;
+  FaultyIoEnv env(profile);
+  auto file = env.NewWritableFile(dir + "/f");
+  ASSERT_TRUE(file.ok()) << file.status();
+  ASSERT_TRUE((*file)->Append("payload").ok());
+  ASSERT_TRUE((*file)->Close().ok());
+  EXPECT_TRUE(env.Truncate(dir + "/f", 6).ok());  // Sync #1.
+  const Status failed = env.Truncate(dir + "/f", 5);  // Sync #2: the fault.
+  EXPECT_TRUE(failed.IsCorrupted()) << failed;
+  EXPECT_NE(failed.message().find("sync #2"), std::string::npos) << failed;
+  EXPECT_EQ(env.syncs(), 2u);
+  EXPECT_EQ(env.faults_injected(), 1u);
+  // A truncate that fails before its sync takes no number.
+  EXPECT_TRUE(env.Truncate(dir + "/missing", 0).IsNotFound());
+  EXPECT_EQ(env.syncs(), 2u);
+
+  const std::string journal_dir = dir + "/journal";
+  {
+    auto journal = RunJournal::Create(journal_dir);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    for (const char* record : {"one", "two", "three"}) {
+      ASSERT_TRUE(journal->Append(record).ok());
+    }
+    ASSERT_TRUE(journal->Seal().ok());
+  }
+  ASSERT_TRUE(TearJournalTail(journal_dir, /*seed=*/5, /*flips=*/0,
+                              /*truncate_bytes=*/2)
+                  .ok());
+  auto recovery = RecoverJournal(journal_dir);
+  ASSERT_TRUE(recovery.ok()) << recovery.status();
+  ASSERT_TRUE(recovery->tail_discarded());
+  IoFaultProfile resume_profile;
+  resume_profile.fsync_fail_at = 1;  // The truncate's sync.
+  FaultyIoEnv resume_env(resume_profile);
+  auto refused = RunJournal::Resume(journal_dir, *recovery, {}, nullptr,
+                                    &resume_env);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsCorrupted()) << refused.status();
+  EXPECT_EQ(resume_env.faults_injected(), 1u);
+
+  auto again = RecoverJournal(journal_dir);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_FALSE(again->tail_discarded());
+  EXPECT_EQ(again->records, recovery->records);
+  auto resumed = RunJournal::Resume(journal_dir, *again);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  ASSERT_TRUE(resumed->Append("four").ok());
+  ASSERT_TRUE(resumed->Seal().ok());
+  auto final_records = RecoverJournal(journal_dir);
+  ASSERT_TRUE(final_records.ok()) << final_records.status();
+  EXPECT_EQ(final_records->records,
+            (std::vector<std::string>{"one", "two", "four"}));
+}
+
 TEST(FaultyIoEnvTest, AtomicWriteRenameFaultLeavesNoTornTarget) {
   const std::string dir = FreshDir("rename");
   const std::string path = dir + "/target";
@@ -371,7 +463,7 @@ TEST(ChaosTest, ConcurrentTenantsUnderRandomFaultsConverge) {
 
   // The live daemon: randomized fault profiles, four tenants, one batch.
   Rng rng(0xC4A05);
-  size_t faulted = 0;
+  std::vector<bool> drew_fault(kRuns, false);
   {
     auto env = MakeEnv(root + "/live", 4);
     ServerOptions options;
@@ -392,17 +484,22 @@ TEST(ChaosTest, ConcurrentTenantsUnderRandomFaultsConverge) {
         case 1:  // Disk fills mid-journal.
           request += ",\"io_enospc_after\":\"" +
                      std::to_string(2048 + rng.NextIndex(8192)) + "\"";
-          ++faulted;
+          drew_fault[i] = true;
           break;
         case 2:  // Flaky device EIO on a later write.
           request += ",\"io_eio_write\":\"" +
                      std::to_string(3 + rng.NextIndex(40)) + "\"";
-          ++faulted;
+          drew_fault[i] = true;
           break;
         case 3:  // fsync loses writeback.
+          // Syncs 1-4 are submit's (the run directory's entry, the first
+          // segment's entry, the RUN descriptor and its entry). An annotate
+          // run then makes 9 (four segment rolls, a seal and an entry
+          // each, then the final seal), an enactment 1 (its final seal).
           request += ",\"io_fsync_fail\":\"" +
-                     std::to_string(3 + rng.NextIndex(10)) + "\"";
-          ++faulted;
+                     std::to_string(5 + rng.NextIndex(annotate ? 9 : 1)) +
+                     "\"";
+          drew_fault[i] = true;
           break;
         case 4:  // DONE-marker rename fails: run completes, marker missing.
           request += ",\"io_rename_fail\":\"2\"";
@@ -416,8 +513,16 @@ TEST(ChaosTest, ConcurrentTenantsUnderRandomFaultsConverge) {
       ids.push_back(submitted["id"]);
       is_annotate.push_back(annotate);
     }
-    ASSERT_GE(faulted, 3u) << "seed produced too few faults to be a test";
     Response(server, "{\"op\":\"drain\"}");
+    // Count the drawn faults that fired, not the ones drawn: a draw past
+    // the run's last write or sync injects nothing.
+    size_t faulted = 0;
+    for (size_t i = 0; i < kRuns; ++i) {
+      auto run = server.manager().RunOf(std::stoull(ids[i]));
+      ASSERT_TRUE(run.ok()) << run.status();
+      if (drew_fault[i] && (*run)->faulty->faults_injected() > 0) ++faulted;
+    }
+    ASSERT_GE(faulted, 3u) << "seed produced too few faults to be a test";
 
     // Every run ended typed: done, or failed with a disk-fault status —
     // and the done ones already match the baseline.

@@ -1,6 +1,7 @@
 // Tests for the durability layer: journal framing and CRC32, segment
-// rolling, batched-sync journals (every acknowledged record on disk before
-// any seal), torn-tail detection and discard, crash-point injection,
+// rolling, group commit (every acknowledged record on disk before any
+// seal; one sync per segment; a failed directory sync fails typed and
+// resumes), torn-tail detection and discard, crash-point injection,
 // crash-resume determinism (byte-identical state at any thread count), a
 // resume that appends nothing adding no file, journal record decoding,
 // atomic snapshot/restore, and durable workflow enactment.
@@ -432,6 +433,87 @@ std::unique_ptr<ModuleRegistry> UninterruptedRun(size_t threads,
   EXPECT_TRUE((*report).complete()) << (*report).run_status;
   EXPECT_GT((*report).metrics.commits, 0u);
   return registry;
+}
+
+// Group commit, the default schedule: a journal syncs its directory entry
+// at Create, each segment's entry when it opens and each segment's bytes
+// once, at its seal — 2 * segments + 1 syncs, however many records.
+TEST(RunJournalTest, GroupCommitSyncsOncePerSegment) {
+  const std::string dir = FreshDir("group-commit");
+  FaultyIoEnv io(IoFaultProfile{});
+  JournalOptions options;
+  options.segment_bytes = 512;
+  auto journal = RunJournal::Create(dir, options, nullptr, &io);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  EXPECT_EQ(io.syncs(), 2u);  // The journal directory's entry, segment 0's.
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(journal->Append(BatchedPayload(i)).ok());
+  }
+  ASSERT_TRUE(journal->Seal().ok());
+  ASSERT_GE(journal->segments_sealed(), 3u);
+  EXPECT_EQ(io.syncs(), 2 * journal->segments_sealed() + 1);
+}
+
+// A failed directory sync is a disk fault like a failed file sync: the
+// append that rolls into a new segment fails kCorrupted, the journal
+// refuses further appends, and a resume on a healthy disk finishes the run
+// to the bytes of a fault-free one.
+TEST(RunJournalTest, FailedDirectorySyncFailsTypedAndResumes) {
+  const auto& env = GetEnvironment();
+  const std::string baseline_dir = FreshDir("dir-sync-baseline");
+  const std::unique_ptr<ModuleRegistry> baseline =
+      UninterruptedRun(/*threads=*/1, baseline_dir);
+  auto baseline_records = RecoverJournal(baseline_dir);
+  ASSERT_TRUE(baseline_records.ok()) << baseline_records.status();
+
+  const std::string dir = FreshDir("dir-sync");
+  const EngineConfig config = EngineConfig().Threads(1).Seed(0xD0D0);
+  JournalOptions options;
+  options.segment_bytes = 4096;
+  auto registry = FreshRegistry();
+  {
+    // Syncs #1 and #2 are Create's (the journal directory's entry and the
+    // first segment's); the first roll seals segment 0 (#3) and syncs the
+    // entry of segment 1 (#4), which fails.
+    IoFaultProfile profile;
+    profile.fsync_fail_at = 4;
+    FaultyIoEnv faulty(profile);
+    auto engine = config.BuildEngine();
+    ExampleGenerator generator =
+        config.MakeGenerator(env.cache, env.pool.get(), engine.get());
+    auto journal = RunJournal::Create(dir, options, nullptr, &faulty);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    auto report = AnnotateDurable(generator, *registry, *journal);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_TRUE(report->run_status.IsCorrupted()) << report->run_status;
+    EXPECT_NE(report->run_status.message().find("sync #4"),
+              std::string::npos)
+        << report->run_status;
+    EXPECT_EQ(faulty.faults_injected(), 1u);
+    EXPECT_TRUE(journal->Append("more").IsUnavailable());
+  }
+
+  auto recovery = RecoverJournal(dir);
+  ASSERT_TRUE(recovery.ok()) << recovery.status();
+  ASSERT_GT(recovery->records.size(), 1u);
+  auto engine = config.BuildEngine();
+  ExampleGenerator generator =
+      config.MakeGenerator(env.cache, env.pool.get(), engine.get());
+  auto resumed_registry = FreshRegistry();
+  auto journal = RunJournal::Resume(dir, *recovery, options);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  auto report =
+      AnnotateDurable(generator, *resumed_registry, *journal, &*recovery);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->complete()) << report->run_status;
+  EXPECT_EQ(report->replayed, recovery->records.size() - 1);
+  EXPECT_EQ(SaveAnnotations(*resumed_registry, *env.corpus.ontology),
+            SaveAnnotations(*baseline, *env.corpus.ontology));
+  auto resumed_records = RecoverJournal(dir);
+  ASSERT_TRUE(resumed_records.ok()) << resumed_records.status();
+  EXPECT_TRUE(resumed_records->tail_status.ok())
+      << resumed_records->tail_status;
+  EXPECT_EQ(resumed_records->records, baseline_records->records);
 }
 
 struct CrashCase {

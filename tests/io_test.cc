@@ -313,9 +313,17 @@ class RelocatedIoEnv final : public IoEnv {
     DEXA_ASSIGN_OR_RETURN(const std::string real, Map(dir));
     return IoEnv::Real().CreateDirs(real);
   }
+  Status CreateDir(const std::string& dir) override {
+    DEXA_ASSIGN_OR_RETURN(const std::string real, Map(dir));
+    return IoEnv::Real().CreateDir(real);
+  }
   Result<std::vector<DirEntry>> ListDir(const std::string& dir) override {
     DEXA_ASSIGN_OR_RETURN(const std::string real, Map(dir));
     return IoEnv::Real().ListDir(real);
+  }
+  Status SyncDir(const std::string& dir) override {
+    DEXA_ASSIGN_OR_RETURN(const std::string real, Map(dir));
+    return IoEnv::Real().SyncDir(real);
   }
 
  private:

@@ -7,6 +7,7 @@
 #include "modules/data_example.h"
 #include "modules/module.h"
 #include "modules/registry.h"
+#include "modules/registry_io.h"
 #include "ontology/mygrid.h"
 
 namespace dexa {
@@ -208,6 +209,57 @@ TEST(RegistryTest, IndexesFollowRegistrationOrder) {
   ASSERT_TRUE(registry.Register(MakeEchoModule(onto, "m6", "Echo6")).ok());
   EXPECT_EQ(registry.size(), 7u);
   EXPECT_EQ(*registry.IndexOf("m6"), 6u);
+}
+
+// The data-example block rendering is the journal's commit encoding and
+// the annotations file's body, so its bytes are pinned: this constant was
+// captured before AppendDataExamples rendered values straight into its
+// buffer. It holds every escape, a long escape-free run, and nested list
+// and record values.
+TEST(RegistryIoTest, DataExampleRenderingIsPinned) {
+  Ontology onto = BuildMyGridOntology();
+  std::string longs;
+  for (int i = 0; i < 12; ++i) longs += "ACGTTGCA-" + std::to_string(i) + " ";
+  DataExample first;
+  first.inputs = {
+      Value::Str("q\"b\\s\nn\tt\rr"), Value::Str(longs),
+      Value::ListOf(
+          {Value::Int(-7), Value::Real(2.5), Value::Real(3.0),
+           Value::ListOf({Value::Bool(true), Value::Null(), Value::Str("")}),
+           Value::RecordOf({{"k\"ey", Value::Str("v\\al\n")},
+                            {"n", Value::ListOf({Value::Int(1)})}})})};
+  first.input_partitions = {onto.Find("TextDocument"), kInvalidConcept,
+                            kInvalidConcept};
+  first.outputs = {Value::RecordOf({{"seq", Value::Str(longs + "tail")},
+                                    {"tab\t", Value::Bool(false)}}),
+                   Value::Str("plain")};
+  DataExample second;
+  second.inputs = {Value::Str("x")};
+
+  std::string rendered;
+  AppendDataExamples(rendered, {first, second}, onto);
+  EXPECT_EQ(rendered,
+            "example\n"
+            "in TextDocument \"q\\\"b\\\\s\\nn\\tt\\rr\"\n"
+            "in - \"ACGTTGCA-0 ACGTTGCA-1 ACGTTGCA-2 ACGTTGCA-3 ACGTTGCA-4 "
+            "ACGTTGCA-5 ACGTTGCA-6 ACGTTGCA-7 ACGTTGCA-8 ACGTTGCA-9 "
+            "ACGTTGCA-10 ACGTTGCA-11 \"\n"
+            "in - [-7, 2.5, 3.0, [true, null, \"\"], {\"k\\\"ey\": "
+            "\"v\\\\al\\n\", \"n\": [1]}]\n"
+            "out {\"seq\": \"ACGTTGCA-0 ACGTTGCA-1 ACGTTGCA-2 ACGTTGCA-3 "
+            "ACGTTGCA-4 ACGTTGCA-5 ACGTTGCA-6 ACGTTGCA-7 ACGTTGCA-8 "
+            "ACGTTGCA-9 ACGTTGCA-10 ACGTTGCA-11 tail\", \"tab\\t\": false}\n"
+            "out \"plain\"\n"
+            "end\n"
+            "example\n"
+            "in - \"x\"\n"
+            "end\n");
+  // Value::AppendTo appends what ToString returns.
+  for (const Value& value : first.inputs) {
+    std::string appended = "prefix ";
+    value.AppendTo(appended);
+    EXPECT_EQ(appended, "prefix " + value.ToString());
+  }
 }
 
 }  // namespace
